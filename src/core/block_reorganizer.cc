@@ -1,12 +1,14 @@
 #include "core/block_reorganizer.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/math_util.h"
 #include "core/b_limiting.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/functional.h"
 #include "spgemm/nnz_estimator.h"
 #include "spgemm/plan.h"
 #include "verify/fault_injection.h"
@@ -418,40 +420,21 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
   }
   if (trace != nullptr) trace->End(expand_span);
   spgemm::AddCounter(ctx, "expand.products", static_cast<int64_t>(total));
-  const int merge_span = trace == nullptr ? -1 : trace->Begin("merge");
-
-  // Merge: row-wise dense accumulation, first-touch order.
-  std::vector<Value> acc(static_cast<size_t>(cols), 0.0);
-  std::vector<bool> touched(static_cast<size_t>(cols), false);
-  std::vector<Index> scratch;
-  std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-  std::vector<Index> out_idx;
-  std::vector<Value> out_val;
+  // The merge reads every row's full C-hat region, so the dispatch order
+  // must have filled each one exactly.
   for (Index r = 0; r < rows; ++r) {
-    const Offset begin = chat_ptr[static_cast<size_t>(r)];
-    const Offset end = cursor[static_cast<size_t>(r)];
-    scratch.clear();
-    for (Offset k = begin; k < end; ++k) {
-      const Index c = chat_cols[static_cast<size_t>(k)];
-      if (!touched[static_cast<size_t>(c)]) {
-        touched[static_cast<size_t>(c)] = true;
-        scratch.push_back(c);
-      }
-      acc[static_cast<size_t>(c)] += chat_vals[static_cast<size_t>(k)];
+    if (cursor[static_cast<size_t>(r)] != chat_ptr[static_cast<size_t>(r) + 1]) {
+      return Status::Internal("expansion left C-hat row " + std::to_string(r) +
+                              " partly filled");
     }
-    for (Index c : scratch) {
-      out_idx.push_back(c);
-      out_val.push_back(acc[static_cast<size_t>(c)]);
-      acc[static_cast<size_t>(c)] = 0.0;
-      touched[static_cast<size_t>(c)] = false;
-    }
-    ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
   }
+  const int merge_span = trace == nullptr ? -1 : trace->Begin("merge");
+  Result<CsrMatrix> c =
+      spgemm::MergeChatInPlace(rows, cols, std::move(chat_ptr),
+                               std::move(chat_cols), std::move(chat_vals));
   if (trace != nullptr) trace->End(merge_span);
-  spgemm::AddCounter(ctx, "merge.output_nnz",
-                     static_cast<int64_t>(out_idx.size()));
-  return CsrMatrix::FromParts(rows, cols, std::move(ptr), std::move(out_idx),
-                              std::move(out_val));
+  if (c.ok()) spgemm::AddCounter(ctx, "merge.output_nnz", c->nnz());
+  return c;
 }
 
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/parallel.h"
+#include "sparse/row_scratch.h"
 
 namespace spnet {
 namespace sparse {
@@ -221,36 +222,25 @@ CscMatrix CscMatrix::FromCsr(const CsrMatrix& a) {
 
 bool CsrApproxEqual(const CsrMatrix& a, const CsrMatrix& b, double tol) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  std::vector<Value> acc(static_cast<size_t>(a.cols()), 0.0);
-  std::vector<bool> touched(static_cast<size_t>(a.cols()), false);
+  RowScratch s;
+  s.EnsureCols(a.cols());
+  // Adds `sign` times a row into the accumulator (duplicates tolerated).
+  auto accumulate = [&s](const SpanView& row, Value sign) {
+    for (Offset k = 0; k < row.size; ++k) {
+      const Index c = row.indices[k];
+      s.Touch(c);
+      s.acc[static_cast<size_t>(c)] += sign * row.values[k];
+    }
+  };
   for (Index r = 0; r < a.rows(); ++r) {
-    const SpanView ra = a.Row(r);
-    const SpanView rb = b.Row(r);
-    // Accumulate row r of a (duplicates tolerated), subtract row r of b,
-    // then verify that every touched position is ~0.
-    std::vector<Index> touched_cols;
-    for (Offset k = 0; k < ra.size; ++k) {
-      const Index c = ra.indices[k];
-      if (!touched[static_cast<size_t>(c)]) {
-        touched[static_cast<size_t>(c)] = true;
-        touched_cols.push_back(c);
-      }
-      acc[static_cast<size_t>(c)] += ra.values[k];
-    }
-    for (Offset k = 0; k < rb.size; ++k) {
-      const Index c = rb.indices[k];
-      if (!touched[static_cast<size_t>(c)]) {
-        touched[static_cast<size_t>(c)] = true;
-        touched_cols.push_back(c);
-      }
-      acc[static_cast<size_t>(c)] -= rb.values[k];
-    }
+    // Row r of a minus row r of b must be ~0 at every touched position.
+    accumulate(a.Row(r), 1.0);
+    accumulate(b.Row(r), -1.0);
     bool row_ok = true;
-    for (Index c : touched_cols) {
-      if (std::fabs(acc[static_cast<size_t>(c)]) > tol) row_ok = false;
-      acc[static_cast<size_t>(c)] = 0.0;
-      touched[static_cast<size_t>(c)] = false;
+    for (Index c : s.touched_cols) {
+      if (std::fabs(s.acc[static_cast<size_t>(c)]) > tol) row_ok = false;
     }
+    s.ResetTouched();
     if (!row_ok) return false;
   }
   return true;

@@ -24,10 +24,7 @@ void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
     const SpanView brow = b.Row(j);
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
-      if (!s->touched[static_cast<size_t>(c)]) {
-        s->touched[static_cast<size_t>(c)] = 1;
-        s->touched_cols.push_back(c);
-      }
+      s->Touch(c);
       s->acc[static_cast<size_t>(c)] += av * brow.values[l];
     }
   }
@@ -85,11 +82,7 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
                        for (Offset k = 0; k < arow.size; ++k) {
                          const SpanView brow = b.Row(arow.indices[k]);
                          for (Offset l = 0; l < brow.size; ++l) {
-                           const Index c = brow.indices[l];
-                           if (!s.touched[static_cast<size_t>(c)]) {
-                             s.touched[static_cast<size_t>(c)] = 1;
-                             s.touched_cols.push_back(c);
-                           }
+                           s.Touch(brow.indices[l]);
                          }
                        }
                        ptr[static_cast<size_t>(r) + 1] =

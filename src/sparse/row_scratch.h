@@ -31,6 +31,14 @@ struct RowScratch {
     }
   }
 
+  /// Marks column `c` touched in the current row, listing it on first touch.
+  void Touch(Index c) {
+    if (!touched[static_cast<size_t>(c)]) {
+      touched[static_cast<size_t>(c)] = 1;
+      touched_cols.push_back(c);
+    }
+  }
+
   /// Resets the touched state after a row, in O(touched columns).
   void ResetTouched() {
     for (Index c : touched_cols) {

@@ -35,15 +35,14 @@ Status CheckDims(const CsrMatrix& a, const CsrMatrix& b) {
 /// Merges an intermediate element range [0, count) of (col, val) pairs
 /// into `out_idx`/`out_val` using the dense accumulator in `s`; emits in
 /// first-touch order (unordered CSR). Returns the number of merged
-/// entries. The caller guarantees the output slice can hold them.
+/// entries. The caller guarantees the output slice can hold them. The
+/// whole range is read before anything is written, so the output may
+/// start at or before `cols`/`vals` in the same buffers.
 Offset MergeRangeInto(const Index* cols, const Value* vals, Offset count,
                       RowScratch* s, Index* out_idx, Value* out_val) {
   for (Offset k = 0; k < count; ++k) {
     const Index c = cols[k];
-    if (!s->touched[static_cast<size_t>(c)]) {
-      s->touched[static_cast<size_t>(c)] = 1;
-      s->touched_cols.push_back(c);
-    }
+    s->Touch(c);
     s->acc[static_cast<size_t>(c)] += vals[k];
   }
   const Offset merged = static_cast<Offset>(s->touched_cols.size());
@@ -60,13 +59,7 @@ Offset MergeRangeInto(const Index* cols, const Value* vals, Offset count,
 /// Number of distinct columns in an intermediate element range (the
 /// symbolic half of MergeRangeInto).
 Offset CountDistinct(const Index* cols, Offset count, RowScratch* s) {
-  for (Offset k = 0; k < count; ++k) {
-    const Index c = cols[k];
-    if (!s->touched[static_cast<size_t>(c)]) {
-      s->touched[static_cast<size_t>(c)] = 1;
-      s->touched_cols.push_back(c);
-    }
-  }
+  for (Offset k = 0; k < count; ++k) s->Touch(cols[k]);
   const Offset distinct = static_cast<Offset>(s->touched_cols.size());
   s->ResetTouched();
   return distinct;
@@ -104,13 +97,7 @@ Offset SymbolicRowNnz(const CsrMatrix& a, const CsrMatrix& b, Index r,
   const SpanView arow = a.Row(r);
   for (Offset k = 0; k < arow.size; ++k) {
     const SpanView brow = b.Row(arow.indices[k]);
-    for (Offset l = 0; l < brow.size; ++l) {
-      const Index c = brow.indices[l];
-      if (!s->touched[static_cast<size_t>(c)]) {
-        s->touched[static_cast<size_t>(c)] = 1;
-        s->touched_cols.push_back(c);
-      }
-    }
+    for (Offset l = 0; l < brow.size; ++l) s->Touch(brow.indices[l]);
   }
   const Offset distinct = static_cast<Offset>(s->touched_cols.size());
   s->ResetTouched();
@@ -130,11 +117,16 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
 
   if (pool.threads() == 1) {
-    // Serial path: single pass, rows appended as they complete.
+    // Serial path: single pass, rows appended as they complete. flops bounds
+    // nnz(C), so the output never regrows; untouched reserve is not resident.
     RowScratch s;
     s.EnsureCols(cols);
+    int64_t flops = 0;
+    for (int64_t f : row_flops) flops = SatAddI64(flops, f);
     std::vector<Index> out_idx;
     std::vector<Value> out_val;
+    out_idx.reserve(static_cast<size_t>(flops));
+    out_val.reserve(static_cast<size_t>(flops));
     std::vector<Index> exp_cols;
     std::vector<Value> exp_vals;
     for (Index r = 0; r < rows; ++r) {
@@ -203,6 +195,38 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
                               std::move(out_val));
 }
 
+Result<CsrMatrix> MergeChatInPlace(Index rows, Index cols,
+                                   std::vector<Offset> chat_ptr,
+                                   std::vector<Index> chat_cols,
+                                   std::vector<Value> chat_vals) {
+  if (rows < 0 || cols < 0 ||
+      chat_ptr.size() != static_cast<size_t>(rows) + 1 ||
+      chat_ptr.front() != 0 ||
+      !std::is_sorted(chat_ptr.begin(), chat_ptr.end()) ||
+      chat_ptr.back() != static_cast<Offset>(chat_cols.size()) ||
+      chat_cols.size() != chat_vals.size()) {
+    return Status::InvalidArgument("malformed C-hat layout");
+  }
+  RowScratch s;
+  s.EnsureCols(cols);
+  // chat_ptr[r] is overwritten with the output offset only after row r-1
+  // has been merged, so `begin` carries the C-hat start forward.
+  Offset begin = 0;
+  Offset out = 0;
+  for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+    const Offset end = chat_ptr[r + 1];
+    out += MergeRangeInto(chat_cols.data() + begin, chat_vals.data() + begin,
+                          end - begin, &s, chat_cols.data() + out,
+                          chat_vals.data() + out);
+    chat_ptr[r + 1] = out;
+    begin = end;
+  }
+  chat_cols.resize(static_cast<size_t>(out));
+  chat_vals.resize(static_cast<size_t>(out));
+  return CsrMatrix::FromParts(rows, cols, std::move(chat_ptr),
+                              std::move(chat_cols), std::move(chat_vals));
+}
+
 Result<CsrMatrix> OuterProductExpandMerge(const CsrMatrix& a,
                                           const CsrMatrix& b) {
   SPNET_RETURN_IF_ERROR(CheckDims(a, b));
@@ -246,28 +270,8 @@ Result<CsrMatrix> OuterProductExpandMerge(const CsrMatrix& a,
       }
     }
 
-    // Serial merge: row-wise dense accumulation over the relocated
-    // intermediate, growing the output as rows complete.
-    RowScratch s;
-    s.EnsureCols(cols);
-    std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-    std::vector<Index> out_idx;
-    std::vector<Value> out_val;
-    for (Index r = 0; r < rows; ++r) {
-      const Offset begin = chat_ptr[static_cast<size_t>(r)];
-      const Offset count = chat_ptr[static_cast<size_t>(r) + 1] - begin;
-      const size_t base = out_idx.size();
-      out_idx.resize(base + static_cast<size_t>(count));
-      out_val.resize(base + static_cast<size_t>(count));
-      const Offset merged = MergeRangeInto(
-          chat_cols.data() + begin, chat_vals.data() + begin, count, &s,
-          out_idx.data() + base, out_val.data() + base);
-      out_idx.resize(base + static_cast<size_t>(merged));
-      out_val.resize(base + static_cast<size_t>(merged));
-      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
-    }
-    return CsrMatrix::FromParts(rows, cols, std::move(ptr),
-                                std::move(out_idx), std::move(out_val));
+    return MergeChatInPlace(rows, cols, std::move(chat_ptr),
+                            std::move(chat_cols), std::move(chat_vals));
   }
 
   // Parallel expansion: each output row's C-hat region is filled by one

@@ -173,7 +173,9 @@ TEST(ReorderBuilderTest, DegreeOrderIsDescendingWithStableTies) {
     const sparse::Index a = p->OldOf(i);
     const sparse::Index b = p->OldOf(i + 1);
     ASSERT_GE(nnz_of(a), nnz_of(b)) << "position " << i;
-    if (nnz_of(a) == nnz_of(b)) EXPECT_LT(a, b) << "tie at position " << i;
+    if (nnz_of(a) == nnz_of(b)) {
+      EXPECT_LT(a, b) << "tie at position " << i;
+    }
   }
 }
 
