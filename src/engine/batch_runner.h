@@ -109,7 +109,8 @@ struct BatchOptions {
   /// When set, the runner uses this cache instead of creating its own.
   /// This is how serve workers — one BatchRunner per worker thread, since
   /// a runner's algorithm memo is not thread-safe — share one plan cache
-  /// so any worker's planning warms every other worker.
+  /// so any worker's planning warms every other worker. Its device() must
+  /// equal `device` below, or Execute returns InvalidArgument.
   std::shared_ptr<PlanCache> shared_plan_cache;
   /// Algorithm used when a query's own algorithm cannot be built or its
   /// Plan fails (graceful degradation). Must name a registry baseline.
@@ -133,9 +134,11 @@ struct BatchOptions {
 /// structure through a PlanCache.
 ///
 /// Per request: fingerprint both operands (memoized per distinct matrix),
-/// look the plan up in the cache, build it on a miss, then simulate on the
-/// configured device. A request whose algorithm cannot be built or whose
-/// Plan fails is retried with the fallback baseline; a request that
+/// look the plan up in the cache, and return the entry's memoized
+/// measurement on a hit. On a miss, plan, simulate on the configured
+/// device, and cache the plan together with its measurement. A request
+/// whose algorithm cannot be built or whose Plan fails is retried with
+/// the fallback baseline; a request that
 /// exceeds its deadline reports DeadlineExceeded. Both outcomes land in
 /// that request's Response::status — Execute itself fails only for
 /// malformed input or an unbuildable fallback.
@@ -156,7 +159,8 @@ class BatchRunner {
 
   /// Executes every request and reports per-request Responses plus
   /// run-level aggregates. The requests' schema_version must be the one
-  /// this binary speaks (InvalidArgument otherwise).
+  /// this binary speaks, and the plan cache must serve this runner's
+  /// device (InvalidArgument otherwise).
   [[nodiscard]] Result<ExecutionReport> Execute(
       const std::vector<Request>& requests,
       spgemm::ExecContext* ctx = nullptr);

@@ -1,5 +1,7 @@
 #include "engine/plan_cache.h"
 
+#include <utility>
+
 #include "sparse/fingerprint.h"
 
 namespace spnet {
@@ -14,8 +16,11 @@ size_t PlanKeyHash::operator()(const PlanKey& k) const {
   return static_cast<size_t>(h);
 }
 
-PlanCache::PlanCache(size_t capacity, size_t shards, double min_confidence)
-    : capacity_(capacity), min_confidence_(min_confidence) {
+PlanCache::PlanCache(size_t capacity, size_t shards, double min_confidence,
+                     gpusim::DeviceSpec device)
+    : capacity_(capacity),
+      min_confidence_(min_confidence),
+      device_(std::move(device)) {
   if (shards < 1) shards = 1;
   if (capacity > 0 && shards > capacity) shards = capacity;
   if (capacity == 0) shards = 1;  // a single empty shard keeps paths uniform
@@ -33,8 +38,7 @@ PlanCache::Shard& PlanCache::ShardFor(const PlanKey& key) {
   return *shards_[PlanKeyHash{}(key) % shards_.size()];
 }
 
-std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Lookup(
-    const PlanKey& key, spgemm::ExecContext* ctx) {
+CachedPlan PlanCache::Find(const PlanKey& key, spgemm::ExecContext* ctx) {
   Shard& shard = ShardFor(key);
   {
     MutexLock lock(&shard.mu);
@@ -49,30 +53,47 @@ std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Lookup(
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   spgemm::AddCounter(ctx, "engine.plan_cache.miss", 1);
-  return nullptr;
+  return {};
+}
+
+CachedPlan PlanCache::Insert(const PlanKey& key, spgemm::SpGemmPlan plan,
+                             spgemm::SpGemmMeasurement measurement,
+                             spgemm::ExecContext* ctx) {
+  CachedPlan entry{
+      std::make_shared<const spgemm::SpGemmPlan>(std::move(plan)),
+      std::make_shared<const spgemm::SpGemmMeasurement>(
+          std::move(measurement))};
+  Admit(key, entry, ctx);
+  return entry;
 }
 
 std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Insert(
     const PlanKey& key, spgemm::SpGemmPlan plan, spgemm::ExecContext* ctx) {
-  auto shared =
-      std::make_shared<const spgemm::SpGemmPlan>(std::move(plan));
-  if (shared->confidence < min_confidence_) {
+  CachedPlan entry{std::make_shared<const spgemm::SpGemmPlan>(std::move(plan)),
+                   nullptr};
+  Admit(key, entry, ctx);
+  return entry.plan;
+}
+
+void PlanCache::Admit(const PlanKey& key, const CachedPlan& entry,
+                      spgemm::ExecContext* ctx) {
+  if (entry.plan->confidence < min_confidence_) {
     // Estimated-tier plans below the admission floor are served but never
     // cached: one lucky sample must not become every future query's plan.
     rejected_low_confidence_.fetch_add(1, std::memory_order_relaxed);
     spgemm::AddCounter(ctx, "engine.plan_cache.reject_low_confidence", 1);
-    return shared;
+    return;
   }
-  if (capacity_ == 0) return shared;
+  if (capacity_ == 0) return;
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Concurrent planners can race to insert the same key; keep the newer
-    // plan (they are equivalent) and refresh recency.
+    // entry (the plans are equivalent) and refresh recency.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    it->second->second = shared;
-    return shared;
+    it->second->second = entry;
+    return;
   }
   if (shard.lru.size() >= shard.capacity) {
     shard.index.erase(shard.lru.back().first);
@@ -80,9 +101,8 @@ std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Insert(
     evictions_.fetch_add(1, std::memory_order_relaxed);
     spgemm::AddCounter(ctx, "engine.plan_cache.evict", 1);
   }
-  shard.lru.emplace_front(key, shared);
+  shard.lru.emplace_front(key, entry);
   shard.index.emplace(key, shard.lru.begin());
-  return shared;
 }
 
 void PlanCache::Clear() {

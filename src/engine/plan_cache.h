@@ -12,6 +12,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "gpusim/device_spec.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/plan.h"
 
@@ -22,10 +23,12 @@ namespace engine {
 /// operands (sparse::StructuralFingerprint — values excluded, structure
 /// only), the algorithm name, and the fingerprint of the algorithm's
 /// configuration (ReorganizerConfig::Fingerprint for the reorganizer, 0 for
-/// the config-free baselines). Plans also depend on the DeviceSpec, which
-/// is deliberately not part of the key: one PlanCache serves one device
-/// (the BatchRunner owns a cache per device); never share an instance
-/// across devices.
+/// the config-free baselines). Plans and their memoized measurements also
+/// depend on the DeviceSpec, which is deliberately not part of the key:
+/// each PlanCache records the one device it serves (PlanCache::device),
+/// and BatchRunner::Execute refuses a shared cache built for another
+/// device, because a hit would otherwise return another device's plan and
+/// simulated time.
 struct PlanKey {
   uint64_t fp_a = 0;
   uint64_t fp_b = 0;
@@ -42,11 +45,22 @@ struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const;
 };
 
-/// Thread-safe LRU cache of SpGemmPlan results. Repeated queries over the
-/// same matrix structure skip the whole Block Reorganizer planning pipeline
-/// (classification, B-Splitting, B-Gathering, B-Limiting) and go straight
-/// to simulation — the amortizable cost that dominates spGEMM latency on
-/// power-law graphs.
+/// One cache entry as the cache hands it out: the plan, and the plan's
+/// measurement on the cache's device when the inserter simulated it.
+struct CachedPlan {
+  /// Null on a miss.
+  std::shared_ptr<const spgemm::SpGemmPlan> plan;
+  /// Null on a miss and for entries inserted plan-only.
+  std::shared_ptr<const spgemm::SpGemmMeasurement> measurement;
+};
+
+/// Thread-safe LRU cache of SpGemmPlan results for one device. Repeated
+/// queries over the same matrix structure skip the whole Block Reorganizer
+/// planning pipeline (classification, B-Splitting, B-Gathering,
+/// B-Limiting) — the amortizable cost that dominates spGEMM latency on
+/// power-law graphs. Simulation is a pure function of (plan, device), so
+/// an entry may also memoize its plan's SpGemmMeasurement: a hit on such
+/// an entry skips simulation too and costs only the lookup.
 ///
 /// Sharding: the capacity can be split across `shards` independent LRU
 /// shards, each with its own mutex, selected by the key's hash. Under
@@ -62,9 +76,9 @@ struct PlanKeyHash {
 /// the full shard, which approximates global LRU the way any sharded cache
 /// does. The default of one shard preserves exact global LRU order.
 ///
-/// Plans are shared immutably (shared_ptr<const SpGemmPlan>), so a hit is
-/// one map lookup plus a refcount bump and entries stay valid even if
-/// evicted while a query is still simulating them.
+/// Plans and measurements are shared immutably (shared_ptr to const), so a
+/// hit is one map lookup plus refcount bumps and entries stay valid even
+/// if evicted while a query is still using them.
 ///
 /// Observability: every Lookup/Insert optionally records
 /// engine.plan_cache.{hit,miss,evict} counters on an ExecContext; the same
@@ -80,21 +94,35 @@ class PlanCache {
   /// plan confidence: plans built from low-confidence estimates (see
   /// SpGemmPlan::confidence) are returned to the caller but never cached,
   /// so a lucky sample cannot become every future query's plan. 0.0
-  /// admits everything.
+  /// admits everything. `device` is the device every cached plan and
+  /// measurement was built for.
   explicit PlanCache(size_t capacity, size_t shards = 1,
-                     double min_confidence = 0.0);
+                     double min_confidence = 0.0,
+                     gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp());
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached plan and refreshes its recency, or nullptr on a
-  /// miss.
-  std::shared_ptr<const spgemm::SpGemmPlan> Lookup(
-      const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
+  /// Returns the cached entry and refreshes its recency, or an entry with
+  /// a null plan on a miss.
+  CachedPlan Find(const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
 
-  /// Inserts (or replaces) the plan for `key`, evicting the shard's
-  /// least-recently-used entry when the shard is full. Returns the shared
-  /// form of the inserted plan.
+  /// Find's plan alone: the cached plan, or nullptr on a miss.
+  std::shared_ptr<const spgemm::SpGemmPlan> Lookup(
+      const PlanKey& key, spgemm::ExecContext* ctx = nullptr) {
+    return Find(key, ctx).plan;
+  }
+
+  /// Inserts (or replaces) the entry for `key` with `plan` and its
+  /// `measurement` on device(), evicting the shard's least-recently-used
+  /// entry when the shard is full. Returns the shared form of both, also
+  /// when the plan is refused admission.
+  CachedPlan Insert(const PlanKey& key, spgemm::SpGemmPlan plan,
+                    spgemm::SpGemmMeasurement measurement,
+                    spgemm::ExecContext* ctx = nullptr);
+
+  /// Inserts a plan-only entry: a hit on it still has to simulate. Returns
+  /// the shared form of the plan.
   std::shared_ptr<const spgemm::SpGemmPlan> Insert(
       const PlanKey& key, spgemm::SpGemmPlan plan,
       spgemm::ExecContext* ctx = nullptr);
@@ -116,9 +144,10 @@ class PlanCache {
     return rejected_low_confidence_.load(std::memory_order_relaxed);
   }
   double min_confidence() const { return min_confidence_; }
+  const gpusim::DeviceSpec& device() const { return device_; }
 
  private:
-  using Entry = std::pair<PlanKey, std::shared_ptr<const spgemm::SpGemmPlan>>;
+  using Entry = std::pair<PlanKey, CachedPlan>;
 
   /// One independent LRU cache; selected by key hash.
   struct Shard {
@@ -133,8 +162,13 @@ class PlanCache {
 
   Shard& ShardFor(const PlanKey& key);
 
+  /// Admission, replacement and eviction shared by both Insert forms.
+  void Admit(const PlanKey& key, const CachedPlan& entry,
+             spgemm::ExecContext* ctx);
+
   const size_t capacity_;
   const double min_confidence_;
+  const gpusim::DeviceSpec device_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<int64_t> hits_{0};

@@ -95,6 +95,10 @@ struct DeviceSpec {
   /// Preset matching the paper's System 3 GPU (68 SMs, Turing).
   static DeviceSpec Rtx2080Ti();
 
+  /// Field-wise equality: two specs are the same device only if every
+  /// parameter the timing model reads matches.
+  bool operator==(const DeviceSpec&) const = default;
+
   /// Seconds represented by `cycles` at this device's clock.
   double CyclesToSeconds(double cycles) const {
     return cycles / (clock_ghz * 1e9);

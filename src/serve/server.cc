@@ -15,7 +15,8 @@ Server::Server(ServeOptions options)
                       : std::make_shared<engine::PlanCache>(
                             options_.engine.plan_cache_capacity,
                             options_.plan_cache_shards,
-                            options_.engine.plan_min_confidence)),
+                            options_.engine.plan_min_confidence,
+                            options_.engine.device)),
       store_(options_.store),
       queue_(options_.queue_capacity) {
   // Every worker's runner joins the server-wide cache, so one worker's

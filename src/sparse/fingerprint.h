@@ -15,11 +15,14 @@ namespace sparse {
 /// the sparsity structure, so two matrices with the same structure but
 /// different numerics share a plan.
 ///
-/// Deterministic across runs and processes for a given matrix content
-/// (FNV-1a over the little-endian byte representation with length
-/// separators), which makes it usable as a persistent cache key. Two
-/// different structures colliding is possible but needs ~2^32 distinct
-/// structures in one cache to become likely.
+/// Each element is hashed as one 64-bit word (the xxHash64 round over four
+/// independent lanes, then its final avalanche), with each array's length
+/// mixed in ahead of it. Hashing element values rather than bytes keeps
+/// the result deterministic across runs, processes and host endianness.
+/// The value is not persisted anywhere; tests pin it so that changing the
+/// hash is a deliberate act. Two different structures colliding is
+/// possible but needs ~2^32 distinct structures in one cache to become
+/// likely.
 uint64_t StructuralFingerprint(const CsrMatrix& m);
 
 /// Mixes two fingerprints (or a fingerprint and a tag) into one, order

@@ -42,6 +42,7 @@ Result<SpGemmMeasurement> Measure(const SpGemmAlgorithm& algorithm,
 Result<SpGemmMeasurement> SimulatePlan(const SpGemmPlan& plan,
                                        const gpusim::DeviceSpec& device,
                                        ExecContext* ctx) {
+  SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteSimulate));
   gpusim::Simulator sim(device);
 
   SpGemmMeasurement m;

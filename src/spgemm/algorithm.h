@@ -69,10 +69,10 @@ Result<SpGemmMeasurement> Measure(const SpGemmAlgorithm& algorithm,
                                   ExecContext* ctx = nullptr);
 
 /// The simulation tail of Measure() for an already-built plan: runs every
-/// kernel on `device` and aggregates the measurement. This is the
-/// plan-cache path of the batch engine — a cached SpGemmPlan skips
-/// Plan() entirely and goes straight here. Records the same "simulate"
-/// span, sim.* counters and measure.* gauges as Measure().
+/// kernel on `device` and aggregates the measurement. The batch engine
+/// calls it once per plan-cache miss and caches the result next to the
+/// plan, so later hits skip both Plan() and this. Records the same
+/// "simulate" span, sim.* counters and measure.* gauges as Measure().
 Result<SpGemmMeasurement> SimulatePlan(const SpGemmPlan& plan,
                                        const gpusim::DeviceSpec& device,
                                        ExecContext* ctx = nullptr);

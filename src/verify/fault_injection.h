@@ -20,6 +20,8 @@ namespace verify {
 inline constexpr char kSiteLoaderRead[] = "sparse.loader.read";
 inline constexpr char kSitePlan[] = "spgemm.plan";
 inline constexpr char kSiteCompute[] = "spgemm.compute";
+/// spgemm::SimulatePlan, the one path from a plan to a measurement.
+inline constexpr char kSiteSimulate[] = "spgemm.simulate";
 inline constexpr char kSiteChatAlloc[] = "core.chat.alloc";
 /// serve::Server admission control: an armed site rejects the request
 /// before quota/queue checks, exercising the rejection path
@@ -29,14 +31,14 @@ inline constexpr char kSiteServeAdmit[] = "serve.admit";
 /// Process-wide deterministic fault injector.
 ///
 /// Production code compiles in named check points (`MaybeInjectFault(site)`)
-/// at its fallible boundaries: loader reads, plan construction, and the
-/// big intermediate-buffer allocations. Disarmed — the default — a check
-/// point costs one relaxed atomic load and nothing else; call counts are
-/// not even tracked. Armed, every check point counts its calls (1-based)
-/// and the armed site fails deterministically inside its configured call
-/// window, so tests exercise failure paths (BatchRunner fallback, Status
-/// propagation, partial-load cleanup) without mocks and without
-/// randomness.
+/// at its fallible boundaries: loader reads, plan construction,
+/// simulation, and the big intermediate-buffer allocations. Disarmed — the
+/// default — a check point costs one relaxed atomic load and nothing else;
+/// call counts are not even tracked. Armed, every check point counts its
+/// calls (1-based) and the armed site fails deterministically inside its
+/// configured call window, so tests exercise failure paths (BatchRunner
+/// fallback, Status propagation, partial-load cleanup) without mocks and
+/// without randomness.
 ///
 /// Arming is either programmatic (`Arm`) or declarative through the
 /// `SPNET_FAULT_INJECT` environment variable, parsed on first use:

@@ -5,12 +5,17 @@
 #include <utility>
 #include <vector>
 
+#include "core/block_reorganizer.h"
 #include "engine/batch_runner.h"
 #include "engine/manifest.h"
 #include "engine/plan_cache.h"
+#include "gpusim/device_spec.h"
 #include "sparse/fingerprint.h"
+#include "spgemm/algorithm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "tests/test_util.h"
+#include "verify/fault_injection.h"
 
 namespace spnet {
 namespace engine {
@@ -67,12 +72,18 @@ TEST(FingerprintTest, EmptyMatricesOfDifferentShapesDiffer) {
   sparse::CooMatrix coo3(3, 3);
   sparse::CooMatrix coo4(4, 4);
   sparse::CooMatrix coo34(3, 4);
+  sparse::CooMatrix coo43(4, 3);
   auto m3 = CsrMatrix::FromCoo(coo3);
   auto m4 = CsrMatrix::FromCoo(coo4);
   auto m34 = CsrMatrix::FromCoo(coo34);
-  ASSERT_TRUE(m3.ok() && m4.ok() && m34.ok());
+  auto m43 = CsrMatrix::FromCoo(coo43);
+  ASSERT_TRUE(m3.ok() && m4.ok() && m34.ok() && m43.ok());
   EXPECT_NE(StructuralFingerprint(*m3), StructuralFingerprint(*m4));
   EXPECT_NE(StructuralFingerprint(*m3), StructuralFingerprint(*m34));
+  // Swapped rows and cols. A valid ptr has rows+1 entries, so swapped
+  // shapes cannot share every array; the closest pair is all-zero ptrs
+  // and an empty index array.
+  EXPECT_NE(StructuralFingerprint(*m34), StructuralFingerprint(*m43));
 }
 
 TEST(FingerprintTest, EmptyAndNearEmptyDiffer) {
@@ -99,6 +110,40 @@ TEST(FingerprintTest, DistinguishesDimsOfEmptyMatrices) {
   auto b = CsrMatrix::FromParts(0, 6, {0}, {}, {});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(StructuralFingerprint(*a), StructuralFingerprint(*b));
+}
+
+TEST(FingerprintTest, ValuesArePinned) {
+  // Pinned so that any change to the hash is a deliberate act; nothing
+  // persists fingerprints, so updating these is safe when it is intended.
+  EXPECT_EQ(StructuralFingerprint(testing_util::SkewedMatrix(64, 32, 7)),
+            0xba1adcec546e79e7ULL);
+  EXPECT_EQ(StructuralFingerprint(testing_util::SkewedMatrix(200, 64, 3)),
+            0x34c7264dbf452e4dULL);
+  EXPECT_EQ(StructuralFingerprint(testing_util::SkewedMatrix(1001, 300, 11)),
+            0x0aa7c4a5476fca23ULL);
+}
+
+TEST(FingerprintTest, DistinguishesNearIdenticalStructures) {
+  struct Pair {
+    const char* what;
+    std::vector<sparse::Offset> ptr_a, ptr_b;
+    std::vector<sparse::Index> indices_a, indices_b;
+  };
+  const std::vector<Pair> pairs = {
+      {"one moved column index", {0, 2, 3}, {0, 2, 3}, {0, 1, 2}, {0, 3, 2}},
+      // Entry (0, 3) becomes (1, 3): rows {[0,3],[1]} vs {[0],[1,3]}.
+      {"entry moved across a row boundary",
+       {0, 2, 3}, {0, 1, 3}, {0, 3, 1}, {0, 1, 3}},
+      // One index sequence, two row partitions: {[1,2],[3]} vs {[1],[2,3]}.
+      {"same indices split across rows",
+       {0, 2, 3}, {0, 1, 3}, {1, 2, 3}, {1, 2, 3}},
+  };
+  for (const Pair& p : pairs) {
+    auto a = CsrMatrix::FromParts(2, 4, p.ptr_a, p.indices_a, {1, 1, 1});
+    auto b = CsrMatrix::FromParts(2, 4, p.ptr_b, p.indices_b, {1, 1, 1});
+    ASSERT_TRUE(a.ok() && b.ok()) << p.what;
+    EXPECT_NE(StructuralFingerprint(*a), StructuralFingerprint(*b)) << p.what;
+  }
 }
 
 TEST(FingerprintTest, CombineIsOrderSensitive) {
@@ -221,6 +266,40 @@ TEST(PlanCacheTest, ShardedCacheAggregatesCountersGlobally) {
   EXPECT_EQ(cache.size(), 40u - static_cast<size_t>(cache.evictions()));
 }
 
+TEST(PlanCacheTest, MemoizesTheMeasurementWithThePlan) {
+  PlanCache cache(4);
+  const PlanKey measured{1, 1, "x", 0};
+  const PlanKey plan_only{2, 2, "x", 0};
+  spgemm::SpGemmMeasurement m;
+  m.total_seconds = 0.25;
+  m.flops = 7;
+  cache.Insert(measured, DummyPlan(7), m);
+  cache.Insert(plan_only, DummyPlan(8));
+
+  const CachedPlan hit = cache.Find(measured);
+  ASSERT_NE(hit.plan, nullptr);
+  ASSERT_NE(hit.measurement, nullptr);
+  EXPECT_EQ(hit.plan->flops, 7);
+  EXPECT_EQ(hit.measurement->total_seconds, 0.25);
+  EXPECT_EQ(cache.Lookup(measured), hit.plan);
+
+  const CachedPlan bare = cache.Find(plan_only);
+  ASSERT_NE(bare.plan, nullptr);
+  EXPECT_EQ(bare.measurement, nullptr);
+
+  // Replacing a measured entry plan-only drops the memo with the old plan.
+  cache.Insert(measured, DummyPlan(9));
+  EXPECT_EQ(cache.Find(measured).measurement, nullptr);
+  EXPECT_EQ(cache.Find(PlanKey{3, 3, "x", 0}).plan, nullptr);
+}
+
+TEST(PlanCacheTest, RecordsItsDevice) {
+  EXPECT_EQ(PlanCache(1).device(), gpusim::DeviceSpec::TitanXp());
+  const PlanCache v100(1, 1, 0.0, gpusim::DeviceSpec::TeslaV100());
+  EXPECT_EQ(v100.device(), gpusim::DeviceSpec::TeslaV100());
+  EXPECT_NE(v100.device(), gpusim::DeviceSpec::TitanXp());
+}
+
 TEST(PlanCacheTest, SingleShardKeepsExactGlobalLru) {
   // The default shard count must preserve the exact global LRU order the
   // legacy tests (LruEvictionOrder above) rely on.
@@ -295,6 +374,43 @@ std::vector<BatchQuery> RepeatedQueries(
     queries.push_back(std::move(q));
   }
   return queries;
+}
+
+/// Disarms the process-wide fault injector when a test exits, even on
+/// assertion failure.
+class InjectorGuard {
+ public:
+  InjectorGuard() { verify::FaultInjector::Global().Reset(); }
+  ~InjectorGuard() { verify::FaultInjector::Global().Reset(); }
+};
+
+/// Arms spgemm.simulate with a failure window no test reaches, so the
+/// injector counts SimulatePlan calls without failing any.
+void CountSimulations() {
+  verify::FaultInjector::Global().Arm(verify::kSiteSimulate,
+                                      /*first=*/int64_t{1} << 40);
+}
+
+int64_t Simulations() {
+  return verify::FaultInjector::Global().CallCount(verify::kSiteSimulate);
+}
+
+Request SingleRequest(const std::shared_ptr<const CsrMatrix>& m,
+                      const std::string& id,
+                      const std::string& algorithm = "reorganizer") {
+  auto request = RequestBuilder().Id(id).Algorithm(algorithm).OperandA(m)
+                     .Build();
+  SPNET_CHECK(request.ok()) << request.status().ToString();
+  return std::move(request).value();
+}
+
+void ExpectSameMeasurement(const Response& r, const Response& expected) {
+  // Exact equality: a memoized hit must return the very bits a fresh
+  // simulation produces.
+  EXPECT_EQ(r.sim_ms, expected.sim_ms);
+  EXPECT_EQ(r.gflops, expected.gflops);
+  EXPECT_EQ(r.flops, expected.flops);
+  EXPECT_EQ(r.output_nnz, expected.output_nnz);
 }
 
 TEST(RequestApiTest, LegacyRunAdapterMatchesExecute) {
@@ -400,6 +516,8 @@ TEST(BatchRunnerTest, ConfidenceFloorAboveOneDisablesCachingEntirely) {
     ASSERT_TRUE(request.ok()) << request.status().ToString();
     requests.push_back(std::move(request).value());
   }
+  InjectorGuard guard;
+  CountSimulations();
   auto cold = runner.Execute(requests);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_EQ(cold->failed, 0);
@@ -408,6 +526,8 @@ TEST(BatchRunnerTest, ConfidenceFloorAboveOneDisablesCachingEntirely) {
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->plan_cache_hits, 0);
   EXPECT_EQ(warm->plan_cache_rejected_low_confidence, 3);
+  // A refused plan is still simulated once per request, not twice.
+  EXPECT_EQ(Simulations(), 6);
 }
 
 TEST(BatchRunnerTest, EstimatedTierAgreesWithExactTier) {
@@ -485,6 +605,115 @@ TEST(BatchRunnerTest, DefaultDeadlineIsInheritedNotOverridden) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->results[0].status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(report->results[1].status.ok());
+}
+
+TEST(BatchRunnerTest, HitResponseIsBitEqualToMissAndDirectSimulation) {
+  const auto m = SharedSkewed(200, 64, 3);
+  const BatchOptions options;
+  BatchRunner runner(options);
+  auto miss = runner.Execute({SingleRequest(m, "miss")});
+  auto hit = runner.Execute({SingleRequest(m, "hit")});
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  ASSERT_TRUE(miss->responses[0].status.ok());
+  ASSERT_TRUE(hit->responses[0].status.ok());
+  EXPECT_FALSE(miss->responses[0].plan_cache_hit);
+  EXPECT_TRUE(hit->responses[0].plan_cache_hit);
+  ExpectSameMeasurement(hit->responses[0], miss->responses[0]);
+
+  auto algorithm = core::MakeBlockReorganizer(options.reorganizer_config);
+  ASSERT_TRUE(algorithm.ok());
+  auto plan = (*algorithm)->Plan(*m, *m, options.device);
+  ASSERT_TRUE(plan.ok());
+  auto direct = spgemm::SimulatePlan(*plan, options.device);
+  ASSERT_TRUE(direct.ok());
+  Response expected;
+  expected.sim_ms = direct->total_seconds * 1e3;
+  expected.gflops = direct->Gflops();
+  expected.flops = direct->flops;
+  expected.output_nnz = direct->output_nnz;
+  ExpectSameMeasurement(hit->responses[0], expected);
+}
+
+TEST(BatchRunnerTest, HitsOnMeasuredEntriesDoNotSimulate) {
+  InjectorGuard guard;
+  const auto warm = SharedSkewed(200, 64, 3);
+  const auto cold = SharedSkewed(200, 64, 4);
+  BatchRunner runner(BatchOptions{});
+  auto warmup = runner.Execute({SingleRequest(warm, "warmup")});
+  ASSERT_TRUE(warmup.ok() && warmup->succeeded == 1);
+
+  // Every SimulatePlan call now fails, so a hit that simulated would fail.
+  verify::FaultInjector::Global().Arm(verify::kSiteSimulate, /*first=*/1,
+                                      /*count=*/0);
+  std::vector<Request> hits;
+  for (int i = 0; i < 5; ++i) {
+    hits.push_back(SingleRequest(warm, "hit" + std::to_string(i)));
+  }
+  auto hit_report = runner.Execute(hits);
+  ASSERT_TRUE(hit_report.ok());
+  EXPECT_EQ(hit_report->succeeded, 5);
+  EXPECT_EQ(hit_report->plan_cache_hits, 5);
+  EXPECT_EQ(Simulations(), 0);
+  for (const Response& r : hit_report->responses) {
+    ExpectSameMeasurement(r, warmup->responses[0]);
+  }
+
+  // One miss simulates exactly once, and the injected failure surfaces.
+  auto miss_report = runner.Execute({SingleRequest(cold, "miss")});
+  ASSERT_TRUE(miss_report.ok());
+  EXPECT_EQ(miss_report->plan_cache_misses, 1);
+  EXPECT_EQ(Simulations(), 1);
+  EXPECT_EQ(miss_report->failed, 1);
+  EXPECT_EQ(miss_report->responses[0].status.code(), StatusCode::kInternal);
+}
+
+TEST(BatchRunnerTest, PlanOnlyEntryStillSimulatesOnHit) {
+  InjectorGuard guard;
+  const auto m = SharedSkewed(150, 48, 5);
+  auto cache = std::make_shared<PlanCache>(8);
+  BatchOptions options;
+  options.shared_plan_cache = cache;
+  BatchRunner runner(options);
+
+  auto algorithm = spgemm::AlgorithmRegistry::Global().Create("row-product");
+  ASSERT_TRUE(algorithm.ok());
+  auto plan = (*algorithm)->Plan(*m, *m, options.device);
+  ASSERT_TRUE(plan.ok());
+  auto direct = spgemm::SimulatePlan(*plan, options.device);
+  ASSERT_TRUE(direct.ok());
+  const uint64_t fp = StructuralFingerprint(*m);
+  cache->Insert(PlanKey{fp, fp, "row-product", 0}, std::move(plan).value());
+
+  CountSimulations();
+  auto report = runner.Execute({SingleRequest(m, "q", "row-product")});
+  ASSERT_TRUE(report.ok());
+  const Response& r = report->responses[0];
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.plan_cache_hit);
+  EXPECT_EQ(Simulations(), 1);
+  EXPECT_EQ(r.sim_ms, direct->total_seconds * 1e3);
+  EXPECT_EQ(r.flops, direct->flops);
+  EXPECT_EQ(r.output_nnz, direct->output_nnz);
+}
+
+TEST(BatchRunnerTest, SharedCacheOfAnotherDeviceIsInvalidArgument) {
+  const auto m = SharedSkewed(64, 16, 3);
+  BatchOptions options;
+  options.device = gpusim::DeviceSpec::TeslaV100();
+  options.shared_plan_cache =
+      std::make_shared<PlanCache>(8, 1, 0.0, gpusim::DeviceSpec::TitanXp());
+  BatchRunner runner(options);
+  auto report = runner.Execute({SingleRequest(m, "q")});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(options.shared_plan_cache->size(), 0u);
+
+  // A runner that owns its cache binds it to its own device.
+  BatchOptions owned;
+  owned.device = gpusim::DeviceSpec::TeslaV100();
+  BatchRunner owner(owned);
+  EXPECT_EQ(owner.plan_cache().device(), gpusim::DeviceSpec::TeslaV100());
+  EXPECT_TRUE(owner.Execute({SingleRequest(m, "q")}).ok());
 }
 
 TEST(BatchRunnerTest, InvalidReorganizerConfigFallsBackToBaseline) {
