@@ -1,11 +1,13 @@
 #include "core/block_reorganizer.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/math_util.h"
 #include "core/b_limiting.h"
+#include "sparse/stats.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
@@ -126,72 +128,103 @@ Result<ReorderedInputs> BuildReorderedInputs(const CsrMatrix& a,
 
 }  // namespace
 
-spgemm::EstimatorOptions EstimatorFromConfig(const ReorganizerConfig& config) {
-  spgemm::EstimatorOptions options;
-  options.sample_fraction = config.estimator_sample_fraction;
-  return options;
-}
+struct BlockReorganizerSpGemm::Prepared {
+  /// Set when the config reorders; every other field describes the
+  /// permuted operands.
+  std::optional<ReorderedInputs> reordered;
+  /// The pair side (a_col_nnz, b_row_nnz, pair_work) is exact on every
+  /// tier; the row side is estimated on the estimated tiers.
+  Workload workload;
+  Classification classes;
+  /// How much of the workload is exactly known (1.0 for the exact tier).
+  double confidence = 1.0;
+  /// Built when splitting is enabled and dominators exist.
+  std::optional<SplitPlan> split;
+  /// Built when gathering is enabled and low performers exist.
+  std::optional<GatherPlan> gather;
+};
 
-BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::PrepareWorkload(
-    const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
+Result<BlockReorganizerSpGemm::Prepared> BlockReorganizerSpGemm::Prepare(
+    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
+    spgemm::ExecContext* ctx) const {
   Prepared prep;
-  if (config_.planning_tier != PlanningTier::kExact) {
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, EstimatorFromConfig(config_), ctx);
-    prep.classes = ClassifyEstimated(&est, a, b, config_, ctx);
-    prep.confidence = est.confidence;
-    if (config_.planning_tier == PlanningTier::kEstimated ||
-        prep.confidence >= config_.min_plan_confidence) {
-      prep.workload = std::move(est.workload);
-      return prep;
-    }
-    // kAuto below the confidence floor: rebuild exactly.
-    spgemm::AddCounter(ctx, "reorganizer.tier_fallback_exact", 1);
+  const CsrMatrix* pa = &a;
+  const CsrMatrix* pb = &b;
+  if (config_.reorder != sparse::ReorderStrategy::kNone) {
+    SPNET_ASSIGN_OR_RETURN(prep.reordered,
+                           BuildReorderedInputs(a, b, config_.reorder, ctx));
+    pa = &prep.reordered->a;
+    pb = &prep.reordered->b;
   }
-  prep.workload = [&] {
-    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-    return spgemm::BuildWorkload(a, b, ctx);
-  }();
-  prep.classes = Classify(prep.workload, config_, ctx);
-  prep.confidence = 1.0;
+
+  bool exact = config_.planning_tier == PlanningTier::kExact;
+  if (!exact) {
+    spgemm::EstimatorOptions options;
+    options.sample_fraction = config_.estimator_sample_fraction;
+    spgemm::EstimatedWorkload est =
+        spgemm::BuildWorkloadEstimated(*pa, *pb, options, ctx);
+    prep.classes = ClassifyEstimated(&est, *pa, *pb, config_, ctx);
+    prep.confidence = est.confidence;
+    prep.workload = std::move(est.workload);
+    if (config_.planning_tier == PlanningTier::kAuto &&
+        prep.confidence < config_.min_plan_confidence) {
+      spgemm::AddCounter(ctx, "reorganizer.tier_fallback_exact", 1);
+      exact = true;
+    }
+  }
+  if (exact) {
+    prep.workload = [&] {
+      metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
+      return spgemm::BuildWorkload(*pa, *pb, ctx);
+    }();
+    prep.classes = Classify(prep.workload, config_, ctx);
+    prep.confidence = 1.0;
+  }
+
+  if (config_.enable_splitting && !prep.classes.dominators.empty()) {
+    prep.split = BuildSplitPlan(prep.workload, prep.classes.dominators,
+                                config_, device, ctx);
+  }
+  if (config_.enable_gathering && !prep.classes.low_performers.empty()) {
+    prep.gather = BuildGatherPlan(prep.workload, prep.classes.low_performers,
+                                  config_, ctx);
+  }
   return prep;
 }
 
-Classification BlockReorganizerSpGemm::ClassifyTiered(
-    const CsrMatrix& a, const CsrMatrix& b, const Workload& exact,
+Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
+    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
     spgemm::ExecContext* ctx) const {
-  if (config_.planning_tier != PlanningTier::kExact) {
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, EstimatorFromConfig(config_), ctx);
-    Classification classes = ClassifyEstimated(&est, a, b, config_, ctx);
-    if (config_.planning_tier == PlanningTier::kEstimated ||
-        est.confidence >= config_.min_plan_confidence) {
-      return classes;
-    }
+  if (a.cols() != b.rows()) {
+    return Status::InvalidArgument(
+        "dimension mismatch in Block Reorganizer plan");
   }
-  return Classify(exact, config_, ctx);
-}
+  SPNET_ASSIGN_OR_RETURN(const Prepared prep, Prepare(a, b, device, ctx));
+  const Workload& workload = prep.workload;
+  const Classification& classes = prep.classes;
+  auto pair_block = [&](Index pair) {
+    PairBlockParams p;
+    p.col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
+    p.row_nnz = workload.b_row_nnz[static_cast<size_t>(pair)];
+    p.block_size = config_.block_size;
+    return MakePairBlock(p);
+  };
 
-SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
-    const Workload& workload, const Classification& classes,
-    const gpusim::DeviceSpec& device, int64_t nnz_a,
-    spgemm::ExecContext* ctx) const {
   SpGemmPlan plan;
   plan.flops = workload.flops;
   plan.output_nnz = workload.output_nnz;
-
-  plan.kernels.push_back(BuildPreprocessKernel(workload, nnz_a));
+  plan.confidence = prep.confidence;
+  // Reordering permutes nnz(A), never changes it.
+  plan.kernels.push_back(BuildPreprocessKernel(workload, a.nnz()));
 
   // --- Expansion: dominator kernel (split or not). --------------------------
   KernelDesc dominators;
   dominators.label = "expansion-dominators";
   dominators.phase = Phase::kExpansion;
   int64_t copied_elements = 0;
-  if (config_.enable_splitting && !classes.dominators.empty()) {
-    const SplitPlan split =
-        BuildSplitPlan(workload, classes.dominators, config_, device, ctx);
-    copied_elements = split.copied_elements;
-    for (const SplitVector& v : split.vectors) {
+  if (prep.split) {
+    copied_elements = prep.split->copied_elements;
+    for (const SplitVector& v : prep.split->vectors) {
       const size_t pair = static_cast<size_t>(v.pair);
       const int64_t row_nnz = workload.b_row_nnz[pair];
       const int64_t row_bytes = kElementBytes * row_nnz;
@@ -211,11 +244,7 @@ SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
     }
   } else {
     for (Index pair : classes.dominators) {
-      PairBlockParams p;
-      p.col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
-      p.row_nnz = workload.b_row_nnz[static_cast<size_t>(pair)];
-      p.block_size = config_.block_size;
-      dominators.blocks.push_back(MakePairBlock(p));
+      dominators.blocks.push_back(pair_block(pair));
     }
   }
   if (!dominators.blocks.empty()) {
@@ -228,33 +257,19 @@ SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
   expansion.phase = Phase::kExpansion;
   expansion.flops = workload.flops;
   for (Index pair : classes.normals) {
-    PairBlockParams p;
-    p.col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
-    p.row_nnz = workload.b_row_nnz[static_cast<size_t>(pair)];
-    p.block_size = config_.block_size;
-    expansion.blocks.push_back(MakePairBlock(p));
+    expansion.blocks.push_back(pair_block(pair));
   }
-  if (config_.enable_gathering && !classes.low_performers.empty()) {
-    const GatherPlan gather =
-        BuildGatherPlan(workload, classes.low_performers, config_, ctx);
-    for (const CombinedBlock& block : gather.blocks) {
+  if (prep.gather) {
+    for (const CombinedBlock& block : prep.gather->blocks) {
       expansion.blocks.push_back(
           MakeGatheredBlock(workload, block, config_.block_size));
     }
-    for (Index pair : gather.ungathered) {
-      PairBlockParams p;
-      p.col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
-      p.row_nnz = workload.b_row_nnz[static_cast<size_t>(pair)];
-      p.block_size = config_.block_size;
-      expansion.blocks.push_back(MakePairBlock(p));
+    for (Index pair : prep.gather->ungathered) {
+      expansion.blocks.push_back(pair_block(pair));
     }
   } else {
     for (Index pair : classes.low_performers) {
-      PairBlockParams p;
-      p.col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
-      p.row_nnz = workload.b_row_nnz[static_cast<size_t>(pair)];
-      p.block_size = config_.block_size;
-      expansion.blocks.push_back(MakePairBlock(p));
+      expansion.blocks.push_back(pair_block(pair));
     }
   }
   if (!expansion.blocks.empty()) {
@@ -273,82 +288,39 @@ SpGemmPlan BlockReorganizerSpGemm::BuildPlanKernels(
   return plan;
 }
 
-Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
-    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
-    spgemm::ExecContext* ctx) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument(
-        "dimension mismatch in Block Reorganizer plan");
-  }
-  if (config_.reorder != sparse::ReorderStrategy::kNone) {
-    SPNET_ASSIGN_OR_RETURN(const ReorderedInputs reordered,
-                           BuildReorderedInputs(a, b, config_.reorder, ctx));
-    const Prepared prep = PrepareWorkload(reordered.a, reordered.b, ctx);
-    SpGemmPlan plan = BuildPlanKernels(prep.workload, prep.classes, device,
-                                       reordered.a.nnz(), ctx);
-    plan.confidence = prep.confidence;
-    return plan;
-  }
-  const Prepared prep = PrepareWorkload(a, b, ctx);
-  SpGemmPlan plan =
-      BuildPlanKernels(prep.workload, prep.classes, device, a.nnz(), ctx);
-  plan.confidence = prep.confidence;
-  return plan;
-}
-
 Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
     const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument(
         "dimension mismatch in Block Reorganizer compute");
   }
-  if (config_.reorder == sparse::ReorderStrategy::kNone) {
-    return ComputeCore(a, b, ctx);
-  }
-  SPNET_ASSIGN_OR_RETURN(const ReorderedInputs reordered,
-                         BuildReorderedInputs(a, b, config_.reorder, ctx));
-  SPNET_ASSIGN_OR_RETURN(const CsrMatrix permuted,
-                         ComputeCore(reordered.a, reordered.b, ctx));
-  // Invert the pre-pass: permuted row i holds original row rows.OldOf(i)
-  // and permuted column j is original column cols.OldOf(j). Values are
-  // moved, never recombined, so the restored matrix matches the
-  // unpermuted baseline bit for bit (within-row order aside).
-  SPNET_ASSIGN_OR_RETURN(const CsrMatrix rows_restored,
-                         reordered.rows.Inverse().ApplyToRows(permuted));
-  return reordered.cols.Inverse().ApplyToCols(rows_restored);
-}
-
-Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
-    const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
-  // The exact workload always backs execution: relocation cursors and
-  // expansion ranges index real buffers, so an estimate must never size
-  // them. The planning tier only chooses where the *classes* come from —
-  // scheduling fidelity with the estimated plan, at zero correctness risk
-  // (an estimated class can reorder expansion, never drop a product:
-  // every pair with work is provably inside some bin, see
-  // ClassifyEstimated).
-  const Workload workload = [&] {
-    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-    return spgemm::BuildWorkload(a, b, ctx);
-  }();
-  const Classification classes = ClassifyTiered(a, b, workload, ctx);
-  const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
-  const SplitPlan split =
-      config_.enable_splitting
-          ? BuildSplitPlan(workload, classes.dominators, config_, device, ctx)
-          : SplitPlan{};
+  // The prepared product only orders the expansion, and it reads only the
+  // pair side, which is exact on every tier: an estimated class can
+  // reorder expansion, never drop a product (every pair with work is
+  // provably inside some bin, see ClassifyEstimated). Compute has no
+  // device, so the split heuristic assumes the paper's Titan Xp; fragments
+  // keep each column's element order, so the split factor never changes
+  // the output.
+  SPNET_ASSIGN_OR_RETURN(
+      const Prepared prep,
+      Prepare(a, b, gpusim::DeviceSpec::TitanXp(), ctx));
+  const CsrMatrix& pa = prep.reordered ? prep.reordered->a : a;
+  const CsrMatrix& pb = prep.reordered ? prep.reordered->b : b;
+  const std::vector<int64_t>& col_nnz = prep.workload.a_col_nnz;
 
   metrics::TraceRecorder* trace = spgemm::TraceOf(ctx);
   const int expand_span = trace == nullptr ? -1 : trace->Begin("expand");
 
-  // Relocation cursors from the precalculated row-wise C-hat sizes.
-  const Index rows = a.rows();
-  const Index cols = b.cols();
+  // Relocation cursors from the row-wise C-hat sizes, counted exactly on
+  // every tier: cursors index real buffers, so an estimate must never size
+  // them.
+  const Index rows = pa.rows();
+  const Index cols = pb.cols();
+  const std::vector<int64_t> row_chat = sparse::SpGemmRowFlops(pa, pb);
   std::vector<Offset> chat_ptr(static_cast<size_t>(rows) + 1, 0);
   for (Index r = 0; r < rows; ++r) {
-    chat_ptr[static_cast<size_t>(r) + 1] =
-        SatAddI64(chat_ptr[static_cast<size_t>(r)],
-                  workload.row_chat[static_cast<size_t>(r)]);
+    chat_ptr[static_cast<size_t>(r) + 1] = SatAddI64(
+        chat_ptr[static_cast<size_t>(r)], row_chat[static_cast<size_t>(r)]);
   }
   const Offset total = chat_ptr[static_cast<size_t>(rows)];
   // The Ĉ buffers are the largest transient allocation in the pipeline;
@@ -358,11 +330,11 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
   std::vector<Value> chat_vals(static_cast<size_t>(total));
   std::vector<Offset> cursor(chat_ptr.begin(), chat_ptr.end() - 1);
 
-  const CscMatrix a_csc = CscMatrix::FromCsr(a);
+  const CscMatrix a_csc = CscMatrix::FromCsr(pa);
   auto expand_pair_range = [&](Index pair, int64_t col_begin,
                                int64_t col_end) {
     const SpanView acol = a_csc.Col(pair);
-    const SpanView brow = b.Row(pair);
+    const SpanView brow = pb.Row(pair);
     for (int64_t k = col_begin; k < col_end; ++k) {
       const Index r = acol.indices[k];
       const Value av = acol.values[k];
@@ -374,49 +346,34 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
       }
     }
   };
+  auto expand_pair = [&](Index pair) {
+    expand_pair_range(pair, 0, col_nnz[static_cast<size_t>(pair)]);
+  };
 
-  // Dominators run through the split fragments via the mapper array —
-  // exactly what the GPU kernels dispatch — so the pointer-expansion
-  // transformation is exercised end to end.
-  if (config_.enable_splitting) {
-    const std::vector<Index> mapper = split.BuildMapper();
+  // Expansion follows the prepared dispatch order. Dominators run through
+  // the split fragments via the mapper array — exactly what the GPU
+  // kernels dispatch — so the pointer-expansion transformation is
+  // exercised end to end; gathered blocks change scheduling, not results.
+  if (prep.split) {
+    const std::vector<Index> mapper = prep.split->BuildMapper();
     size_t fragment = 0;
-    for (const SplitVector& v : split.vectors) {
+    for (const SplitVector& v : prep.split->vectors) {
       for (int f = 0; f < v.factor; ++f, ++fragment) {
-        const Index pair = mapper[fragment];
-        expand_pair_range(pair, v.offsets[static_cast<size_t>(f)],
+        expand_pair_range(mapper[fragment], v.offsets[static_cast<size_t>(f)],
                           v.offsets[static_cast<size_t>(f) + 1]);
       }
     }
   } else {
-    for (Index pair : classes.dominators) {
-      expand_pair_range(pair, 0,
-                        workload.a_col_nnz[static_cast<size_t>(pair)]);
-    }
+    for (Index pair : prep.classes.dominators) expand_pair(pair);
   }
-  for (Index pair : classes.normals) {
-    expand_pair_range(pair, 0, workload.a_col_nnz[static_cast<size_t>(pair)]);
-  }
-  // Gathered blocks change scheduling, not results; iterate in gather
-  // order when enabled to mirror dispatch order.
-  if (config_.enable_gathering) {
-    const GatherPlan gather =
-        BuildGatherPlan(workload, classes.low_performers, config_, ctx);
-    for (const CombinedBlock& block : gather.blocks) {
-      for (Index pair : block.pairs) {
-        expand_pair_range(pair, 0,
-                          workload.a_col_nnz[static_cast<size_t>(pair)]);
-      }
+  for (Index pair : prep.classes.normals) expand_pair(pair);
+  if (prep.gather) {
+    for (const CombinedBlock& block : prep.gather->blocks) {
+      for (Index pair : block.pairs) expand_pair(pair);
     }
-    for (Index pair : gather.ungathered) {
-      expand_pair_range(pair, 0,
-                        workload.a_col_nnz[static_cast<size_t>(pair)]);
-    }
+    for (Index pair : prep.gather->ungathered) expand_pair(pair);
   } else {
-    for (Index pair : classes.low_performers) {
-      expand_pair_range(pair, 0,
-                        workload.a_col_nnz[static_cast<size_t>(pair)]);
-    }
+    for (Index pair : prep.classes.low_performers) expand_pair(pair);
   }
   if (trace != nullptr) trace->End(expand_span);
   spgemm::AddCounter(ctx, "expand.products", static_cast<int64_t>(total));
@@ -433,8 +390,16 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeCore(
       spgemm::MergeChatInPlace(rows, cols, std::move(chat_ptr),
                                std::move(chat_cols), std::move(chat_vals));
   if (trace != nullptr) trace->End(merge_span);
-  if (c.ok()) spgemm::AddCounter(ctx, "merge.output_nnz", c->nnz());
-  return c;
+  if (!c.ok()) return c;
+  spgemm::AddCounter(ctx, "merge.output_nnz", c->nnz());
+  if (!prep.reordered) return c;
+  // Invert the pre-pass: permuted row i holds original row rows.OldOf(i)
+  // and permuted column j is original column cols.OldOf(j). Values are
+  // moved, never recombined, so the restored matrix matches the
+  // unpermuted baseline bit for bit (within-row order aside).
+  SPNET_ASSIGN_OR_RETURN(const CsrMatrix rows_restored,
+                         prep.reordered->rows.Inverse().ApplyToRows(*c));
+  return prep.reordered->cols.Inverse().ApplyToCols(rows_restored);
 }
 
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
@@ -444,15 +409,7 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
     return Status::InvalidArgument("dimension mismatch in Analyze");
   }
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "analyze:" + name());
-  Prepared prep;
-  if (config_.reorder != sparse::ReorderStrategy::kNone) {
-    SPNET_ASSIGN_OR_RETURN(const ReorderedInputs reordered,
-                           BuildReorderedInputs(a, b, config_.reorder, ctx));
-    prep = PrepareWorkload(reordered.a, reordered.b, ctx);
-  } else {
-    prep = PrepareWorkload(a, b, ctx);
-  }
-  const Workload& workload = prep.workload;
+  SPNET_ASSIGN_OR_RETURN(const Prepared prep, Prepare(a, b, device, ctx));
   const Classification& classes = prep.classes;
 
   ReorganizerReport report;
@@ -464,17 +421,10 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
   report.limited_rows = static_cast<int64_t>(classes.limited_rows.size());
   report.dominator_threshold = classes.dominator_threshold;
   report.limit_row_threshold = classes.limit_row_threshold;
-
-  if (config_.enable_splitting) {
-    const SplitPlan split =
-        BuildSplitPlan(workload, classes.dominators, config_, device, ctx);
-    report.fragments = split.total_fragments;
-  }
-  if (config_.enable_gathering) {
-    const GatherPlan gather =
-        BuildGatherPlan(workload, classes.low_performers, config_, ctx);
-    report.combined_blocks = static_cast<int64_t>(gather.blocks.size());
-    report.gathered_pairs = gather.gathered_pairs;
+  if (prep.split) report.fragments = prep.split->total_fragments;
+  if (prep.gather) {
+    report.combined_blocks = static_cast<int64_t>(prep.gather->blocks.size());
+    report.gathered_pairs = prep.gather->gathered_pairs;
   }
   return report;
 }

@@ -65,44 +65,18 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                         spgemm::ExecContext* ctx) const override;
 
  private:
-  /// Output of the configured planning tier: the workload feeding kernel
-  /// construction, the classification, and how much of the workload is
-  /// exactly known (1.0 for the exact tier).
-  struct Prepared {
-    spgemm::Workload workload;
-    Classification classes;
-    double confidence = 1.0;
-  };
+  /// The immutable product of the pre-process (defined in the .cc).
+  struct Prepared;
 
-  /// Runs the configured planning tier for Plan/Analyze: exact
-  /// precalculation, or the sampled estimator with per-entry exact
-  /// fallback; kAuto rebuilds exactly when the post-fallback confidence
-  /// lands below `min_plan_confidence`.
-  Prepared PrepareWorkload(const sparse::CsrMatrix& a,
+  /// The paper's one pre-process pass, shared by Plan, Analyze and
+  /// Compute: the config's reorder pre-pass, the configured planning tier
+  /// (exact precalculation, or the sampled estimator with per-entry exact
+  /// fallback; kAuto rebuilds exactly below `min_plan_confidence`), the
+  /// bins, and the split and gather plans of non-empty bins.
+  Result<Prepared> Prepare(const sparse::CsrMatrix& a,
                            const sparse::CsrMatrix& b,
+                           const gpusim::DeviceSpec& device,
                            spgemm::ExecContext* ctx) const;
-
-  /// Tiered classification for Compute: scheduling classes may come from
-  /// estimates, but the caller's `exact` workload always drives buffer
-  /// sizes and expansion ranges (an estimate must never move a cursor).
-  Classification ClassifyTiered(const sparse::CsrMatrix& a,
-                                const sparse::CsrMatrix& b,
-                                const spgemm::Workload& exact,
-                                spgemm::ExecContext* ctx) const;
-
-  /// Kernel construction shared by both tiers.
-  spgemm::SpGemmPlan BuildPlanKernels(const spgemm::Workload& workload,
-                                      const Classification& classes,
-                                      const gpusim::DeviceSpec& device,
-                                      int64_t nnz_a,
-                                      spgemm::ExecContext* ctx) const;
-
-  /// The classify/split/gather/expand/merge pipeline on inputs as given;
-  /// ComputeImpl wraps it with the config's reorder pre-pass (permute A's
-  /// rows and B's columns, compute, invert on the output).
-  Result<sparse::CsrMatrix> ComputeCore(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        spgemm::ExecContext* ctx) const;
 
   ReorganizerConfig config_;
   std::string name_;

@@ -13,48 +13,6 @@
 namespace spnet {
 namespace engine {
 
-Request RequestFromQuery(const BatchQuery& query) {
-  Request request;
-  request.id = query.id;
-  request.a = query.a;
-  request.b = query.b;
-  request.algorithm = query.algorithm;
-  request.deadline_ms = query.deadline_ms;
-  return request;
-}
-
-QueryResult QueryResultFromResponse(const Response& response) {
-  QueryResult result;
-  result.id = response.id;
-  result.status = response.status;
-  result.algorithm_used = response.algorithm_used;
-  result.plan_cache_hit = response.plan_cache_hit;
-  result.fallback_used = response.fallback_used;
-  result.wall_ms = response.wall_ms;
-  result.sim_ms = response.sim_ms;
-  result.gflops = response.gflops;
-  result.flops = response.flops;
-  result.output_nnz = response.output_nnz;
-  return result;
-}
-
-BatchReport BatchReportFromExecution(const ExecutionReport& report) {
-  BatchReport legacy;
-  legacy.results.reserve(report.responses.size());
-  for (const Response& response : report.responses) {
-    legacy.results.push_back(QueryResultFromResponse(response));
-  }
-  legacy.wall_ms = report.wall_ms;
-  legacy.succeeded = report.succeeded;
-  legacy.failed = report.failed;
-  legacy.fallbacks = report.fallbacks;
-  legacy.deadline_expired = report.deadline_expired;
-  legacy.plan_cache_hits = report.plan_cache_hits;
-  legacy.plan_cache_misses = report.plan_cache_misses;
-  legacy.plan_cache_evictions = report.plan_cache_evictions;
-  return legacy;
-}
-
 BatchRunner::BatchRunner(BatchOptions options)
     : options_(std::move(options)),
       reorganizer_config_fp_(options_.reorganizer_config.Fingerprint()),
@@ -314,18 +272,6 @@ Result<ExecutionReport> BatchRunner::Execute(
   spgemm::SetGauge(ctx, "engine.plan_cache.size",
                    static_cast<double>(cache_->size()));
   return report;
-}
-
-Result<BatchReport> BatchRunner::Run(const std::vector<BatchQuery>& queries,
-                                     spgemm::ExecContext* ctx) {
-  std::vector<Request> requests;
-  requests.reserve(queries.size());
-  for (const BatchQuery& query : queries) {
-    requests.push_back(RequestFromQuery(query));
-  }
-  SPNET_ASSIGN_OR_RETURN(const ExecutionReport report,
-                         Execute(requests, ctx));
-  return BatchReportFromExecution(report);
 }
 
 }  // namespace engine

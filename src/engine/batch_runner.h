@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/deprecation.h"
 #include "common/status.h"
 #include "core/reorganizer_config.h"
 #include "engine/plan_cache.h"
@@ -19,47 +18,6 @@
 
 namespace spnet {
 namespace engine {
-
-/// Legacy form of one query of a batch (see engine::Request for the
-/// current request currency, which adds tenant/priority/schema fields).
-/// Kept as a thin adapter so pre-Request callers keep compiling; new code
-/// should build engine::Request via RequestBuilder instead. The
-/// legacy-batch-query lint rule flags direct construction outside
-/// src/engine.
-struct BatchQuery {
-  std::string id;
-  std::shared_ptr<const sparse::CsrMatrix> a;
-  /// Null selects A as the second operand (C = A^2, the paper's workload).
-  std::shared_ptr<const sparse::CsrMatrix> b;
-  std::string algorithm = "reorganizer";
-  /// Sentinel for deadline_ms: inherit BatchOptions::default_deadline_ms.
-  static constexpr double kInheritDeadline = -1.0;
-  /// Wall-clock budget for this query in ms. Negative (the default)
-  /// inherits the batch-level default; 0 is an already-expired deadline
-  /// (the query reports DeadlineExceeded without doing work); positive is
-  /// the budget. A zero budget used to mean "inherit", which made an
-  /// expired deadline impossible to express per query.
-  double deadline_ms = kInheritDeadline;
-};
-
-/// Legacy outcome of one query; engine::Response is the current form
-/// (same measurement fields plus tenant identity).
-struct QueryResult {
-  std::string id;
-  Status status;
-  /// Algorithm that actually produced the measurement (the fallback's name
-  /// when degradation kicked in).
-  std::string algorithm_used;
-  bool plan_cache_hit = false;
-  bool fallback_used = false;
-  /// Host wall-clock spent on this query (fingerprint + plan + simulate).
-  double wall_ms = 0.0;
-  /// Simulated end-to-end seconds on the device, as milliseconds.
-  double sim_ms = 0.0;
-  double gflops = 0.0;
-  int64_t flops = 0;
-  int64_t output_nnz = 0;
-};
 
 /// Everything one Execute call produced, plus the run-level aggregates the
 /// CLI summary line, the serve metrics, and the bench tables print.
@@ -80,22 +38,6 @@ struct ExecutionReport {
   int64_t plan_cache_evictions = 0;
   /// Plans refused by the cache's confidence-admission floor this run.
   int64_t plan_cache_rejected_low_confidence = 0;
-};
-
-/// Legacy report shape returned by Run; ExecutionReport is the current
-/// form.
-struct BatchReport {
-  std::vector<QueryResult> results;
-  double wall_ms = 0.0;
-  int64_t succeeded = 0;
-  int64_t failed = 0;
-  int64_t fallbacks = 0;
-  int64_t deadline_expired = 0;
-  /// Plan-cache activity attributable to this Run call (deltas, so
-  /// repeated Run calls on one runner report per-run numbers).
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t plan_cache_evictions = 0;
 };
 
 struct BatchOptions {
@@ -165,12 +107,6 @@ class BatchRunner {
       const std::vector<Request>& requests,
       spgemm::ExecContext* ctx = nullptr);
 
-  /// Legacy entry point: adapts BatchQuery to Request, Executes, and
-  /// converts back.
-  SPNET_DEPRECATED("use BatchRunner::Execute with engine::Request")
-  [[nodiscard]] Result<BatchReport> Run(const std::vector<BatchQuery>& queries,
-                                        spgemm::ExecContext* ctx = nullptr);
-
   PlanCache& plan_cache() { return *cache_; }
   /// The runner's cache in shareable form, for wiring additional runners
   /// onto the same cache.
@@ -202,13 +138,6 @@ class BatchRunner {
   std::map<std::string, std::unique_ptr<spgemm::SpGemmAlgorithm>> instances_;
   std::map<std::string, AlgorithmEntry> resolved_;
 };
-
-/// Adapters bridging the legacy BatchQuery surface onto the Request API.
-/// They live here (not request.h) so only legacy-aware code pulls in the
-/// legacy types.
-Request RequestFromQuery(const BatchQuery& query);
-QueryResult QueryResultFromResponse(const Response& response);
-BatchReport BatchReportFromExecution(const ExecutionReport& report);
 
 }  // namespace engine
 }  // namespace spnet

@@ -135,42 +135,5 @@ Result<std::vector<Request>> LoadManifestRequests(
   return BuildRequests(entries, options, tenant, priority);
 }
 
-Result<std::vector<BatchQuery>> BuildQueries(
-    const std::vector<ManifestEntry>& entries,
-    const ManifestLoadOptions& options) {
-  SPNET_ASSIGN_OR_RETURN(const std::vector<Request> requests,
-                         BuildRequests(entries, options));
-  std::vector<BatchQuery> queries;
-  queries.reserve(requests.size());
-  for (const Request& request : requests) {
-    BatchQuery q;
-    q.id = request.id;
-    q.a = request.a;
-    q.b = request.b;
-    q.algorithm = request.algorithm;
-    q.deadline_ms = request.deadline_ms;
-    queries.push_back(std::move(q));
-  }
-  return queries;
-}
-
-Result<std::vector<BatchQuery>> LoadManifest(
-    const std::string& path, const ManifestLoadOptions& options) {
-  SPNET_ASSIGN_OR_RETURN(const std::vector<Request> requests,
-                         LoadManifestRequests(path, options));
-  std::vector<BatchQuery> queries;
-  queries.reserve(requests.size());
-  for (const Request& request : requests) {
-    BatchQuery q;
-    q.id = request.id;
-    q.a = request.a;
-    q.b = request.b;
-    q.algorithm = request.algorithm;
-    q.deadline_ms = request.deadline_ms;
-    queries.push_back(std::move(q));
-  }
-  return queries;
-}
-
 }  // namespace engine
 }  // namespace spnet

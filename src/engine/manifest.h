@@ -6,7 +6,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/batch_runner.h"
+#include "engine/request.h"
+#include "sparse/csr_matrix.h"
 
 namespace spnet {
 namespace engine {
@@ -38,7 +39,7 @@ struct ManifestEntry {
 /// < 1, > 100000) are InvalidArgument.
 [[nodiscard]] Result<std::vector<ManifestEntry>> ParseManifest(const std::string& content);
 
-/// How BuildQueries materializes dataset sources.
+/// How BuildRequests materializes dataset sources.
 struct ManifestLoadOptions {
   /// Scale for Table II dataset names (files load as-is).
   double scale = 0.05;
@@ -46,7 +47,7 @@ struct ManifestLoadOptions {
   /// Optional on-disk .spnb cache for generated datasets (see
   /// datasets::MaterializeCached); empty = regenerate every run.
   std::string dataset_cache_dir;
-  /// Per-query deadline applied to every generated query; <= 0 = none.
+  /// Per-request deadline applied to every generated request; <= 0 = none.
   double deadline_ms = 0.0;
 };
 
@@ -74,17 +75,6 @@ struct ManifestLoadOptions {
 [[nodiscard]] Result<std::vector<Request>> LoadManifestRequests(
     const std::string& path, const ManifestLoadOptions& options,
     const std::string& tenant = "batch", int priority = 0);
-
-/// Legacy adapters over BuildRequests/LoadManifestRequests, kept for
-/// pre-Request callers.
-SPNET_DEPRECATED("use BuildRequests")
-[[nodiscard]] Result<std::vector<BatchQuery>> BuildQueries(
-    const std::vector<ManifestEntry>& entries,
-    const ManifestLoadOptions& options);
-
-SPNET_DEPRECATED("use LoadManifestRequests")
-[[nodiscard]] Result<std::vector<BatchQuery>> LoadManifest(
-    const std::string& path, const ManifestLoadOptions& options);
 
 }  // namespace engine
 }  // namespace spnet

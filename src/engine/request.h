@@ -21,12 +21,11 @@ inline constexpr int kRequestSchemaVersion = 1;
 /// One unit of work for the engine: measure C = A*B (B null means C = A^2,
 /// the paper's workload) with the named algorithm. This is the single
 /// request currency shared by `spnet_cli batch`, the `spnet_serve` daemon,
-/// and `BatchRunner::Execute` — the legacy `BatchQuery` surface is a thin
-/// adapter over it (see batch_runner.h).
+/// and `BatchRunner::Execute`.
 ///
-/// Unlike BatchQuery, a Request carries the serving-layer identity fields:
-/// the tenant it bills against, its scheduling priority, and a deadline
-/// that survives queueing.
+/// Besides the operands, a Request carries the serving-layer identity
+/// fields: the tenant it bills against, its scheduling priority, and a
+/// deadline that survives queueing.
 struct Request {
   int schema_version = kRequestSchemaVersion;
   std::string id;

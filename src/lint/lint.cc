@@ -23,13 +23,12 @@ constexpr size_t kNpos = static_cast<size_t>(-1);
 const std::set<std::string>& StatusReturningNames() {
   // clang-format off
   static const std::set<std::string> kNames = {
-      "ArmFromSpec",    "BuildQueries",
-      "BuildRequests",  "Check",
-      "CheckClassification", "CheckGatherPlan",
-      "CheckLimitedMergeOptions", "CheckPlanStructure",
-      "CheckSplitPlan", "Compute",
-      "Create",         "Execute",
-      "LoadManifest",   "LoadManifestRequests",
+      "ArmFromSpec",    "BuildRequests",
+      "Check",          "CheckClassification",
+      "CheckGatherPlan", "CheckLimitedMergeOptions",
+      "CheckPlanStructure", "CheckSplitPlan",
+      "Compute",        "Create",
+      "Execute",        "LoadManifestRequests",
       "LoadManifestSource", "MakeSweepCase",
       "MaterializeCached", "MaybeInjectFault",
       "ParallelFor",    "ParseManifest",
@@ -408,40 +407,6 @@ void CheckExecContextThreading(RuleContext* ctx) {
   }
 }
 
-// --- rule: legacy-batch-query ----------------------------------------------
-
-/// engine::BatchQuery is the legacy batch-API type: src/engine still
-/// defines it and converts it for old callers, but everything else must
-/// build engine::Request via RequestBuilder so tenant/priority/deadline
-/// metadata and schema versioning flow through. Flags constructions —
-/// `BatchQuery q`, `BatchQuery{...}`, `BatchQuery(...)` — not mentions:
-/// passing `const BatchQuery&` through the legacy adapters stays legal.
-void CheckLegacyBatchQuery(RuleContext* ctx) {
-  std::string normalized = ctx->path();
-  std::replace(normalized.begin(), normalized.end(), '\\', '/');
-  if (normalized.find("src/engine") != std::string::npos) return;
-  const std::vector<Token>& code = ctx->code();
-  for (size_t i = 0; i + 1 < code.size(); ++i) {
-    if (!IsIdent(code[i], "BatchQuery")) continue;
-    // `struct BatchQuery {...}` / `class BatchQuery;` are (forward)
-    // declarations of the type itself, not constructions.
-    if (i > 0 && (IsIdent(code[i - 1], "struct") ||
-                  IsIdent(code[i - 1], "class"))) {
-      continue;
-    }
-    const Token& next = code[i + 1];
-    if (next.kind != TokenKind::kIdentifier && !IsPunct(next, "{") &&
-        !IsPunct(next, "(")) {
-      continue;
-    }
-    ctx->Emit("legacy-batch-query", Severity::kError, code[i].line,
-              "direct engine::BatchQuery construction outside src/engine; "
-              "build an engine::Request with engine::RequestBuilder "
-              "(src/engine/request.h) and run it through "
-              "BatchRunner::Execute");
-  }
-}
-
 // --- rule: include-iostream ------------------------------------------------
 
 void CheckIncludeIostream(RuleContext* ctx, const std::vector<Token>& tokens) {
@@ -677,9 +642,6 @@ const std::vector<RuleInfo>& Rules() {
        "PlanImpl/ComputeImpl overrides must accept ExecContext*"},
       {"include-iostream", Severity::kError,
        "headers must not include <iostream>"},
-      {"legacy-batch-query", Severity::kError,
-       "construct engine::Request via RequestBuilder, not the legacy "
-       "BatchQuery, outside src/engine"},
       {"unsafe-planner-arithmetic", Severity::kError,
        "planner int64 quantities (pair_work/flops/output_nnz/row_chat) must "
        "combine via SatAddI64/SatMulI64 in src/spgemm and src/core"},
@@ -715,7 +677,6 @@ std::vector<Diagnostic> LintSource(const std::string& path,
   CheckRelaxedAtomic(&ctx);
   CheckExecContextThreading(&ctx);
   CheckIncludeIostream(&ctx, tokens);
-  CheckLegacyBatchQuery(&ctx);
   CheckUnsafePlannerArithmetic(&ctx);
   CheckLockDiscipline(&ctx);
   return ctx.TakeDiagnostics();

@@ -2,6 +2,7 @@
 
 #include "gpusim/kernel_desc.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/functional.h"
 #include "verify/fault_injection.h"
 
 namespace spnet {
@@ -26,6 +27,12 @@ Result<sparse::CsrMatrix> SpGemmAlgorithm::Compute(const sparse::CsrMatrix& a,
   ScopedPoolStats pool_stats(ctx);
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteCompute));
   return ComputeImpl(a, b, ctx);
+}
+
+Result<sparse::CsrMatrix> SpGemmAlgorithm::ComputeImpl(
+    const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+    ExecContext*) const {
+  return RowProductExpandMerge(a, b);
 }
 
 Result<SpGemmMeasurement> Measure(const SpGemmAlgorithm& algorithm,

@@ -53,9 +53,13 @@ class SpGemmAlgorithm {
                                       const gpusim::DeviceSpec& device,
                                       ExecContext* ctx) const = 0;
 
+  /// Defaults to RowProductExpandMerge. Most baselines differ from the
+  /// row product only in how the GPU schedules the work, which their
+  /// PlanImpl models, not in the product they compute; the outer product
+  /// and the Block Reorganizer override it with their own dispatch.
   virtual Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
                                                 const sparse::CsrMatrix& b,
-                                                ExecContext* ctx) const = 0;
+                                                ExecContext* ctx) const;
 };
 
 /// Simulates `algorithm` on `device` and returns the timing profile. With

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -87,11 +86,6 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
     plan.host_seconds = HostPreprocessSeconds(
         static_cast<int64_t>(workload.row_chat.size()), 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    return RowProductExpandMerge(a, b);
   }
 };
 

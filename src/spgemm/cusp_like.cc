@@ -3,7 +3,6 @@
 
 #include "common/math_util.h"
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -97,13 +96,6 @@ class CuspLikeSpGemm : public SpGemmAlgorithm {
 
     plan.host_seconds = HostPreprocessSeconds(0, 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    // The ESC result equals the plain product; the host path shares the
-    // expansion structure.
-    return RowProductExpandMerge(a, b);
   }
 };
 

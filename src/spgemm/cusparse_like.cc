@@ -3,7 +3,6 @@
 
 #include "common/math_util.h"
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -88,13 +87,6 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
     // The library has no user-visible preprocessing; just buffer setup.
     plan.host_seconds = HostPreprocessSeconds(0, 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    // Functionally the two-phase scheme produces the plain product; the
-    // row-product host path shares the expansion structure.
-    return RowProductExpandMerge(a, b);
   }
 };
 

@@ -2,7 +2,6 @@
 #include <memory>
 
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/workload_model.h"
 
@@ -57,11 +56,6 @@ class MklLikeSpGemm : public SpGemmAlgorithm {
 
     plan.host_seconds = std::max(compute_seconds, memory_seconds) + 30e-6;
     return plan;  // no device kernels
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    return RowProductExpandMerge(a, b);
   }
 };
 

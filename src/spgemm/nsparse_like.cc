@@ -2,7 +2,6 @@
 #include <memory>
 
 #include "spgemm/algorithm.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -90,13 +89,6 @@ class NsparseLike : public SpGemmAlgorithm {
 
     plan.host_seconds = HostPreprocessSeconds(0, 0);
     return plan;
-  }
-
-  Result<CsrMatrix> ComputeImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                ExecContext*) const override {
-    // A hash-accumulated product equals the plain product; the host path
-    // shares the row-centric structure.
-    return RowProductExpandMerge(a, b);
   }
 };
 

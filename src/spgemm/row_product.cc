@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/math_util.h"
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 
 namespace spnet {
@@ -192,12 +191,6 @@ Result<SpGemmPlan> RowProductSpGemm::PlanImpl(const CsrMatrix& a,
   // No preprocessing beyond the kernel launches themselves.
   plan.host_seconds = HostPreprocessSeconds(0, 0);
   return plan;
-}
-
-Result<CsrMatrix> RowProductSpGemm::ComputeImpl(const CsrMatrix& a,
-                                                const CsrMatrix& b,
-                                                ExecContext*) const {
-  return RowProductExpandMerge(a, b);
 }
 
 std::unique_ptr<SpGemmAlgorithm> MakeRowProduct() {

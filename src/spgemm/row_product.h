@@ -21,10 +21,6 @@ class RowProductSpGemm : public SpGemmAlgorithm {
                               const sparse::CsrMatrix& b,
                               const gpusim::DeviceSpec& device,
                               ExecContext* ctx) const override;
-
-  Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        ExecContext* ctx) const override;
 };
 
 /// Knobs for the row-product expansion kernel builder, used to express

@@ -361,21 +361,6 @@ TEST(RequestApiTest, ExecuteRejectsWrongSchemaVersion) {
 
 // --------------------------------------------------------------- batch runner
 
-std::vector<BatchQuery> RepeatedQueries(
-    const std::shared_ptr<const CsrMatrix>& m, int n,
-    const std::string& algorithm) {
-  std::vector<BatchQuery> queries;
-  for (int i = 0; i < n; ++i) {
-    // spnet-lint: allow(legacy-batch-query) -- legacy-adapter coverage
-    BatchQuery q;
-    q.id = "q" + std::to_string(i);
-    q.a = m;
-    q.algorithm = algorithm;
-    queries.push_back(std::move(q));
-  }
-  return queries;
-}
-
 /// Disarms the process-wide fault injector when a test exits, even on
 /// assertion failure.
 class InjectorGuard {
@@ -404,6 +389,16 @@ Request SingleRequest(const std::shared_ptr<const CsrMatrix>& m,
   return std::move(request).value();
 }
 
+/// `n` requests "q0".."q<n-1>" for C = m^2 on `algorithm`.
+std::vector<Request> RepeatedRequests(const std::shared_ptr<const CsrMatrix>& m,
+                                      int n, const std::string& algorithm) {
+  std::vector<Request> requests;
+  for (int i = 0; i < n; ++i) {
+    requests.push_back(SingleRequest(m, "q" + std::to_string(i), algorithm));
+  }
+  return requests;
+}
+
 void ExpectSameMeasurement(const Response& r, const Response& expected) {
   // Exact equality: a memoized hit must return the very bits a fresh
   // simulation produces.
@@ -413,30 +408,6 @@ void ExpectSameMeasurement(const Response& r, const Response& expected) {
   EXPECT_EQ(r.output_nnz, expected.output_nnz);
 }
 
-TEST(RequestApiTest, LegacyRunAdapterMatchesExecute) {
-  // The deprecated BatchQuery surface must be a pure adapter: same
-  // engine, same measurements, translated report shape.
-  const auto m = SharedSkewed(150, 48, 5);
-  BatchRunner modern(BatchOptions{});
-  BatchRunner legacy(BatchOptions{});
-
-  auto request =
-      RequestBuilder().Id("q0").Algorithm("reorganizer").OperandA(m).Build();
-  ASSERT_TRUE(request.ok());
-  auto execution = modern.Execute({*request});
-  auto report = legacy.Run(RepeatedQueries(m, 1, "reorganizer"));
-  ASSERT_TRUE(execution.ok() && report.ok());
-  ASSERT_EQ(execution->responses.size(), 1u);
-  ASSERT_EQ(report->results.size(), 1u);
-  const Response& r = execution->responses[0];
-  const QueryResult& q = report->results[0];
-  EXPECT_EQ(q.id, r.id);
-  EXPECT_DOUBLE_EQ(q.sim_ms, r.sim_ms);
-  EXPECT_EQ(q.flops, r.flops);
-  EXPECT_EQ(q.output_nnz, r.output_nnz);
-  EXPECT_EQ(report->succeeded, execution->succeeded);
-}
-
 TEST(BatchRunnerTest, CacheHitShortCircuitsPlanning) {
   const auto m = SharedSkewed(200, 64, 3);
   BatchOptions options;
@@ -444,7 +415,7 @@ TEST(BatchRunnerTest, CacheHitShortCircuitsPlanning) {
   BatchRunner runner(options);
   spgemm::ExecContext ctx;
 
-  auto report = runner.Run(RepeatedQueries(m, 4, "reorganizer"), &ctx);
+  auto report = runner.Execute(RepeatedRequests(m, 4, "reorganizer"), &ctx);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->succeeded, 4);
   EXPECT_EQ(report->failed, 0);
@@ -453,22 +424,22 @@ TEST(BatchRunnerTest, CacheHitShortCircuitsPlanning) {
   // missed, and at least one miss planned the structure.
   EXPECT_EQ(report->plan_cache_hits + report->plan_cache_misses, 4);
   EXPECT_GE(report->plan_cache_misses, 1);
-  for (const QueryResult& r : report->results) {
+  for (const Response& r : report->responses) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(r.algorithm_used, "reorganizer");
     EXPECT_FALSE(r.fallback_used);
     // Planning is deterministic, so hit or miss the simulation agrees.
-    EXPECT_DOUBLE_EQ(r.sim_ms, report->results[0].sim_ms);
+    EXPECT_DOUBLE_EQ(r.sim_ms, report->responses[0].sim_ms);
   }
 
   // A second (warm) batch short-circuits planning on every query.
-  auto warm = runner.Run(RepeatedQueries(m, 4, "reorganizer"), &ctx);
+  auto warm = runner.Execute(RepeatedRequests(m, 4, "reorganizer"), &ctx);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->plan_cache_misses, 0);
   EXPECT_EQ(warm->plan_cache_hits, 4);
-  for (const QueryResult& r : warm->results) {
+  for (const Response& r : warm->responses) {
     EXPECT_TRUE(r.plan_cache_hit);
-    EXPECT_DOUBLE_EQ(r.sim_ms, report->results[0].sim_ms);
+    EXPECT_DOUBLE_EQ(r.sim_ms, report->responses[0].sim_ms);
   }
 
   // The counters surfaced through the ExecContext registry too.
@@ -486,14 +457,14 @@ TEST(BatchRunnerTest, CachedResultsAgreeWithUncached) {
   uncached_options.plan_cache_capacity = 0;
   BatchRunner uncached(uncached_options);
 
-  auto a = cached.Run(RepeatedQueries(m, 3, "reorganizer"));
-  auto b = uncached.Run(RepeatedQueries(m, 3, "reorganizer"));
+  auto a = cached.Execute(RepeatedRequests(m, 3, "reorganizer"));
+  auto b = uncached.Execute(RepeatedRequests(m, 3, "reorganizer"));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(b->plan_cache_hits, 0);
-  for (size_t i = 0; i < a->results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a->results[i].sim_ms, b->results[i].sim_ms);
-    EXPECT_EQ(a->results[i].flops, b->results[i].flops);
-    EXPECT_EQ(a->results[i].output_nnz, b->results[i].output_nnz);
+  for (size_t i = 0; i < a->responses.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a->responses[i].sim_ms, b->responses[i].sim_ms);
+    EXPECT_EQ(a->responses[i].flops, b->responses[i].flops);
+    EXPECT_EQ(a->responses[i].output_nnz, b->responses[i].output_nnz);
   }
 }
 
@@ -541,16 +512,16 @@ TEST(BatchRunnerTest, EstimatedTierAgreesWithExactTier) {
       core::PlanningTier::kEstimated;
   BatchRunner estimated(estimated_options);
 
-  auto a = exact.Run(RepeatedQueries(m, 2, "reorganizer"));
-  auto b = estimated.Run(RepeatedQueries(m, 2, "reorganizer"));
+  auto a = exact.Execute(RepeatedRequests(m, 2, "reorganizer"));
+  auto b = estimated.Execute(RepeatedRequests(m, 2, "reorganizer"));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->failed, 0);
   EXPECT_EQ(b->failed, 0);
-  ASSERT_EQ(a->results.size(), b->results.size());
-  for (size_t i = 0; i < a->results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a->results[i].sim_ms, b->results[i].sim_ms);
-    EXPECT_EQ(a->results[i].flops, b->results[i].flops);
-    EXPECT_EQ(a->results[i].output_nnz, b->results[i].output_nnz);
+  ASSERT_EQ(a->responses.size(), b->responses.size());
+  for (size_t i = 0; i < a->responses.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a->responses[i].sim_ms, b->responses[i].sim_ms);
+    EXPECT_EQ(a->responses[i].flops, b->responses[i].flops);
+    EXPECT_EQ(a->responses[i].output_nnz, b->responses[i].output_nnz);
   }
 }
 
@@ -558,36 +529,36 @@ TEST(BatchRunnerTest, DeadlineExpiryIsPerQuery) {
   const auto m = SharedSkewed(200, 64, 3);
   BatchRunner runner(BatchOptions{});
 
-  std::vector<BatchQuery> queries = RepeatedQueries(m, 2, "reorganizer");
+  std::vector<Request> requests = RepeatedRequests(m, 2, "reorganizer");
   // Sub-microsecond budget: expires at the first deadline check. The other
   // query keeps its default (no deadline) and must be unaffected.
-  queries[0].deadline_ms = 1e-6;
+  requests[0].deadline_ms = 1e-6;
 
-  auto report = runner.Run(queries);
+  auto report = runner.Execute(requests);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->deadline_expired, 1);
   EXPECT_EQ(report->succeeded, 1);
   EXPECT_EQ(report->failed, 0);
-  EXPECT_EQ(report->results[0].status.code(),
+  EXPECT_EQ(report->responses[0].status.code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(report->results[1].status.ok());
-  EXPECT_GT(report->results[1].sim_ms, 0.0);
+  EXPECT_TRUE(report->responses[1].status.ok());
+  EXPECT_GT(report->responses[1].sim_ms, 0.0);
 }
 
 TEST(BatchRunnerTest, ZeroDeadlineIsBornExpired) {
   const auto m = SharedSkewed(200, 64, 3);
   BatchRunner runner(BatchOptions{});
 
-  std::vector<BatchQuery> queries = RepeatedQueries(m, 2, "reorganizer");
+  std::vector<Request> requests = RepeatedRequests(m, 2, "reorganizer");
   // 0 is an explicit already-expired budget, not "no deadline".
-  queries[0].deadline_ms = 0.0;
+  requests[0].deadline_ms = 0.0;
 
-  auto report = runner.Run(queries);
+  auto report = runner.Execute(requests);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->deadline_expired, 1);
-  EXPECT_EQ(report->results[0].status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(report->results[0].sim_ms, 0.0);  // expired before any work
-  EXPECT_TRUE(report->results[1].status.ok());
+  EXPECT_EQ(report->responses[0].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(report->responses[0].sim_ms, 0.0);  // expired before any work
+  EXPECT_TRUE(report->responses[1].status.ok());
 }
 
 TEST(BatchRunnerTest, DefaultDeadlineIsInheritedNotOverridden) {
@@ -596,15 +567,15 @@ TEST(BatchRunnerTest, DefaultDeadlineIsInheritedNotOverridden) {
   options.default_deadline_ms = 1e-6;  // expires at the first check
   BatchRunner runner(options);
 
-  std::vector<BatchQuery> queries = RepeatedQueries(m, 2, "reorganizer");
-  EXPECT_EQ(queries[0].deadline_ms, BatchQuery::kInheritDeadline);
+  std::vector<Request> requests = RepeatedRequests(m, 2, "reorganizer");
+  EXPECT_EQ(requests[0].deadline_ms, Request::kInheritDeadline);
   // An explicit per-query budget beats the batch default.
-  queries[1].deadline_ms = 1e9;
+  requests[1].deadline_ms = 1e9;
 
-  auto report = runner.Run(queries);
+  auto report = runner.Execute(requests);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->results[0].status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(report->results[1].status.ok());
+  EXPECT_EQ(report->responses[0].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(report->responses[1].status.ok());
 }
 
 TEST(BatchRunnerTest, HitResponseIsBitEqualToMissAndDirectSimulation) {
@@ -724,11 +695,11 @@ TEST(BatchRunnerTest, InvalidReorganizerConfigFallsBackToBaseline) {
   BatchRunner runner(options);
   spgemm::ExecContext ctx;
 
-  auto report = runner.Run(RepeatedQueries(m, 2, "reorganizer"), &ctx);
+  auto report = runner.Execute(RepeatedRequests(m, 2, "reorganizer"), &ctx);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->succeeded, 2);
   EXPECT_EQ(report->fallbacks, 2);
-  for (const QueryResult& r : report->results) {
+  for (const Response& r : report->responses) {
     EXPECT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_TRUE(r.fallback_used);
     EXPECT_EQ(r.algorithm_used, "outer-product");
@@ -740,12 +711,12 @@ TEST(BatchRunnerTest, InvalidReorganizerConfigFallsBackToBaseline) {
 TEST(BatchRunnerTest, UnknownAlgorithmFallsBackToBaseline) {
   const auto m = SharedSkewed(100, 32, 9);
   BatchRunner runner(BatchOptions{});
-  auto report = runner.Run(RepeatedQueries(m, 1, "no-such-algorithm"));
+  auto report = runner.Execute(RepeatedRequests(m, 1, "no-such-algorithm"));
   ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->results.size(), 1u);
-  EXPECT_TRUE(report->results[0].status.ok());
-  EXPECT_TRUE(report->results[0].fallback_used);
-  EXPECT_EQ(report->results[0].algorithm_used, "outer-product");
+  ASSERT_EQ(report->responses.size(), 1u);
+  EXPECT_TRUE(report->responses[0].status.ok());
+  EXPECT_TRUE(report->responses[0].fallback_used);
+  EXPECT_EQ(report->responses[0].algorithm_used, "outer-product");
 }
 
 TEST(BatchRunnerTest, UnbuildableFallbackFailsTheRun) {
@@ -753,24 +724,23 @@ TEST(BatchRunnerTest, UnbuildableFallbackFailsTheRun) {
   BatchOptions options;
   options.fallback_algorithm = "no-such-algorithm";
   BatchRunner runner(options);
-  auto report = runner.Run(RepeatedQueries(m, 1, "reorganizer"));
+  auto report = runner.Execute(RepeatedRequests(m, 1, "reorganizer"));
   EXPECT_FALSE(report.ok());
 }
 
 TEST(BatchRunnerTest, EmptyBatchIsOk) {
   BatchRunner runner(BatchOptions{});
-  auto report = runner.Run({});
+  auto report = runner.Execute({});
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->results.empty());
+  EXPECT_TRUE(report->responses.empty());
   EXPECT_EQ(report->succeeded, 0);
 }
 
 TEST(BatchRunnerTest, MissingMatrixIsInvalidArgument) {
   BatchRunner runner(BatchOptions{});
-  // spnet-lint: allow(legacy-batch-query) -- legacy-adapter coverage
-  BatchQuery q;
-  q.id = "no-matrix";
-  auto report = runner.Run({q});
+  Request request;  // RequestBuilder refuses a missing A; Execute must too.
+  request.id = "no-matrix";
+  auto report = runner.Execute({request});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
@@ -816,27 +786,27 @@ TEST(ManifestTest, RejectsMalformedRepeat) {
   EXPECT_FALSE(ParseManifest("as-caida reorganizer 2 extra\n").ok());
 }
 
-TEST(ManifestTest, BuildQueriesSharesRepeatedSources) {
+TEST(ManifestTest, BuildRequestsSharesRepeatedSources) {
   std::vector<ManifestEntry> entries;
   entries.push_back({"as-caida", "reorganizer", 2});
   entries.push_back({"as-caida", "row-product", 1});
   ManifestLoadOptions options;
   options.scale = 0.05;
-  auto queries = BuildQueries(entries, options);
-  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
-  ASSERT_EQ(queries->size(), 3u);
-  // One load, shared by all three queries.
-  EXPECT_EQ((*queries)[0].a.get(), (*queries)[1].a.get());
-  EXPECT_EQ((*queries)[0].a.get(), (*queries)[2].a.get());
-  EXPECT_EQ((*queries)[0].id, "as-caida:reorganizer#0");
-  EXPECT_EQ((*queries)[2].algorithm, "row-product");
+  auto requests = BuildRequests(entries, options);
+  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
+  ASSERT_EQ(requests->size(), 3u);
+  // One load, shared by all three requests.
+  EXPECT_EQ((*requests)[0].a.get(), (*requests)[1].a.get());
+  EXPECT_EQ((*requests)[0].a.get(), (*requests)[2].a.get());
+  EXPECT_EQ((*requests)[0].id, "as-caida:reorganizer#0");
+  EXPECT_EQ((*requests)[2].algorithm, "row-product");
 }
 
 TEST(ManifestTest, MissingSourceFailsBuild) {
   std::vector<ManifestEntry> entries;
   entries.push_back({"no-such-dataset", "reorganizer", 1});
-  auto queries = BuildQueries(entries, ManifestLoadOptions{});
-  EXPECT_FALSE(queries.ok());
+  auto requests = BuildRequests(entries, ManifestLoadOptions{});
+  EXPECT_FALSE(requests.ok());
 }
 
 }  // namespace

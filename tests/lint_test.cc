@@ -310,31 +310,6 @@ TEST(LintRuleTest, IncludeIostreamIgnoresSourceFiles) {
   EXPECT_TRUE(diagnostics.empty()) << Render(diagnostics);
 }
 
-TEST(LintRuleTest, LegacyBatchQueryFiresOnBadFixture) {
-  const auto diagnostics = LintFixture("legacy_batch_query_bad.cc");
-  EXPECT_EQ(CountRule(diagnostics, "legacy-batch-query"), 2)
-      << Render(diagnostics);
-}
-
-TEST(LintRuleTest, LegacyBatchQueryQuietOnCleanFixture) {
-  const auto diagnostics = LintFixture("legacy_batch_query_clean.cc");
-  EXPECT_TRUE(diagnostics.empty()) << Render(diagnostics);
-}
-
-TEST(LintRuleTest, LegacyBatchQueryHonorsSuppression) {
-  const auto diagnostics = LintFixture("legacy_batch_query_suppressed.cc");
-  EXPECT_TRUE(diagnostics.empty()) << Render(diagnostics);
-}
-
-TEST(LintRuleTest, LegacyBatchQueryAllowedInsideEngine) {
-  // The engine still defines and adapts the legacy type; the rule only
-  // polices the rest of the tree.
-  const std::vector<Diagnostic> diagnostics = LintSource(
-      "src/engine/batch_runner.cc", "void F() { BatchQuery query; }\n",
-      LintOptions());
-  EXPECT_TRUE(diagnostics.empty()) << Render(diagnostics);
-}
-
 TEST(LintRuleTest, LexerTrickyFixtureIsInert) {
   const auto diagnostics = LintFixture("lexer_tricky.cc");
   EXPECT_TRUE(diagnostics.empty()) << Render(diagnostics);
@@ -630,9 +605,9 @@ TEST(LintRunnerTest, CatalogCoversEveryEmittedRule) {
       "discarded-status",     "raw-new-delete",
       "char-ctype",           "global-mutable-state",
       "relaxed-atomic",       "exec-context-threading",
-      "include-iostream",     "legacy-batch-query",
-      "unsafe-planner-arithmetic", "lock-discipline",
-      "layering-violation",   "include-cycle"};
+      "include-iostream",     "unsafe-planner-arithmetic",
+      "lock-discipline",      "layering-violation",
+      "include-cycle"};
   ASSERT_EQ(Rules().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_STREQ(Rules()[i].name, expected[i]);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -9,6 +10,8 @@
 #include "datasets/generators.h"
 #include "gpusim/kernel_desc.h"
 #include "sparse/reference_spgemm.h"
+#include "spgemm/algorithm_registry.h"
+#include "spgemm/exec_context.h"
 #include "tests/test_util.h"
 
 namespace spnet {
@@ -194,6 +197,12 @@ TEST(ReorganizerTest, LimitingRaisesMergeSharedMemory) {
   }
 }
 
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 /// FNV-1a over the output's dimensions, ptr, indices and value bit
 /// patterns: any change to the per-row summation order or emission order
 /// changes it.
@@ -209,11 +218,7 @@ uint64_t OutputHash(const CsrMatrix& c) {
   mix(static_cast<uint64_t>(c.cols()));
   for (sparse::Offset p : c.ptr()) mix(static_cast<uint64_t>(p));
   for (sparse::Index i : c.indices()) mix(static_cast<uint64_t>(i));
-  for (sparse::Value v : c.values()) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  }
+  for (sparse::Value v : c.values()) mix(Bits(v));
   return h;
 }
 
@@ -228,41 +233,189 @@ CsrMatrix PowerLaw(uint64_t seed) {
   return std::move(a).value();
 }
 
-/// Pins the default reorganizer's output bit for bit. The power-law inputs
-/// have dominators and low performers, so the split-fragment and gathered
-/// dispatch orders both feed C-hat; the sparse uniform input has empty
-/// rows in A and in C.
+/// The Analyze census as one comparable value, in ReorganizerReport's
+/// field order.
+std::array<int64_t, 10> Census(const ReorganizerReport& r) {
+  return {r.nonzero_pairs,   r.dominators,      r.low_performers,
+          r.normals,         r.limited_rows,    r.fragments,
+          r.combined_blocks, r.gathered_pairs,  r.dominator_threshold,
+          r.limit_row_threshold};
+}
+
+/// Pins every registered reorganizer variant bit for bit: the output
+/// hash, the Analyze census and the simulated TitanXp seconds. The
+/// power-law inputs have dominators and low performers, so the
+/// split-fragment and gathered dispatch orders both feed C-hat; the sparse
+/// uniform input has empty rows in A and in C.
 TEST(ReorganizerTest, OutputBitsArePinned) {
-  struct Case {
+  struct Input {
     const char* name;
     CsrMatrix a;
+  };
+  const Input inputs[] = {
+      {"powerlaw-seed3", PowerLaw(3)},
+      {"powerlaw-seed8", PowerLaw(8)},
+      {"empty-rows", testing_util::RandomMatrix(300, 300, 0.004, 5)},
+  };
+  struct Pin {
+    const char* algorithm;
+    const char* input;
     uint64_t hash;
+    std::array<int64_t, 10> census;
+    uint64_t seconds_bits;
   };
-  const Case cases[] = {
-      {"powerlaw-seed3", PowerLaw(3), 13668021822031898007ULL},
-      {"powerlaw-seed8", PowerLaw(8), 6153990744391780423ULL},
-      {"empty-rows", testing_util::RandomMatrix(300, 300, 0.004, 5),
-       18281940742808905750ULL},
+  const Pin pins[] = {
+      {"reorganizer", "powerlaw-seed3", 13668021822031898007ULL,
+       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
+       0x3f3051d38b9729e7ULL},
+      {"reorganizer", "powerlaw-seed8", 6153990744391780423ULL,
+       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
+       0x3f302d8ce9997f0aULL},
+      {"reorganizer", "empty-rows", 18281940742808905750ULL,
+       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
+       0x3f015738ed693209ULL},
+      {"reorganizer-limiting", "powerlaw-seed3", 13868547302626902153ULL,
+       {2849, 10, 2776, 63, 14, 0, 0, 0, 18005, 5343},
+       0x3f374543077d5c96ULL},
+      {"reorganizer-limiting", "powerlaw-seed8", 6589806249894285186ULL,
+       {2834, 9, 2761, 64, 14, 0, 0, 0, 18228, 5381},
+       0x3f373a16558a894aULL},
+      {"reorganizer-limiting", "empty-rows", 2048346837496487982ULL,
+       {151, 0, 151, 0, 0, 0, 0, 0, 103, 26},
+       0x3f0155802e4905a3ULL},
+      {"reorganizer-splitting", "powerlaw-seed3", 13868547302626902153ULL,
+       {2849, 10, 2776, 63, 14, 640, 0, 0, 18005, 5343},
+       0x3f35ca249b0916e8ULL},
+      {"reorganizer-splitting", "powerlaw-seed8", 6589806249894285186ULL,
+       {2834, 9, 2761, 64, 14, 576, 0, 0, 18228, 5381},
+       0x3f363f2b5b0828ccULL},
+      {"reorganizer-splitting", "empty-rows", 2048346837496487982ULL,
+       {151, 0, 151, 0, 0, 0, 0, 0, 103, 26},
+       0x3f0155802e4905a3ULL},
+      {"reorganizer-gathering", "powerlaw-seed3", 13668021822031898007ULL,
+       {2849, 10, 2776, 63, 14, 0, 65, 2776, 18005, 5343},
+       0x3f3c90dec5e9b600ULL},
+      {"reorganizer-gathering", "powerlaw-seed8", 6153990744391780423ULL,
+       {2834, 9, 2761, 64, 14, 0, 65, 2761, 18228, 5381},
+       0x3f3d269380eef7b9ULL},
+      {"reorganizer-gathering", "empty-rows", 18281940742808905750ULL,
+       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
+       0x3f015738ed693209ULL},
+      {"reorganizer-estimated", "powerlaw-seed3", 13668021822031898007ULL,
+       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
+       0x3f305720e84fb950ULL},
+      {"reorganizer-estimated", "powerlaw-seed8", 6153990744391780423ULL,
+       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
+       0x3f302f7428a79ff2ULL},
+      {"reorganizer-estimated", "empty-rows", 18281940742808905750ULL,
+       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
+       0x3f015738ed693209ULL},
+      {"reorganizer-reorder-degree", "powerlaw-seed3", 2505987440335005027ULL,
+       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
+       0x3f2b019725d51fbfULL},
+      {"reorganizer-reorder-degree", "powerlaw-seed8", 1929394655947981095ULL,
+       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
+       0x3f2ad8564c8d2f7fULL},
+      {"reorganizer-reorder-degree", "empty-rows", 9835578435690253474ULL,
+       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
+       0x3f015738ed693209ULL},
+      {"reorganizer-reorder-rcm", "powerlaw-seed3", 2505987440335005027ULL,
+       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
+       0x3f309601d1f56ddaULL},
+      {"reorganizer-reorder-rcm", "powerlaw-seed8", 1929394655947981095ULL,
+       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
+       0x3f2d056e07908c58ULL},
+      {"reorganizer-reorder-rcm", "empty-rows", 9835578435690253474ULL,
+       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
+       0x3f015738ed693209ULL},
+      {"reorganizer-reorder-cluster", "powerlaw-seed3", 2505987440335005027ULL,
+       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
+       0x3f2c467e6e6fd50eULL},
+      {"reorganizer-reorder-cluster", "powerlaw-seed8", 1929394655947981095ULL,
+       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
+       0x3f2b049da6d6d818ULL},
+      {"reorganizer-reorder-cluster", "empty-rows", 9835578435690253474ULL,
+       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
+       0x3f015738ed693209ULL},
   };
-  BlockReorganizerSpGemm alg;
-  for (const Case& test_case : cases) {
-    SCOPED_TRACE(test_case.name);
-    const CsrMatrix& a = test_case.a;
-    auto report = alg.Analyze(a, a, gpusim::DeviceSpec::TitanXp());
+  RegisterCoreAlgorithms();
+  const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.algorithm) + " on " + pin.input);
+    const Input* input = nullptr;
+    for (const Input& candidate : inputs) {
+      if (std::string(candidate.name) == pin.input) input = &candidate;
+    }
+    ASSERT_NE(input, nullptr);
+    const CsrMatrix& a = input->a;
+    auto created = spgemm::AlgorithmRegistry::Global().Create(pin.algorithm);
+    ASSERT_TRUE(created.ok());
+    const auto* alg =
+        dynamic_cast<const BlockReorganizerSpGemm*>(created->get());
+    ASSERT_NE(alg, nullptr);
+    auto report = alg->Analyze(a, a, device);
     ASSERT_TRUE(report.ok());
-    auto c = alg.Compute(a, a);
+    auto c = alg->Compute(a, a);
     ASSERT_TRUE(c.ok());
-    if (std::string(test_case.name) == "empty-rows") {
+    auto measured = spgemm::Measure(*alg, a, a, device);
+    ASSERT_TRUE(measured.ok());
+    if (std::string(pin.input) == "empty-rows") {
       int64_t empty_rows = 0;
       for (sparse::Index r = 0; r < c->rows(); ++r) {
         if (c->Row(r).size == 0) ++empty_rows;
       }
       EXPECT_GT(empty_rows, 0);
-    } else {
+    } else if (std::string(pin.algorithm) == "reorganizer") {
       EXPECT_GT(report->fragments, report->dominators);
       EXPECT_GT(report->gathered_pairs, 0);
     }
-    EXPECT_EQ(OutputHash(*c), test_case.hash);
+    EXPECT_EQ(OutputHash(*c), pin.hash);
+    EXPECT_EQ(Census(*report), pin.census);
+    EXPECT_EQ(Bits(measured->total_seconds), pin.seconds_bits);
+  }
+}
+
+/// Number of recorded spans named `name`.
+int CountSpans(const spgemm::ExecContext& ctx, const std::string& name) {
+  int n = 0;
+  for (const auto& span : ctx.trace.spans()) n += span.name == name ? 1 : 0;
+  return n;
+}
+
+/// The estimated tier exists so that planning skips the exact
+/// precalculation; Compute must not build the exact workload behind it.
+TEST(ReorganizerTest, EstimatedComputeSkipsExactWorkload) {
+  const CsrMatrix a = PowerLaw(3);
+  ReorganizerConfig config;
+  config.planning_tier = PlanningTier::kEstimated;
+  BlockReorganizerSpGemm alg(config);
+  spgemm::ExecContext ctx;
+  auto c = alg.Compute(a, a, &ctx);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(CountSpans(ctx, "build-workload"), 0);
+  EXPECT_EQ(CountSpans(ctx, "build-workload-estimated"), 1);
+  auto expected = sparse::ReferenceSpGemm(a, a);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(CsrApproxEqual(*expected, *c, 1e-9));
+}
+
+/// kAuto below its confidence floor falls back to the exact tier, and
+/// says so once, on Compute exactly as on Plan.
+TEST(ReorganizerTest, AutoFallbackIsCountedOncePerCall) {
+  const CsrMatrix a = PowerLaw(3);
+  ReorganizerConfig config;
+  config.planning_tier = PlanningTier::kAuto;
+  config.min_plan_confidence = 1.0;
+  BlockReorganizerSpGemm alg(config);
+  spgemm::ExecContext plan_ctx;
+  auto plan = alg.Plan(a, a, gpusim::DeviceSpec::TitanXp(), &plan_ctx);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->confidence, 1.0);
+  spgemm::ExecContext compute_ctx;
+  ASSERT_TRUE(alg.Compute(a, a, &compute_ctx).ok());
+  for (const spgemm::ExecContext* ctx : {&plan_ctx, &compute_ctx}) {
+    EXPECT_EQ(ctx->registry.Snapshot()["reorganizer.tier_fallback_exact"], 1);
+    EXPECT_EQ(CountSpans(*ctx, "build-workload"), 1);
   }
 }
 
