@@ -9,9 +9,11 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/block_reorganizer.h"
 #include "datasets/generators.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/reference_spgemm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/functional.h"
 #include "spgemm/workload_model.h"
 #include "tests/test_util.h"
@@ -59,10 +61,24 @@ struct Engine {
   EngineFn fn;
 };
 
+/// Compute of a registered algorithm, for engines behind the registry.
+Result<CsrMatrix> RegistryCompute(const std::string& name, const CsrMatrix& a,
+                                  const CsrMatrix& b) {
+  core::RegisterCoreAlgorithms();
+  SPNET_ASSIGN_OR_RETURN(auto alg,
+                         spgemm::AlgorithmRegistry::Global().Create(name));
+  return alg->Compute(a, b);
+}
+
+Result<CsrMatrix> ReorganizerCompute(const CsrMatrix& a, const CsrMatrix& b) {
+  return RegistryCompute("reorganizer", a, b);
+}
+
 const Engine kEngines[] = {
     {"ReferenceSpGemm", &sparse::ReferenceSpGemm},
     {"RowProductExpandMerge", &spgemm::RowProductExpandMerge},
     {"OuterProductExpandMerge", &spgemm::OuterProductExpandMerge},
+    {"reorganizer Compute", &ReorganizerCompute},
 };
 
 void CheckAllEnginesDeterministic(const CsrMatrix& a, const CsrMatrix& b,

@@ -6,6 +6,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/parallel.h"
 #include "core/block_reorganizer.h"
 #include "datasets/generators.h"
 #include "gpusim/kernel_desc.h"
@@ -372,6 +373,40 @@ TEST(ReorganizerTest, OutputBitsArePinned) {
     EXPECT_EQ(OutputHash(*c), pin.hash);
     EXPECT_EQ(Census(*report), pin.census);
     EXPECT_EQ(Bits(measured->total_seconds), pin.seconds_bits);
+  }
+}
+
+/// Pins the two baselines that run the shared host row kernel, on the same
+/// inputs, at 1 thread (the serial single pass) and at 3 (the parallel
+/// two-pass, with chunks that do not divide the rows evenly). The row
+/// product and the outer product differ only in how the GPU schedules the
+/// expansion, so they must produce the same bits.
+TEST(ReorganizerTest, BaselineOutputBitsArePinned) {
+  struct Pin {
+    const char* input;
+    CsrMatrix a;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"powerlaw-seed3", PowerLaw(3), 11666836418419952887ULL},
+      {"powerlaw-seed8", PowerLaw(8), 14973179747670748332ULL},
+      {"empty-rows", testing_util::RandomMatrix(300, 300, 0.004, 5),
+       2048346837496487982ULL},
+  };
+  for (const char* algorithm : {"row-product", "outer-product"}) {
+    auto alg = spgemm::AlgorithmRegistry::Global().Create(algorithm);
+    ASSERT_TRUE(alg.ok());
+    for (const Pin& pin : pins) {
+      for (int threads : {1, 3}) {
+        SCOPED_TRACE(std::string(algorithm) + " on " + pin.input + " with " +
+                     std::to_string(threads) + " threads");
+        SetGlobalThreadCount(threads);
+        auto c = (*alg)->Compute(pin.a, pin.a);
+        SetGlobalThreadCount(0);
+        ASSERT_TRUE(c.ok());
+        EXPECT_EQ(OutputHash(*c), pin.hash);
+      }
+    }
   }
 }
 
