@@ -16,6 +16,7 @@
 #include "datasets/generators.h"
 #include "gpusim/simulator.h"
 #include "spgemm/algorithm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/functional.h"
 #include "spgemm/outer_product.h"
 #include "spgemm/row_product.h"
@@ -101,15 +102,17 @@ void BM_RowProductExpandMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_RowProductExpandMerge)->Arg(1 << 12)->Arg(1 << 14);
 
-void BM_OuterProductExpandMerge(benchmark::State& state) {
+void BM_OuterProductCompute(benchmark::State& state) {
   const sparse::CsrMatrix a = MakeInput(state.range(0));
+  auto outer = spgemm::AlgorithmRegistry::Global().Create("outer-product");
+  SPNET_CHECK(outer.ok());
   for (auto _ : state) {
-    auto c = spgemm::OuterProductExpandMerge(a, a);
+    auto c = (*outer)->Compute(a, a);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations() * sparse::SpGemmFlops(a, a));
 }
-BENCHMARK(BM_OuterProductExpandMerge)->Arg(1 << 12)->Arg(1 << 14);
+BENCHMARK(BM_OuterProductCompute)->Arg(1 << 12)->Arg(1 << 14);
 
 void BM_ReorganizerCompute(benchmark::State& state) {
   const sparse::CsrMatrix a = MakeInput(state.range(0));

@@ -28,6 +28,7 @@
 #include "metrics/report.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/reference_spgemm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/functional.h"
 #include "spgemm/workload_model.h"
 
@@ -93,6 +94,9 @@ int Run(int argc, char** argv) {
   pieces.push_back({"zipf", std::move(zipf_m).value()});
   pieces.push_back({"banded", std::move(banded_m).value()});
 
+  auto outer = spgemm::AlgorithmRegistry::Global().Create("outer-product");
+  SPNET_CHECK(outer.ok()) << outer.status().ToString();
+
   struct Stage {
     const char* name;
     std::function<void(const CsrMatrix&)> fn;
@@ -109,8 +113,8 @@ int Run(int argc, char** argv) {
          SPNET_CHECK(c.ok()) << c.status().ToString();
        }},
       {"outer_product",
-       [](const CsrMatrix& a) {
-         auto c = spgemm::OuterProductExpandMerge(a, a);
+       [&outer](const CsrMatrix& a) {
+         auto c = (*outer)->Compute(a, a);
          SPNET_CHECK(c.ok()) << c.status().ToString();
        }},
       {"csc_from_csr",

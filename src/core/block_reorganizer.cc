@@ -7,7 +7,7 @@
 
 #include "common/math_util.h"
 #include "core/b_limiting.h"
-#include "sparse/stats.h"
+#include "sparse/reorder.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
@@ -21,12 +21,8 @@ namespace core {
 using gpusim::KernelDesc;
 using gpusim::Phase;
 using gpusim::ThreadBlockDesc;
-using sparse::CscMatrix;
 using sparse::CsrMatrix;
 using sparse::Index;
-using sparse::Offset;
-using sparse::SpanView;
-using sparse::Value;
 using spgemm::kElementBytes;
 using spgemm::MakePairBlock;
 using spgemm::PairBlockParams;
@@ -295,102 +291,64 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
         "dimension mismatch in Block Reorganizer compute");
   }
   // The prepared product only orders the expansion, and it reads only the
-  // pair side, which is exact on every tier: an estimated class can
-  // reorder expansion, never drop a product (every pair with work is
-  // provably inside some bin, see ClassifyEstimated). Compute has no
-  // device, so the split heuristic assumes the paper's Titan Xp; fragments
-  // keep each column's element order, so the split factor never changes
-  // the output.
+  // pair side, which is exact on every tier. Compute has no device, so the
+  // split heuristic assumes the paper's Titan Xp; the split factor never
+  // changes the output.
   SPNET_ASSIGN_OR_RETURN(
       const Prepared prep,
       Prepare(a, b, gpusim::DeviceSpec::TitanXp(), ctx));
   const CsrMatrix& pa = prep.reordered ? prep.reordered->a : a;
   const CsrMatrix& pb = prep.reordered ? prep.reordered->b : b;
-  const std::vector<int64_t>& col_nnz = prep.workload.a_col_nnz;
 
-  metrics::TraceRecorder* trace = spgemm::TraceOf(ctx);
-  const int expand_span = trace == nullptr ? -1 : trace->Begin("expand");
-
-  // Relocation cursors from the row-wise C-hat sizes, counted exactly on
-  // every tier: cursors index real buffers, so an estimate must never size
-  // them.
-  const Index rows = pa.rows();
-  const Index cols = pb.cols();
-  const std::vector<int64_t> row_chat = sparse::SpGemmRowFlops(pa, pb);
-  std::vector<Offset> chat_ptr(static_cast<size_t>(rows) + 1, 0);
-  for (Index r = 0; r < rows; ++r) {
-    chat_ptr[static_cast<size_t>(r) + 1] = SatAddI64(
-        chat_ptr[static_cast<size_t>(r)], row_chat[static_cast<size_t>(r)]);
+  // Each output row receives a pair's products when that pair's block (or
+  // its first split fragment: fragments of one column are consecutive and
+  // cover disjoint rows) is dispatched. Ranking pairs by first dispatch
+  // position and relabelling the contraction axis by that rank makes the
+  // row kernel visit every row's pairs in that order, so the sums are the
+  // ones the GPU merge computes. Pairs no bin holds have no products; they
+  // go last, in index order, to complete the permutation.
+  CsrMatrix ra;
+  CsrMatrix rb;
+  {
+    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "relabel");
+    std::vector<Index> order;
+    order.reserve(static_cast<size_t>(pa.cols()));
+    std::vector<uint8_t> ranked(static_cast<size_t>(pa.cols()), 0);
+    auto rank = [&](Index pair) {
+      if (ranked[static_cast<size_t>(pair)]) return;
+      ranked[static_cast<size_t>(pair)] = 1;
+      order.push_back(pair);
+    };
+    if (prep.split) {
+      for (const SplitVector& v : prep.split->vectors) rank(v.pair);
+    } else {
+      for (Index pair : prep.classes.dominators) rank(pair);
+    }
+    for (Index pair : prep.classes.normals) rank(pair);
+    if (prep.gather) {
+      for (const CombinedBlock& block : prep.gather->blocks) {
+        for (Index pair : block.pairs) rank(pair);
+      }
+      for (Index pair : prep.gather->ungathered) rank(pair);
+    } else {
+      for (Index pair : prep.classes.low_performers) rank(pair);
+    }
+    for (Index pair = 0; pair < pa.cols(); ++pair) rank(pair);
+    SPNET_ASSIGN_OR_RETURN(const sparse::Permutation relabel,
+                           sparse::Permutation::FromNewToOld(std::move(order)));
+    SPNET_ASSIGN_OR_RETURN(ra, relabel.ApplyToCols(pa));
+    SPNET_ASSIGN_OR_RETURN(rb, relabel.ApplyToRows(pb));
   }
-  const Offset total = chat_ptr[static_cast<size_t>(rows)];
-  // The Ĉ buffers are the largest transient allocation in the pipeline;
-  // a fault here models expansion-phase OOM on the device.
+
+  // The output is the largest allocation left on the host path; a fault
+  // here models output-allocation OOM.
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteChatAlloc));
-  std::vector<Index> chat_cols(static_cast<size_t>(total));
-  std::vector<Value> chat_vals(static_cast<size_t>(total));
-  std::vector<Offset> cursor(chat_ptr.begin(), chat_ptr.end() - 1);
-
-  const CscMatrix a_csc = CscMatrix::FromCsr(pa);
-  auto expand_pair_range = [&](Index pair, int64_t col_begin,
-                               int64_t col_end) {
-    const SpanView acol = a_csc.Col(pair);
-    const SpanView brow = pb.Row(pair);
-    for (int64_t k = col_begin; k < col_end; ++k) {
-      const Index r = acol.indices[k];
-      const Value av = acol.values[k];
-      Offset& cur = cursor[static_cast<size_t>(r)];
-      for (Offset l = 0; l < brow.size; ++l) {
-        chat_cols[static_cast<size_t>(cur)] = brow.indices[l];
-        chat_vals[static_cast<size_t>(cur)] = av * brow.values[l];
-        ++cur;
-      }
-    }
-  };
-  auto expand_pair = [&](Index pair) {
-    expand_pair_range(pair, 0, col_nnz[static_cast<size_t>(pair)]);
-  };
-
-  // Expansion follows the prepared dispatch order. Dominators run through
-  // the split fragments via the mapper array — exactly what the GPU
-  // kernels dispatch — so the pointer-expansion transformation is
-  // exercised end to end; gathered blocks change scheduling, not results.
-  if (prep.split) {
-    const std::vector<Index> mapper = prep.split->BuildMapper();
-    size_t fragment = 0;
-    for (const SplitVector& v : prep.split->vectors) {
-      for (int f = 0; f < v.factor; ++f, ++fragment) {
-        expand_pair_range(mapper[fragment], v.offsets[static_cast<size_t>(f)],
-                          v.offsets[static_cast<size_t>(f) + 1]);
-      }
-    }
-  } else {
-    for (Index pair : prep.classes.dominators) expand_pair(pair);
-  }
-  for (Index pair : prep.classes.normals) expand_pair(pair);
-  if (prep.gather) {
-    for (const CombinedBlock& block : prep.gather->blocks) {
-      for (Index pair : block.pairs) expand_pair(pair);
-    }
-    for (Index pair : prep.gather->ungathered) expand_pair(pair);
-  } else {
-    for (Index pair : prep.classes.low_performers) expand_pair(pair);
-  }
-  if (trace != nullptr) trace->End(expand_span);
-  spgemm::AddCounter(ctx, "expand.products", static_cast<int64_t>(total));
-  // The merge reads every row's full C-hat region, so the dispatch order
-  // must have filled each one exactly.
-  for (Index r = 0; r < rows; ++r) {
-    if (cursor[static_cast<size_t>(r)] != chat_ptr[static_cast<size_t>(r) + 1]) {
-      return Status::Internal("expansion left C-hat row " + std::to_string(r) +
-                              " partly filled");
-    }
-  }
-  const int merge_span = trace == nullptr ? -1 : trace->Begin("merge");
-  Result<CsrMatrix> c =
-      spgemm::MergeChatInPlace(rows, cols, std::move(chat_ptr),
-                               std::move(chat_cols), std::move(chat_vals));
-  if (trace != nullptr) trace->End(merge_span);
+  Result<CsrMatrix> c = [&] {
+    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "expand");
+    return spgemm::RowProductExpandMerge(ra, rb);
+  }();
   if (!c.ok()) return c;
+  spgemm::AddCounter(ctx, "expand.products", prep.workload.flops);
   spgemm::AddCounter(ctx, "merge.output_nnz", c->nnz());
   if (!prep.reordered) return c;
   // Invert the pre-pass: permuted row i holds original row rows.OldOf(i)

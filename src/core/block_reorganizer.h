@@ -57,9 +57,11 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                       const gpusim::DeviceSpec& device,
                                       spgemm::ExecContext* ctx) const override;
 
-  /// Host execution that genuinely routes the expansion through the split
-  /// fragments and the mapper array, so the transformation logic is
-  /// validated end to end (tests compare against ReferenceSpGemm).
+  /// Host execution in the prepared dispatch order: pairs are ranked by
+  /// their first dispatch position, A's columns and B's rows are relabelled
+  /// by that rank, and the shared row kernel runs on the result. Each
+  /// output row then sums its products in the order the GPU blocks
+  /// produce them, so the output bits are those of the dispatch order.
   Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
                                         const sparse::CsrMatrix& b,
                                         spgemm::ExecContext* ctx) const override;

@@ -15,8 +15,10 @@ namespace sparse {
 /// the merge inner loop), and the touched-column list used to reset both
 /// in O(row nnz). One RowScratch is reused across every row a thread
 /// merges, so the per-row cost is proportional to the row, never to the
-/// matrix width.
-struct RowScratch {
+/// matrix width. Cache-line aligned so the vector headers of neighbouring
+/// workers in a RowScratchArena never share a line: every Touch writes
+/// touched_cols' end pointer.
+struct alignas(64) RowScratch {
   std::vector<Value> acc;
   std::vector<uint8_t> touched;
   std::vector<Index> touched_cols;

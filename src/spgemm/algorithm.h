@@ -55,8 +55,9 @@ class SpGemmAlgorithm {
 
   /// Defaults to RowProductExpandMerge. Most baselines differ from the
   /// row product only in how the GPU schedules the work, which their
-  /// PlanImpl models, not in the product they compute; the outer product
-  /// and the Block Reorganizer override it with their own dispatch.
+  /// PlanImpl models, not in the product they compute. The Block
+  /// Reorganizer overrides it only to relabel the contraction axis into
+  /// its dispatch order before running the same kernel.
   virtual Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
                                                 const sparse::CsrMatrix& b,
                                                 ExecContext* ctx) const;

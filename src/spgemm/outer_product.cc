@@ -1,6 +1,5 @@
 #include "spgemm/outer_product.h"
 
-#include "spgemm/functional.h"
 #include "spgemm/plan.h"
 
 namespace spnet {
@@ -50,12 +49,6 @@ Result<SpGemmPlan> OuterProductSpGemm::PlanImpl(const CsrMatrix& a,
   plan.host_seconds =
       HostPreprocessSeconds(static_cast<int64_t>(workload.pair_work.size()), 0);
   return plan;
-}
-
-Result<CsrMatrix> OuterProductSpGemm::ComputeImpl(const CsrMatrix& a,
-                                                  const CsrMatrix& b,
-                                                  ExecContext*) const {
-  return OuterProductExpandMerge(a, b);
 }
 
 std::unique_ptr<SpGemmAlgorithm> MakeOuterProduct() {

@@ -12,7 +12,8 @@ namespace spgemm {
 /// block, so every thread in a block does identical work (perfect
 /// thread-level balance) — but block-level workloads vary wildly on
 /// power-law data, creating the overloaded/underloaded block problem the
-/// paper analyzes in Section III.
+/// paper analyzes in Section III. Pairs are dispatched in index order, so
+/// the host Compute is the base row product with no relabel.
 class OuterProductSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "outer-product"; }
@@ -22,10 +23,6 @@ class OuterProductSpGemm : public SpGemmAlgorithm {
                               const sparse::CsrMatrix& b,
                               const gpusim::DeviceSpec& device,
                               ExecContext* ctx) const override;
-
-  Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
-                                        const sparse::CsrMatrix& b,
-                                        ExecContext* ctx) const override;
 };
 
 /// Builds the plain outer-product expansion kernel: one block per nonzero

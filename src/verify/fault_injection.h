@@ -22,6 +22,9 @@ inline constexpr char kSitePlan[] = "spgemm.plan";
 inline constexpr char kSiteCompute[] = "spgemm.compute";
 /// spgemm::SimulatePlan, the one path from a plan to a measurement.
 inline constexpr char kSiteSimulate[] = "spgemm.simulate";
+/// The Block Reorganizer's host Compute, right before its output
+/// allocation: models output-allocation OOM. The name is kept so existing
+/// fault specs still arm it.
 inline constexpr char kSiteChatAlloc[] = "core.chat.alloc";
 /// serve::Server admission control: an armed site rejects the request
 /// before quota/queue checks, exercising the rejection path

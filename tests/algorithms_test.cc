@@ -7,6 +7,7 @@
 #include "core/suite.h"
 #include "datasets/generators.h"
 #include "spgemm/algorithm.h"
+#include "spgemm/algorithm_registry.h"
 #include "spgemm/functional.h"
 #include "sparse/reference_spgemm.h"
 #include "sparse/stats.h"
@@ -121,73 +122,13 @@ TEST(FunctionalTest, RowAndOuterAgreeOnEmptyMatrix) {
   sparse::CooMatrix coo(16, 16);
   auto a = CsrMatrix::FromCoo(coo);
   ASSERT_TRUE(a.ok());
+  auto outer_alg = AlgorithmRegistry::Global().Create("outer-product");
+  ASSERT_TRUE(outer_alg.ok());
   auto row = RowProductExpandMerge(*a, *a);
-  auto outer = OuterProductExpandMerge(*a, *a);
+  auto outer = (*outer_alg)->Compute(*a, *a);
   ASSERT_TRUE(row.ok() && outer.ok());
   EXPECT_EQ(row->nnz(), 0);
   EXPECT_EQ(outer->nnz(), 0);
-}
-
-TEST(MergeChatInPlaceTest, EmptyShapes) {
-  auto none = MergeChatInPlace(0, 0, {0}, {}, {});
-  ASSERT_TRUE(none.ok()) << none.status().ToString();
-  EXPECT_EQ(none->rows(), 0);
-  EXPECT_EQ(none->cols(), 0);
-  EXPECT_EQ(none->ptr(), std::vector<sparse::Offset>({0}));
-
-  auto no_cols = MergeChatInPlace(2, 0, {0, 0, 0}, {}, {});
-  ASSERT_TRUE(no_cols.ok()) << no_cols.status().ToString();
-  EXPECT_EQ(no_cols->cols(), 0);
-  EXPECT_EQ(no_cols->ptr(), std::vector<sparse::Offset>({0, 0, 0}));
-}
-
-TEST(MergeChatInPlaceTest, EmptyRowsKeepTheirOffsets) {
-  auto c = MergeChatInPlace(4, 5, {0, 0, 2, 2, 3}, {1, 1, 4},
-                            {1.0, 2.0, 5.0});
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_EQ(c->ptr(), std::vector<sparse::Offset>({0, 0, 1, 1, 2}));
-  EXPECT_EQ(c->indices(), std::vector<sparse::Index>({1, 4}));
-  EXPECT_EQ(c->values(), std::vector<sparse::Value>({3.0, 5.0}));
-}
-
-TEST(MergeChatInPlaceTest, AllDuplicatesMergeToOneEntryInElementOrder) {
-  auto c = MergeChatInPlace(1, 4, {0, 3}, {3, 3, 3}, {0.1, 0.2, 0.3});
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_EQ(c->ptr(), std::vector<sparse::Offset>({0, 1}));
-  EXPECT_EQ(c->indices(), std::vector<sparse::Index>({3}));
-  // Left to right: (0.1 + 0.2) + 0.3, which differs from 0.1 + (0.2 + 0.3).
-  EXPECT_EQ(c->values(), std::vector<sparse::Value>({(0.1 + 0.2) + 0.3}));
-}
-
-TEST(MergeChatInPlaceTest, NoDuplicatesMovesNothing) {
-  const std::vector<sparse::Offset> ptr = {0, 3, 5};
-  const std::vector<sparse::Index> cols = {2, 0, 1, 1, 2};
-  const std::vector<sparse::Value> vals = {1.0, 2.0, 3.0, 4.0, 5.0};
-  auto c = MergeChatInPlace(2, 3, ptr, cols, vals);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_EQ(c->ptr(), ptr);
-  EXPECT_EQ(c->indices(), cols);
-  EXPECT_EQ(c->values(), vals);
-}
-
-TEST(MergeChatInPlaceTest, OutputMayOverlapItsOwnChatRegion) {
-  // Row 0 shrinks from 2 entries to 1, so row 1 (C-hat [2, 6)) is written
-  // to [1, 4), over its own first two entries.
-  auto c = MergeChatInPlace(2, 4, {0, 2, 6}, {0, 0, 1, 2, 3, 1},
-                            {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  EXPECT_EQ(c->ptr(), std::vector<sparse::Offset>({0, 1, 4}));
-  EXPECT_EQ(c->indices(), std::vector<sparse::Index>({0, 1, 2, 3}));
-  EXPECT_EQ(c->values(), std::vector<sparse::Value>({3.0, 9.0, 4.0, 5.0}));
-}
-
-TEST(MergeChatInPlaceTest, MalformedLayoutRejected) {
-  // Wrong ptr length, decreasing ptr, ptr/entry count mismatch, and
-  // column/value count mismatch.
-  EXPECT_FALSE(MergeChatInPlace(2, 3, {0, 1}, {0}, {1.0}).ok());
-  EXPECT_FALSE(MergeChatInPlace(2, 3, {0, 2, 1}, {0}, {1.0}).ok());
-  EXPECT_FALSE(MergeChatInPlace(1, 3, {0, 2}, {0}, {1.0}).ok());
-  EXPECT_FALSE(MergeChatInPlace(1, 3, {0, 1}, {0}, {1.0, 2.0}).ok());
 }
 
 TEST(FunctionalTest, DimensionMismatchRejectedEverywhere) {

@@ -11,6 +11,7 @@
 #include "datasets/generators.h"
 #include "gpusim/kernel_desc.h"
 #include "sparse/reference_spgemm.h"
+#include "sparse/stats.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "tests/test_util.h"
@@ -432,6 +433,23 @@ TEST(ReorganizerTest, EstimatedComputeSkipsExactWorkload) {
   auto expected = sparse::ReferenceSpGemm(a, a);
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE(CsrApproxEqual(*expected, *c, 1e-9));
+}
+
+/// Compute relabels the contraction axis once and runs one fused kernel:
+/// a `relabel` span, an `expand` span and no separate `merge` span, with
+/// the product and output counters still exact.
+TEST(ReorganizerTest, ComputeTracesRelabelAndFusedExpand) {
+  const CsrMatrix a = PowerLaw(3);
+  BlockReorganizerSpGemm alg;
+  spgemm::ExecContext ctx;
+  auto c = alg.Compute(a, a, &ctx);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(CountSpans(ctx, "relabel"), 1);
+  EXPECT_EQ(CountSpans(ctx, "expand"), 1);
+  EXPECT_EQ(CountSpans(ctx, "merge"), 0);
+  auto counters = ctx.registry.Snapshot();
+  EXPECT_EQ(counters["expand.products"], sparse::SpGemmFlops(a, a));
+  EXPECT_EQ(counters["merge.output_nnz"], c->nnz());
 }
 
 /// kAuto below its confidence floor falls back to the exact tier, and
