@@ -9,15 +9,17 @@
 namespace spnet {
 namespace sparse {
 
-/// Dense-accumulator scratch for one merge worker: a value accumulator, a
-/// byte-per-column touched bitmap (uint8_t, not std::vector<bool> — the
-/// packed-bit specialization's read-modify-write is a measurable tax in
-/// the merge inner loop), and the touched-column list used to reset both
-/// in O(row nnz). One RowScratch is reused across every row a thread
-/// merges, so the per-row cost is proportional to the row, never to the
-/// matrix width. Cache-line aligned so the vector headers of neighbouring
-/// workers in a RowScratchArena never share a line: every Touch writes
-/// touched_cols' end pointer.
+/// Dense-accumulator scratch for the reference Gustavson (ReferenceSpGemm)
+/// and CsrApproxEqual. The host SpGEMM kernel keeps its own accumulator, so
+/// the oracle stays independent of the code it checks. It holds a value
+/// accumulator, a byte-per-column touched bitmap (uint8_t, not
+/// std::vector<bool> — the packed-bit specialization's read-modify-write is
+/// a measurable tax in the inner loop), and the touched-column list used to
+/// reset both in O(row nnz). One RowScratch is reused across every row a
+/// thread accumulates, so the per-row cost is proportional to the row,
+/// never to the matrix width. Cache-line aligned so the vector headers of
+/// neighbouring workers in a RowScratchArena never share a line: every
+/// Touch writes touched_cols' end pointer.
 struct alignas(64) RowScratch {
   std::vector<Value> acc;
   std::vector<uint8_t> touched;

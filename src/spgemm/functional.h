@@ -10,9 +10,11 @@ namespace spgemm {
 /// The host kernel every algorithm's Compute runs: Gustavson's row
 /// product, with expansion and merge fused. Each output row accumulates
 /// A's row entries in column order, each times B's row in column order,
-/// into a dense accumulator, and is emitted in first-touch order
-/// (unordered CSR rows, like the paper's kernels). An algorithm whose GPU
-/// schedule visits the contraction axis in another order relabels A's
+/// into a row-stamped dense accumulator that writes each new column's
+/// index straight into the output, so rows come out in first-touch order
+/// (unordered CSR rows, like the paper's kernels). The output buffers are
+/// advised for huge pages before their first write. An algorithm whose
+/// GPU schedule visits the contraction axis in another order relabels A's
 /// columns and B's rows first; the output bits are the same for any
 /// thread count.
 Result<sparse::CsrMatrix> RowProductExpandMerge(const sparse::CsrMatrix& a,

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "core/block_reorganizer.h"
 #include "core/suite.h"
 #include "datasets/generators.h"
 #include "spgemm/algorithm.h"
@@ -138,6 +144,78 @@ TEST(FunctionalTest, DimensionMismatchRejectedEverywhere) {
     EXPECT_FALSE(alg->Compute(a, b).ok()) << alg->name();
     EXPECT_FALSE(alg->Plan(a, b, gpusim::DeviceSpec::TitanXp()).ok())
         << alg->name();
+  }
+}
+
+/// (row, column, value bits) of every stored entry, in (row, column) order,
+/// so kernels that emit rows in different column orders compare exactly.
+std::vector<std::tuple<sparse::Index, sparse::Index, uint64_t>> SortedBits(
+    const CsrMatrix& m) {
+  std::vector<std::tuple<sparse::Index, sparse::Index, uint64_t>> entries;
+  for (sparse::Index r = 0; r < m.rows(); ++r) {
+    const sparse::SpanView row = m.Row(r);
+    for (sparse::Offset k = 0; k < row.size; ++k) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &row.values[k], sizeof(bits));
+      entries.emplace_back(r, row.indices[k], bits);
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// Sums start from +0.0, so an output entry whose products are all -0.0 is
+/// +0.0, never -0.0. Every A row with r % 4 == 0 holds only -0.0 and B holds
+/// no negative value, so those rows sum only -0.0 products; other rows mix
+/// -0.0, +0.0 and nonzero products. The values are small dyadic numbers, so
+/// every sum is exact and the kernels' different accumulation orders cannot
+/// change a bit: the host kernels, at both thread counts, must equal the
+/// reference exactly.
+TEST(FunctionalTest, NegativeZeroProductsMatchReferenceBits) {
+  Rng rng(77);
+  const sparse::Value a_values[] = {-0.0, 0.0, -2.0, 1.0, 0.5};
+  const sparse::Value b_values[] = {0.0, 1.0, 3.0, 0.25};
+  sparse::CooMatrix a_coo(48, 40);
+  sparse::CooMatrix b_coo(40, 36);
+  for (sparse::Index r = 0; r < 48; ++r) {
+    for (sparse::Index c = 0; c < 40; ++c) {
+      if (rng.NextBounded(6) != 0) continue;
+      a_coo.Add(r, c, r % 4 == 0 ? -0.0 : a_values[rng.NextBounded(5)]);
+    }
+  }
+  for (sparse::Index r = 0; r < 40; ++r) {
+    for (sparse::Index c = 0; c < 36; ++c) {
+      if (rng.NextBounded(6) == 0) b_coo.Add(r, c, b_values[rng.NextBounded(4)]);
+    }
+  }
+  auto a = CsrMatrix::FromCoo(a_coo);
+  auto b = CsrMatrix::FromCoo(b_coo);
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  auto expected = sparse::ReferenceSpGemm(*a, *b);
+  ASSERT_TRUE(expected.ok());
+  const auto expected_bits = SortedBits(*expected);
+  int64_t zero_rows_entries = 0;
+  for (const auto& [r, c, bits] : expected_bits) {
+    if (r % 4 != 0) continue;
+    ++zero_rows_entries;
+    EXPECT_EQ(bits, 0u) << "(" << r << ", " << c << ")";
+  }
+  ASSERT_GT(zero_rows_entries, 0);
+
+  core::RegisterCoreAlgorithms();
+  for (const char* name : {"row-product", "outer-product", "reorganizer"}) {
+    auto alg = AlgorithmRegistry::Global().Create(name);
+    ASSERT_TRUE(alg.ok()) << name;
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(name) + " with " + std::to_string(threads) +
+                   " threads");
+      SetGlobalThreadCount(threads);
+      auto got = (*alg)->Compute(*a, *b);
+      SetGlobalThreadCount(0);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(SortedBits(*got), expected_bits);
+    }
   }
 }
 
