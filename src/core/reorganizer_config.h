@@ -64,9 +64,10 @@ struct ReorganizerConfig {
   /// Thread block size for expansion and merge kernels.
   int block_size = 256;
 
-  /// Which precalculation tier Plan/Analyze use (see PlanningTier).
-  /// Compute always executes against the exact workload; the tier only
-  /// chooses how classification inputs are obtained.
+  /// Which precalculation tier Plan, Analyze and Compute use (see
+  /// PlanningTier): it chooses how classification inputs are obtained.
+  /// Compute prepares its dispatch order with the same tier as Plan, so
+  /// under kEstimated no exact workload is built anywhere.
   PlanningTier planning_tier = PlanningTier::kExact;
 
   /// Fraction of A's rows the estimated tier scans exactly (the sampled

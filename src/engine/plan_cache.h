@@ -70,7 +70,7 @@ struct CachedPlan {
 /// of one logical cache. The counters are process-global atomics
 /// aggregated across shards, and the engine.plan_cache.{hit,miss,evict}
 /// counters recorded on an ExecContext likewise sum over all shards, so
-/// existing consumers (ExecutionReport deltas, BENCH_engine_batch.json,
+/// existing consumers (ExecutionReport deltas, the serve stats document,
 /// engine_test) read identical semantics whatever the shard count.
 /// Recency is per shard: eviction removes the least-recently-used entry of
 /// the full shard, which approximates global LRU the way any sharded cache

@@ -18,7 +18,8 @@ Server::Server(ServeOptions options)
                             options_.engine.plan_min_confidence,
                             options_.engine.device)),
       store_(options_.store),
-      queue_(options_.queue_capacity) {
+      queue_(options_.queue_capacity),
+      other_tenants_("other", options_.default_quota) {
   // Every worker's runner joins the server-wide cache, so one worker's
   // planning warms all of them.
   options_.engine.shared_plan_cache = plan_cache_;
@@ -43,29 +44,30 @@ Status Server::Start() {
   return Status::Ok();
 }
 
-TokenBucket& Server::BucketFor(const std::string& tenant) {
-  MutexLock lock(&buckets_mu_);
-  auto it = buckets_.find(tenant);
-  if (it == buckets_.end()) {
-    const auto quota_it = options_.tenant_quotas.find(tenant);
-    const TenantQuota& quota = quota_it != options_.tenant_quotas.end()
-                                   ? quota_it->second
-                                   : options_.default_quota;
-    it = buckets_
-             .emplace(tenant, std::make_unique<TokenBucket>(
-                                  quota.capacity, quota.refill_per_sec))
-             .first;
+Server::Tenant& Server::TenantFor(const std::string& name) {
+  MutexLock lock(&tenants_mu_);
+  const auto it = tenants_.find(name);
+  if (it != tenants_.end()) return *it->second;
+  const auto quota = options_.tenant_quotas.find(name);
+  const bool configured = quota != options_.tenant_quotas.end();
+  if (!configured) {
+    if (unconfigured_tenants_ >= kMaxTrackedTenants) return other_tenants_;
+    ++unconfigured_tenants_;
   }
-  return *it->second;
+  auto tenant = std::make_unique<Tenant>(
+      name, configured ? quota->second : options_.default_quota);
+  return *tenants_.emplace(name, std::move(tenant)).first->second;
 }
 
 void Server::CountRejection(const std::string& reason,
                             const std::string& tenant) {
   registry_.AddCounter("serve.rejected", 1);
   registry_.AddCounter("serve.rejected." + reason, 1);
-  registry_.AddCounter(
-      "serve.tenant." + (tenant.empty() ? "unknown" : tenant) + ".rejected",
-      1);
+  registry_.AddCounter("serve.tenant." +
+                           (tenant.empty() ? "unknown"
+                                           : TenantFor(tenant).label) +
+                           ".rejected",
+                       1);
 }
 
 Status Server::Submit(engine::Request request, Callback done) {
@@ -93,7 +95,8 @@ Status Server::Submit(engine::Request request, Callback done) {
     CountRejection("injected", tenant);
     return injected;
   }
-  if (!BucketFor(tenant).TryAcquire(clock_.Seconds())) {
+  Tenant& state = TenantFor(tenant);
+  if (!state.bucket.TryAcquire(clock_.Seconds())) {
     CountRejection("quota", tenant);
     return Status::ResourceExhausted("tenant '" + tenant +
                                      "' quota exhausted");
@@ -102,6 +105,7 @@ Status Server::Submit(engine::Request request, Callback done) {
   job.request = std::move(request);
   job.done = std::move(done);
   job.admit_seconds = clock_.Seconds();
+  job.tenant = &state;
   const int priority = job.request.priority;
   in_flight_.fetch_add(1);
   if (!queue_.TryPush(std::move(job), priority)) {
@@ -117,7 +121,7 @@ Status Server::Submit(engine::Request request, Callback done) {
         "queue full (capacity " + std::to_string(queue_.capacity()) + ")");
   }
   registry_.AddCounter("serve.admitted", 1);
-  registry_.AddCounter("serve.tenant." + tenant + ".admitted", 1);
+  registry_.AddCounter("serve.tenant." + state.label + ".admitted", 1);
   registry_.SetGauge("serve.queue_depth",
                      static_cast<double>(queue_.size()));
   return Status::Ok();
@@ -187,7 +191,7 @@ void Server::WorkerLoop() {
         static_cast<int64_t>((done_s - job.admit_seconds) * 1e6));
     const bool ok = response.status.ok();
     registry_.AddCounter(ok ? "serve.completed" : "serve.failed", 1);
-    registry_.AddCounter("serve.tenant." + job.request.tenant +
+    registry_.AddCounter("serve.tenant." + job.tenant->label +
                              (ok ? ".completed" : ".failed"),
                          1);
     if (response.status.code() == StatusCode::kDeadlineExceeded) {

@@ -32,6 +32,13 @@ struct TenantQuota {
   double refill_per_sec = 0.0;
 };
 
+/// Distinct tenants, beyond those named in ServeOptions::tenant_quotas,
+/// that get their own token bucket and serve.tenant.<tenant>.* counters.
+/// Tenant names come from clients, so the state they key must stay
+/// bounded: later unconfigured tenants share one bucket under
+/// default_quota and one serve.tenant.other.* series.
+inline constexpr size_t kMaxTrackedTenants = 64;
+
 struct ServeOptions {
   /// Worker threads executing requests. Each worker owns a private
   /// BatchRunner (a runner's algorithm memo is not thread-safe); all
@@ -70,7 +77,8 @@ struct ServeOptions {
 ///   1. draining             → kFailedPrecondition  (serve.rejected.draining)
 ///   2. malformed request    → kInvalidArgument     (serve.rejected.invalid)
 ///   3. serve.admit fault    → injected code        (serve.rejected.injected)
-///   4. tenant token bucket  → kResourceExhausted   (serve.rejected.quota)
+///   4. tenant token bucket  → kResourceExhausted   (serve.rejected.quota;
+///                             tenants past kMaxTrackedTenants share one)
 ///   5. bounded queue full   → kResourceExhausted   (serve.rejected.queue_full)
 /// A rejected Submit returns the error and never invokes the callback —
 /// transports turn the status into an error response line themselves.
@@ -83,7 +91,8 @@ struct ServeOptions {
 ///
 /// Observability: serve.* counters (admitted/completed/failed plus the
 /// per-reason rejections above, and per-tenant mirrors under
-/// serve.tenant.<tenant>.*), serve.queue_depth gauge, and log2 histograms
+/// serve.tenant.<tenant>.*, or serve.tenant.other.* past
+/// kMaxTrackedTenants), serve.queue_depth gauge, and log2 histograms
 /// serve.queue_us / serve.exec_us / serve.latency_us (admission to
 /// callback). StatsJson() snapshots everything plus
 /// p50/p99/p999 latency percentiles and plan-cache / matrix-store state.
@@ -137,14 +146,30 @@ class Server {
   std::string StatsJson();
 
  private:
+  /// Admission state shared by every request of one tenant (or, past
+  /// kMaxTrackedTenants, of every overflow tenant).
+  struct Tenant {
+    Tenant(std::string metric_label, const TenantQuota& quota)
+        : label(std::move(metric_label)),
+          bucket(quota.capacity, quota.refill_per_sec) {}
+
+    /// The <tenant> of this tenant's serve.tenant.<tenant>.* counters.
+    const std::string label;
+    TokenBucket bucket;
+  };
+
   struct Job {
     engine::Request request;
     Callback done;
     double admit_seconds = 0.0;
+    const Tenant* tenant = nullptr;
   };
 
   void WorkerLoop();
-  TokenBucket& BucketFor(const std::string& tenant);
+  /// The tenant's own state, created on first use; the shared overflow
+  /// state once kMaxTrackedTenants unconfigured tenants exist. `name` must
+  /// be non-empty.
+  Tenant& TenantFor(const std::string& name);
   void CountRejection(const std::string& reason, const std::string& tenant);
 
   ServeOptions options_;
@@ -163,9 +188,11 @@ class Server {
   Mutex workers_mu_;
   std::vector<std::thread> workers_ GUARDED_BY(workers_mu_);
 
-  Mutex buckets_mu_;
-  std::map<std::string, std::unique_ptr<TokenBucket>> buckets_
-      GUARDED_BY(buckets_mu_);
+  Mutex tenants_mu_;
+  std::map<std::string, std::unique_ptr<Tenant>> tenants_
+      GUARDED_BY(tenants_mu_);
+  size_t unconfigured_tenants_ GUARDED_BY(tenants_mu_) = 0;
+  Tenant other_tenants_;
 };
 
 }  // namespace serve

@@ -17,9 +17,11 @@ namespace spgemm {
 struct ExecContext;
 
 /// One spGEMM implementation under evaluation: it can (1) really compute
-/// C = A*B on the host, structured the way the algorithm structures the
-/// work (expansion + merge), and (2) emit the workload plan its GPU
-/// execution would dispatch, for the SIMT timing model.
+/// C = A*B on the host, and (2) emit the workload plan its GPU execution
+/// would dispatch, for the SIMT timing model. Every Compute runs the one
+/// host row kernel (RowProductExpandMerge); the Block Reorganizer first
+/// relabels the contraction axis into its dispatch order, so its sums are
+/// accumulated in the order the GPU merge would add them.
 ///
 /// The entry points follow the non-virtual-interface pattern: callers use
 /// the public Plan/Compute, which accept an optional ExecContext for

@@ -239,8 +239,8 @@ TEST(PlanCacheTest, RefusesLowConfidencePlansButStillServesThem) {
 
 TEST(PlanCacheTest, ShardedCacheAggregatesCountersGlobally) {
   // 4 shards, capacity 8: per-shard LRU, but hits/misses/evictions must
-  // aggregate across shards so BENCH_engine_batch.json consumers see the
-  // same totals a single-shard cache reports.
+  // aggregate across shards so ExecutionReport and serve stats consumers
+  // see the same totals a single-shard cache reports.
   PlanCache cache(8, /*shards=*/4);
   EXPECT_EQ(cache.shards(), 4u);
   for (uint64_t i = 0; i < 8; ++i) {

@@ -1,13 +1,15 @@
 // Tests for the serving layer: the BoundedQueue / TokenBucket primitives,
 // histogram percentiles, the NDJSON wire codec, and the Server's
 // admission-control contract — queue-full rejection, per-tenant quota
-// exhaustion, graceful drain, deadline inheritance and the serve.admit
+// exhaustion under concurrent tenants, the bound on per-tenant state,
+// graceful drain, deadline inheritance and the serve.admit
 // fault-injection site.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -322,6 +324,92 @@ TEST(ServerTest, QuotaExhaustionRejectsWithResourceExhausted) {
   EXPECT_EQ(snapshot.at("serve.rejected.quota"), 1);
   EXPECT_EQ(snapshot.at("serve.tenant.capped.rejected"), 1);
   EXPECT_EQ(snapshot.at("serve.tenant.capped.admitted"), 2);
+}
+
+TEST(ServerTest, QuotaClipsAConcurrentFloodWhilePoliteTenantCompletes) {
+  // One thread floods a capped tenant while the main thread submits for
+  // an unlimited one: admission, quota accounting and per-tenant counters
+  // are raced from two producers and two workers (serve-smoke runs this
+  // suite under TSan).
+  ServeOptions options = SmallServerOptions();
+  options.queue_capacity = 64;  // never the binding limit here
+  options.tenant_quotas["flood"] = TenantQuota{8.0, 0.0};
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<Status> flood_status;
+  std::thread flooder([&server, &flood_status] {
+    for (int i = 0; i < 40; ++i) {
+      flood_status.push_back(server.SubmitWire(
+          SmallWire("f" + std::to_string(i), "flood"), nullptr));
+    }
+  });
+  ResponseLog polite_log;
+  constexpr int kPolite = 10;
+  for (int i = 0; i < kPolite; ++i) {
+    const Status admitted = server.SubmitWire(
+        SmallWire("p" + std::to_string(i), "polite"), polite_log.Sink());
+    EXPECT_TRUE(admitted.ok()) << admitted.ToString();
+  }
+  flooder.join();
+  server.Drain();
+
+  int quota_rejections = 0;
+  for (const Status& s : flood_status) {
+    if (s.code() == StatusCode::kResourceExhausted &&
+        s.message().find("quota") != std::string::npos) {
+      ++quota_rejections;
+    }
+  }
+  EXPECT_EQ(quota_rejections, 40 - 8);  // refill 0: exactly 8 tokens
+  const auto polite = polite_log.Take();
+  ASSERT_EQ(polite.size(), static_cast<size_t>(kPolite));
+  for (const engine::Response& r : polite) {
+    EXPECT_TRUE(r.status.ok()) << r.id << ": " << r.status.ToString();
+  }
+  const auto snapshot = server.registry().Snapshot();
+  EXPECT_EQ(snapshot.at("serve.tenant.flood.admitted"), 8);
+  EXPECT_EQ(snapshot.at("serve.tenant.flood.rejected"), 40 - 8);
+  EXPECT_EQ(snapshot.at("serve.tenant.polite.completed"), kPolite);
+}
+
+TEST(ServerTest, TenantStateStaysBoundedPastTheCap) {
+  // Tenant names are client input: past kMaxTrackedTenants, unconfigured
+  // tenants share one bucket and one serve.tenant.other.* series, while a
+  // configured tenant keeps its own quota however late it first appears.
+  ServeOptions options = SmallServerOptions();
+  options.queue_capacity = 256;
+  options.tenant_quotas["vip"] = TenantQuota{1.0, 0.0};
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  ResponseLog log;
+  const size_t extra = 16;
+  for (size_t i = 0; i < kMaxTrackedTenants + extra; ++i) {
+    const std::string tenant = "t" + std::to_string(i);
+    ASSERT_TRUE(server.SubmitWire(SmallWire(tenant, tenant), log.Sink()).ok())
+        << tenant;
+  }
+  ASSERT_TRUE(server.SubmitWire(SmallWire("vip1", "vip"), log.Sink()).ok());
+  const Status second = server.SubmitWire(SmallWire("vip2", "vip"), log.Sink());
+  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted)
+      << second.ToString();
+  server.Drain();
+
+  const auto snapshot = server.registry().Snapshot();
+  const std::string prefix = "serve.tenant.";
+  std::set<std::string> labels;
+  for (const auto& [name, value] : snapshot) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    labels.insert(name.substr(prefix.size(), name.rfind('.') - prefix.size()));
+  }
+  // The tracked tenants, "vip" and the shared "other".
+  EXPECT_EQ(labels.size(), kMaxTrackedTenants + 2);
+  EXPECT_EQ(labels.count("other"), 1u);
+  EXPECT_EQ(labels.count("t" + std::to_string(kMaxTrackedTenants)), 0u);
+  EXPECT_EQ(snapshot.at("serve.tenant.other.admitted"),
+            static_cast<double>(extra));
+  EXPECT_EQ(snapshot.at("serve.tenant.vip.admitted"), 1);
+  EXPECT_EQ(snapshot.at("serve.tenant.vip.rejected"), 1);
 }
 
 TEST(ServerTest, FullQueueRejectsWithResourceExhausted) {
