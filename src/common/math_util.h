@@ -1,6 +1,7 @@
 #ifndef SPNET_COMMON_MATH_UTIL_H_
 #define SPNET_COMMON_MATH_UTIL_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -35,26 +36,21 @@ constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 /// Smallest power of two >= v (v >= 1).
 constexpr int64_t NextPow2(int64_t v) {
-  int64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+  return v <= 1 ? 1
+                : static_cast<int64_t>(std::bit_ceil(static_cast<uint64_t>(v)));
 }
 
 /// Largest power of two <= v (v >= 1).
 constexpr int64_t PrevPow2(int64_t v) {
-  int64_t p = 1;
-  while ((p << 1) <= v) p <<= 1;
-  return p;
+  return v <= 1 ? 1
+                : static_cast<int64_t>(
+                      std::bit_floor(static_cast<uint64_t>(v)));
 }
 
 /// floor(log2(v)) for v >= 1.
 constexpr int Log2Floor(int64_t v) {
-  int r = 0;
-  while (v > 1) {
-    v >>= 1;
-    ++r;
-  }
-  return r;
+  if (v <= 1) return 0;
+  return static_cast<int>(std::bit_width(static_cast<uint64_t>(v))) - 1;
 }
 
 /// True if v is a power of two (v >= 1).

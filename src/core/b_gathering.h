@@ -2,6 +2,7 @@
 #define SPNET_CORE_B_GATHERING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/reorganizer_config.h"
@@ -15,28 +16,34 @@ struct ExecContext;
 
 namespace core {
 
-/// One combined thread block produced by B-Gathering: `pairs.size()`
-/// micro-blocks, each granted `micro_threads` lanes (the power-of-two bin
-/// quota), packed until the block is full. With bin quota 2^n the
-/// gathering factor is block_size / 2^n, the paper's 32/2^n scaled to the
-/// launch block size.
-struct CombinedBlock {
-  int micro_threads = 1;  ///< lane quota per micro-block (2^n)
-  std::vector<sparse::Index> pairs;
-};
-
-/// The complete B-Gathering transformation.
+/// The complete B-Gathering transformation. Combined block i packs the
+/// micro-blocks pairs[block_offsets[i], block_offsets[i + 1]), each granted
+/// micro_threads[i] lanes (the power-of-two bin quota), until the block is
+/// full. With bin quota 2^n the gathering factor is block_size / 2^n, the
+/// paper's 32/2^n scaled to the launch block size.
 struct GatherPlan {
-  std::vector<CombinedBlock> blocks;
-  int64_t gathered_pairs = 0;
+  std::vector<sparse::Index> pairs;  ///< block after block, by quota
+  std::vector<int64_t> block_offsets = {0};
+  std::vector<int> micro_threads;  ///< lane quota per block (2^n)
   /// Pairs that stayed solo (their bin would gain nothing or serialize).
   std::vector<sparse::Index> ungathered;
+
+  size_t num_blocks() const { return micro_threads.size(); }
+  int64_t gathered_pairs() const { return static_cast<int64_t>(pairs.size()); }
+  std::span<const sparse::Index> block_pairs(size_t i) const {
+    return {pairs.begin() + block_offsets[i],
+            pairs.begin() + block_offsets[i + 1]};
+  }
 };
 
 /// Bins low-performer pairs by the power of two covering their effective
-/// thread count (nnz of the B row), sorts each bin by per-thread work so
-/// lock-step warps carry similar lanes, and packs micro-blocks into
-/// combined blocks of `config.block_size` threads.
+/// thread count (nnz of the B row), orders each bin by per-thread work
+/// (a_col_nnz descending) so lock-step warps carry similar lanes, and packs
+/// micro-blocks into combined blocks of `config.block_size` threads.
+/// The order is one stable counting sort by a_col_nnz (at most a.rows()),
+/// then a stable split into the bins: O(low performers + largest key).
+/// Both classifiers emit `low_performers` ascending, so ties keep ascending
+/// pair order.
 /// With a context, records a "b-gathering" span and gathering.* gauges
 /// (combined blocks, gathered pairs, ungathered pairs).
 GatherPlan BuildGatherPlan(const spgemm::Workload& workload,

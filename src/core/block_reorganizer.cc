@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,29 +37,28 @@ namespace {
 /// pairs, so the warp's lock-step iteration count is the longest member's
 /// column length.
 ThreadBlockDesc MakeGatheredBlock(const Workload& workload,
-                                  const CombinedBlock& block,
-                                  int block_size) {
+                                  std::span<const Index> pairs,
+                                  int micro_threads, int block_size) {
   ThreadBlockDesc tb;
-  const int64_t lanes =
-      static_cast<int64_t>(block.pairs.size()) * block.micro_threads;
+  const int64_t lanes = static_cast<int64_t>(pairs.size()) * micro_threads;
   tb.threads = static_cast<int>(
       std::min<int64_t>(block_size, std::max<int64_t>(32, NextPow2(lanes))));
-  tb.gathered_partitions = static_cast<int>(block.pairs.size());
+  tb.gathered_partitions = static_cast<int>(pairs.size());
 
-  const int micro_per_warp = std::max(1, 32 / block.micro_threads);
+  const int micro_per_warp = std::max(1, 32 / micro_threads);
   int64_t effective = 0;
   int64_t useful = 0;
   int64_t warp_issue = 0;
   int64_t crit = 0;
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
-  for (size_t w = 0; w < block.pairs.size();
+  for (size_t w = 0; w < pairs.size();
        w += static_cast<size_t>(micro_per_warp)) {
     const size_t w_end =
-        std::min(block.pairs.size(), w + static_cast<size_t>(micro_per_warp));
+        std::min(pairs.size(), w + static_cast<size_t>(micro_per_warp));
     int64_t warp_max = 0;
     for (size_t k = w; k < w_end; ++k) {
-      const size_t pair = static_cast<size_t>(block.pairs[k]);
+      const size_t pair = static_cast<size_t>(pairs[k]);
       const int64_t col = workload.a_col_nnz[pair];
       const int64_t row = workload.b_row_nnz[pair];
       warp_max = std::max(warp_max, col);
@@ -252,15 +252,22 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
   expansion.label = "expansion-main";
   expansion.phase = Phase::kExpansion;
   expansion.flops = workload.flops;
+  expansion.blocks.reserve(
+      classes.normals.size() +
+      (prep.gather
+           ? prep.gather->num_blocks() + prep.gather->ungathered.size()
+           : classes.low_performers.size()));
   for (Index pair : classes.normals) {
     expansion.blocks.push_back(pair_block(pair));
   }
   if (prep.gather) {
-    for (const CombinedBlock& block : prep.gather->blocks) {
+    const GatherPlan& gather = *prep.gather;
+    for (size_t i = 0; i < gather.num_blocks(); ++i) {
       expansion.blocks.push_back(
-          MakeGatheredBlock(workload, block, config_.block_size));
+          MakeGatheredBlock(workload, gather.block_pairs(i),
+                            gather.micro_threads[i], config_.block_size));
     }
-    for (Index pair : prep.gather->ungathered) {
+    for (Index pair : gather.ungathered) {
       expansion.blocks.push_back(pair_block(pair));
     }
   } else {
@@ -326,9 +333,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
     }
     for (Index pair : prep.classes.normals) rank(pair);
     if (prep.gather) {
-      for (const CombinedBlock& block : prep.gather->blocks) {
-        for (Index pair : block.pairs) rank(pair);
-      }
+      for (Index pair : prep.gather->pairs) rank(pair);
       for (Index pair : prep.gather->ungathered) rank(pair);
     } else {
       for (Index pair : prep.classes.low_performers) rank(pair);
@@ -381,8 +386,8 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
   report.limit_row_threshold = classes.limit_row_threshold;
   if (prep.split) report.fragments = prep.split->total_fragments;
   if (prep.gather) {
-    report.combined_blocks = static_cast<int64_t>(prep.gather->blocks.size());
-    report.gathered_pairs = prep.gather->gathered_pairs;
+    report.combined_blocks = static_cast<int64_t>(prep.gather->num_blocks());
+    report.gathered_pairs = prep.gather->gathered_pairs();
   }
   return report;
 }

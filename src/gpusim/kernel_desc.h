@@ -73,10 +73,6 @@ struct KernelDesc {
 
   /// Useful floating-point work this kernel contributes (for GFLOPS).
   int64_t flops = 0;
-
-  /// Total footprint (bytes) the kernel streams from DRAM if nothing is
-  /// cached; used by the L2 reuse model together with per-block traffic.
-  int64_t working_set_bytes = 0;
 };
 
 }  // namespace gpusim

@@ -19,6 +19,23 @@ constexpr double kTransactionBytes = 128.0;
 
 constexpr double kEpsilon = 1e-9;
 
+// Off-chip atomic cost factor with `resident_tbs` blocks on every SM.
+// Every resident merge block keeps an in-flight footprint (accumulator
+// tile + stream buffers) live in the cache; once the union of resident
+// footprints outgrows the L2, RMWs start bouncing and the per-op cost
+// climbs — the contention that B-Limiting relieves by lowering residency.
+// The superlinear exponent models thrash collapse: with linear growth,
+// extra residency would exactly cancel the extra contention and
+// B-Limiting could never pay off.
+double AtomicContention(const DeviceSpec& device, int resident_tbs) {
+  const double inflight_window = device.block_inflight_bytes *
+                                 static_cast<double>(resident_tbs) *
+                                 device.num_sms;
+  return std::clamp(
+      std::pow(inflight_window / static_cast<double>(device.l2_size), 1.5),
+      1.0, device.max_atomic_contention);
+}
+
 int EligibleWarps(const ThreadBlockDesc& tb) {
   const int warp = 32;
   const int eff = std::max(tb.effective_threads, 1);
@@ -52,15 +69,12 @@ int OccupancyBlocksPerSm(const DeviceSpec& device, int threads_per_block,
 }
 
 Simulator::BlockCost Simulator::CostBlock(const ThreadBlockDesc& tb,
-                                          int resident_tbs,
-                                          int resident_eligible_warps,
+                                          double atomic_contention,
                                           double lsu_backlog,
                                           double issue_backlog,
                                           double dram_backlog) const {
   BlockCost cost;
   const int eligible = EligibleWarps(tb);
-  resident_tbs = std::max(resident_tbs, 1);
-  resident_eligible_warps = std::max(resident_eligible_warps, eligible);
 
   // --- Instruction issue under lock-step SIMT execution. -------------------
   // The SM's warp schedulers form a shared server: the block's own issue
@@ -142,33 +156,19 @@ Simulator::BlockCost Simulator::CostBlock(const ThreadBlockDesc& tb,
       hiding;
 
   // --- Atomic serialization (merge accumulators). ----------------------------
-  // Conflicting atomics serialize in the L2. Every resident merge block
-  // keeps an in-flight footprint (accumulator tile + stream buffers) live
-  // in the cache; once the union of resident footprints outgrows the L2,
-  // RMWs start bouncing and the per-op cost climbs — the contention that
-  // B-Limiting relieves by lowering residency. Atomics flow through the
-  // same memory pipe, so they overlap with (rather than add to) the
-  // streaming time.
+  // Conflicting atomics serialize in the L2, under the residency
+  // contention of AtomicContention. Atomics flow through the same memory
+  // pipe, so they overlap with (rather than add to) the streaming time.
   double atomic_cycles = 0.0;
   if (tb.atomics_in_shared) {
     // On-chip accumulator: fast, contention-free.
     atomic_cycles = static_cast<double>(tb.atomic_ops) *
                     device_.shared_atomic_cycles / eligible;
   } else {
-    const double inflight_window = device_.block_inflight_bytes *
-                                   static_cast<double>(resident_tbs) *
-                                   device_.num_sms;
-    // The superlinear exponent models thrash collapse: with linear growth,
-    // extra residency would exactly cancel the extra contention and
-    // B-Limiting could never pay off.
-    const double atomic_contention = std::clamp(
-        std::pow(inflight_window / static_cast<double>(device_.l2_size), 1.5),
-        1.0, device_.max_atomic_contention);
     atomic_cycles = static_cast<double>(tb.atomic_ops) * device_.atomic_cycles /
                     eligible * atomic_contention;
   }
 
-  cost.memory_cycles = bw_cycles + latency_cycles;
   cost.cycles = device_.block_startup_cycles +
                 std::max({issue_cycles, bw_cycles, atomic_cycles}) +
                 latency_cycles;
@@ -189,18 +189,22 @@ KernelStats Simulator::Schedule(const KernelDesc& kernel) const {
     int resident_tbs = 0;
     int resident_threads = 0;
     int64_t resident_shmem = 0;
-    int resident_eligible_warps = 0;
     double lsu_busy_until = 0.0;
     double issue_busy_until = 0.0;
   };
   std::vector<SmState> sms(static_cast<size_t>(device_.num_sms));
+  // The contention factor depends only on an SM's residency, which
+  // can_host keeps within max_blocks_per_sm: tabulate it once per kernel.
+  std::vector<double> contention;
+  for (int r = 0; r <= device_.max_blocks_per_sm; ++r) {
+    contention.push_back(AtomicContention(device_, std::max(r, 1)));
+  }
 
   struct Event {
     double time;
     int sm;
     int threads;
     int64_t shmem;
-    int eligible;
     bool operator>(const Event& other) const { return time > other.time; }
   };
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
@@ -226,11 +230,9 @@ KernelStats Simulator::Schedule(const KernelDesc& kernel) const {
 
   auto place = [&](int sm_id, const ThreadBlockDesc& tb) {
     SmState& sm = sms[static_cast<size_t>(sm_id)];
-    const int eligible = EligibleWarps(tb);
     sm.resident_tbs++;
     sm.resident_threads += tb.threads;
     sm.resident_shmem += tb.shared_mem_bytes;
-    sm.resident_eligible_warps += eligible;
     total_resident++;
 
     const double lsu_backlog = std::max(0.0, sm.lsu_busy_until - now);
@@ -242,7 +244,7 @@ KernelStats Simulator::Schedule(const KernelDesc& kernel) const {
     dispatch_busy_until =
         std::max(dispatch_busy_until, now) + device_.block_dispatch_cycles;
     BlockCost cost =
-        CostBlock(tb, sm.resident_tbs, sm.resident_eligible_warps,
+        CostBlock(tb, contention[static_cast<size_t>(sm.resident_tbs)],
                   lsu_backlog, issue_backlog, dram_backlog);
     cost.cycles += dispatch_wait;
     sm.lsu_busy_until = std::max(sm.lsu_busy_until, now) + cost.lsu_service;
@@ -258,8 +260,8 @@ KernelStats Simulator::Schedule(const KernelDesc& kernel) const {
     stats.l2_write_bytes += cost.l2_write_bytes;
     stats.dram_bytes += cost.dram_bytes;
 
-    events.push(Event{now + cost.cycles, sm_id, tb.threads,
-                      tb.shared_mem_bytes, eligible});
+    events.push(
+        Event{now + cost.cycles, sm_id, tb.threads, tb.shared_mem_bytes});
   };
 
   auto backfill = [&](int sm_id) {
@@ -299,7 +301,6 @@ KernelStats Simulator::Schedule(const KernelDesc& kernel) const {
     sm.resident_tbs--;
     sm.resident_threads -= ev.threads;
     sm.resident_shmem -= ev.shmem;
-    sm.resident_eligible_warps -= ev.eligible;
     total_resident--;
 
     backfill(ev.sm);

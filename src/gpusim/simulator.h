@@ -19,23 +19,25 @@ int OccupancyBlocksPerSm(const DeviceSpec& device, int threads_per_block,
 
 /// Deterministic SIMT execution-model simulator.
 ///
-/// The model is event-driven at thread-block granularity: blocks are
-/// dispatched in order to the SM with free capacity, each block's duration
-/// is computed analytically from its workload descriptor and the SM's
-/// residency at dispatch time, and the kernel retires when the last block
-/// does. The analytic per-block model charges:
+/// The model is event-driven at thread-block granularity. Blocks go out
+/// in kernel order: an initial wave places them round-robin, one per SM
+/// per round, while an SM can host the next one; then each SM a block
+/// retires from is backfilled with the next blocks that fit. A block's
+/// duration is analytic, from its descriptor, its SM's residency and the
+/// backlogs of three queued servers (SM warp schedulers, SM LSU pipe,
+/// device DRAM):
 ///
-///   issue    = warp_issue_ops * cpi / min(eligible_warps, scheduler share)
-///   bandwidth= bytes / (per-SM LSU share), inflated by global L2/DRAM
-///              saturation (two-pass fixed point)
-///   latency  = dependent-transaction chains * avg service latency
-///              / hiding(eligible resident warps)
-///   duration = max(issue, bandwidth) + latency + atomic serialization
+///   issue    = warp_issue_ops * cpi at the block's own warp parallelism
+///   bandwidth= LSU bytes and DRAM bytes, each on its server
+///   atomic   = atomic_ops * cost / eligible warps (off-chip: * contention)
+///   latency  = (read chains * avg latency + store chains * backpressure)
+///              / hiding(eligible warps)
+///   duration = startup + dispatch wait + max(issue, bandwidth, atomic)
+///              + latency
 ///
-/// The L2 model serves `shared_read_bytes` (cross-block hot data) plus a
-/// capacity-dependent fraction of the remaining traffic; the fraction
-/// falls as the aggregate resident working set outgrows the L2 — the
-/// mechanism behind B-Limiting's merge-phase gains.
+/// Reads of `shared_read_bytes` (cross-block hot data) are served by the
+/// cache, mostly the L1; other reads hit the L2 at the constant
+/// `streaming_hit_rate`, and the rest, like all writes, go to DRAM.
 class Simulator {
  public:
   explicit Simulator(DeviceSpec device) : device_(std::move(device)) {}
@@ -52,7 +54,6 @@ class Simulator {
  private:
   struct BlockCost {
     double cycles = 0.0;
-    double memory_cycles = 0.0;
     double lsu_service = 0.0;    // this block's demand on the SM's LSU pipe
     double issue_service = 0.0;  // this block's demand on the warp schedulers
     double dram_service = 0.0;   // this block's demand on device DRAM
@@ -61,12 +62,13 @@ class Simulator {
     int64_t dram_bytes = 0;
   };
 
-  /// Per-block analytic cost given the dispatch-time residency snapshot
-  /// and the outstanding backlogs of the three shared servers (SM warp
-  /// schedulers, SM LSU pipe, device-wide DRAM).
-  BlockCost CostBlock(const ThreadBlockDesc& tb, int resident_tbs,
-                      int resident_eligible_warps, double lsu_backlog,
-                      double issue_backlog, double dram_backlog) const;
+  /// Per-block analytic cost given the off-chip atomic contention factor
+  /// at the SM's dispatch-time residency and the outstanding backlogs of
+  /// the three shared servers (SM warp schedulers, SM LSU pipe,
+  /// device-wide DRAM).
+  BlockCost CostBlock(const ThreadBlockDesc& tb, double atomic_contention,
+                      double lsu_backlog, double issue_backlog,
+                      double dram_backlog) const;
 
   /// The scheduling pass.
   KernelStats Schedule(const KernelDesc& kernel) const;

@@ -205,6 +205,7 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
   std::vector<size_t> tiny_rows;
   std::vector<size_t> small_rows;
   std::vector<size_t> big_rows;
+  size_t long_rows = 0;
   for (size_t r = 0; r < workload.row_chat.size(); ++r) {
     const int64_t chat = workload.row_chat[r];
     if (chat <= 0) continue;
@@ -214,11 +215,20 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
       small_rows.push_back(r);
     } else {
       big_rows.push_back(r);
+      if (limiting && chat > options.limit_row_threshold) ++long_rows;
     }
   }
 
-  // Thread-per-row batches.
   const size_t rows_per_block = static_cast<size_t>(options.block_size);
+  const size_t warps_per_block =
+      static_cast<size_t>(options.block_size) / 32;
+  auto batches = [](size_t n, size_t per) { return (n + per - 1) / per; };
+  normal.blocks.reserve(batches(tiny_rows.size(), rows_per_block) +
+                        batches(small_rows.size(), warps_per_block) +
+                        big_rows.size() - long_rows);
+  limited.blocks.reserve(long_rows);
+
+  // Thread-per-row batches.
   for (size_t begin = 0; begin < tiny_rows.size(); begin += rows_per_block) {
     const size_t end = std::min(tiny_rows.size(), begin + rows_per_block);
     ThreadBlockDesc tb;
@@ -252,8 +262,6 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
   }
 
   // Warp-per-row batches.
-  const size_t warps_per_block =
-      static_cast<size_t>(options.block_size) / 32;
   for (size_t begin = 0; begin < small_rows.size();
        begin += warps_per_block) {
     const size_t end = std::min(small_rows.size(), begin + warps_per_block);

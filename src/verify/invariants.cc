@@ -1,6 +1,8 @@
 #include "verify/invariants.h"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -15,7 +17,6 @@ namespace spnet {
 namespace verify {
 
 using core::Classification;
-using core::CombinedBlock;
 using core::GatherPlan;
 using core::SplitPlan;
 using core::SplitVector;
@@ -344,46 +345,58 @@ Status CheckGatherPlan(const Workload& workload,
   // b_row_nnz means zero pair work), so require full coverage.
   std::sort(expected.begin(), expected.end());
 
+  const std::vector<int64_t>& offsets = gather.block_offsets;
+  if (offsets.size() != gather.num_blocks() + 1 || offsets.front() != 0 ||
+      offsets.back() != gather.gathered_pairs() ||
+      std::adjacent_find(offsets.begin(), offsets.end(),
+                         std::greater_equal<>()) != offsets.end()) {
+    return Violation("block offsets do not cut the gathered pairs into " +
+                     std::to_string(gather.num_blocks()) + " blocks");
+  }
   std::vector<Index> got(gather.ungathered);
-  int64_t gathered = 0;
-  for (const CombinedBlock& block : gather.blocks) {
-    if (!IsPow2(block.micro_threads) || block.micro_threads > 32) {
+  // Per lane quota, the pair last read: a quota's blocks, read in order,
+  // run a_col_nnz non-increasing with ascending pairs on ties.
+  Index last[6] = {-1, -1, -1, -1, -1, -1};
+  auto order_key = [&](Index pair) {
+    return std::pair(-workload.a_col_nnz[static_cast<size_t>(pair)], pair);
+  };
+  for (size_t i = 0; i < gather.num_blocks(); ++i) {
+    const int micro_threads = gather.micro_threads[i];
+    if (!IsPow2(micro_threads) || micro_threads > 32) {
       return Violation("combined block lane quota " +
-                       std::to_string(block.micro_threads) +
+                       std::to_string(micro_threads) +
                        " is not a power of two within a warp");
     }
-    const int capacity = std::max(1, block_size / block.micro_threads);
-    if (block.pairs.empty() ||
-        block.pairs.size() > static_cast<size_t>(capacity)) {
-      return Violation("combined block holds " +
-                       std::to_string(block.pairs.size()) +
+    const int capacity = std::max(1, block_size / micro_threads);
+    const int64_t size = offsets[i + 1] - offsets[i];
+    if (size > capacity) {
+      return Violation("combined block holds " + std::to_string(size) +
                        " micro-blocks, capacity is " +
                        std::to_string(capacity));
     }
-    for (Index pair : block.pairs) {
+    const std::span<const Index> pairs = gather.block_pairs(i);
+    for (Index pair : pairs) {
       const int64_t eff = workload.b_row_nnz[static_cast<size_t>(pair)];
-      if (eff <= 0 || NextPow2(eff) != block.micro_threads) {
+      if (eff <= 0 || NextPow2(eff) != micro_threads) {
         return Violation(PairLabel(pair) + " with " + std::to_string(eff) +
                          " effective threads packed under quota " +
-                         std::to_string(block.micro_threads));
+                         std::to_string(micro_threads));
       }
+      Index& prev = last[Log2Floor(micro_threads)];
+      if (prev >= 0 && order_key(pair) <= order_key(prev)) {
+        return Violation(PairLabel(pair) + " follows " + PairLabel(prev) +
+                         " out of a_col_nnz order");
+      }
+      prev = pair;
     }
     // Launch width: lanes round up to whole warps, never past the block.
-    const int64_t lanes =
-        static_cast<int64_t>(block.pairs.size()) * block.micro_threads;
-    const int64_t launch =
-        std::min<int64_t>(block_size, std::max<int64_t>(32, NextPow2(lanes)));
+    const int64_t launch = std::min<int64_t>(
+        block_size, std::max<int64_t>(32, NextPow2(size * micro_threads)));
     if (launch % 32 != 0) {
       return Violation("combined block launch width " +
                        std::to_string(launch) + " is not whole warps");
     }
-    gathered += static_cast<int64_t>(block.pairs.size());
-    got.insert(got.end(), block.pairs.begin(), block.pairs.end());
-  }
-  if (gathered != gather.gathered_pairs) {
-    return Violation("gathered_pairs " + std::to_string(gather.gathered_pairs) +
-                     " disagrees with the blocks (" + std::to_string(gathered) +
-                     ")");
+    got.insert(got.end(), pairs.begin(), pairs.end());
   }
   std::sort(got.begin(), got.end());
   if (got != expected) {

@@ -63,10 +63,12 @@ namespace verify {
                       const core::SplitPlan& split);
 
 /// Gathered blocks plus ungathered pairs partition the low-performer set
-/// exactly; every combined block holds pairs of one power-of-two lane
-/// quota (micro_threads == NextPow2(effective threads) <= 32), respects
-/// the block capacity, and launches a whole number of warps (the lane
-/// count rounds to a multiple of 32).
+/// exactly; the block offsets carve the flat pair array; every combined
+/// block holds pairs of one power-of-two lane quota (micro_threads ==
+/// NextPow2(effective threads) <= 32), respects the block capacity, and
+/// launches a whole number of warps (the lane count rounds to a multiple
+/// of 32). Read block after block, the pairs of each quota run a_col_nnz
+/// non-increasing, with ascending pairs on ties.
 [[nodiscard]] Status CheckGatherPlan(const spgemm::Workload& workload,
                        const std::vector<sparse::Index>& low_performers,
                        const core::GatherPlan& gather, int block_size);

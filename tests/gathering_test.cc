@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/math_util.h"
 #include "core/b_gathering.h"
 #include "core/workload_classifier.h"
+#include "spgemm/nnz_estimator.h"
 #include "spgemm/workload_model.h"
 #include "tests/test_util.h"
+#include "verify/invariants.h"
 
 namespace spnet {
 namespace core {
@@ -32,16 +37,14 @@ TEST(GatheringTest, EveryLowPerformerAccountedOnce) {
   const GatherPlan plan =
       BuildGatherPlan(f.w, f.c.low_performers, ReorganizerConfig{});
   std::set<Index> seen;
-  for (const CombinedBlock& b : plan.blocks) {
-    for (Index p : b.pairs) {
-      EXPECT_TRUE(seen.insert(p).second) << "pair " << p << " twice";
-    }
+  for (Index p : plan.pairs) {
+    EXPECT_TRUE(seen.insert(p).second) << "pair " << p << " twice";
   }
   for (Index p : plan.ungathered) {
     EXPECT_TRUE(seen.insert(p).second) << "pair " << p << " twice";
   }
   EXPECT_EQ(seen.size(), f.c.low_performers.size());
-  EXPECT_EQ(plan.gathered_pairs,
+  EXPECT_EQ(plan.gathered_pairs(),
             static_cast<int64_t>(f.c.low_performers.size()) -
                 static_cast<int64_t>(plan.ungathered.size()));
 }
@@ -50,12 +53,13 @@ TEST(GatheringTest, QuotaCoversEffectiveThreads) {
   Fixture f(73);
   const GatherPlan plan =
       BuildGatherPlan(f.w, f.c.low_performers, ReorganizerConfig{});
-  for (const CombinedBlock& b : plan.blocks) {
-    EXPECT_TRUE(IsPow2(b.micro_threads));
-    for (Index p : b.pairs) {
+  for (size_t i = 0; i < plan.num_blocks(); ++i) {
+    const int micro_threads = plan.micro_threads[i];
+    EXPECT_TRUE(IsPow2(micro_threads));
+    for (Index p : plan.block_pairs(i)) {
       const int64_t eff = f.w.b_row_nnz[static_cast<size_t>(p)];
-      EXPECT_LE(eff, b.micro_threads);
-      EXPECT_GT(2 * eff, b.micro_threads)
+      EXPECT_LE(eff, micro_threads);
+      EXPECT_GT(2 * eff, micro_threads)
           << "pair " << p << " belongs in a smaller bin";
     }
   }
@@ -65,10 +69,11 @@ TEST(GatheringTest, BlocksRespectCapacity) {
   Fixture f(75);
   ReorganizerConfig config;
   const GatherPlan plan = BuildGatherPlan(f.w, f.c.low_performers, config);
-  for (const CombinedBlock& b : plan.blocks) {
-    EXPECT_LE(static_cast<int>(b.pairs.size()) * b.micro_threads,
+  for (size_t i = 0; i < plan.num_blocks(); ++i) {
+    EXPECT_LE(static_cast<int>(plan.block_pairs(i).size()) *
+                  plan.micro_threads[i],
               config.block_size);
-    EXPECT_GE(b.pairs.size(), 1u);
+    EXPECT_GE(plan.block_pairs(i).size(), 1u);
   }
 }
 
@@ -76,10 +81,11 @@ TEST(GatheringTest, MembersSortedByWorkWithinBlock) {
   Fixture f(77);
   const GatherPlan plan =
       BuildGatherPlan(f.w, f.c.low_performers, ReorganizerConfig{});
-  for (const CombinedBlock& b : plan.blocks) {
-    for (size_t i = 1; i < b.pairs.size(); ++i) {
-      EXPECT_GE(f.w.a_col_nnz[static_cast<size_t>(b.pairs[i - 1])],
-                f.w.a_col_nnz[static_cast<size_t>(b.pairs[i])]);
+  for (size_t b = 0; b < plan.num_blocks(); ++b) {
+    const std::span<const Index> pairs = plan.block_pairs(b);
+    for (size_t i = 1; i < pairs.size(); ++i) {
+      EXPECT_GE(f.w.a_col_nnz[static_cast<size_t>(pairs[i - 1])],
+                f.w.a_col_nnz[static_cast<size_t>(pairs[i])]);
     }
   }
 }
@@ -96,16 +102,16 @@ TEST(GatheringTest, SingletonBinsStayUngathered) {
   const Classification c = Classify(w, ReorganizerConfig{});
   const GatherPlan plan =
       BuildGatherPlan(w, c.low_performers, ReorganizerConfig{});
-  EXPECT_TRUE(plan.blocks.empty());
+  EXPECT_EQ(plan.num_blocks(), 0u);
   EXPECT_EQ(plan.ungathered.size(), c.low_performers.size());
 }
 
 TEST(GatheringTest, EmptyInputYieldsEmptyPlan) {
   Fixture f(79);
   const GatherPlan plan = BuildGatherPlan(f.w, {}, ReorganizerConfig{});
-  EXPECT_TRUE(plan.blocks.empty());
+  EXPECT_EQ(plan.num_blocks(), 0u);
   EXPECT_TRUE(plan.ungathered.empty());
-  EXPECT_EQ(plan.gathered_pairs, 0);
+  EXPECT_EQ(plan.gathered_pairs(), 0);
 }
 
 TEST(GatheringTest, SmallerBlockSizePacksLess) {
@@ -116,12 +122,126 @@ TEST(GatheringTest, SmallerBlockSizePacksLess) {
   small.block_size = 64;
   const GatherPlan pb = BuildGatherPlan(f.w, f.c.low_performers, big);
   const GatherPlan ps = BuildGatherPlan(f.w, f.c.low_performers, small);
-  if (pb.gathered_pairs > 0 && ps.gathered_pairs > 0) {
-    EXPECT_GE(ps.blocks.size(), pb.blocks.size());
+  if (pb.gathered_pairs() > 0 && ps.gathered_pairs() > 0) {
+    EXPECT_GE(ps.num_blocks(), pb.num_blocks());
   }
-  for (const CombinedBlock& b : ps.blocks) {
-    EXPECT_LE(static_cast<int>(b.pairs.size()) * b.micro_threads, 64);
+  for (size_t i = 0; i < ps.num_blocks(); ++i) {
+    EXPECT_LE(static_cast<int>(ps.block_pairs(i).size()) *
+                  ps.micro_threads[i],
+              64);
   }
+}
+
+/// Reference plan from a comparator sort per bin: bins by lane quota, each
+/// sorted by a_col_nnz descending with ascending pairs on ties, cut into
+/// capacity-sized blocks.
+GatherPlan ComparatorReference(const spgemm::Workload& w,
+                               const std::vector<Index>& low_performers,
+                               int block_size) {
+  GatherPlan ref;
+  std::vector<Index> bins[6];
+  for (Index pair : low_performers) {
+    const int64_t eff = w.b_row_nnz[static_cast<size_t>(pair)];
+    if (eff <= 0) continue;
+    const int bin = Log2Floor(NextPow2(eff));
+    if (bin >= 6) {
+      ref.ungathered.push_back(pair);
+    } else {
+      bins[bin].push_back(pair);
+    }
+  }
+  for (int n = 0; n < 6; ++n) {
+    std::vector<Index>& bin = bins[n];
+    if (bin.empty()) continue;
+    const int capacity = std::max(1, block_size / (1 << n));
+    if (capacity <= 1 || bin.size() < 2) {
+      ref.ungathered.insert(ref.ungathered.end(), bin.begin(), bin.end());
+      continue;
+    }
+    std::sort(bin.begin(), bin.end(), [&](Index x, Index y) {
+      const int64_t wx = w.a_col_nnz[static_cast<size_t>(x)];
+      const int64_t wy = w.a_col_nnz[static_cast<size_t>(y)];
+      if (wx != wy) return wx > wy;
+      return x < y;
+    });
+    for (size_t begin = 0; begin < bin.size();
+         begin += static_cast<size_t>(capacity)) {
+      const size_t end =
+          std::min(bin.size(), begin + static_cast<size_t>(capacity));
+      ref.pairs.insert(ref.pairs.end(), bin.begin() + begin,
+                       bin.begin() + end);
+      ref.block_offsets.push_back(static_cast<int64_t>(ref.pairs.size()));
+      ref.micro_threads.push_back(1 << n);
+    }
+  }
+  return ref;
+}
+
+void ExpectSamePlan(const GatherPlan& got, const GatherPlan& want) {
+  EXPECT_EQ(got.pairs, want.pairs);
+  EXPECT_EQ(got.block_offsets, want.block_offsets);
+  EXPECT_EQ(got.micro_threads, want.micro_threads);
+  EXPECT_EQ(got.ungathered, want.ungathered);
+}
+
+TEST(GatheringTest, FlatPlanMatchesComparatorSort) {
+  for (uint64_t seed : {71, 72, 73, 74, 75}) {
+    for (int block_size : {32, 64, 256}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", block size " +
+                   std::to_string(block_size));
+      ReorganizerConfig config;
+      config.block_size = block_size;
+      const CsrMatrix a = testing_util::SkewedMatrix(800, 300, seed);
+      const spgemm::Workload w = spgemm::BuildWorkload(a, a);
+      const Classification exact = Classify(w, config);
+      ASSERT_FALSE(exact.low_performers.empty());
+      ExpectSamePlan(BuildGatherPlan(w, exact.low_performers, config),
+                     ComparatorReference(w, exact.low_performers, block_size));
+
+      spgemm::EstimatedWorkload est = spgemm::BuildWorkloadEstimated(a, a);
+      const Classification estimated = ClassifyEstimated(&est, a, a, config);
+      ASSERT_FALSE(estimated.low_performers.empty());
+      ExpectSamePlan(
+          BuildGatherPlan(est.workload, estimated.low_performers, config),
+          ComparatorReference(est.workload, estimated.low_performers,
+                              block_size));
+    }
+  }
+}
+
+TEST(GatheringTest, WorkNearRowCountPlans) {
+  // Column 0 of A holds every row but the last, so pair 0's a_col_nnz is
+  // a.rows() - 1, the largest key the counting sort can meet. Pairs 0..9
+  // all have 2 effective threads and share one bin.
+  constexpr Index kRows = 4096;
+  sparse::CooMatrix ca(kRows, 16);
+  for (Index r = 0; r + 1 < kRows; ++r) ca.Add(r, 0, 1.0);
+  for (Index c = 1; c < 10; ++c) {
+    for (Index r = 0; r < c; ++r) ca.Add(r, c, 1.0);
+  }
+  sparse::CooMatrix cb(16, 8);
+  for (Index r = 0; r < 10; ++r) {
+    cb.Add(r, 0, 1.0);
+    cb.Add(r, 1, 1.0);
+  }
+  auto a = CsrMatrix::FromCoo(ca);
+  auto b = CsrMatrix::FromCoo(cb);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ReorganizerConfig config;
+  config.alpha = 1e6;  // no dominators: pair 0 stays a low performer
+  const spgemm::Workload w = spgemm::BuildWorkload(*a, *b);
+  ASSERT_EQ(w.a_col_nnz[0], kRows - 1);
+  const Classification c = Classify(w, config);
+  ASSERT_EQ(c.low_performers.size(), 10u);
+  const GatherPlan plan = BuildGatherPlan(w, c.low_performers, config);
+  ExpectSamePlan(plan, ComparatorReference(w, c.low_performers, 256));
+  ASSERT_EQ(plan.num_blocks(), 1u);
+  EXPECT_EQ(plan.micro_threads[0], 2);
+  EXPECT_EQ(plan.pairs,
+            (std::vector<Index>{0, 9, 8, 7, 6, 5, 4, 3, 2, 1}));
+  EXPECT_TRUE(verify::CheckGatherPlan(w, c.low_performers, plan,
+                                      config.block_size)
+                  .ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <tuple>
 
@@ -406,6 +407,217 @@ TEST(ReorganizerTest, BaselineOutputBitsArePinned) {
         SetGlobalThreadCount(0);
         ASSERT_TRUE(c.ok());
         EXPECT_EQ(OutputHash(*c), pin.hash);
+      }
+    }
+  }
+}
+
+/// Pins the simulated seconds of every registered baseline, on the same
+/// inputs and all three device presets: Measure's total plus its
+/// expansion- and merge-phase seconds, bit for bit. The power-law plans
+/// carry merge blocks whose atomics go off-chip, so the residency-dependent
+/// contention term is part of what is pinned.
+TEST(ReorganizerTest, BaselineMeasureBitsArePinned) {
+  struct Input {
+    const char* name;
+    CsrMatrix a;
+  };
+  const Input inputs[] = {
+      {"powerlaw-seed3", PowerLaw(3)},
+      {"powerlaw-seed8", PowerLaw(8)},
+      {"empty-rows", testing_util::RandomMatrix(300, 300, 0.004, 5)},
+  };
+  const gpusim::DeviceSpec devices[] = {gpusim::DeviceSpec::TitanXp(),
+                                        gpusim::DeviceSpec::TeslaV100(),
+                                        gpusim::DeviceSpec::Rtx2080Ti()};
+  struct Pin {
+    const char* algorithm;
+    const char* input;
+    const char* device;
+    uint64_t total_bits;
+    uint64_t expansion_bits;
+    uint64_t merge_bits;
+  };
+  const Pin pins[] = {
+      {"row-product", "powerlaw-seed3", "TITAN Xp", 0x3f41ea1b98e80a84ULL,
+       0x3f329c72c8887e9fULL, 0x3f2f28ac752ba46dULL},
+      {"row-product", "powerlaw-seed3", "Tesla V100", 0x3f43173967db7376ULL,
+       0x3f350e090ba8afddULL, 0x3f2ef9f72ab8e5b9ULL},
+      {"row-product", "powerlaw-seed3", "RTX 2080 Ti", 0x3f3fa8c490d9c477ULL,
+       0x3f32ee79765043d0ULL, 0x3f262db9d7af78e9ULL},
+      {"row-product", "powerlaw-seed8", "TITAN Xp", 0x3f4346a44255d9b2ULL,
+       0x3f34d369849d32c6ULL, 0x3f301670d15cbc6cULL},
+      {"row-product", "powerlaw-seed8", "Tesla V100", 0x3f448f9153e93e1eULL,
+       0x3f379c4873240beaULL, 0x3f2fbed80bf9583eULL},
+      {"row-product", "powerlaw-seed8", "RTX 2080 Ti", 0x3f412e1686ff5b7eULL,
+       0x3f3534eefc0a1634ULL, 0x3f27079fc685b92aULL},
+      {"row-product", "empty-rows", "TITAN Xp", 0x3f00d4a9acfc4a91ULL,
+       0x3ed183d603247789ULL, 0x3ec88bd77099a098ULL},
+      {"row-product", "empty-rows", "Tesla V100", 0x3f014073cc144b23ULL,
+       0x3ed36116c29dfceaULL, 0x3ecb8df7e3269ef2ULL},
+      {"row-product", "empty-rows", "RTX 2080 Ti", 0x3f00dd50d143bb4aULL,
+       0x3ed19f3d6899054eULL, 0x3ec8df7aea279097ULL},
+      {"outer-product", "powerlaw-seed3", "TITAN Xp", 0x3f3be94ee705595bULL,
+       0x3f25611196165155ULL, 0x3f2f28ac752ba46dULL},
+      {"outer-product", "powerlaw-seed3", "Tesla V100", 0x3f3cf8ddb2c40e09ULL,
+       0x3f27aee478067965ULL, 0x3f2ef9f72ab8e5b9ULL},
+      {"outer-product", "powerlaw-seed3", "RTX 2080 Ti", 0x3f37c5751570a233ULL,
+       0x3f26145090690e8cULL, 0x3f262db9d7af78e9ULL},
+      {"outer-product", "powerlaw-seed8", "TITAN Xp", 0x3f3ca991879db849ULL,
+       0x3f25dd61a9b93ac9ULL, 0x3f301670d15cbc6cULL},
+      {"outer-product", "powerlaw-seed8", "Tesla V100", 0x3f3d7034138af095ULL,
+       0x3f27d8b05853cbfbULL, 0x3f2fbed80bf9583eULL},
+      {"outer-product", "powerlaw-seed8", "RTX 2080 Ti", 0x3f381cbd6eb2fcf3ULL,
+       0x3f25e8fb541783ccULL, 0x3f27079fc685b92aULL},
+      {"outer-product", "empty-rows", "TITAN Xp", 0x3effd9335ef5ee0eULL,
+       0x3ec479c9a545994dULL, 0x3ec88bd77099a098ULL},
+      {"outer-product", "empty-rows", "Tesla V100", 0x3f004c5c19a325d0ULL,
+       0x3ec773cfd53b877dULL, 0x3ecb8df7e3269ef2ULL},
+      {"outer-product", "empty-rows", "RTX 2080 Ti", 0x3efff30dc1500200ULL,
+       0x3ec4f4f93e8848e2ULL, 0x3ec8df7aea279097ULL},
+      {"cusparse", "powerlaw-seed3", "TITAN Xp", 0x3f6047cab3d3a263ULL,
+       0x3f5f11571da68382ULL, 0x3f11562be5450389ULL},
+      {"cusparse", "powerlaw-seed3", "Tesla V100", 0x3f62528f0829da06ULL,
+       0x3f61b9379467a792ULL, 0x3f093a6b7afe7b5fULL},
+      {"cusparse", "powerlaw-seed3", "RTX 2080 Ti", 0x3f609187a70118e4ULL,
+       0x3f5fbc90736ce7eaULL, 0x3f0fb469dd1b1a24ULL},
+      {"cusparse", "powerlaw-seed8", "TITAN Xp", 0x3f62c86b33ca5f8aULL,
+       0x3f6208dca79fa68fULL, 0x3f116418ca900ea7ULL},
+      {"cusparse", "powerlaw-seed8", "Tesla V100", 0x3f6531fd4728d168ULL,
+       0x3f649867fa3ca073ULL, 0x3f0949e1c57e1b85ULL},
+      {"cusparse", "powerlaw-seed8", "RTX 2080 Ti", 0x3f63220287c0cb8dULL,
+       0x3f626e616f943fa5ULL, 0x3f0fccd49594d871ULL},
+      {"cusparse", "empty-rows", "TITAN Xp", 0x3f038d2855b4f969ULL,
+       0x3ee3aa856f5f09e5ULL, 0x3ec8715844f15594ULL},
+      {"cusparse", "empty-rows", "Tesla V100", 0x3f043eed07f2c2b2ULL,
+       0x3ee5b49394a73696ULL, 0x3ecb656ad3ad375cULL},
+      {"cusparse", "empty-rows", "RTX 2080 Ti", 0x3f03983629081fc8ULL,
+       0x3ee3c31f53f8eeb8ULL, 0x3ec8bfcde7bc2834ULL},
+      {"cusp", "powerlaw-seed3", "TITAN Xp", 0x3f4a2c347bbe8573ULL,
+       0x3f227118a6efe0edULL, 0x3f44be373aa9ab1fULL},
+      {"cusp", "powerlaw-seed3", "Tesla V100", 0x3f433a30312d9556ULL,
+       0x3f248be4313c4ad7ULL, 0x3f3a8b001b0b4110ULL},
+      {"cusp", "powerlaw-seed3", "RTX 2080 Ti", 0x3f48092c754156b8ULL,
+       0x3f229e28228cca6eULL, 0x3f428feb55454203ULL},
+      {"cusp", "powerlaw-seed8", "TITAN Xp", 0x3f4a8be61c4b0eceULL,
+       0x3f23521a2dbff219ULL, 0x3f44e5a87982302fULL},
+      {"cusp", "powerlaw-seed8", "Tesla V100", 0x3f4396fec65d1e21ULL,
+       0x3f259f0c6166c17dULL, 0x3f3abb092d551752ULL},
+      {"cusp", "powerlaw-seed8", "RTX 2080 Ti", 0x3f4867b8efe0597cULL,
+       0x3f238c3d599f67fcULL, 0x3f42b2f2821f9d64ULL},
+      {"cusp", "empty-rows", "TITAN Xp", 0x3f029a66deb2c267ULL,
+       0x3ed083ba439d3243ULL, 0x3edb73f10587d43eULL},
+      {"cusp", "empty-rows", "Tesla V100", 0x3f032caf53acf2faULL,
+       0x3ed23b7dffe9511fULL, 0x3ede4e70f10d39f8ULL},
+      {"cusp", "empty-rows", "RTX 2080 Ti", 0x3f02a346d2c3e2f6ULL,
+       0x3ed098ff867ddbb4ULL, 0x3edba5ab63302f49ULL},
+      {"bhsparse", "powerlaw-seed3", "TITAN Xp", 0x3f54d561354aae93ULL,
+       0x3f50872fae4c2268ULL, 0x3f2f28ac752ba46dULL},
+      {"bhsparse", "powerlaw-seed3", "Tesla V100", 0x3f55b3bbba16b7e8ULL,
+       0x3f516b60dc668392ULL, 0x3f2ef9f72ab8e5b9ULL},
+      {"bhsparse", "powerlaw-seed3", "RTX 2080 Ti", 0x3f539757feac6447ULL,
+       0x3f506884cb5d5d8cULL, 0x3f262db9d7af78e9ULL},
+      {"bhsparse", "powerlaw-seed8", "TITAN Xp", 0x3f551fb812506eefULL,
+       0x3f50b0ffe5a02836ULL, 0x3f301670d15cbc6cULL},
+      {"bhsparse", "powerlaw-seed8", "Tesla V100", 0x3f55f8eef7e84f14ULL,
+       0x3f5197f7fe100c6eULL, 0x3f2fbed80bf9583eULL},
+      {"bhsparse", "powerlaw-seed8", "RTX 2080 Ti", 0x3f53dc36d696ac11ULL,
+       0x3f509226e56cdd4eULL, 0x3f27079fc685b92aULL},
+      {"bhsparse", "empty-rows", "TITAN Xp", 0x3f018426de529573ULL,
+       0x3ed6f94e495fc008ULL, 0x3ec88bd77099a098ULL},
+      {"bhsparse", "empty-rows", "Tesla V100", 0x3f01f79b1aa528d6ULL,
+       0x3ed913dff2addbeeULL, 0x3ecb8df7e3269ef2ULL},
+      {"bhsparse", "empty-rows", "RTX 2080 Ti", 0x3f0188fddaee8851ULL,
+       0x3ed6f63471785ef7ULL, 0x3ec8df7aea279097ULL},
+      {"mkl", "powerlaw-seed3", "TITAN Xp", 0x3f37353ac33f1e56ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "powerlaw-seed3", "Tesla V100", 0x3f37353ac33f1e56ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "powerlaw-seed3", "RTX 2080 Ti", 0x3f37353ac33f1e56ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "powerlaw-seed8", "TITAN Xp", 0x3f3750f8ebac9b74ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "powerlaw-seed8", "Tesla V100", 0x3f3750f8ebac9b74ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "powerlaw-seed8", "RTX 2080 Ti", 0x3f3750f8ebac9b74ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "empty-rows", "TITAN Xp", 0x3eff95dd528620b2ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "empty-rows", "Tesla V100", 0x3eff95dd528620b2ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"mkl", "empty-rows", "RTX 2080 Ti", 0x3eff95dd528620b2ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+      {"acspgemm", "powerlaw-seed3", "TITAN Xp", 0x3f46c42304ebdd34ULL,
+       0x3f3c4f7feddd89b8ULL, 0x3f2f28ac752ba46dULL},
+      {"acspgemm", "powerlaw-seed3", "Tesla V100", 0x3f48273a6193f286ULL,
+       0x3f3f2d094c6713b4ULL, 0x3f2ef9f72ab8e5b9ULL},
+      {"acspgemm", "powerlaw-seed3", "RTX 2080 Ti", 0x3f449316da9887b8ULL,
+       0x3f3c6ae0e7f4f482ULL, 0x3f262db9d7af78e9ULL},
+      {"acspgemm", "powerlaw-seed8", "TITAN Xp", 0x3f473559fa1a858bULL,
+       0x3f3cafd34173f02fULL, 0x3f301670d15cbc6cULL},
+      {"acspgemm", "powerlaw-seed8", "Tesla V100", 0x3f488d7d30e57734ULL,
+       0x3f3f971e7a69e3ceULL, 0x3f2fbed80bf9583eULL},
+      {"acspgemm", "powerlaw-seed8", "RTX 2080 Ti", 0x3f44f9e907b4c410ULL,
+       0x3f3ccb924ac24d11ULL, 0x3f27079fc685b92aULL},
+      {"acspgemm", "empty-rows", "TITAN Xp", 0x3f00f1a699eb07e7ULL,
+       0x3ed2654c262353a7ULL, 0x3ec88bd77099a098ULL},
+      {"acspgemm", "empty-rows", "Tesla V100", 0x3f015bf87465cf2cULL,
+       0x3ed436cac0b30e9eULL, 0x3ecb8df7e3269ef2ULL},
+      {"acspgemm", "empty-rows", "RTX 2080 Ti", 0x3f00f87ad637d162ULL,
+       0x3ed2721c4bc2a780ULL, 0x3ec8df7aea279097ULL},
+      {"nsparse", "powerlaw-seed3", "TITAN Xp", 0x3f1e3edc217a03c4ULL,
+       0x3f1481e213c96f45ULL, 0x0000000000000000ULL},
+      {"nsparse", "powerlaw-seed3", "Tesla V100", 0x3f17f7a69549e799ULL,
+       0x3f0d3433a0baca85ULL, 0x0000000000000000ULL},
+      {"nsparse", "powerlaw-seed3", "RTX 2080 Ti", 0x3f1c39cd15b1bf16ULL,
+       0x3f12a5055a49e39cULL, 0x0000000000000000ULL},
+      {"nsparse", "powerlaw-seed8", "TITAN Xp", 0x3f202e1e9e7064eaULL,
+       0x3f1697dc84d0ad9bULL, 0x0000000000000000ULL},
+      {"nsparse", "powerlaw-seed8", "Tesla V100", 0x3f193cada7fbd09dULL,
+       0x3f0fb511c7ae7d3aULL, 0x0000000000000000ULL},
+      {"nsparse", "powerlaw-seed8", "RTX 2080 Ti", 0x3f1e120319d3ba80ULL,
+       0x3f1476a31ee7dea2ULL, 0x0000000000000000ULL},
+      {"nsparse", "empty-rows", "TITAN Xp", 0x3eff137307ff0c62ULL,
+       0x3ec5317a6111ee4dULL, 0x0000000000000000ULL},
+      {"nsparse", "empty-rows", "Tesla V100", 0x3effc40bb76d021eULL,
+       0x3ec82c5c792358b2ULL, 0x0000000000000000ULL},
+      {"nsparse", "empty-rows", "RTX 2080 Ti", 0x3eff2d29cbb94ae8ULL,
+       0x3ec598a41c14ef14ULL, 0x0000000000000000ULL},
+  };
+  ASSERT_EQ(std::size(pins), 8u * std::size(inputs) * std::size(devices));
+  size_t next = 0;
+  for (const char* algorithm :
+       {"row-product", "outer-product", "cusparse", "cusp", "bhsparse", "mkl",
+        "acspgemm", "nsparse"}) {
+    auto alg = spgemm::AlgorithmRegistry::Global().Create(algorithm);
+    ASSERT_TRUE(alg.ok());
+    for (const Input& input : inputs) {
+      for (const gpusim::DeviceSpec& device : devices) {
+        const Pin& pin = pins[next++];
+        SCOPED_TRACE(std::string(algorithm) + " on " + input.name + " on " +
+                     device.name);
+        ASSERT_EQ(std::string(pin.algorithm), algorithm);
+        ASSERT_EQ(std::string(pin.input), input.name);
+        ASSERT_EQ(pin.device, device.name);
+        auto measured = spgemm::Measure(**alg, input.a, input.a, device);
+        ASSERT_TRUE(measured.ok());
+        EXPECT_EQ(Bits(measured->total_seconds), pin.total_bits);
+        EXPECT_EQ(Bits(measured->expansion.seconds), pin.expansion_bits);
+        EXPECT_EQ(Bits(measured->merge.seconds), pin.merge_bits);
+        if (std::string(algorithm) != "row-product" ||
+            std::string(input.name) == "empty-rows") {
+          continue;
+        }
+        auto plan = (*alg)->Plan(input.a, input.a, device);
+        ASSERT_TRUE(plan.ok());
+        int64_t off_chip = 0;
+        for (const gpusim::KernelDesc& k : plan->kernels) {
+          if (k.phase != gpusim::Phase::kMerge) continue;
+          for (const gpusim::ThreadBlockDesc& tb : k.blocks) {
+            if (!tb.atomics_in_shared && tb.atomic_ops > 0) ++off_chip;
+          }
+        }
+        EXPECT_GT(off_chip, 100);
       }
     }
   }

@@ -289,18 +289,55 @@ TEST(InvariantsTest, DetectsCorruptedGatherPlan) {
                                       gather, config.block_size)
                   .ok());
 
-  if (!gather.blocks.empty()) {
+  if (gather.num_blocks() > 0) {
     // A dropped pair breaks the partition property.
-    core::CombinedBlock& block = gather.blocks.front();
-    ASSERT_FALSE(block.pairs.empty());
-    block.pairs.pop_back();
-    gather.gathered_pairs -= 1;
+    gather.pairs.pop_back();
+    gather.block_offsets.back() -= 1;
+    if (gather.block_offsets.back() ==
+        gather.block_offsets[gather.block_offsets.size() - 2]) {
+      gather.block_offsets.pop_back();
+      gather.micro_threads.pop_back();
+    }
   } else {
     gather.ungathered.pop_back();
   }
   EXPECT_FALSE(verify::CheckGatherPlan(workload, classes.low_performers,
                                        gather, config.block_size)
                    .ok());
+}
+
+TEST(InvariantsTest, DetectsGatherPlanOutOfWorkOrder) {
+  const CsrMatrix a = SmallMatrix();
+  const spgemm::Workload workload = spgemm::BuildWorkload(a, a);
+  core::ReorganizerConfig config;
+  const core::Classification classes = core::Classify(workload, config);
+  core::GatherPlan gather =
+      core::BuildGatherPlan(workload, classes.low_performers, config);
+  ASSERT_TRUE(verify::CheckGatherPlan(workload, classes.low_performers,
+                                      gather, config.block_size)
+                  .ok());
+
+  // Swap two neighbours of one block whose a_col_nnz differ: the
+  // partition, quotas and capacities all still hold, only the order breaks.
+  auto work = [&](sparse::Index pair) {
+    return workload.a_col_nnz[static_cast<size_t>(pair)];
+  };
+  bool swapped = false;
+  for (size_t b = 0; b < gather.num_blocks() && !swapped; ++b) {
+    for (int64_t k = gather.block_offsets[b];
+         k + 1 < gather.block_offsets[b + 1] && !swapped; ++k) {
+      sparse::Index& x = gather.pairs[static_cast<size_t>(k)];
+      sparse::Index& y = gather.pairs[static_cast<size_t>(k) + 1];
+      if (work(x) == work(y)) continue;
+      std::swap(x, y);
+      swapped = true;
+    }
+  }
+  ASSERT_TRUE(swapped) << "no block holds two pairs of different work";
+  const Status s = verify::CheckGatherPlan(workload, classes.low_performers,
+                                           gather, config.block_size);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("a_col_nnz"), std::string::npos) << s.message();
 }
 
 // ---------------------------------------------------------------------------
