@@ -3,8 +3,8 @@
 //
 // The estimation tier replaces the exact precalculation (a full C-hat
 // row gather, O(flops)) with a deterministic row sample plus guaranteed
-// upper/lower bands, falling back to exact recounts only where a band
-// straddles a classification threshold. This bench measures what that
+// upper/lower row bands, rescanning exactly only the rows whose band
+// straddles the limiting threshold. This bench measures what that
 // buys and what it costs, per generator family:
 //
 //   precalc ms     wall-clock of the tier-specific planning phase alone
@@ -134,10 +134,8 @@ TierResult RunTier(const sparse::CsrMatrix& matrix,
       const core::Classification c = core::Classify(w, config);
       SPNET_CHECK(c.dominator_threshold >= 1);
     } else {
-      spgemm::EstimatorOptions estimator;
-      estimator.sample_fraction = config.estimator_sample_fraction;
       spgemm::EstimatedWorkload est =
-          spgemm::BuildWorkloadEstimated(matrix, matrix, estimator);
+          spgemm::BuildWorkloadEstimated(matrix, matrix);
       const core::Classification c =
           core::ClassifyEstimated(&est, matrix, matrix, config);
       SPNET_CHECK(c.dominator_threshold >= 1);

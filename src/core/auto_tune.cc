@@ -24,26 +24,11 @@ Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
   // sampled estimator's point workload approximates well when enough of
   // the mass was observed exactly. Only a low-confidence sample pays for
   // the exact precalculation.
-  spgemm::Workload tiered;
-  bool estimated = false;
-  if (options.try_estimated_first) {
-    spgemm::EstimatorOptions estimator;
-    estimator.sample_fraction = options.estimator_sample_fraction;
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, estimator);
-    if (est.confidence >= options.min_estimate_confidence) {
-      tiered = std::move(est.workload);
-      estimated = true;
-    }
-  }
-  if (!estimated) {
-    tiered = spgemm::BuildWorkload(a, b);
-  }
-  const spgemm::Workload& workload = tiered;
-  if (estimated) {
-    config.planning_tier = PlanningTier::kEstimated;
-    config.estimator_sample_fraction = options.estimator_sample_fraction;
-  }
+  spgemm::EstimatedWorkload est = spgemm::BuildWorkloadEstimated(a, b);
+  const bool estimated = est.confidence >= kMinEstimateConfidence;
+  if (estimated) config.planning_tier = PlanningTier::kEstimated;
+  const spgemm::Workload workload =
+      estimated ? std::move(est.workload) : spgemm::BuildWorkload(a, b);
   if (workload.flops == 0) {
     return config;
   }

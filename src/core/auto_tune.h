@@ -29,21 +29,15 @@ struct AutoTuneOptions {
   double max_alpha = 256.0;
   double min_beta = 2.0;
   double max_beta = 64.0;
-  /// Cheap tier first: derive the thresholds from the sampled workload
-  /// estimator (spgemm::BuildWorkloadEstimated) when its confidence
-  /// reaches min_estimate_confidence, and only fall back to the exact
-  /// precalculation below that. A config tuned from estimates also ships
-  /// with planning_tier = kEstimated so planning itself stays on the
-  /// cheap tier.
-  bool try_estimated_first = true;
-  double estimator_sample_fraction = 0.05;
-  double min_estimate_confidence = 0.5;
 };
 
 /// Returns a ReorganizerConfig whose alpha/beta are tuned for C = A*B on
-/// `device`. All other fields keep their defaults (except planning_tier,
-/// which is kEstimated when the tuning itself ran on the estimator — see
-/// AutoTuneOptions::try_estimated_first).
+/// `device`. Cheap tier first: the thresholds come from the sampled
+/// workload estimator (spgemm::BuildWorkloadEstimated) when its
+/// confidence reaches kMinEstimateConfidence, and from the exact
+/// precalculation below that. A config tuned from estimates ships with
+/// planning_tier = kEstimated so planning itself stays on the cheap tier;
+/// all other fields keep their defaults.
 Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const gpusim::DeviceSpec& device,

@@ -43,7 +43,6 @@ ThreadBlockDesc MakeGatheredBlock(const Workload& workload,
   const int64_t lanes = static_cast<int64_t>(pairs.size()) * micro_threads;
   tb.threads = static_cast<int>(
       std::min<int64_t>(block_size, std::max<int64_t>(32, NextPow2(lanes))));
-  tb.gathered_partitions = static_cast<int>(pairs.size());
 
   const int micro_per_warp = std::max(1, 32 / micro_threads);
   int64_t effective = 0;
@@ -155,15 +154,13 @@ Result<BlockReorganizerSpGemm::Prepared> BlockReorganizerSpGemm::Prepare(
 
   bool exact = config_.planning_tier == PlanningTier::kExact;
   if (!exact) {
-    spgemm::EstimatorOptions options;
-    options.sample_fraction = config_.estimator_sample_fraction;
     spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(*pa, *pb, options, ctx);
+        spgemm::BuildWorkloadEstimated(*pa, *pb, {}, ctx);
     prep.classes = ClassifyEstimated(&est, *pa, *pb, config_, ctx);
     prep.confidence = est.confidence;
     prep.workload = std::move(est.workload);
     if (config_.planning_tier == PlanningTier::kAuto &&
-        prep.confidence < config_.min_plan_confidence) {
+        prep.confidence < kMinEstimateConfidence) {
       spgemm::AddCounter(ctx, "reorganizer.tier_fallback_exact", 1);
       exact = true;
     }

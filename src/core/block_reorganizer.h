@@ -72,8 +72,8 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
 
   /// The paper's one pre-process pass, shared by Plan, Analyze and
   /// Compute: the config's reorder pre-pass, the configured planning tier
-  /// (exact precalculation, or the sampled estimator with per-entry exact
-  /// fallback; kAuto rebuilds exactly below `min_plan_confidence`), the
+  /// (exact precalculation, or the sampled estimator with exact row
+  /// rescans; kAuto rebuilds exactly below kMinEstimateConfidence), the
   /// bins, and the split and gather plans of non-empty bins.
   Result<Prepared> Prepare(const sparse::CsrMatrix& a,
                            const sparse::CsrMatrix& b,

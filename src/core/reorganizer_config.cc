@@ -80,16 +80,6 @@ Status ReorganizerConfig::Validate() const {
       planning_tier != PlanningTier::kAuto) {
     return Status::InvalidArgument("planning_tier is not a known tier");
   }
-  if (!(estimator_sample_fraction > 0.0) || estimator_sample_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "estimator_sample_fraction must be in (0, 1], got " +
-        std::to_string(estimator_sample_fraction));
-  }
-  if (!(min_plan_confidence >= 0.0) || min_plan_confidence > 1.0) {
-    return Status::InvalidArgument(
-        "min_plan_confidence must be in [0, 1], got " +
-        std::to_string(min_plan_confidence));
-  }
   if (reorder != sparse::ReorderStrategy::kNone &&
       reorder != sparse::ReorderStrategy::kDegree &&
       reorder != sparse::ReorderStrategy::kRcm &&
@@ -110,8 +100,6 @@ uint64_t ReorganizerConfig::Fingerprint() const {
   h = FnvMix(h, static_cast<uint64_t>(limiting_extra_shmem));
   h = FnvMix(h, static_cast<uint64_t>(block_size));
   h = FnvMix(h, static_cast<uint64_t>(planning_tier));
-  h = FnvMixDouble(h, estimator_sample_fraction);
-  h = FnvMixDouble(h, min_plan_confidence);
   h = FnvMix(h, static_cast<uint64_t>(reorder));
   return h;
 }

@@ -13,15 +13,19 @@ namespace core {
 /// How the planner precalculates the C-hat workload before classifying.
 ///   * kExact: the paper's full block-wise + row-wise precalculation.
 ///   * kEstimated: sampled estimation (spgemm::BuildWorkloadEstimated) with
-///     per-entry exact fallback only where a confidence band straddles a
-///     classification threshold — the OCEAN-style cheap tier.
+///     an exact rescan only of the rows whose band straddles the limiting
+///     threshold — the OCEAN-style cheap tier.
 ///   * kAuto: estimated first; rebuilt exactly when the resulting plan
-///     confidence falls below `min_plan_confidence`.
+///     confidence falls below kMinEstimateConfidence.
 enum class PlanningTier {
   kExact = 0,
   kEstimated = 1,
   kAuto = 2,
 };
+
+/// The confidence floor of the estimated tier: below it, kAuto rebuilds
+/// exactly and AutoTune tunes from the exact workload.
+inline constexpr double kMinEstimateConfidence = 0.5;
 
 /// Canonical flag spelling ("exact" | "estimated" | "auto").
 const char* PlanningTierName(PlanningTier tier);
@@ -70,14 +74,6 @@ struct ReorganizerConfig {
   /// under kEstimated no exact workload is built anywhere.
   PlanningTier planning_tier = PlanningTier::kExact;
 
-  /// Fraction of A's rows the estimated tier scans exactly (the sampled
-  /// rows anchor the confidence bands). Must be in (0, 1].
-  double estimator_sample_fraction = 0.05;
-
-  /// Below this plan confidence the kAuto tier falls back to exact
-  /// precalculation. Must be in [0, 1].
-  double min_plan_confidence = 0.5;
-
   /// Structural reordering pre-pass (sparse::BuildRowPermutation) applied
   /// before planning and execution: A's rows and B's columns are permuted,
   /// the product is computed in the permuted space, and the inverse
@@ -90,8 +86,8 @@ struct ReorganizerConfig {
   /// Checks the knobs are usable before an algorithm is built around
   /// them: alpha/beta strictly positive, splitting_factor_override zero
   /// (heuristic) or a power of two, limiting_extra_shmem non-negative,
-  /// block_size a positive multiple of the 32-lane warp, the estimator
-  /// fraction in (0, 1] and the confidence floor in [0, 1].
+  /// block_size a positive multiple of the 32-lane warp, and known
+  /// planning tier and reorder strategy.
   /// MakeBlockReorganizer and AutoTune refuse invalid configs with this
   /// Status instead of silently running with nonsense thresholds.
   Status Validate() const;

@@ -1,7 +1,6 @@
 #include "core/workload_classifier.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/math_util.h"
@@ -43,56 +42,60 @@ int64_t ThresholdFromMean(double multiplier, double mean) {
   return static_cast<int64_t>(t);
 }
 
-}  // namespace
+/// The mean-multiplier thresholds: alpha and beta times the mean work of
+/// the nonzero pairs and of the nonzero rows.
+struct Thresholds {
+  int64_t nonzero_pairs = 0;
+  int64_t dominator = 0;
+  int64_t limit_row = 0;
+};
 
-Classification Classify(const spgemm::Workload& workload,
-                        const ReorganizerConfig& config,
-                        spgemm::ExecContext* ctx) {
-  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "classify");
+int64_t CountPositive(const std::vector<int64_t>& values, ThreadPool& pool) {
+  const int64_t n = static_cast<int64_t>(values.size());
+  return pool.ParallelReduce(
+      0, n, GrainForItems(n, pool.threads()), int64_t{0},
+      [&](int64_t begin, int64_t end, int) {
+        int64_t count = 0;
+        for (int64_t i = begin; i < end; ++i) {
+          if (values[static_cast<size_t>(i)] > 0) ++count;
+        }
+        return count;
+      },
+      [](int64_t acc, int64_t partial) { return acc + partial; });
+}
+
+double MeanOver(int64_t total, int64_t count) {
+  return count > 0 ? static_cast<double>(total) / static_cast<double>(count)
+                   : 0.0;
+}
+
+Thresholds ComputeThresholds(const spgemm::Workload& workload,
+                             const ReorganizerConfig& config,
+                             ThreadPool& pool) {
+  Thresholds t;
+  t.nonzero_pairs = CountPositive(workload.pair_work, pool);
+  t.dominator = ThresholdFromMean(
+      config.alpha, MeanOver(workload.flops, t.nonzero_pairs));
+  t.limit_row = ThresholdFromMean(
+      config.beta,
+      MeanOver(workload.flops, CountPositive(workload.row_chat, pool)));
+  return t;
+}
+
+/// Bins every nonzero pair and selects the limited rows under `t`, then
+/// publishes the classifier.* gauges.
+Classification Bin(const spgemm::Workload& workload, const Thresholds& t,
+                   ThreadPool& pool, spgemm::ExecContext* ctx) {
   Classification c;
-  ThreadPool& pool = GlobalThreadPool();
+  c.dominator_threshold = t.dominator;
+  c.limit_row_threshold = t.limit_row;
   const int64_t pairs = static_cast<int64_t>(workload.pair_work.size());
   const int64_t rows = static_cast<int64_t>(workload.row_chat.size());
-  const int64_t pair_grain = GrainForItems(pairs, pool.threads());
-  const int64_t row_grain = GrainForItems(rows, pool.threads());
-
-  const int64_t nonzero_pairs = pool.ParallelReduce(
-      0, pairs, pair_grain, int64_t{0},
-      [&](int64_t begin, int64_t end, int) {
-        int64_t n = 0;
-        for (int64_t i = begin; i < end; ++i) {
-          if (workload.pair_work[static_cast<size_t>(i)] > 0) ++n;
-        }
-        return n;
-      },
-      [](int64_t acc, int64_t partial) { return acc + partial; });
-  const double mean_pair_work =
-      nonzero_pairs > 0
-          ? static_cast<double>(workload.flops) /
-                static_cast<double>(nonzero_pairs)
-          : 0.0;
-  c.dominator_threshold = ThresholdFromMean(config.alpha, mean_pair_work);
-
-  const int64_t nonzero_rows = pool.ParallelReduce(
-      0, rows, row_grain, int64_t{0},
-      [&](int64_t begin, int64_t end, int) {
-        int64_t n = 0;
-        for (int64_t r = begin; r < end; ++r) {
-          if (workload.row_chat[static_cast<size_t>(r)] > 0) ++n;
-        }
-        return n;
-      },
-      [](int64_t acc, int64_t partial) { return acc + partial; });
-  const double mean_row_chat =
-      nonzero_rows > 0 ? static_cast<double>(workload.flops) /
-                             static_cast<double>(nonzero_rows)
-                       : 0.0;
-  c.limit_row_threshold = ThresholdFromMean(config.beta, mean_row_chat);
 
   // Bucket the pairs and rows chunk-locally, then concatenate the chunks
   // in range order — the same sequence the serial scan produced.
   ChunkBuckets buckets = pool.ParallelReduce(
-      0, pairs, pair_grain, ChunkBuckets{},
+      0, pairs, GrainForItems(pairs, pool.threads()), ChunkBuckets{},
       [&](int64_t begin, int64_t end, int) {
         ChunkBuckets local;
         for (int64_t i = begin; i < end; ++i) {
@@ -120,7 +123,7 @@ Classification Classify(const spgemm::Workload& workload,
   c.normals = std::move(buckets.normals);
 
   c.limited_rows = pool.ParallelReduce(
-      0, rows, row_grain, std::vector<Index>{},
+      0, rows, GrainForItems(rows, pool.threads()), std::vector<Index>{},
       [&](int64_t begin, int64_t end, int) {
         std::vector<Index> local;
         for (int64_t r = begin; r < end; ++r) {
@@ -137,7 +140,7 @@ Classification Classify(const spgemm::Workload& workload,
       });
 
   spgemm::SetGauge(ctx, "classifier.nonzero_pairs",
-                   static_cast<double>(nonzero_pairs));
+                   static_cast<double>(t.nonzero_pairs));
   spgemm::SetGauge(ctx, "classifier.dominators",
                    static_cast<double>(c.dominators.size()));
   spgemm::SetGauge(ctx, "classifier.low_performers",
@@ -153,160 +156,46 @@ Classification Classify(const spgemm::Workload& workload,
   return c;
 }
 
+}  // namespace
+
+Classification Classify(const spgemm::Workload& workload,
+                        const ReorganizerConfig& config,
+                        spgemm::ExecContext* ctx) {
+  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "classify");
+  ThreadPool& pool = GlobalThreadPool();
+  return Bin(workload, ComputeThresholds(workload, config, pool), pool, ctx);
+}
+
 Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
                                  const sparse::CsrMatrix& a,
                                  const sparse::CsrMatrix& b,
                                  const ReorganizerConfig& config,
                                  spgemm::ExecContext* ctx) {
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "classify-estimated");
-  Classification c;
   spgemm::Workload& w = est->workload;
   ThreadPool& pool = GlobalThreadPool();
-  const int64_t pairs = static_cast<int64_t>(w.pair_work.size());
-  const int64_t rows = static_cast<int64_t>(w.row_chat.size());
-  const int64_t rows_b = b.rows();
-  const int64_t pair_grain = GrainForItems(pairs, pool.threads());
-  const int64_t row_grain = GrainForItems(rows, pool.threads());
+  const Thresholds t = ComputeThresholds(w, config, pool);
 
-  // Thresholds from the estimated totals — the same mean-multiplier rule
-  // as the exact tier, fed the sampled flops and the scaled population
-  // estimates.
-  const double mean_pair_work =
-      est->estimated_nonzero_pairs > 0
-          ? static_cast<double>(w.flops) /
-                static_cast<double>(est->estimated_nonzero_pairs)
-          : 0.0;
-  c.dominator_threshold = ThresholdFromMean(config.alpha, mean_pair_work);
-  const double mean_row_chat =
-      est->estimated_nonzero_rows > 0
-          ? static_cast<double>(w.flops) /
-                static_cast<double>(est->estimated_nonzero_rows)
-          : 0.0;
-  c.limit_row_threshold = ThresholdFromMean(config.beta, mean_row_chat);
-
-  // --- Pair-side fallback: exact recount of straddling columns. -----------
-  // A band straddles when lo <= threshold < hi; entirely-above or
-  // entirely-below bands decide the class without exact work.
-  const std::vector<Index> straddle_cols = pool.ParallelReduce(
-      0, pairs, pair_grain, std::vector<Index>{},
-      [&](int64_t begin, int64_t end, int) {
-        std::vector<Index> local;
-        for (int64_t i = begin; i < end; ++i) {
-          const int64_t lo = est->pair_work_lo[static_cast<size_t>(i)];
-          const int64_t hi = est->pair_work_hi[static_cast<size_t>(i)];
-          if (lo < hi && lo <= c.dominator_threshold &&
-              hi > c.dominator_threshold) {
-            local.push_back(static_cast<Index>(i));
-          }
-        }
-        return local;
-      },
-      [](std::vector<Index> acc, std::vector<Index> partial) {
-        AppendTo(&acc, partial);
-        return acc;
-      });
-  if (!straddle_cols.empty()) {
-    // One flagged histogram pass over A's indices recounts every
-    // straddling column exactly — the dominators' share of the exact
-    // block-wise precalculation, nothing more.
-    std::vector<uint8_t> flagged(w.pair_work.size(), 0);
-    for (Index i : straddle_cols) flagged[static_cast<size_t>(i)] = 1;
-    const int64_t nnz = static_cast<int64_t>(a.indices().size());
-    std::vector<int64_t> exact_count(w.pair_work.size(), 0);
-    if (nnz > 0) {
-      const int64_t grain = GrainForChunkPerThread(nnz, pool.threads());
-      const int64_t num_chunks = CeilDiv(nnz, grain);
-      std::vector<std::vector<int64_t>> hist(static_cast<size_t>(num_chunks));
-      SPNET_CHECK_OK(pool.ParallelFor(0, nnz, grain,
-                       [&](int64_t begin, int64_t end, int) {
-                         std::vector<int64_t>& h =
-                             hist[static_cast<size_t>(begin / grain)];
-                         h.assign(w.pair_work.size(), 0);
-                         for (int64_t k = begin; k < end; ++k) {
-                           const size_t col = static_cast<size_t>(
-                               a.indices()[static_cast<size_t>(k)]);
-                           if (flagged[col] != 0) h[col]++;
-                         }
-                         return Status::Ok();
-                       }));
-      SPNET_CHECK_OK(pool.ParallelFor(
-          0, static_cast<int64_t>(straddle_cols.size()),
-          GrainForItems(static_cast<int64_t>(straddle_cols.size()),
-                        pool.threads()),
-          [&](int64_t begin, int64_t end, int) {
-            for (int64_t s = begin; s < end; ++s) {
-              const size_t col =
-                  static_cast<size_t>(straddle_cols[static_cast<size_t>(s)]);
-              int64_t sum = 0;
-              for (const auto& h : hist) sum += h[col];
-              exact_count[col] = sum;
-            }
-            return Status::Ok();
-          }));
-    }
-    for (Index i : straddle_cols) {
-      const size_t col = static_cast<size_t>(i);
-      const int64_t brow =
-          i < rows_b ? w.b_row_nnz[col] : 0;
-      bool sat = false;
-      const int64_t work = SatMulI64(exact_count[col], brow, &sat);
-      if (sat) ++w.saturated;
-      w.a_col_nnz[col] = exact_count[col];
-      w.pair_work[col] = work;
-      est->pair_work_lo[col] = work;
-      est->pair_work_hi[col] = work;
-    }
-  }
-
-  // --- Bucket the pairs in chunk order (post-patch, no straddle left). ----
-  ChunkBuckets buckets = pool.ParallelReduce(
-      0, pairs, pair_grain, ChunkBuckets{},
-      [&](int64_t begin, int64_t end, int) {
-        ChunkBuckets local;
-        for (int64_t i = begin; i < end; ++i) {
-          const size_t ii = static_cast<size_t>(i);
-          const int64_t lo = est->pair_work_lo[ii];
-          const int64_t hi = est->pair_work_hi[ii];
-          if (hi <= 0) continue;  // provably zero work
-          if (lo == hi && w.pair_work[ii] == 0) continue;  // known-zero
-          const Index pair = static_cast<Index>(i);
-          if (lo > c.dominator_threshold) {
-            local.dominators.push_back(pair);
-          } else if (i < rows_b && w.b_row_nnz[ii] < 32) {
-            local.low_performers.push_back(pair);
-          } else {
-            local.normals.push_back(pair);
-          }
-        }
-        return local;
-      },
-      [](ChunkBuckets acc, ChunkBuckets partial) {
-        AppendTo(&acc.dominators, partial.dominators);
-        AppendTo(&acc.low_performers, partial.low_performers);
-        AppendTo(&acc.normals, partial.normals);
-        return acc;
-      });
-  c.dominators = std::move(buckets.dominators);
-  c.low_performers = std::move(buckets.low_performers);
-  c.normals = std::move(buckets.normals);
-
-  // --- Row-side fallback: per-row exact rescans. --------------------------
-  struct RowFallback {
+  // Rescan exactly every row whose band straddles the limiting threshold
+  // (lo <= threshold < hi). A band that clears it decides the row alone:
+  // the point estimate lies inside its band, so it falls on the same side
+  // as the exact value.
+  struct Rescans {
     int64_t rows = 0;
     int64_t gained_mass = 0;
   };
-  const double cols_b = static_cast<double>(b.cols());
-  const int64_t cols_b_i64 = b.cols();
-  const RowFallback fallback = pool.ParallelReduce(
-      0, rows, row_grain, RowFallback{},
+  const int64_t rows = static_cast<int64_t>(w.row_chat.size());
+  const int64_t rows_b = static_cast<int64_t>(w.b_row_nnz.size());
+  const Rescans rescans = pool.ParallelReduce(
+      0, rows, GrainForItems(rows, pool.threads()), Rescans{},
       [&](int64_t begin, int64_t end, int) {
-        RowFallback f;
+        Rescans f;
         for (int64_t r = begin; r < end; ++r) {
           const size_t ri = static_cast<size_t>(r);
           if (est->row_exact[ri] != 0) continue;
-          if (est->row_chat_lo[ri] > c.limit_row_threshold ||
-              est->row_chat_hi[ri] <= c.limit_row_threshold) {
-            continue;  // band clears the threshold, estimate suffices
+          if (est->row_chat_lo[ri] > t.limit_row ||
+              est->row_chat_hi[ri] <= t.limit_row) {
+            continue;
           }
           const sparse::SpanView row = a.Row(static_cast<Index>(r));
           int64_t chat = 0;
@@ -318,7 +207,6 @@ Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
                                &sat);
             }
           }
-          (void)sat;
           // The rescan converts this row's unknown mass into exact mass.
           // The row's prior exact share is not retrievable here, but it is
           // at most the old lower bound, so crediting chat - lo can only
@@ -328,79 +216,33 @@ Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
               f.gained_mass, std::max<int64_t>(0, chat - est->row_chat_lo[ri]),
               &sat);
           w.row_chat[ri] = chat;
+          w.row_c_est[ri] = spgemm::EstimateMergedRowNnz(chat, b.cols());
           est->row_chat_lo[ri] = chat;
           est->row_chat_hi[ri] = chat;
           est->row_exact[ri] = 1;
-          // Keep the merged-row estimate consistent with the exact chat.
-          int64_t e = 0;
-          if (chat > 0 && cols_b_i64 > 0) {
-            const double f_chat = static_cast<double>(chat);
-            double unique = cols_b * (1.0 - std::exp(-f_chat / cols_b));
-            unique = std::min(unique, f_chat);
-            e = std::max<int64_t>(1,
-                                  static_cast<int64_t>(std::llround(unique)));
-            e = std::min(e, std::min(chat, cols_b_i64));
-          }
-          w.row_c_est[ri] = e;
           ++f.rows;
         }
         return f;
       },
-      [](RowFallback acc, RowFallback p) {
-        bool sat = false;
+      [](Rescans acc, Rescans p) {
         acc.rows += p.rows;
-        acc.gained_mass = SatAddI64(acc.gained_mass, p.gained_mass, &sat);
-        (void)sat;
-        return acc;
-      });
-  const int64_t fallback_rows = fallback.rows;
-
-  c.limited_rows = pool.ParallelReduce(
-      0, rows, row_grain, std::vector<Index>{},
-      [&](int64_t begin, int64_t end, int) {
-        std::vector<Index> local;
-        for (int64_t r = begin; r < end; ++r) {
-          if (est->row_chat_lo[static_cast<size_t>(r)] >
-              c.limit_row_threshold) {
-            local.push_back(static_cast<Index>(r));
-          }
-        }
-        return local;
-      },
-      [](std::vector<Index> acc, std::vector<Index> partial) {
-        AppendTo(&acc, partial);
+        acc.gained_mass = SatAddI64(acc.gained_mass, p.gained_mass);
         return acc;
       });
 
-  // Refresh the confidence: fallback rescans converted estimated mass into
+  // Refresh the confidence: the rescans converted estimated mass into
   // exact mass, so a plan built from this classification is admitted (or
-  // refused) by the cache on post-fallback numbers. The denominator
-  // (flops) is exact and unchanged; the numerator grows by the mass the
-  // rescans pinned down.
-  est->exact_mass = SatAddI64(est->exact_mass, fallback.gained_mass);
+  // refused) by the cache on post-rescan numbers. The denominator (flops)
+  // is exact and unchanged.
+  est->exact_mass = SatAddI64(est->exact_mass, rescans.gained_mass);
   est->confidence =
       w.flops > 0 ? std::min(1.0, static_cast<double>(est->exact_mass) /
                                       static_cast<double>(w.flops))
                   : 1.0;
 
-  spgemm::SetGauge(ctx, "classifier.nonzero_pairs",
-                   static_cast<double>(est->estimated_nonzero_pairs));
-  spgemm::SetGauge(ctx, "classifier.dominators",
-                   static_cast<double>(c.dominators.size()));
-  spgemm::SetGauge(ctx, "classifier.low_performers",
-                   static_cast<double>(c.low_performers.size()));
-  spgemm::SetGauge(ctx, "classifier.normals",
-                   static_cast<double>(c.normals.size()));
-  spgemm::SetGauge(ctx, "classifier.limited_rows",
-                   static_cast<double>(c.limited_rows.size()));
-  spgemm::SetGauge(ctx, "classifier.dominator_threshold",
-                   static_cast<double>(c.dominator_threshold));
-  spgemm::SetGauge(ctx, "classifier.limit_row_threshold",
-                   static_cast<double>(c.limit_row_threshold));
-  spgemm::SetGauge(ctx, "classifier.estimated_fallback_pairs",
-                   static_cast<double>(straddle_cols.size()));
+  Classification c = Bin(w, t, pool, ctx);
   spgemm::SetGauge(ctx, "classifier.estimated_fallback_rows",
-                   static_cast<double>(fallback_rows));
+                   static_cast<double>(rescans.rows));
   spgemm::SetGauge(ctx, "classifier.estimated_confidence", est->confidence);
   return c;
 }

@@ -50,21 +50,20 @@ Classification Classify(const spgemm::Workload& workload,
                         const ReorganizerConfig& config,
                         spgemm::ExecContext* ctx = nullptr);
 
-/// Classifies from a sampled estimate (spgemm::BuildWorkloadEstimated)
-/// instead of the exact precalculation. Thresholds come from the estimated
-/// totals; an entry whose guaranteed band clears a threshold is classified
-/// without ever computing its exact value, and exact precalculation runs
-/// only for the entries whose band straddles the threshold (a flagged
-/// column recount over A's indices for pairs, a per-row rescan for rows).
+/// Classifies from a sampled estimate (spgemm::BuildWorkloadEstimated):
+/// Classify plus one step. The thresholds come from the estimate's point
+/// workload by the same rule, and its pair side is exact, so the three
+/// pair bins equal the exact tier's. Before binning, every row whose band
+/// straddles the limiting threshold is rescanned exactly; any other band
+/// lies wholly on one side of the threshold, and so do its point estimate
+/// and its exact value.
 ///
-/// `est` is patched in place: fallback entries get their exact values with
-/// collapsed bands, and est->confidence is refreshed to the post-fallback
-/// exact-mass fraction. The result relates to the exact classification by
-/// verify::CheckEstimatedClassification — wherever a band did not straddle
-/// the chosen threshold, the class equals the exact tier's class under the
-/// same thresholds. Pairs whose band upper bound is positive but whose
-/// exact work is zero may appear as phantom low performers / normals;
-/// those expand zero products downstream, never wrong ones.
+/// `est` is patched in place: rescanned rows get their exact values with
+/// collapsed bands, and est->confidence is refreshed to the post-rescan
+/// exact-mass fraction. The result satisfies
+/// verify::CheckEstimatedClassification. With a context, records a
+/// "classify-estimated" span, Classify's gauges, and
+/// classifier.estimated_fallback_rows / classifier.estimated_confidence.
 Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
                                  const sparse::CsrMatrix& a,
                                  const sparse::CsrMatrix& b,

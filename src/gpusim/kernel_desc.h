@@ -58,10 +58,6 @@ struct ThreadBlockDesc {
   /// and avoid L2 residency contention entirely. Long output rows cannot
   /// do this — they are the B-Limiting targets.
   bool atomics_in_shared = false;
-
-  /// For gathered blocks: how many micro-blocks are packed here. Purely
-  /// informational for stats.
-  int gathered_partitions = 1;
 };
 
 /// One kernel launch: an ordered list of thread blocks dispatched to the

@@ -37,7 +37,6 @@ int64_t ClampToBand(double value, int64_t lo, int64_t hi) {
 /// Per-chunk partial of the fused row scan.
 struct RowTotals {
   int64_t exact_mass = 0;
-  int64_t nonzero_rows = 0;
   int64_t output_nnz = 0;
   int64_t sampled_rows = 0;
   int64_t saturations = 0;
@@ -60,15 +59,7 @@ EstimatedWorkload BuildWorkloadEstimated(const CsrMatrix& a,
 
   // B's row sizes are free (pointer diffs) — the estimator never spends
   // them, so the "B side" of every band is exact.
-  w.b_row_nnz.assign(static_cast<size_t>(rows_b), 0);
-  SPNET_CHECK_OK(pool.ParallelFor(0, rows_b, GrainForItems(rows_b, threads),
-                   [&](int64_t begin, int64_t end, int) {
-                     for (int64_t r = begin; r < end; ++r) {
-                       w.b_row_nnz[static_cast<size_t>(r)] =
-                           b.RowNnz(static_cast<Index>(r));
-                     }
-                     return Status::Ok();
-                   }));
+  FillBRowNnz(b, &w);
 
   // Hub decomposition of B's rows. `hubval[j]` holds B-row j's size when
   // the row is a hub and 0 otherwise, so the scan below sums the hub
@@ -159,14 +150,6 @@ EstimatedWorkload BuildWorkloadEstimated(const CsrMatrix& a,
   // in the per-row hot path.
   const double cols_b = static_cast<double>(b.cols());
   const int64_t cols_b_i64 = b.cols();
-  const auto merge_exact = [cols_b, cols_b_i64](int64_t chat) {
-    const double f = static_cast<double>(chat);
-    double unique = cols_b * (1.0 - std::exp(-f / cols_b));
-    unique = std::min(unique, f);
-    int64_t e =
-        std::max<int64_t>(1, static_cast<int64_t>(std::llround(unique)));
-    return std::min(e, std::min(chat, cols_b_i64));
-  };
   const auto merge_approx = [cols_b, cols_b_i64](int64_t chat) {
     const double f = static_cast<double>(chat);
     const double unique = 2.0 * cols_b * f / (2.0 * cols_b + f);
@@ -255,14 +238,11 @@ EstimatedWorkload BuildWorkloadEstimated(const CsrMatrix& a,
             t.exact_mass = SatAddI64(t.exact_mass, chat, &sat);
           }
           w.row_chat[ri] = chat;
-          if (chat > 0) {
-            ++t.nonzero_rows;
-            if (cols_b_i64 > 0) {
-              const int64_t e =
-                  exact_row ? merge_exact(chat) : merge_approx(chat);
-              w.row_c_est[ri] = e;
-              t.output_nnz = SatAddI64(t.output_nnz, e, &sat);
-            }
+          if (chat > 0 && cols_b_i64 > 0) {
+            const int64_t e = exact_row ? EstimateMergedRowNnz(chat, cols_b_i64)
+                                        : merge_approx(chat);
+            w.row_c_est[ri] = e;
+            t.output_nnz = SatAddI64(t.output_nnz, e, &sat);
           }
         }
         if (sat) ++t.saturations;
@@ -271,7 +251,6 @@ EstimatedWorkload BuildWorkloadEstimated(const CsrMatrix& a,
       [](RowTotals acc, RowTotals p) {
         bool sat = false;
         acc.exact_mass = SatAddI64(acc.exact_mass, p.exact_mass, &sat);
-        acc.nonzero_rows += p.nonzero_rows;
         acc.output_nnz = SatAddI64(acc.output_nnz, p.output_nnz, &sat);
         acc.sampled_rows += p.sampled_rows;
         acc.saturations += p.saturations + (sat ? 1 : 0);
@@ -293,51 +272,11 @@ EstimatedWorkload BuildWorkloadEstimated(const CsrMatrix& a,
   w.output_nnz = totals.output_nnz;
   w.saturated += totals.saturations;
   est.sampled_rows = totals.sampled_rows;
-  est.estimated_nonzero_rows = totals.nonzero_rows;
 
-  // Pair side: exact. a_col_nnz came from the fused histogram (the same
-  // pass a straddle fallback would pay to recount a single ambiguous
-  // column), so every pair band collapses to a point: pair classification
-  // is bit-identical to the exact tier, and flops (= sum of pair_work) is
-  // exact, which anchors both classification thresholds.
-  struct PairTotals {
-    int64_t flops = 0;
-    int64_t nonzero_pairs = 0;
-    int64_t saturations = 0;
-  };
-  w.pair_work.assign(static_cast<size_t>(cols_a), 0);
-  est.pair_work_lo.assign(static_cast<size_t>(cols_a), 0);
-  est.pair_work_hi.assign(static_cast<size_t>(cols_a), 0);
-  const PairTotals pairs = pool.ParallelReduce(
-      0, cols_a, GrainForItems(cols_a, threads), PairTotals{},
-      [&](int64_t begin, int64_t end, int) {
-        PairTotals p;
-        bool sat = false;
-        for (int64_t i = begin; i < end; ++i) {
-          const size_t ii = static_cast<size_t>(i);
-          const int64_t brow = i < rows_b ? w.b_row_nnz[ii] : 0;
-          bool pair_sat = false;
-          const int64_t work = SatMulI64(w.a_col_nnz[ii], brow, &pair_sat);
-          if (pair_sat) ++p.saturations;
-          w.pair_work[ii] = work;
-          est.pair_work_lo[ii] = work;
-          est.pair_work_hi[ii] = work;
-          p.flops = SatAddI64(p.flops, work, &sat);
-          if (work > 0) ++p.nonzero_pairs;
-        }
-        if (sat) ++p.saturations;
-        return p;
-      },
-      [](PairTotals acc, PairTotals p) {
-        bool sat = false;
-        acc.flops = SatAddI64(acc.flops, p.flops, &sat);
-        acc.nonzero_pairs += p.nonzero_pairs;
-        acc.saturations += p.saturations + (sat ? 1 : 0);
-        return acc;
-      });
-  w.flops = pairs.flops;
-  w.saturated += pairs.saturations;
-  est.estimated_nonzero_pairs = pairs.nonzero_pairs;
+  // Pair side: exact. a_col_nnz came from the fused histogram, so
+  // pair_work, flops and pair classification are bit-identical to the
+  // exact tier, and flops anchors both classification thresholds.
+  FillPairWork(&w);
 
   // Confidence: the share of the (exact) intermediate mass whose row
   // attribution is known exactly. exact_mass <= flops by construction, so

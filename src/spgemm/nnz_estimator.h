@@ -28,41 +28,36 @@ struct EstimatorOptions {
   /// cost does not depend on this count (the table is indexed, not
   /// searched), so it is set generously: more hubs means tighter row bands
   /// — the light remainder is bounded by the largest non-hub B-row — and
-  /// fewer exact fallbacks in the classifier.
+  /// fewer row rescans in the classifier.
   int64_t hub_rows = 4096;
 };
 
-/// A Workload built from estimates plus, for every pair and every output
-/// row, a *guaranteed* band bracketing the exact value. The bands are hard
-/// bounds, not probabilistic intervals:
+/// A Workload built from estimates plus, for every output row, a
+/// *guaranteed* band bracketing the exact C-hat population. Only the row
+/// side is estimated:
 ///   * the pair side is exact: a_col_nnz is one histogram pass over A's
-///     indices (the same pass an exact fallback recount would pay), so
-///     pair_work, flops and the pair bands all collapse to points;
+///     indices, so a_col_nnz, pair_work and flops equal the exact tier's
+///     and carry no band;
 ///   * on the row side, each row's hub contribution (entries hitting one
 ///     of B's `hub_rows` heaviest rows) is summed exactly; the m remaining
 ///     light entries are bracketed by [m * min_rest, m * v_rest], where
 ///     v_rest bounds every non-hub B-row size from above;
 ///   * sampled rows of A (and rows with no light entries) are exact, so
 ///     their row band is a point.
-/// This is what lets verify::CheckEstimatedClassification be a hard
-/// invariant instead of a statistical one: the exact value provably lies
-/// in [lo, hi], so any entry whose band clears a classification threshold
-/// is classified identically to the exact tier.
+/// Every point estimate lies inside its band, and so does the exact
+/// value: the bands are hard bounds, not probabilistic intervals. This is
+/// what lets verify::CheckEstimatedClassification be a hard invariant.
 struct EstimatedWorkload {
   /// Point estimates in the exact Workload's shape. b_row_nnz, a_col_nnz,
   /// pair_work and flops are exact; row_chat, row_c_est and output_nnz are
   /// estimated (exact where row_exact is set).
   Workload workload;
 
-  /// Bounds on pair_work (length = a.cols()); always collapsed to the
-  /// exact value.
-  std::vector<int64_t> pair_work_lo;
-  std::vector<int64_t> pair_work_hi;
   /// Guaranteed bounds on row_chat (length = a.rows()).
   std::vector<int64_t> row_chat_lo;
   std::vector<int64_t> row_chat_hi;
   /// 1 where workload.row_chat is exact (sampled, hub-only, or
-  /// fallback-recomputed).
+  /// rescanned by the classifier).
   std::vector<uint8_t> row_exact;
 
   /// Fraction of the intermediate mass (flops) whose row attribution is
@@ -70,15 +65,11 @@ struct EstimatedWorkload {
   /// in [0, 1]. 1.0 means the "estimate" is exact.
   double confidence = 1.0;
   /// Numerator of `confidence` (denominator is workload.flops, which is
-  /// exact). The classifier's straddle fallbacks add the mass they convert
-  /// to exact here and refresh `confidence` from it.
+  /// exact). The classifier's row rescans add the mass they convert to
+  /// exact here and refresh `confidence` from it.
   int64_t exact_mass = 0;
 
   int64_t sampled_rows = 0;
-  /// Classifier denominator populations; the pair count is exact, the row
-  /// count is estimated from the row points.
-  int64_t estimated_nonzero_pairs = 0;
-  int64_t estimated_nonzero_rows = 0;
 };
 
 /// Builds the estimated workload view. Same O(nnz + rows + cols) shape as

@@ -28,7 +28,67 @@ struct SatPartial {
   int64_t saturations = 0;
 };
 
+/// Products and totals saturate instead of wrapping: adversarial nnz
+/// vectors (or a saturated upstream value) must degrade to a clamped
+/// lower bound plus a counter, never to a negative workload.
+SatPartial CombineSat(SatPartial acc, SatPartial p) {
+  bool sat = false;
+  acc.value = SatAddI64(acc.value, p.value, &sat);
+  acc.saturations += p.saturations + (sat ? 1 : 0);
+  return acc;
+}
+
 }  // namespace
+
+int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols) {
+  // A 0-column B would divide by zero (NaN rows), so it short-circuits.
+  if (chat <= 0 || cols <= 0) return 0;
+  const double f = static_cast<double>(chat);
+  const double c = static_cast<double>(cols);
+  const double unique = std::min(c * (1.0 - std::exp(-f / c)), f);
+  const int64_t est = std::max<int64_t>(1, std::llround(unique));
+  return std::min(est, std::min(chat, cols));
+}
+
+void FillBRowNnz(const CsrMatrix& b, Workload* w) {
+  ThreadPool& pool = GlobalThreadPool();
+  w->b_row_nnz.assign(static_cast<size_t>(b.rows()), 0);
+  SPNET_CHECK_OK(pool.ParallelFor(0, b.rows(),
+                   GrainForItems(b.rows(), pool.threads()),
+                   [&](int64_t begin, int64_t end, int) {
+                     for (int64_t r = begin; r < end; ++r) {
+                       w->b_row_nnz[static_cast<size_t>(r)] =
+                           b.RowNnz(static_cast<Index>(r));
+                     }
+                     return Status::Ok();
+                   }));
+}
+
+void FillPairWork(Workload* w) {
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t pairs = static_cast<int64_t>(w->a_col_nnz.size());
+  const int64_t rows_b = static_cast<int64_t>(w->b_row_nnz.size());
+  w->pair_work.assign(static_cast<size_t>(pairs), 0);
+  const SatPartial flops_total = pool.ParallelReduce(
+      0, pairs, GrainForItems(pairs, pool.threads()), SatPartial{},
+      [&](int64_t begin, int64_t end, int) {
+        SatPartial p;
+        bool sat = false;
+        for (int64_t i = begin; i < end; ++i) {
+          const size_t ii = static_cast<size_t>(i);
+          const int64_t brow = i < rows_b ? w->b_row_nnz[ii] : 0;
+          bool pair_sat = false;
+          w->pair_work[ii] = SatMulI64(w->a_col_nnz[ii], brow, &pair_sat);
+          if (pair_sat) ++p.saturations;
+          p.value = SatAddI64(p.value, w->pair_work[ii], &sat);
+        }
+        if (sat) ++p.saturations;
+        return p;
+      },
+      CombineSat);
+  w->flops = flops_total.value;
+  w->saturated += flops_total.saturations;
+}
 
 Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
                        ExecContext* ctx) {
@@ -71,48 +131,8 @@ Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
                      }));
   }
 
-  w.b_row_nnz.assign(static_cast<size_t>(b.rows()), 0);
-  SPNET_CHECK_OK(pool.ParallelFor(0, b.rows(), GrainForItems(b.rows(), threads),
-                   [&](int64_t begin, int64_t end, int) {
-                     for (int64_t r = begin; r < end; ++r) {
-                       w.b_row_nnz[static_cast<size_t>(r)] =
-                           b.RowNnz(static_cast<Index>(r));
-                     }
-                     return Status::Ok();
-                   }));
-
-  // Products and totals saturate instead of wrapping: adversarial nnz
-  // vectors (or a saturated upstream value) must degrade to a clamped
-  // lower bound plus a counter, never to a negative workload.
-  const auto combine_sat = [](SatPartial acc, SatPartial p) {
-    bool sat = false;
-    acc.value = SatAddI64(acc.value, p.value, &sat);
-    acc.saturations += p.saturations + (sat ? 1 : 0);
-    return acc;
-  };
-
-  w.pair_work.assign(static_cast<size_t>(a.cols()), 0);
-  const SatPartial flops_total = pool.ParallelReduce(
-      0, a.cols(), GrainForItems(a.cols(), threads), SatPartial{},
-      [&](int64_t begin, int64_t end, int) {
-        SatPartial p;
-        bool sat = false;
-        for (int64_t i = begin; i < end; ++i) {
-          const int64_t brow =
-              i < b.rows() ? w.b_row_nnz[static_cast<size_t>(i)] : 0;
-          bool pair_sat = false;
-          w.pair_work[static_cast<size_t>(i)] = SatMulI64(
-              w.a_col_nnz[static_cast<size_t>(i)], brow, &pair_sat);
-          if (pair_sat) ++p.saturations;
-          p.value = SatAddI64(p.value, w.pair_work[static_cast<size_t>(i)],
-                              &sat);
-        }
-        if (sat) ++p.saturations;
-        return p;
-      },
-      combine_sat);
-  w.flops = flops_total.value;
-  w.saturated += flops_total.saturations;
+  FillBRowNnz(b, &w);
+  FillPairWork(&w);
 
   // Row-wise precalculation: nnz(C-hat) per output row.
   w.row_chat.assign(static_cast<size_t>(a.rows()), 0);
@@ -135,44 +155,29 @@ Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
         }
         return p;
       },
-      combine_sat);
+      CombineSat);
   w.saturated += chat_sat.saturations;
 
-  // Hashing estimator of the merged row sizes. Each row's estimate is
-  // independent; only the int64 total crosses rows. A 0-column B would
-  // divide by zero inside the estimator (NaN rows), so it short-circuits
-  // to an all-zero estimate; every row estimate is clamped to the hard
-  // bounds [0, min(row_chat, cols)] — a merged row can never hold more
-  // entries than its intermediate population or the output width.
-  const double cols = static_cast<double>(b.cols());
-  const int64_t cols_i64 = b.cols();
+  // Merged row sizes. Each row's estimate is independent; only the int64
+  // total crosses rows.
   w.row_c_est.assign(static_cast<size_t>(a.rows()), 0);
-  if (cols_i64 > 0) {
-    const SatPartial out_total = pool.ParallelReduce(
-        0, a.rows(), GrainForItems(a.rows(), threads), SatPartial{},
-        [&](int64_t begin, int64_t end, int) {
-          SatPartial p;
-          bool sat = false;
-          for (int64_t r = begin; r < end; ++r) {
-            const int64_t chat = w.row_chat[static_cast<size_t>(r)];
-            if (chat <= 0) continue;
-            const double f = static_cast<double>(chat);
-            double unique = cols * (1.0 - std::exp(-f / cols));
-            unique = std::min(unique, f);
-            int64_t est = std::max<int64_t>(
-                1, static_cast<int64_t>(std::llround(unique)));
-            est = std::min(est, std::min(chat, cols_i64));
-            est = std::max<int64_t>(est, 0);
-            w.row_c_est[static_cast<size_t>(r)] = est;
-            p.value = SatAddI64(p.value, est, &sat);
-          }
-          if (sat) ++p.saturations;
-          return p;
-        },
-        combine_sat);
-    w.output_nnz = out_total.value;
-    w.saturated += out_total.saturations;
-  }
+  const SatPartial out_total = pool.ParallelReduce(
+      0, a.rows(), GrainForItems(a.rows(), threads), SatPartial{},
+      [&](int64_t begin, int64_t end, int) {
+        SatPartial p;
+        bool sat = false;
+        for (int64_t r = begin; r < end; ++r) {
+          const int64_t est = EstimateMergedRowNnz(
+              w.row_chat[static_cast<size_t>(r)], b.cols());
+          w.row_c_est[static_cast<size_t>(r)] = est;
+          p.value = SatAddI64(p.value, est, &sat);
+        }
+        if (sat) ++p.saturations;
+        return p;
+      },
+      CombineSat);
+  w.output_nnz = out_total.value;
+  w.saturated += out_total.saturations;
   if (w.saturated > 0) AddCounter(ctx, "workload.saturated", w.saturated);
   return w;
 }

@@ -35,14 +35,27 @@ struct Workload {
   int64_t saturated = 0;
 };
 
-/// Builds the workload view. O(nnz(A) + dims). The output-row nnz uses the
-/// standard hashing estimator unique ~= cols * (1 - exp(-flops_r / cols)),
-/// which is exact in expectation for independently placed products; the
-/// estimate only shapes merge timing, never functional results. Products
-/// and sums that would overflow int64 saturate and bump the workload's
-/// `saturated` count plus the `workload.saturated` counter on `ctx`.
+/// Builds the workload view. O(nnz(A) + dims). The output-row nnz is
+/// EstimateMergedRowNnz of each row's C-hat population; it only shapes
+/// merge timing, never functional results. Products and sums that would
+/// overflow int64 saturate and bump the workload's `saturated` count plus
+/// the `workload.saturated` counter on `ctx`.
 Workload BuildWorkload(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
                        ExecContext* ctx = nullptr);
+
+/// The hashing estimator of one merged output row: `chat` intermediate
+/// elements over `cols` output columns leave about
+/// cols * (1 - e^(-chat / cols)) distinct entries, exact in expectation
+/// for independently placed products. Clamped to the hard bounds
+/// [1, min(chat, cols)]; 0 when the row or the output is empty.
+int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols);
+
+/// The two passes both planning tiers share. FillBRowNnz sizes and fills
+/// `w->b_row_nnz` from B's row pointers. FillPairWork needs a_col_nnz and
+/// b_row_nnz filled; it sets pair_work (0 past B's height) and flops, and
+/// adds their saturations to `w->saturated`.
+void FillBRowNnz(const sparse::CsrMatrix& b, Workload* w);
+void FillPairWork(Workload* w);
 
 /// Options controlling merge-kernel construction; B-Limiting raises
 /// `extra_shared_mem_bytes` for the long-row kernel.

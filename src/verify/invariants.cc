@@ -119,142 +119,65 @@ Status CheckClassification(const Workload& workload,
 Status CheckEstimatedClassification(const Workload& exact,
                                     const spgemm::EstimatedWorkload& estimated,
                                     const Classification& classes) {
-  const size_t pairs = exact.pair_work.size();
-  if (estimated.pair_work_lo.size() != pairs ||
-      estimated.pair_work_hi.size() != pairs) {
-    return Violation("estimated pair bands cover " +
-                     std::to_string(estimated.pair_work_lo.size()) +
-                     " pairs, exact workload has " + std::to_string(pairs));
-  }
-  const size_t rows = exact.row_chat.size();
-  if (estimated.row_chat_lo.size() != rows ||
-      estimated.row_chat_hi.size() != rows) {
-    return Violation("estimated row bands cover " +
-                     std::to_string(estimated.row_chat_lo.size()) +
-                     " rows, exact workload has " + std::to_string(rows));
-  }
-  if (!(estimated.confidence >= 0.0) || estimated.confidence > 1.0) {
-    return Violation("estimator confidence " +
-                     std::to_string(estimated.confidence) +
-                     " outside [0, 1]");
-  }
-  if (classes.dominator_threshold < 1 || classes.limit_row_threshold < 1) {
-    return Violation("estimated classification thresholds below 1");
-  }
-
-  // Soundness: the bands are guarantees, so ground truth must lie inside
-  // every one of them.
-  for (size_t i = 0; i < pairs; ++i) {
-    if (exact.pair_work[i] < estimated.pair_work_lo[i] ||
-        exact.pair_work[i] > estimated.pair_work_hi[i]) {
-      return Violation(PairLabel(static_cast<Index>(i)) + " band [" +
-                       std::to_string(estimated.pair_work_lo[i]) + ", " +
-                       std::to_string(estimated.pair_work_hi[i]) +
-                       "] misses exact work " +
-                       std::to_string(exact.pair_work[i]));
+  const Workload& point = estimated.workload;
+  // The pair side is exact: no band, no phantom pair.
+  const auto same = [](const char* name, const std::vector<int64_t>& want,
+                       const std::vector<int64_t>& got) -> Status {
+    if (got.size() != want.size()) {
+      return Violation(std::string("estimated ") + name + " has " +
+                       std::to_string(got.size()) + " entries, exact has " +
+                       std::to_string(want.size()));
     }
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    if (exact.row_chat[r] < estimated.row_chat_lo[r] ||
-        exact.row_chat[r] > estimated.row_chat_hi[r]) {
-      return Violation("row " + std::to_string(r) + " band [" +
-                       std::to_string(estimated.row_chat_lo[r]) + ", " +
-                       std::to_string(estimated.row_chat_hi[r]) +
-                       "] misses exact C-hat " +
-                       std::to_string(exact.row_chat[r]));
-    }
-  }
-
-  // Coverage + class match. 0 = unseen, 1..3 = bin tag.
-  std::vector<uint8_t> seen(pairs, 0);
-  auto mark = [&](const std::vector<Index>& bin, uint8_t tag,
-                  const char* bin_name) -> Status {
-    for (Index pair : bin) {
-      if (pair < 0 || static_cast<size_t>(pair) >= pairs) {
-        return Violation(PairLabel(pair) + " out of range in " + bin_name);
-      }
-      if (seen[static_cast<size_t>(pair)] != 0) {
-        return Violation(PairLabel(pair) + " classified twice (" + bin_name +
-                         ")");
-      }
-      seen[static_cast<size_t>(pair)] = tag;
+    const auto diff = std::mismatch(want.begin(), want.end(), got.begin());
+    if (diff.first != want.end()) {
+      return Violation(std::string("estimated ") + name + "[" +
+                       std::to_string(diff.first - want.begin()) + "] is " +
+                       std::to_string(*diff.second) + ", exact is " +
+                       std::to_string(*diff.first));
     }
     return Status::Ok();
   };
-  SPNET_RETURN_IF_ERROR(mark(classes.dominators, 1, "dominators"));
-  SPNET_RETURN_IF_ERROR(mark(classes.low_performers, 2, "low performers"));
-  SPNET_RETURN_IF_ERROR(mark(classes.normals, 3, "normals"));
-
-  const int64_t dom = classes.dominator_threshold;
-  for (size_t i = 0; i < pairs; ++i) {
-    const int64_t work = exact.pair_work[i];
-    const Index pair = static_cast<Index>(i);
-    if (work == 0) {
-      // A phantom pair — the estimator could not rule its work out — may
-      // sit in a non-dominator bin as a harmless no-op expansion, but must
-      // never be promoted to a dominator (soundness above already forces
-      // its lower bound to 0, below any legal threshold).
-      if (seen[i] == 1) {
-        return Violation(PairLabel(pair) +
-                         " has zero exact work but was made a dominator");
-      }
-      continue;
-    }
-    if (seen[i] == 0) {
-      return Violation(PairLabel(pair) + " with exact work " +
-                       std::to_string(work) + " was not classified");
-    }
-    const int64_t lo = estimated.pair_work_lo[i];
-    const int64_t hi = estimated.pair_work_hi[i];
-    if (lo <= dom && dom < hi) continue;  // declared undecidable
-    uint8_t expected;
-    if (work > dom) {
-      expected = 1;
-    } else if (exact.b_row_nnz[i] < 32) {
-      expected = 2;
-    } else {
-      expected = 3;
-    }
-    if (seen[i] != expected) {
-      return Violation(PairLabel(pair) + " landed in bin " +
-                       std::to_string(seen[i]) + " with band [" +
-                       std::to_string(lo) + ", " + std::to_string(hi) +
-                       "] clear of threshold " + std::to_string(dom) +
-                       ", exact rule says " + std::to_string(expected));
-    }
+  SPNET_RETURN_IF_ERROR(same("a_col_nnz", exact.a_col_nnz, point.a_col_nnz));
+  SPNET_RETURN_IF_ERROR(same("b_row_nnz", exact.b_row_nnz, point.b_row_nnz));
+  SPNET_RETURN_IF_ERROR(same("pair_work", exact.pair_work, point.pair_work));
+  if (point.flops != exact.flops) {
+    return Violation("estimated flops " + std::to_string(point.flops) +
+                     ", exact is " + std::to_string(exact.flops));
   }
 
-  // Limited rows: increasing order, and membership must match the exact
-  // rule wherever the row band cleared the threshold.
-  std::vector<uint8_t> limited(rows, 0);
-  Index prev = -1;
-  for (Index r : classes.limited_rows) {
-    if (r < 0 || static_cast<size_t>(r) >= rows) {
-      return Violation("limited row " + std::to_string(r) + " out of range");
-    }
-    if (r <= prev) {
-      return Violation("limited_rows not strictly increasing at row " +
-                       std::to_string(r));
-    }
-    prev = r;
-    limited[static_cast<size_t>(r)] = 1;
-  }
+  // Every row band holds both the exact value and the point estimate, and
+  // none straddles the limiting threshold (those rows are rescanned), so
+  // the point and the exact value fall on the same side of it.
   const int64_t lim = classes.limit_row_threshold;
+  const size_t rows = exact.row_chat.size();
+  if (point.row_chat.size() != rows || estimated.row_chat_lo.size() != rows ||
+      estimated.row_chat_hi.size() != rows) {
+    return Violation("estimated rows and bands do not cover the exact " +
+                     std::to_string(rows) + " rows");
+  }
   for (size_t r = 0; r < rows; ++r) {
     const int64_t lo = estimated.row_chat_lo[r];
     const int64_t hi = estimated.row_chat_hi[r];
-    if (lo <= lim && lim < hi) continue;  // declared undecidable
-    const bool expected = exact.row_chat[r] > lim;
-    if ((limited[r] != 0) != expected) {
-      return Violation("row " + std::to_string(r) + " limited=" +
-                       std::to_string(limited[r]) + " with band [" +
+    for (const int64_t value : {exact.row_chat[r], point.row_chat[r]}) {
+      if (value < lo || value > hi) {
+        return Violation("row " + std::to_string(r) + " band [" +
+                         std::to_string(lo) + ", " + std::to_string(hi) +
+                         "] misses C-hat " + std::to_string(value) +
+                         " (exact " + std::to_string(exact.row_chat[r]) +
+                         ", estimate " + std::to_string(point.row_chat[r]) +
+                         ")");
+      }
+    }
+    if (lo <= lim && lim < hi) {
+      return Violation("row " + std::to_string(r) + " band [" +
                        std::to_string(lo) + ", " + std::to_string(hi) +
-                       "] clear of threshold " + std::to_string(lim) +
-                       ", exact C-hat is " +
-                       std::to_string(exact.row_chat[r]));
+                       "] straddles the limiting threshold " +
+                       std::to_string(lim) + " but was not rescanned");
     }
   }
-  return Status::Ok();
+
+  // And the classes are the exact rules applied to the estimate.
+  return CheckClassification(point, classes);
 }
 
 Status CheckSplitPlan(const Workload& workload,
@@ -501,10 +424,7 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
     classes = core::Classify(tiered, config);
     SPNET_RETURN_IF_ERROR(CheckClassification(tiered, classes));
   } else {
-    spgemm::EstimatorOptions estimator;
-    estimator.sample_fraction = config.estimator_sample_fraction;
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(a, b, estimator);
+    spgemm::EstimatedWorkload est = spgemm::BuildWorkloadEstimated(a, b);
     classes = core::ClassifyEstimated(&est, a, b, config);
     SPNET_RETURN_IF_ERROR(CheckEstimatedClassification(exact, est, classes));
     tiered = std::move(est.workload);

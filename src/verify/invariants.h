@@ -31,22 +31,19 @@ namespace verify {
                            const core::Classification& classes);
 
 /// The estimation tier's contract against ground truth. `exact` is the
-/// exact workload for the same A*B, `estimated` the (post-fallback)
+/// exact workload for the same A*B, `estimated` the (post-rescan)
 /// estimate, and `classes` the classification ClassifyEstimated produced
 /// from it. Checks:
-///  - soundness: every exact pair_work / row_chat value lies inside the
-///    recorded band (the bands are guarantees, not probabilistic);
-///  - coverage: every pair with exact work lands in exactly one bin, and
-///    no phantom pair (possible-but-absent work) reaches the dominator
-///    bin;
-///  - class match: wherever a band does not straddle the classification
-///    threshold, the estimated class equals the class the exact rule
-///    assigns under the same thresholds — i.e. estimation may only
-///    disagree where it explicitly said it could not decide (and the
-///    fallback collapses those bands, so a patched classification has no
-///    straddlers left);
-///  - limited rows: same statement for the row-side threshold, plus the
-///    deterministic increasing dispatch order.
+///  - the pair side is exact: a_col_nnz, b_row_nnz, pair_work and flops
+///    equal the exact workload's, so there are no pair bands and no
+///    phantom pairs;
+///  - every row band holds both the exact row_chat and the point
+///    estimate (the bands are guarantees, not probabilistic), and none
+///    straddles the limiting threshold (such rows must have been
+///    rescanned to a point);
+///  - CheckClassification(estimated.workload, classes) passes.
+/// Together these make the bins and the limited rows equal what the exact
+/// rules give on the exact workload under the same thresholds.
 [[nodiscard]] Status CheckEstimatedClassification(
     const spgemm::Workload& exact,
     const spgemm::EstimatedWorkload& estimated,

@@ -189,7 +189,6 @@ TEST(SimulatorTest, GatheredBlocksBeatUnderloadedBlocks) {
     tb.bytes_read = 128 * 512;
     tb.bytes_written = 128 * 256;
     tb.shared_mem_bytes = 1024;
-    tb.gathered_partitions = 128;
     gathered.blocks.push_back(tb);
   }
   auto s_solo = sim.RunKernel(solo);

@@ -15,6 +15,7 @@
 #include "sparse/stats.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/nnz_estimator.h"
 #include "tests/test_util.h"
 
 namespace spnet {
@@ -665,12 +666,20 @@ TEST(ReorganizerTest, ComputeTracesRelabelAndFusedExpand) {
 }
 
 /// kAuto below its confidence floor falls back to the exact tier, and
-/// says so once, on Compute exactly as on Plan.
+/// says so once, on Compute exactly as on Plan. A flat input far wider
+/// than the estimator's hub table leaves most of its mass estimated.
 TEST(ReorganizerTest, AutoFallbackIsCountedOncePerCall) {
-  const CsrMatrix a = PowerLaw(3);
+  datasets::QuasiRegularParams params;
+  params.n = 20000;
+  params.nnz = 100000;
+  params.seed = 3;
+  auto flat = datasets::GenerateQuasiRegular(params);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  const CsrMatrix& a = *flat;
+  ASSERT_LT(spgemm::BuildWorkloadEstimated(a, a).confidence,
+            kMinEstimateConfidence);
   ReorganizerConfig config;
   config.planning_tier = PlanningTier::kAuto;
-  config.min_plan_confidence = 1.0;
   BlockReorganizerSpGemm alg(config);
   spgemm::ExecContext plan_ctx;
   auto plan = alg.Plan(a, a, gpusim::DeviceSpec::TitanXp(), &plan_ctx);
