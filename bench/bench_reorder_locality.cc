@@ -2,26 +2,18 @@
 // workload classifier sees? For each synthetic generator family and each
 // reorder strategy this runs the Block Reorganizer pre-process
 // (BlockReorganizerSpGemm::Analyze on A*A) with and without the pre-pass
-// and reports the classifier bin census side by side, per planning tier:
-//
-//   exact tier      pair_work lives on the inner dimension, which the
-//                   pre-pass never relabels (A's rows and B's columns
-//                   move, the contraction axis does not), and per-row
-//                   C-hat populations are merely relabeled. The bin
-//                   census is therefore provably identical pre/post —
-//                   the bench measures it anyway and reports the delta,
-//                   so a regression in that invariant is loud.
-//   estimated tier  the sampled estimator walks A's rows in storage
-//                   order (strided sample + hub pass), so row order does
-//                   change which entries are sampled exactly vs banded.
-//                   Here reordering can genuinely move the census; the
-//                   delta column shows by how much, per strategy.
+// and reports the classifier bin census side by side. pair_work lives
+// on the inner dimension, which the pre-pass never relabels (A's rows and
+// B's columns move, the contraction axis does not), and per-row C-hat
+// populations are merely relabeled. The bin census is therefore provably
+// identical pre/post — the bench measures it anyway and reports the
+// delta, so a regression in that invariant is loud.
 //
 // Columns: bin populations (pairs / dominators / low performers /
 // normals / limited rows), fragments the split pass would create,
-// |delta| vs the same tier's unreordered baseline summed over the four
-// bins, and the wall-clock cost of the pre-pass itself (permutation
-// build + row/column application for both operands, best of --repeat).
+// |delta| vs the unreordered baseline summed over the four bins, and the
+// wall-clock cost of the pre-pass itself (permutation build + row/column
+// application for both operands, best of --repeat).
 //
 // Flags: --scale (default 0.25), --seed, --csv, --threads,
 // --repeat (reorder timing repetitions, default 3),
@@ -47,9 +39,7 @@
 namespace spnet {
 namespace {
 
-/// One synthetic input per generator family, linearly scaled; the same
-/// families (and sizes) as bench_planning_frontier so the two result
-/// files line up row for row.
+/// One synthetic input per generator family, linearly scaled.
 sparse::CsrMatrix MakeFamilyCase(const std::string& family,
                                  const bench::BenchOptions& options) {
   const double s = options.scale;
@@ -96,12 +86,10 @@ sparse::CsrMatrix MakeFamilyCase(const std::string& family,
 }
 
 core::ReorganizerReport AnalyzeWith(const sparse::CsrMatrix& matrix,
-                                    core::PlanningTier tier,
                                     sparse::ReorderStrategy strategy,
                                     const gpusim::DeviceSpec& device,
                                     spgemm::ExecContext* ctx) {
   core::ReorganizerConfig config;
-  config.planning_tier = tier;
   config.reorder = strategy;
   const core::BlockReorganizerSpGemm algorithm(config);
   auto report = algorithm.Analyze(matrix, matrix, device, ctx);
@@ -147,56 +135,42 @@ int Run(int argc, char** argv) {
 
   const std::vector<std::string> families = {"powerlaw", "rmat", "banded",
                                              "block-diagonal"};
-  struct Tier {
-    const char* name;
-    core::PlanningTier tier;
-  };
-  const Tier tiers[] = {{"exact", core::PlanningTier::kExact},
-                        {"estimated", core::PlanningTier::kEstimated}};
 
   spgemm::ExecContext ctx;
   const gpusim::DeviceSpec device = options.Device();
-  metrics::Table table({"family", "tier", "reorder", "pairs", "dominators",
+  metrics::Table table({"family", "reorder", "pairs", "dominators",
                         "low perf", "normals", "limited rows", "fragments",
                         "delta vs none", "reorder ms"});
-  bool exact_census_invariant = true;
+  bool census_invariant = true;
   for (const std::string& family : families) {
     const sparse::CsrMatrix matrix = MakeFamilyCase(family, options);
-    for (const Tier& tier : tiers) {
-      const core::ReorganizerReport baseline = AnalyzeWith(
-          matrix, tier.tier, sparse::ReorderStrategy::kNone, device, &ctx);
-      for (sparse::ReorderStrategy strategy :
-           sparse::AllReorderStrategies()) {
-        const bool is_none = strategy == sparse::ReorderStrategy::kNone;
-        const core::ReorganizerReport report =
-            is_none ? baseline
-                    : AnalyzeWith(matrix, tier.tier, strategy, device, &ctx);
-        const int64_t delta = CensusDelta(report, baseline);
-        if (tier.tier == core::PlanningTier::kExact && delta != 0) {
-          exact_census_invariant = false;
-        }
-        const double reorder_ms =
-            is_none ? 0.0 : ReorderCostMs(matrix, strategy, repeat);
-        table.AddRow({family, tier.name,
-                      sparse::ReorderStrategyName(strategy),
-                      std::to_string(report.nonzero_pairs),
-                      std::to_string(report.dominators),
-                      std::to_string(report.low_performers),
-                      std::to_string(report.normals),
-                      std::to_string(report.limited_rows),
-                      std::to_string(report.fragments),
-                      std::to_string(delta),
-                      metrics::FormatDouble(reorder_ms, 3)});
-      }
+    const core::ReorganizerReport baseline =
+        AnalyzeWith(matrix, sparse::ReorderStrategy::kNone, device, &ctx);
+    for (sparse::ReorderStrategy strategy : sparse::AllReorderStrategies()) {
+      const bool is_none = strategy == sparse::ReorderStrategy::kNone;
+      const core::ReorganizerReport report =
+          is_none ? baseline : AnalyzeWith(matrix, strategy, device, &ctx);
+      const int64_t delta = CensusDelta(report, baseline);
+      if (delta != 0) census_invariant = false;
+      const double reorder_ms =
+          is_none ? 0.0 : ReorderCostMs(matrix, strategy, repeat);
+      table.AddRow({family, sparse::ReorderStrategyName(strategy),
+                    std::to_string(report.nonzero_pairs),
+                    std::to_string(report.dominators),
+                    std::to_string(report.low_performers),
+                    std::to_string(report.normals),
+                    std::to_string(report.limited_rows),
+                    std::to_string(report.fragments), std::to_string(delta),
+                    metrics::FormatDouble(reorder_ms, 3)});
     }
   }
 
   std::printf("== reorder locality: classifier bin census pre/post ==\n");
   std::fputs(options.csv ? table.ToCsv().c_str() : table.ToString().c_str(),
              stdout);
-  std::printf("exact-tier bin census invariant under reordering: %s\n",
-              exact_census_invariant ? "yes (as the theory predicts)"
-                                     : "NO — invariant violated");
+  std::printf("bin census invariant under reordering: %s\n",
+              census_invariant ? "yes (as the theory predicts)"
+                               : "NO — invariant violated");
 
   bench::BenchJson json("reorder_locality",
                         "reorder pre-pass vs classifier bins", options);

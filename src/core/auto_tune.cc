@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cmath>
-#include <utility>
 #include <vector>
 
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/workload_model.h"
 
 namespace spnet {
@@ -20,15 +18,7 @@ Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
     return Status::InvalidArgument("dimension mismatch in AutoTune");
   }
   ReorganizerConfig config;
-  // Cheap tier first: thresholds are population quantiles, which the
-  // sampled estimator's point workload approximates well when enough of
-  // the mass was observed exactly. Only a low-confidence sample pays for
-  // the exact precalculation.
-  spgemm::EstimatedWorkload est = spgemm::BuildWorkloadEstimated(a, b);
-  const bool estimated = est.confidence >= kMinEstimateConfidence;
-  if (estimated) config.planning_tier = PlanningTier::kEstimated;
-  const spgemm::Workload workload =
-      estimated ? std::move(est.workload) : spgemm::BuildWorkload(a, b);
+  const spgemm::Workload workload = spgemm::BuildWorkload(a, b);
   if (workload.flops == 0) {
     return config;
   }

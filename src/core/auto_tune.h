@@ -32,12 +32,8 @@ struct AutoTuneOptions {
 };
 
 /// Returns a ReorganizerConfig whose alpha/beta are tuned for C = A*B on
-/// `device`. Cheap tier first: the thresholds come from the sampled
-/// workload estimator (spgemm::BuildWorkloadEstimated) when its
-/// confidence reaches kMinEstimateConfidence, and from the exact
-/// precalculation below that. A config tuned from estimates ships with
-/// planning_tier = kEstimated so planning itself stays on the cheap tier;
-/// all other fields keep their defaults.
+/// `device`, from the exact precalculation (spgemm::BuildWorkload); all
+/// other fields keep their defaults.
 Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const gpusim::DeviceSpec& device,

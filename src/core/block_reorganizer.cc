@@ -12,7 +12,6 @@
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/plan.h"
 #include "verify/fault_injection.h"
 
@@ -127,12 +126,8 @@ struct BlockReorganizerSpGemm::Prepared {
   /// Set when the config reorders; every other field describes the
   /// permuted operands.
   std::optional<ReorderedInputs> reordered;
-  /// The pair side (a_col_nnz, b_row_nnz, pair_work) is exact on every
-  /// tier; the row side is estimated on the estimated tiers.
   Workload workload;
   Classification classes;
-  /// How much of the workload is exactly known (1.0 for the exact tier).
-  double confidence = 1.0;
   /// Built when splitting is enabled and dominators exist.
   std::optional<SplitPlan> split;
   /// Built when gathering is enabled and low performers exist.
@@ -152,27 +147,11 @@ Result<BlockReorganizerSpGemm::Prepared> BlockReorganizerSpGemm::Prepare(
     pb = &prep.reordered->b;
   }
 
-  bool exact = config_.planning_tier == PlanningTier::kExact;
-  if (!exact) {
-    spgemm::EstimatedWorkload est =
-        spgemm::BuildWorkloadEstimated(*pa, *pb, {}, ctx);
-    prep.classes = ClassifyEstimated(&est, *pa, *pb, config_, ctx);
-    prep.confidence = est.confidence;
-    prep.workload = std::move(est.workload);
-    if (config_.planning_tier == PlanningTier::kAuto &&
-        prep.confidence < kMinEstimateConfidence) {
-      spgemm::AddCounter(ctx, "reorganizer.tier_fallback_exact", 1);
-      exact = true;
-    }
-  }
-  if (exact) {
-    prep.workload = [&] {
-      metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-      return spgemm::BuildWorkload(*pa, *pb, ctx);
-    }();
-    prep.classes = Classify(prep.workload, config_, ctx);
-    prep.confidence = 1.0;
-  }
+  prep.workload = [&] {
+    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
+    return spgemm::BuildWorkload(*pa, *pb, ctx);
+  }();
+  prep.classes = Classify(prep.workload, config_, ctx);
 
   if (config_.enable_splitting && !prep.classes.dominators.empty()) {
     prep.split = BuildSplitPlan(prep.workload, prep.classes.dominators,
@@ -206,7 +185,6 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
   SpGemmPlan plan;
   plan.flops = workload.flops;
   plan.output_nnz = workload.output_nnz;
-  plan.confidence = prep.confidence;
   // Reordering permutes nnz(A), never changes it.
   plan.kernels.push_back(BuildPreprocessKernel(workload, a.nnz()));
 
@@ -295,9 +273,8 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
         "dimension mismatch in Block Reorganizer compute");
   }
   // The prepared product only orders the expansion, and it reads only the
-  // pair side, which is exact on every tier. Compute has no device, so the
-  // split heuristic assumes the paper's Titan Xp; the split factor never
-  // changes the output.
+  // pair side. Compute has no device, so the split heuristic assumes the
+  // paper's Titan Xp; the split factor never changes the output.
   SPNET_ASSIGN_OR_RETURN(
       const Prepared prep,
       Prepare(a, b, gpusim::DeviceSpec::TitanXp(), ctx));
@@ -422,13 +399,6 @@ void RegisterCoreAlgorithms() {
     gathering_only.enable_splitting = false;
     gathering_only.enable_limiting = false;
     add("reorganizer-gathering", gathering_only, "B-Gathering");
-
-    // Full reorganizer planned from the sampled estimation tier; the
-    // differential sweep covers it like any other registered algorithm,
-    // proving the estimated classes never change results.
-    ReorganizerConfig estimated;
-    estimated.planning_tier = PlanningTier::kEstimated;
-    add("reorganizer-estimated", estimated, "Estimated-Planning");
 
     // Full reorganizer behind each reordering pre-pass; the differential
     // sweep covers every strategy against the reference, proving the

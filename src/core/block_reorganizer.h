@@ -71,10 +71,8 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
   struct Prepared;
 
   /// The paper's one pre-process pass, shared by Plan, Analyze and
-  /// Compute: the config's reorder pre-pass, the configured planning tier
-  /// (exact precalculation, or the sampled estimator with exact row
-  /// rescans; kAuto rebuilds exactly below kMinEstimateConfidence), the
-  /// bins, and the split and gather plans of non-empty bins.
+  /// Compute: the config's reorder pre-pass, the exact precalculation,
+  /// the bins, and the split and gather plans of non-empty bins.
   Result<Prepared> Prepare(const sparse::CsrMatrix& a,
                            const sparse::CsrMatrix& b,
                            const gpusim::DeviceSpec& device,
@@ -92,9 +90,8 @@ Result<std::unique_ptr<spgemm::SpGemmAlgorithm>> MakeBlockReorganizer(
 
 /// Registers the Block Reorganizer family ("reorganizer" plus the
 /// single-technique ablation variants "reorganizer-limiting",
-/// "reorganizer-splitting", "reorganizer-gathering", the sampled
-/// planning tier "reorganizer-estimated", and the reordering pre-pass
-/// ablations "reorganizer-reorder-degree" / "-rcm" / "-cluster") in
+/// "reorganizer-splitting", "reorganizer-gathering", and the reordering
+/// pre-pass ablations "reorganizer-reorder-degree" / "-rcm" / "-cluster") in
 /// spgemm::AlgorithmRegistry::Global(). Idempotent; call before querying
 /// the registry for core-layer algorithms.
 void RegisterCoreAlgorithms();

@@ -28,26 +28,6 @@ uint64_t FnvMixDouble(uint64_t h, double value) {
 
 }  // namespace
 
-const char* PlanningTierName(PlanningTier tier) {
-  switch (tier) {
-    case PlanningTier::kExact:
-      return "exact";
-    case PlanningTier::kEstimated:
-      return "estimated";
-    case PlanningTier::kAuto:
-      return "auto";
-  }
-  return "exact";
-}
-
-Result<PlanningTier> ParsePlanningTier(const std::string& name) {
-  if (name == "exact") return PlanningTier::kExact;
-  if (name == "estimated") return PlanningTier::kEstimated;
-  if (name == "auto") return PlanningTier::kAuto;
-  return Status::InvalidArgument(
-      "unknown planning tier '" + name + "' (want exact|estimated|auto)");
-}
-
 Status ReorganizerConfig::Validate() const {
   if (!(alpha > 0.0)) {
     return Status::InvalidArgument(
@@ -75,11 +55,6 @@ Status ReorganizerConfig::Validate() const {
         "block_size must be a positive multiple of 32, got " +
         std::to_string(block_size));
   }
-  if (planning_tier != PlanningTier::kExact &&
-      planning_tier != PlanningTier::kEstimated &&
-      planning_tier != PlanningTier::kAuto) {
-    return Status::InvalidArgument("planning_tier is not a known tier");
-  }
   if (reorder != sparse::ReorderStrategy::kNone &&
       reorder != sparse::ReorderStrategy::kDegree &&
       reorder != sparse::ReorderStrategy::kRcm &&
@@ -99,7 +74,6 @@ uint64_t ReorganizerConfig::Fingerprint() const {
   h = FnvMix(h, static_cast<uint64_t>(splitting_factor_override));
   h = FnvMix(h, static_cast<uint64_t>(limiting_extra_shmem));
   h = FnvMix(h, static_cast<uint64_t>(block_size));
-  h = FnvMix(h, static_cast<uint64_t>(planning_tier));
   h = FnvMix(h, static_cast<uint64_t>(reorder));
   return h;
 }

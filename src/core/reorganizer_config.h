@@ -2,36 +2,12 @@
 #define SPNET_CORE_REORGANIZER_CONFIG_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
 #include "sparse/reorder.h"
 
 namespace spnet {
 namespace core {
-
-/// How the planner precalculates the C-hat workload before classifying.
-///   * kExact: the paper's full block-wise + row-wise precalculation.
-///   * kEstimated: sampled estimation (spgemm::BuildWorkloadEstimated) with
-///     an exact rescan only of the rows whose band straddles the limiting
-///     threshold — the OCEAN-style cheap tier.
-///   * kAuto: estimated first; rebuilt exactly when the resulting plan
-///     confidence falls below kMinEstimateConfidence.
-enum class PlanningTier {
-  kExact = 0,
-  kEstimated = 1,
-  kAuto = 2,
-};
-
-/// The confidence floor of the estimated tier: below it, kAuto rebuilds
-/// exactly and AutoTune tunes from the exact workload.
-inline constexpr double kMinEstimateConfidence = 0.5;
-
-/// Canonical flag spelling ("exact" | "estimated" | "auto").
-const char* PlanningTierName(PlanningTier tier);
-
-/// Inverse of PlanningTierName; InvalidArgument on unknown spellings.
-Result<PlanningTier> ParsePlanningTier(const std::string& name);
 
 /// Tuning knobs of the Block Reorganizer (Section IV of the paper). The
 /// defaults reproduce the paper's configuration; the per-technique enables
@@ -68,12 +44,6 @@ struct ReorganizerConfig {
   /// Thread block size for expansion and merge kernels.
   int block_size = 256;
 
-  /// Which precalculation tier Plan, Analyze and Compute use (see
-  /// PlanningTier): it chooses how classification inputs are obtained.
-  /// Compute prepares its dispatch order with the same tier as Plan, so
-  /// under kEstimated no exact workload is built anywhere.
-  PlanningTier planning_tier = PlanningTier::kExact;
-
   /// Structural reordering pre-pass (sparse::BuildRowPermutation) applied
   /// before planning and execution: A's rows and B's columns are permuted,
   /// the product is computed in the permuted space, and the inverse
@@ -86,8 +56,8 @@ struct ReorganizerConfig {
   /// Checks the knobs are usable before an algorithm is built around
   /// them: alpha/beta strictly positive, splitting_factor_override zero
   /// (heuristic) or a power of two, limiting_extra_shmem non-negative,
-  /// block_size a positive multiple of the 32-lane warp, and known
-  /// planning tier and reorder strategy.
+  /// block_size a positive multiple of the 32-lane warp, and a known
+  /// reorder strategy.
   /// MakeBlockReorganizer and AutoTune refuse invalid configs with this
   /// Status instead of silently running with nonsense thresholds.
   Status Validate() const;

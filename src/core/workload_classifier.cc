@@ -1,9 +1,7 @@
 #include "core/workload_classifier.h"
 
-#include <algorithm>
 #include <limits>
 
-#include "common/math_util.h"
 #include "common/parallel.h"
 #include "spgemm/exec_context.h"
 
@@ -42,14 +40,6 @@ int64_t ThresholdFromMean(double multiplier, double mean) {
   return static_cast<int64_t>(t);
 }
 
-/// The mean-multiplier thresholds: alpha and beta times the mean work of
-/// the nonzero pairs and of the nonzero rows.
-struct Thresholds {
-  int64_t nonzero_pairs = 0;
-  int64_t dominator = 0;
-  int64_t limit_row = 0;
-};
-
 int64_t CountPositive(const std::vector<int64_t>& values, ThreadPool& pool) {
   const int64_t n = static_cast<int64_t>(values.size());
   return pool.ParallelReduce(
@@ -69,26 +59,20 @@ double MeanOver(int64_t total, int64_t count) {
                    : 0.0;
 }
 
-Thresholds ComputeThresholds(const spgemm::Workload& workload,
-                             const ReorganizerConfig& config,
-                             ThreadPool& pool) {
-  Thresholds t;
-  t.nonzero_pairs = CountPositive(workload.pair_work, pool);
-  t.dominator = ThresholdFromMean(
-      config.alpha, MeanOver(workload.flops, t.nonzero_pairs));
-  t.limit_row = ThresholdFromMean(
+}  // namespace
+
+Classification Classify(const spgemm::Workload& workload,
+                        const ReorganizerConfig& config,
+                        spgemm::ExecContext* ctx) {
+  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "classify");
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t nonzero_pairs = CountPositive(workload.pair_work, pool);
+  Classification c;
+  c.dominator_threshold = ThresholdFromMean(
+      config.alpha, MeanOver(workload.flops, nonzero_pairs));
+  c.limit_row_threshold = ThresholdFromMean(
       config.beta,
       MeanOver(workload.flops, CountPositive(workload.row_chat, pool)));
-  return t;
-}
-
-/// Bins every nonzero pair and selects the limited rows under `t`, then
-/// publishes the classifier.* gauges.
-Classification Bin(const spgemm::Workload& workload, const Thresholds& t,
-                   ThreadPool& pool, spgemm::ExecContext* ctx) {
-  Classification c;
-  c.dominator_threshold = t.dominator;
-  c.limit_row_threshold = t.limit_row;
   const int64_t pairs = static_cast<int64_t>(workload.pair_work.size());
   const int64_t rows = static_cast<int64_t>(workload.row_chat.size());
 
@@ -140,7 +124,7 @@ Classification Bin(const spgemm::Workload& workload, const Thresholds& t,
       });
 
   spgemm::SetGauge(ctx, "classifier.nonzero_pairs",
-                   static_cast<double>(t.nonzero_pairs));
+                   static_cast<double>(nonzero_pairs));
   spgemm::SetGauge(ctx, "classifier.dominators",
                    static_cast<double>(c.dominators.size()));
   spgemm::SetGauge(ctx, "classifier.low_performers",
@@ -155,97 +139,5 @@ Classification Bin(const spgemm::Workload& workload, const Thresholds& t,
                    static_cast<double>(c.limit_row_threshold));
   return c;
 }
-
-}  // namespace
-
-Classification Classify(const spgemm::Workload& workload,
-                        const ReorganizerConfig& config,
-                        spgemm::ExecContext* ctx) {
-  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "classify");
-  ThreadPool& pool = GlobalThreadPool();
-  return Bin(workload, ComputeThresholds(workload, config, pool), pool, ctx);
-}
-
-Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
-                                 const sparse::CsrMatrix& a,
-                                 const sparse::CsrMatrix& b,
-                                 const ReorganizerConfig& config,
-                                 spgemm::ExecContext* ctx) {
-  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "classify-estimated");
-  spgemm::Workload& w = est->workload;
-  ThreadPool& pool = GlobalThreadPool();
-  const Thresholds t = ComputeThresholds(w, config, pool);
-
-  // Rescan exactly every row whose band straddles the limiting threshold
-  // (lo <= threshold < hi). A band that clears it decides the row alone:
-  // the point estimate lies inside its band, so it falls on the same side
-  // as the exact value.
-  struct Rescans {
-    int64_t rows = 0;
-    int64_t gained_mass = 0;
-  };
-  const int64_t rows = static_cast<int64_t>(w.row_chat.size());
-  const int64_t rows_b = static_cast<int64_t>(w.b_row_nnz.size());
-  const Rescans rescans = pool.ParallelReduce(
-      0, rows, GrainForItems(rows, pool.threads()), Rescans{},
-      [&](int64_t begin, int64_t end, int) {
-        Rescans f;
-        for (int64_t r = begin; r < end; ++r) {
-          const size_t ri = static_cast<size_t>(r);
-          if (est->row_exact[ri] != 0) continue;
-          if (est->row_chat_lo[ri] > t.limit_row ||
-              est->row_chat_hi[ri] <= t.limit_row) {
-            continue;
-          }
-          const sparse::SpanView row = a.Row(static_cast<Index>(r));
-          int64_t chat = 0;
-          bool sat = false;
-          for (sparse::Offset k = 0; k < row.size; ++k) {
-            const Index j = row.indices[k];
-            if (j < rows_b) {
-              chat = SatAddI64(chat, w.b_row_nnz[static_cast<size_t>(j)],
-                               &sat);
-            }
-          }
-          // The rescan converts this row's unknown mass into exact mass.
-          // The row's prior exact share is not retrievable here, but it is
-          // at most the old lower bound, so crediting chat - lo can only
-          // understate the gain — the refreshed confidence stays a valid
-          // (conservative) fraction.
-          f.gained_mass = SatAddI64(
-              f.gained_mass, std::max<int64_t>(0, chat - est->row_chat_lo[ri]),
-              &sat);
-          w.row_chat[ri] = chat;
-          w.row_c_est[ri] = spgemm::EstimateMergedRowNnz(chat, b.cols());
-          est->row_chat_lo[ri] = chat;
-          est->row_chat_hi[ri] = chat;
-          est->row_exact[ri] = 1;
-          ++f.rows;
-        }
-        return f;
-      },
-      [](Rescans acc, Rescans p) {
-        acc.rows += p.rows;
-        acc.gained_mass = SatAddI64(acc.gained_mass, p.gained_mass);
-        return acc;
-      });
-
-  // Refresh the confidence: the rescans converted estimated mass into
-  // exact mass, so a plan built from this classification is admitted (or
-  // refused) by the cache on post-rescan numbers. The denominator (flops)
-  // is exact and unchanged.
-  est->exact_mass = SatAddI64(est->exact_mass, rescans.gained_mass);
-  est->confidence =
-      w.flops > 0 ? std::min(1.0, static_cast<double>(est->exact_mass) /
-                                      static_cast<double>(w.flops))
-                  : 1.0;
-
-  Classification c = Bin(w, t, pool, ctx);
-  spgemm::SetGauge(ctx, "classifier.estimated_fallback_rows",
-                   static_cast<double>(rescans.rows));
-  spgemm::SetGauge(ctx, "classifier.estimated_confidence", est->confidence);
-  return c;
-}
-
 }  // namespace core
 }  // namespace spnet

@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "core/reorganizer_config.h"
-#include "sparse/csr_matrix.h"
 #include "sparse/types.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/workload_model.h"
 
 namespace spnet {
@@ -49,26 +47,6 @@ struct Classification {
 Classification Classify(const spgemm::Workload& workload,
                         const ReorganizerConfig& config,
                         spgemm::ExecContext* ctx = nullptr);
-
-/// Classifies from a sampled estimate (spgemm::BuildWorkloadEstimated):
-/// Classify plus one step. The thresholds come from the estimate's point
-/// workload by the same rule, and its pair side is exact, so the three
-/// pair bins equal the exact tier's. Before binning, every row whose band
-/// straddles the limiting threshold is rescanned exactly; any other band
-/// lies wholly on one side of the threshold, and so do its point estimate
-/// and its exact value.
-///
-/// `est` is patched in place: rescanned rows get their exact values with
-/// collapsed bands, and est->confidence is refreshed to the post-rescan
-/// exact-mass fraction. The result satisfies
-/// verify::CheckEstimatedClassification. With a context, records a
-/// "classify-estimated" span, Classify's gauges, and
-/// classifier.estimated_fallback_rows / classifier.estimated_confidence.
-Classification ClassifyEstimated(spgemm::EstimatedWorkload* est,
-                                 const sparse::CsrMatrix& a,
-                                 const sparse::CsrMatrix& b,
-                                 const ReorganizerConfig& config,
-                                 spgemm::ExecContext* ctx = nullptr);
 
 }  // namespace core
 }  // namespace spnet

@@ -20,7 +20,6 @@ BatchRunner::BatchRunner(BatchOptions options)
                  ? options_.shared_plan_cache
                  : std::make_shared<PlanCache>(options_.plan_cache_capacity,
                                                options_.plan_cache_shards,
-                                               options_.plan_min_confidence,
                                                options_.device)) {
   core::RegisterCoreAlgorithms();
 }
@@ -173,7 +172,6 @@ Result<ExecutionReport> BatchRunner::Execute(
   const int64_t hits_before = cache_->hits();
   const int64_t misses_before = cache_->misses();
   const int64_t evictions_before = cache_->evictions();
-  const int64_t rejected_before = cache_->rejected_low_confidence();
 
   if (cache_->device() != options_.device) {
     return Status::InvalidArgument(
@@ -258,8 +256,6 @@ Result<ExecutionReport> BatchRunner::Execute(
   report.plan_cache_hits = cache_->hits() - hits_before;
   report.plan_cache_misses = cache_->misses() - misses_before;
   report.plan_cache_evictions = cache_->evictions() - evictions_before;
-  report.plan_cache_rejected_low_confidence =
-      cache_->rejected_low_confidence() - rejected_before;
 
   spgemm::AddCounter(ctx, "engine.batch.queries",
                      static_cast<int64_t>(requests.size()));

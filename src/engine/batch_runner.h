@@ -36,8 +36,6 @@ struct ExecutionReport {
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   int64_t plan_cache_evictions = 0;
-  /// Plans refused by the cache's confidence-admission floor this run.
-  int64_t plan_cache_rejected_low_confidence = 0;
 };
 
 struct BatchOptions {
@@ -57,12 +55,6 @@ struct BatchOptions {
   /// Algorithm used when a query's own algorithm cannot be built or its
   /// Plan fails (graceful degradation). Must name a registry baseline.
   std::string fallback_algorithm = "outer-product";
-  /// Admission floor for the runner-owned plan cache: plans whose
-  /// confidence (SpGemmPlan::confidence, < 1.0 only for the estimated
-  /// planning tier) falls below this are served but never cached. Ignored
-  /// when shared_plan_cache is set (the shared cache carries its own
-  /// floor).
-  double plan_min_confidence = 0.25;
   /// Knobs for queries naming "reorganizer". Invalid knobs degrade those
   /// queries to the fallback instead of failing the batch.
   core::ReorganizerConfig reorganizer_config;

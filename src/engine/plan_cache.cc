@@ -16,11 +16,8 @@ size_t PlanKeyHash::operator()(const PlanKey& k) const {
   return static_cast<size_t>(h);
 }
 
-PlanCache::PlanCache(size_t capacity, size_t shards, double min_confidence,
-                     gpusim::DeviceSpec device)
-    : capacity_(capacity),
-      min_confidence_(min_confidence),
-      device_(std::move(device)) {
+PlanCache::PlanCache(size_t capacity, size_t shards, gpusim::DeviceSpec device)
+    : capacity_(capacity), device_(std::move(device)) {
   if (shards < 1) shards = 1;
   if (capacity > 0 && shards > capacity) shards = capacity;
   if (capacity == 0) shards = 1;  // a single empty shard keeps paths uniform
@@ -77,13 +74,6 @@ std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Insert(
 
 void PlanCache::Admit(const PlanKey& key, const CachedPlan& entry,
                       spgemm::ExecContext* ctx) {
-  if (entry.plan->confidence < min_confidence_) {
-    // Estimated-tier plans below the admission floor are served but never
-    // cached: one lucky sample must not become every future query's plan.
-    rejected_low_confidence_.fetch_add(1, std::memory_order_relaxed);
-    spgemm::AddCounter(ctx, "engine.plan_cache.reject_low_confidence", 1);
-    return;
-  }
   if (capacity_ == 0) return;
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);

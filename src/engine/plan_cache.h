@@ -90,14 +90,9 @@ class PlanCache {
   /// disables caching (every Lookup misses, Insert is a no-op). `shards`
   /// is clamped to [1, capacity] so every shard owns at least one entry;
   /// the per-shard capacity is capacity/shards with the remainder spread
-  /// over the first shards. `min_confidence` is the admission floor for
-  /// plan confidence: plans built from low-confidence estimates (see
-  /// SpGemmPlan::confidence) are returned to the caller but never cached,
-  /// so a lucky sample cannot become every future query's plan. 0.0
-  /// admits everything. `device` is the device every cached plan and
+  /// over the first shards. `device` is the device every cached plan and
   /// measurement was built for.
   explicit PlanCache(size_t capacity, size_t shards = 1,
-                     double min_confidence = 0.0,
                      gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp());
 
   PlanCache(const PlanCache&) = delete;
@@ -116,7 +111,7 @@ class PlanCache {
   /// Inserts (or replaces) the entry for `key` with `plan` and its
   /// `measurement` on device(), evicting the shard's least-recently-used
   /// entry when the shard is full. Returns the shared form of both, also
-  /// when the plan is refused admission.
+  /// when caching is disabled.
   CachedPlan Insert(const PlanKey& key, spgemm::SpGemmPlan plan,
                     spgemm::SpGemmMeasurement measurement,
                     spgemm::ExecContext* ctx = nullptr);
@@ -139,11 +134,6 @@ class PlanCache {
   int64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Inserts refused because the plan's confidence was below the floor.
-  int64_t rejected_low_confidence() const {
-    return rejected_low_confidence_.load(std::memory_order_relaxed);
-  }
-  double min_confidence() const { return min_confidence_; }
   const gpusim::DeviceSpec& device() const { return device_; }
 
  private:
@@ -162,19 +152,17 @@ class PlanCache {
 
   Shard& ShardFor(const PlanKey& key);
 
-  /// Admission, replacement and eviction shared by both Insert forms.
+  /// Replacement and eviction shared by both Insert forms.
   void Admit(const PlanKey& key, const CachedPlan& entry,
              spgemm::ExecContext* ctx);
 
   const size_t capacity_;
-  const double min_confidence_;
   const gpusim::DeviceSpec device_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> rejected_low_confidence_{0};
 };
 
 }  // namespace engine

@@ -15,7 +15,6 @@ Server::Server(ServeOptions options)
                       : std::make_shared<engine::PlanCache>(
                             options_.engine.plan_cache_capacity,
                             options_.plan_cache_shards,
-                            options_.engine.plan_min_confidence,
                             options_.engine.device)),
       store_(options_.store),
       queue_(options_.queue_capacity),
@@ -260,8 +259,6 @@ std::string Server::StatsJson() {
   w.Key("hits").Int(plan_cache_->hits());
   w.Key("misses").Int(plan_cache_->misses());
   w.Key("evictions").Int(plan_cache_->evictions());
-  w.Key("reject_low_confidence").Int(plan_cache_->rejected_low_confidence());
-  w.Key("min_confidence").Double(plan_cache_->min_confidence());
   w.EndObject();
   w.Key("matrix_store").BeginObject();
   w.Key("resident").Int(static_cast<int64_t>(store_.size()));

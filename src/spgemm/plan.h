@@ -24,15 +24,10 @@ struct SpGemmPlan {
   std::vector<gpusim::KernelDesc> kernels;
   /// Multiply operations == intermediate (C-hat) elements.
   int64_t flops = 0;
-  /// Output nnz (exact or estimated, see workload_model.h).
+  /// Estimated output nnz (Workload::output_nnz, see workload_model.h).
   int64_t output_nnz = 0;
   /// Modeled host-side preprocessing seconds (CPU, not device cycles).
   double host_seconds = 0.0;
-  /// Fraction of the planning workload known exactly, in [0, 1]. Exact
-  /// precalculation always reports 1.0; the estimated planning tier
-  /// reports its post-fallback confidence, which cache admission gates on
-  /// (engine::PlanCache refuses low-confidence plans).
-  double confidence = 1.0;
 };
 
 /// The result of simulating a plan on a device.

@@ -50,6 +50,9 @@ int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols) {
   return std::min(est, std::min(chat, cols));
 }
 
+namespace {
+
+/// Sizes and fills `w->b_row_nnz` from B's row pointers.
 void FillBRowNnz(const CsrMatrix& b, Workload* w) {
   ThreadPool& pool = GlobalThreadPool();
   w->b_row_nnz.assign(static_cast<size_t>(b.rows()), 0);
@@ -64,6 +67,8 @@ void FillBRowNnz(const CsrMatrix& b, Workload* w) {
                    }));
 }
 
+/// Sets pair_work (0 past B's height) and flops from a_col_nnz and
+/// b_row_nnz, adding their saturations to `w->saturated`.
 void FillPairWork(Workload* w) {
   ThreadPool& pool = GlobalThreadPool();
   const int64_t pairs = static_cast<int64_t>(w->a_col_nnz.size());
@@ -89,6 +94,8 @@ void FillPairWork(Workload* w) {
   w->flops = flops_total.value;
   w->saturated += flops_total.saturations;
 }
+
+}  // namespace
 
 Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
                        ExecContext* ctx) {

@@ -50,13 +50,6 @@ Workload BuildWorkload(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
 /// [1, min(chat, cols)]; 0 when the row or the output is empty.
 int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols);
 
-/// The two passes both planning tiers share. FillBRowNnz sizes and fills
-/// `w->b_row_nnz` from B's row pointers. FillPairWork needs a_col_nnz and
-/// b_row_nnz filled; it sets pair_work (0 past B's height) and flops, and
-/// adds their saturations to `w->saturated`.
-void FillBRowNnz(const sparse::CsrMatrix& b, Workload* w);
-void FillPairWork(Workload* w);
-
 /// Options controlling merge-kernel construction; B-Limiting raises
 /// `extra_shared_mem_bytes` for the long-row kernel.
 struct MergeOptions {

@@ -116,70 +116,6 @@ Status CheckClassification(const Workload& workload,
   return Status::Ok();
 }
 
-Status CheckEstimatedClassification(const Workload& exact,
-                                    const spgemm::EstimatedWorkload& estimated,
-                                    const Classification& classes) {
-  const Workload& point = estimated.workload;
-  // The pair side is exact: no band, no phantom pair.
-  const auto same = [](const char* name, const std::vector<int64_t>& want,
-                       const std::vector<int64_t>& got) -> Status {
-    if (got.size() != want.size()) {
-      return Violation(std::string("estimated ") + name + " has " +
-                       std::to_string(got.size()) + " entries, exact has " +
-                       std::to_string(want.size()));
-    }
-    const auto diff = std::mismatch(want.begin(), want.end(), got.begin());
-    if (diff.first != want.end()) {
-      return Violation(std::string("estimated ") + name + "[" +
-                       std::to_string(diff.first - want.begin()) + "] is " +
-                       std::to_string(*diff.second) + ", exact is " +
-                       std::to_string(*diff.first));
-    }
-    return Status::Ok();
-  };
-  SPNET_RETURN_IF_ERROR(same("a_col_nnz", exact.a_col_nnz, point.a_col_nnz));
-  SPNET_RETURN_IF_ERROR(same("b_row_nnz", exact.b_row_nnz, point.b_row_nnz));
-  SPNET_RETURN_IF_ERROR(same("pair_work", exact.pair_work, point.pair_work));
-  if (point.flops != exact.flops) {
-    return Violation("estimated flops " + std::to_string(point.flops) +
-                     ", exact is " + std::to_string(exact.flops));
-  }
-
-  // Every row band holds both the exact value and the point estimate, and
-  // none straddles the limiting threshold (those rows are rescanned), so
-  // the point and the exact value fall on the same side of it.
-  const int64_t lim = classes.limit_row_threshold;
-  const size_t rows = exact.row_chat.size();
-  if (point.row_chat.size() != rows || estimated.row_chat_lo.size() != rows ||
-      estimated.row_chat_hi.size() != rows) {
-    return Violation("estimated rows and bands do not cover the exact " +
-                     std::to_string(rows) + " rows");
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    const int64_t lo = estimated.row_chat_lo[r];
-    const int64_t hi = estimated.row_chat_hi[r];
-    for (const int64_t value : {exact.row_chat[r], point.row_chat[r]}) {
-      if (value < lo || value > hi) {
-        return Violation("row " + std::to_string(r) + " band [" +
-                         std::to_string(lo) + ", " + std::to_string(hi) +
-                         "] misses C-hat " + std::to_string(value) +
-                         " (exact " + std::to_string(exact.row_chat[r]) +
-                         ", estimate " + std::to_string(point.row_chat[r]) +
-                         ")");
-      }
-    }
-    if (lo <= lim && lim < hi) {
-      return Violation("row " + std::to_string(r) + " band [" +
-                       std::to_string(lo) + ", " + std::to_string(hi) +
-                       "] straddles the limiting threshold " +
-                       std::to_string(lim) + " but was not rescanned");
-    }
-  }
-
-  // And the classes are the exact rules applied to the estimate.
-  return CheckClassification(point, classes);
-}
-
 Status CheckSplitPlan(const Workload& workload,
                       const std::vector<Index>& dominators,
                       const SplitPlan& split) {
@@ -411,25 +347,9 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
     return Status::InvalidArgument("dimension mismatch in invariant check");
   }
 
-  const Workload exact = spgemm::BuildWorkload(a, b);
-  const bool tier_exact = config.planning_tier == core::PlanningTier::kExact;
-
-  // The workload/classification the plan checks run against: the exact
-  // tier's own, or the estimator's patched output (checked against ground
-  // truth first — the estimation tier's core contract).
-  Workload tiered;
-  Classification classes;
-  if (tier_exact) {
-    tiered = exact;
-    classes = core::Classify(tiered, config);
-    SPNET_RETURN_IF_ERROR(CheckClassification(tiered, classes));
-  } else {
-    spgemm::EstimatedWorkload est = spgemm::BuildWorkloadEstimated(a, b);
-    classes = core::ClassifyEstimated(&est, a, b, config);
-    SPNET_RETURN_IF_ERROR(CheckEstimatedClassification(exact, est, classes));
-    tiered = std::move(est.workload);
-  }
-  const Workload& workload = tiered;
+  const Workload workload = spgemm::BuildWorkload(a, b);
+  const Classification classes = core::Classify(workload, config);
+  SPNET_RETURN_IF_ERROR(CheckClassification(workload, classes));
 
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
   if (config.enable_splitting) {
@@ -451,18 +371,7 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                          core::MakeBlockReorganizer(config));
   SPNET_ASSIGN_OR_RETURN(spgemm::SpGemmPlan plan,
                          algorithm->Plan(a, b, device));
-  if (!(plan.confidence >= 0.0) || plan.confidence > 1.0) {
-    return Violation("plan confidence " + std::to_string(plan.confidence) +
-                     " outside [0, 1]");
-  }
-  if (tier_exact && plan.confidence != 1.0) {
-    return Violation("exact-tier plan reports confidence " +
-                     std::to_string(plan.confidence));
-  }
-  // The kAuto tier may have rebuilt exactly inside Plan, so the estimated
-  // tiers only pin the structural checks against the plan's own flops.
-  SPNET_RETURN_IF_ERROR(
-      CheckPlanStructure(plan, tier_exact ? workload.flops : plan.flops));
+  SPNET_RETURN_IF_ERROR(CheckPlanStructure(plan, workload.flops));
 
   SPNET_ASSIGN_OR_RETURN(sparse::CsrMatrix got, algorithm->Compute(a, b));
   SPNET_RETURN_IF_ERROR(got.Validate());

@@ -10,7 +10,6 @@
 #include "core/reorganizer_config.h"
 #include "core/workload_classifier.h"
 #include "sparse/csr_matrix.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/plan.h"
 #include "spgemm/workload_model.h"
 
@@ -29,25 +28,6 @@ namespace verify {
 /// rows whose C-hat population exceeds the limiting threshold.
 [[nodiscard]] Status CheckClassification(const spgemm::Workload& workload,
                            const core::Classification& classes);
-
-/// The estimation tier's contract against ground truth. `exact` is the
-/// exact workload for the same A*B, `estimated` the (post-rescan)
-/// estimate, and `classes` the classification ClassifyEstimated produced
-/// from it. Checks:
-///  - the pair side is exact: a_col_nnz, b_row_nnz, pair_work and flops
-///    equal the exact workload's, so there are no pair bands and no
-///    phantom pairs;
-///  - every row band holds both the exact row_chat and the point
-///    estimate (the bands are guarantees, not probabilistic), and none
-///    straddles the limiting threshold (such rows must have been
-///    rescanned to a point);
-///  - CheckClassification(estimated.workload, classes) passes.
-/// Together these make the bins and the limited rows equal what the exact
-/// rules give on the exact workload under the same thresholds.
-[[nodiscard]] Status CheckEstimatedClassification(
-    const spgemm::Workload& exact,
-    const spgemm::EstimatedWorkload& estimated,
-    const core::Classification& classes);
 
 /// The split plan covers every dominator exactly once; each vector's
 /// factor is a power of two, its offsets carve [0, col_nnz) into `factor`
@@ -89,10 +69,10 @@ namespace verify {
 /// classification, split/gather/limiting plans (as enabled), the built
 /// SpGemmPlan, and finally Compute whose CSR output must Validate() and
 /// match the reference oracle. The plan-level checks tolerate a reorder
-/// pre-pass transparently (flops and confidence are permutation
-/// invariant); when config.reorder is set, Compute's output must
-/// additionally be bit-identical (after row sorting) to the
-/// unpermuted-config baseline — the reorder pass's core promise.
+/// pre-pass transparently (flops are permutation invariant); when
+/// config.reorder is set, Compute's output must additionally be
+/// bit-identical (after row sorting) to the unpermuted-config baseline —
+/// the reorder pass's core promise.
 [[nodiscard]] Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const core::ReorganizerConfig& config);

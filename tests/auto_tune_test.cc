@@ -25,6 +25,17 @@ TEST(AutoTuneTest, SkewedInputGetsBoundedDominatorCount) {
             static_cast<size_t>(12 * device.num_sms));
 }
 
+/// AutoTune picks alpha and beta; every other knob keeps its default.
+TEST(AutoTuneTest, ChangesOnlyAlphaAndBeta) {
+  const CsrMatrix a = testing_util::SkewedMatrix(800, 600, 51);
+  auto config = AutoTune(a, a, gpusim::DeviceSpec::TitanXp());
+  ASSERT_TRUE(config.ok());
+  ReorganizerConfig expected;
+  expected.alpha = config->alpha;
+  expected.beta = config->beta;
+  EXPECT_EQ(config->Fingerprint(), expected.Fingerprint());
+}
+
 TEST(AutoTuneTest, UniformInputGetsNoDominators) {
   const CsrMatrix a = testing_util::RandomMatrix(500, 500, 0.02, 53);
   auto config = AutoTune(a, a, gpusim::DeviceSpec::TitanXp());

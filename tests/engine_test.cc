@@ -209,34 +209,6 @@ TEST(PlanCacheTest, RecordsCountersOnContext) {
   EXPECT_EQ(snapshot.at("engine.plan_cache.evict"), 1);
 }
 
-TEST(PlanCacheTest, RefusesLowConfidencePlansButStillServesThem) {
-  spgemm::ExecContext ctx;
-  PlanCache cache(4, /*shards=*/1, /*min_confidence=*/0.5);
-  const PlanKey k{1, 1, "x", 0};
-  spgemm::SpGemmPlan low = DummyPlan(7);
-  low.confidence = 0.2;
-  auto served = cache.Insert(k, std::move(low), &ctx);
-  // The caller still gets its plan in shared form — rejection only means
-  // a lucky low-confidence estimate cannot become every future query's
-  // plan.
-  ASSERT_NE(served, nullptr);
-  EXPECT_EQ(served->flops, 7);
-  EXPECT_EQ(cache.Lookup(k), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.rejected_low_confidence(), 1);
-  const auto snapshot = ctx.registry.Snapshot();
-  EXPECT_EQ(snapshot.at("engine.plan_cache.reject_low_confidence"), 1);
-
-  // At the floor is admitted; the floor is exclusive below only.
-  spgemm::SpGemmPlan confident = DummyPlan(9);
-  confident.confidence = 0.5;
-  cache.Insert(k, std::move(confident), &ctx);
-  auto hit = cache.Lookup(k);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->flops, 9);
-  EXPECT_EQ(cache.rejected_low_confidence(), 1);
-}
-
 TEST(PlanCacheTest, ShardedCacheAggregatesCountersGlobally) {
   // 4 shards, capacity 8: per-shard LRU, but hits/misses/evictions must
   // aggregate across shards so ExecutionReport and serve stats consumers
@@ -295,7 +267,7 @@ TEST(PlanCacheTest, MemoizesTheMeasurementWithThePlan) {
 
 TEST(PlanCacheTest, RecordsItsDevice) {
   EXPECT_EQ(PlanCache(1).device(), gpusim::DeviceSpec::TitanXp());
-  const PlanCache v100(1, 1, 0.0, gpusim::DeviceSpec::TeslaV100());
+  const PlanCache v100(1, 1, gpusim::DeviceSpec::TeslaV100());
   EXPECT_EQ(v100.device(), gpusim::DeviceSpec::TeslaV100());
   EXPECT_NE(v100.device(), gpusim::DeviceSpec::TitanXp());
 }
@@ -458,66 +430,15 @@ TEST(BatchRunnerTest, CachedResultsAgreeWithUncached) {
   BatchRunner uncached(uncached_options);
 
   auto a = cached.Execute(RepeatedRequests(m, 3, "reorganizer"));
-  auto b = uncached.Execute(RepeatedRequests(m, 3, "reorganizer"));
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(b->plan_cache_hits, 0);
-  for (size_t i = 0; i < a->responses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a->responses[i].sim_ms, b->responses[i].sim_ms);
-    EXPECT_EQ(a->responses[i].flops, b->responses[i].flops);
-    EXPECT_EQ(a->responses[i].output_nnz, b->responses[i].output_nnz);
-  }
-}
-
-TEST(BatchRunnerTest, ConfidenceFloorAboveOneDisablesCachingEntirely) {
-  // plan_min_confidence above every achievable confidence (exact plans
-  // report 1.0) turns the cache into a pure reject path: every insert is
-  // refused, the warm batch re-plans, and the report surfaces the count.
-  const auto m = SharedSkewed(150, 48, 7);
-  BatchOptions options;
-  options.plan_cache_capacity = 8;
-  options.plan_min_confidence = 1.5;
-  BatchRunner runner(options);
-  std::vector<Request> requests;
-  for (int i = 0; i < 3; ++i) {
-    auto request = RequestBuilder()
-                       .Id("q" + std::to_string(i))
-                       .Algorithm("reorganizer")
-                       .OperandA(m)
-                       .Build();
-    ASSERT_TRUE(request.ok()) << request.status().ToString();
-    requests.push_back(std::move(request).value());
-  }
   InjectorGuard guard;
   CountSimulations();
-  auto cold = runner.Execute(requests);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_EQ(cold->failed, 0);
-  EXPECT_EQ(cold->plan_cache_rejected_low_confidence, 3);
-  auto warm = runner.Execute(requests);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->plan_cache_hits, 0);
-  EXPECT_EQ(warm->plan_cache_rejected_low_confidence, 3);
-  // A refused plan is still simulated once per request, not twice.
+  auto b = uncached.Execute(RepeatedRequests(m, 3, "reorganizer"));
+  auto b_again = uncached.Execute(RepeatedRequests(m, 3, "reorganizer"));
+  ASSERT_TRUE(a.ok() && b.ok() && b_again.ok());
+  EXPECT_EQ(b->plan_cache_hits, 0);
+  EXPECT_EQ(b_again->plan_cache_hits, 0);
+  // A plan the cache does not keep is simulated exactly once per request.
   EXPECT_EQ(Simulations(), 6);
-}
-
-TEST(BatchRunnerTest, EstimatedTierAgreesWithExactTier) {
-  // The estimated planning tier must be an implementation detail of
-  // planning cost: simulated results and plan math match the exact tier.
-  const auto m = SharedSkewed(200, 64, 3);
-  BatchOptions exact_options;
-  BatchRunner exact(exact_options);
-  BatchOptions estimated_options;
-  estimated_options.reorganizer_config.planning_tier =
-      core::PlanningTier::kEstimated;
-  BatchRunner estimated(estimated_options);
-
-  auto a = exact.Execute(RepeatedRequests(m, 2, "reorganizer"));
-  auto b = estimated.Execute(RepeatedRequests(m, 2, "reorganizer"));
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->failed, 0);
-  EXPECT_EQ(b->failed, 0);
-  ASSERT_EQ(a->responses.size(), b->responses.size());
   for (size_t i = 0; i < a->responses.size(); ++i) {
     EXPECT_DOUBLE_EQ(a->responses[i].sim_ms, b->responses[i].sim_ms);
     EXPECT_EQ(a->responses[i].flops, b->responses[i].flops);
@@ -672,7 +593,7 @@ TEST(BatchRunnerTest, SharedCacheOfAnotherDeviceIsInvalidArgument) {
   BatchOptions options;
   options.device = gpusim::DeviceSpec::TeslaV100();
   options.shared_plan_cache =
-      std::make_shared<PlanCache>(8, 1, 0.0, gpusim::DeviceSpec::TitanXp());
+      std::make_shared<PlanCache>(8, 1, gpusim::DeviceSpec::TitanXp());
   BatchRunner runner(options);
   auto report = runner.Execute({SingleRequest(m, "q")});
   ASSERT_FALSE(report.ok());

@@ -8,7 +8,6 @@
 #include "common/math_util.h"
 #include "core/b_gathering.h"
 #include "core/workload_classifier.h"
-#include "spgemm/nnz_estimator.h"
 #include "spgemm/workload_model.h"
 #include "tests/test_util.h"
 #include "verify/invariants.h"
@@ -193,18 +192,11 @@ TEST(GatheringTest, FlatPlanMatchesComparatorSort) {
       config.block_size = block_size;
       const CsrMatrix a = testing_util::SkewedMatrix(800, 300, seed);
       const spgemm::Workload w = spgemm::BuildWorkload(a, a);
-      const Classification exact = Classify(w, config);
-      ASSERT_FALSE(exact.low_performers.empty());
-      ExpectSamePlan(BuildGatherPlan(w, exact.low_performers, config),
-                     ComparatorReference(w, exact.low_performers, block_size));
-
-      spgemm::EstimatedWorkload est = spgemm::BuildWorkloadEstimated(a, a);
-      const Classification estimated = ClassifyEstimated(&est, a, a, config);
-      ASSERT_FALSE(estimated.low_performers.empty());
+      const Classification classes = Classify(w, config);
+      ASSERT_FALSE(classes.low_performers.empty());
       ExpectSamePlan(
-          BuildGatherPlan(est.workload, estimated.low_performers, config),
-          ComparatorReference(est.workload, estimated.low_performers,
-                              block_size));
+          BuildGatherPlan(w, classes.low_performers, config),
+          ComparatorReference(w, classes.low_performers, block_size));
     }
   }
 }

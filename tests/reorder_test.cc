@@ -2,7 +2,7 @@
 // algebra (round-trips, inversion, composition), builder properties, the
 // end-to-end bit-identity promise of every registry reorder variant
 // against the unpermuted reference, fingerprint sensitivity, and the
-// permutation invariance of the exact-tier classifier bins.
+// permutation invariance of the classifier bins.
 
 #include <algorithm>
 #include <cstdint>
@@ -247,13 +247,11 @@ TEST(ReorderEndToEndTest, RegistryVariantsAreBitIdentical) {
   }
 }
 
-/// The exact-tier classifier is permutation invariant: pair_work depends
-/// only on the inner dimension (untouched by the pre-pass) and row C-hat
-/// populations are merely relabeled, so every bin census Analyze reports
-/// is identical with and without reordering. This is the theory the
-/// locality bench (bench_reorder_locality) verifies at scale; shifts can
-/// only appear in the estimated tier, whose row sampling is order
-/// sensitive.
+/// The classifier is permutation invariant: pair_work depends only on the
+/// inner dimension (untouched by the pre-pass) and row C-hat populations
+/// are merely relabeled, so every bin census Analyze reports is identical
+/// with and without reordering. This is the theory the locality bench
+/// (bench_reorder_locality) verifies at scale.
 TEST(ReorderEndToEndTest, ExactTierBinCensusIsPermutationInvariant) {
   const CsrMatrix a = testing_util::SkewedMatrix(80, 50, 13);
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();

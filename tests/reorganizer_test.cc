@@ -15,7 +15,6 @@
 #include "sparse/stats.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
-#include "spgemm/nnz_estimator.h"
 #include "tests/test_util.h"
 
 namespace spnet {
@@ -303,15 +302,6 @@ TEST(ReorganizerTest, OutputBitsArePinned) {
        {2834, 9, 2761, 64, 14, 0, 65, 2761, 18228, 5381},
        0x3f3d269380eef7b9ULL},
       {"reorganizer-gathering", "empty-rows", 18281940742808905750ULL,
-       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
-       0x3f015738ed693209ULL},
-      {"reorganizer-estimated", "powerlaw-seed3", 13668021822031898007ULL,
-       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
-       0x3f305720e84fb950ULL},
-      {"reorganizer-estimated", "powerlaw-seed8", 6153990744391780423ULL,
-       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
-       0x3f302f7428a79ff2ULL},
-      {"reorganizer-estimated", "empty-rows", 18281940742808905750ULL,
        {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
        0x3f015738ed693209ULL},
       {"reorganizer-reorder-degree", "powerlaw-seed3", 2505987440335005027ULL,
@@ -631,66 +621,26 @@ int CountSpans(const spgemm::ExecContext& ctx, const std::string& name) {
   return n;
 }
 
-/// The estimated tier exists so that planning skips the exact
-/// precalculation; Compute must not build the exact workload behind it.
-TEST(ReorganizerTest, EstimatedComputeSkipsExactWorkload) {
-  const CsrMatrix a = PowerLaw(3);
-  ReorganizerConfig config;
-  config.planning_tier = PlanningTier::kEstimated;
-  BlockReorganizerSpGemm alg(config);
-  spgemm::ExecContext ctx;
-  auto c = alg.Compute(a, a, &ctx);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(CountSpans(ctx, "build-workload"), 0);
-  EXPECT_EQ(CountSpans(ctx, "build-workload-estimated"), 1);
-  auto expected = sparse::ReferenceSpGemm(a, a);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(CsrApproxEqual(*expected, *c, 1e-9));
-}
-
-/// Compute relabels the contraction axis once and runs one fused kernel:
-/// a `relabel` span, an `expand` span and no separate `merge` span, with
-/// the product and output counters still exact.
+/// Plan and Compute each build exactly one workload. Compute relabels the
+/// contraction axis once and runs one fused kernel: a `relabel` span, an
+/// `expand` span and no separate `merge` span, with the product and output
+/// counters still exact.
 TEST(ReorganizerTest, ComputeTracesRelabelAndFusedExpand) {
   const CsrMatrix a = PowerLaw(3);
   BlockReorganizerSpGemm alg;
+  spgemm::ExecContext plan_ctx;
+  ASSERT_TRUE(alg.Plan(a, a, gpusim::DeviceSpec::TitanXp(), &plan_ctx).ok());
+  EXPECT_EQ(CountSpans(plan_ctx, "build-workload"), 1);
   spgemm::ExecContext ctx;
   auto c = alg.Compute(a, a, &ctx);
   ASSERT_TRUE(c.ok());
+  EXPECT_EQ(CountSpans(ctx, "build-workload"), 1);
   EXPECT_EQ(CountSpans(ctx, "relabel"), 1);
   EXPECT_EQ(CountSpans(ctx, "expand"), 1);
   EXPECT_EQ(CountSpans(ctx, "merge"), 0);
   auto counters = ctx.registry.Snapshot();
   EXPECT_EQ(counters["expand.products"], sparse::SpGemmFlops(a, a));
   EXPECT_EQ(counters["merge.output_nnz"], c->nnz());
-}
-
-/// kAuto below its confidence floor falls back to the exact tier, and
-/// says so once, on Compute exactly as on Plan. A flat input far wider
-/// than the estimator's hub table leaves most of its mass estimated.
-TEST(ReorganizerTest, AutoFallbackIsCountedOncePerCall) {
-  datasets::QuasiRegularParams params;
-  params.n = 20000;
-  params.nnz = 100000;
-  params.seed = 3;
-  auto flat = datasets::GenerateQuasiRegular(params);
-  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-  const CsrMatrix& a = *flat;
-  ASSERT_LT(spgemm::BuildWorkloadEstimated(a, a).confidence,
-            kMinEstimateConfidence);
-  ReorganizerConfig config;
-  config.planning_tier = PlanningTier::kAuto;
-  BlockReorganizerSpGemm alg(config);
-  spgemm::ExecContext plan_ctx;
-  auto plan = alg.Plan(a, a, gpusim::DeviceSpec::TitanXp(), &plan_ctx);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->confidence, 1.0);
-  spgemm::ExecContext compute_ctx;
-  ASSERT_TRUE(alg.Compute(a, a, &compute_ctx).ok());
-  for (const spgemm::ExecContext* ctx : {&plan_ctx, &compute_ctx}) {
-    EXPECT_EQ(ctx->registry.Snapshot()["reorganizer.tier_fallback_exact"], 1);
-    EXPECT_EQ(CountSpans(*ctx, "build-workload"), 1);
-  }
 }
 
 TEST(ReorganizerTest, NamedConfigurations) {

@@ -340,58 +340,6 @@ TEST(InvariantsTest, DetectsGatherPlanOutOfWorkOrder) {
   EXPECT_NE(s.message().find("a_col_nnz"), std::string::npos) << s.message();
 }
 
-/// The estimated tier's classification of one input, with the exact
-/// workload it is checked against.
-struct EstimatedCase {
-  spgemm::Workload exact;
-  spgemm::EstimatedWorkload est;
-  core::Classification classes;
-};
-
-EstimatedCase ClassifySmallEstimated() {
-  const CsrMatrix a = SmallMatrix();
-  EstimatedCase c;
-  c.exact = spgemm::BuildWorkload(a, a);
-  c.est = spgemm::BuildWorkloadEstimated(a, a);
-  c.classes = core::ClassifyEstimated(&c.est, a, a, core::ReorganizerConfig{});
-  return c;
-}
-
-TEST(InvariantsTest, DetectsEstimatedColumnCountOffExact) {
-  EstimatedCase c = ClassifySmallEstimated();
-  ASSERT_TRUE(
-      verify::CheckEstimatedClassification(c.exact, c.est, c.classes).ok());
-
-  // A wrong column count that neither pair_work nor the bins reflect.
-  c.est.workload.a_col_nnz[0] += 1;
-  const Status s =
-      verify::CheckEstimatedClassification(c.exact, c.est, c.classes);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("a_col_nnz"), std::string::npos) << s.message();
-}
-
-TEST(InvariantsTest, DetectsEstimatedRowOutsideItsBand) {
-  EstimatedCase c = ClassifySmallEstimated();
-  ASSERT_TRUE(
-      verify::CheckEstimatedClassification(c.exact, c.est, c.classes).ok());
-
-  // Push one point estimate just past its band while it stays on the same
-  // side of the limiting threshold, so the limited rows still agree.
-  const int64_t lim = c.classes.limit_row_threshold;
-  size_t row = 0;
-  while (row < c.est.row_chat_hi.size() &&
-         c.est.row_chat_hi[row] + 1 > lim) {
-    ++row;
-  }
-  ASSERT_LT(row, c.est.row_chat_hi.size());
-  c.est.workload.row_chat[row] = c.est.row_chat_hi[row] + 1;
-  ASSERT_TRUE(verify::CheckClassification(c.est.workload, c.classes).ok());
-  const Status s =
-      verify::CheckEstimatedClassification(c.exact, c.est, c.classes);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("band"), std::string::npos) << s.message();
-}
-
 // ---------------------------------------------------------------------------
 // Differential checker
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Command-line front end for the library: multiply Matrix Market or SPNB
-// files with any of the seven algorithms, profile them on a simulated
+// files with any registered algorithm (8 baselines plus the reorganizer
+// and its ablation and reorder variants), profile them on a simulated
 // device, classify workloads, and convert between formats.
 //
 // Usage:
@@ -13,10 +14,8 @@
 //   spnet_cli batch    --manifest queries.txt [--plan_cache 64]
 //             [--deadline_ms D] [--fallback outer-product] [--repeats N]
 //             [--scale 0.05] [--cache dir] [--device titanxp]
-//             [--planning_tier exact|estimated|auto]
 //             [--reorder none|degree|rcm|cluster]
 //   spnet_cli verify   [--sweep small|medium] [--seed 42]
-//             [--planning_tier exact|estimated|auto]
 //             [--reorder none|degree|rcm|cluster]
 //
 // verify runs the correctness harness: a differential sweep of every
@@ -301,12 +300,6 @@ int CmdBatch(const FlagParser& flags) {
       flags.GetDouble("alpha", options.reorganizer_config.alpha);
   options.reorganizer_config.beta =
       flags.GetDouble("beta", options.reorganizer_config.beta);
-  if (flags.Has("planning_tier")) {
-    auto tier =
-        core::ParsePlanningTier(flags.GetString("planning_tier", "exact"));
-    if (!tier.ok()) return Fail(tier.status());
-    options.reorganizer_config.planning_tier = *tier;
-  }
   if (flags.Has("reorder")) {
     auto strategy =
         sparse::ParseReorderStrategy(flags.GetString("reorder", "none"));
@@ -378,20 +371,8 @@ int CmdVerify(const FlagParser& flags) {
   std::printf("%s\n", report->Summary().c_str());
   failed = failed || !report->ok();
 
-  // 2. Plan invariants on every ablation variant of the reorganizer, plus
-  // the estimated planning tiers (whose sweep additionally checks the
-  // estimation contract via CheckEstimatedClassification). A forced
-  // --planning_tier overrides every variant's tier — the CI estimation
-  // smoke runs the whole suite with the estimator on.
-  core::PlanningTier forced_tier = core::PlanningTier::kExact;
-  const bool force_tier = flags.Has("planning_tier");
-  if (force_tier) {
-    auto tier =
-        core::ParsePlanningTier(flags.GetString("planning_tier", "exact"));
-    if (!tier.ok()) return Fail(tier.status());
-    forced_tier = *tier;
-  }
-  // A forced --reorder similarly overrides every variant's reordering
+  // 2. Plan invariants on every ablation and reorder variant of the
+  // reorganizer. A forced --reorder overrides every variant's reordering
   // pre-pass — the CI reorder smoke runs the whole suite under each
   // strategy, including the bit-identity check against the unpermuted
   // baseline inside VerifyReorganizerInvariants.
@@ -408,37 +389,30 @@ int CmdVerify(const FlagParser& flags) {
     bool split;
     bool gather;
     bool limit;
-    core::PlanningTier tier;
     sparse::ReorderStrategy reorder;
   };
   const Variant variants[] = {
-      {"reorganizer", true, true, true, core::PlanningTier::kExact,
-       sparse::ReorderStrategy::kNone},
+      {"reorganizer", true, true, true, sparse::ReorderStrategy::kNone},
       {"reorganizer-splitting", true, false, false,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kNone},
-      {"reorganizer-gathering", false, true, false,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kNone},
-      {"reorganizer-limiting", false, false, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kNone},
-      {"reorganizer-none", false, false, false, core::PlanningTier::kExact,
        sparse::ReorderStrategy::kNone},
-      {"reorganizer-estimated", true, true, true,
-       core::PlanningTier::kEstimated, sparse::ReorderStrategy::kNone},
-      {"reorganizer-auto", true, true, true, core::PlanningTier::kAuto,
+      {"reorganizer-gathering", false, true, false,
+       sparse::ReorderStrategy::kNone},
+      {"reorganizer-limiting", false, false, true,
+       sparse::ReorderStrategy::kNone},
+      {"reorganizer-none", false, false, false,
        sparse::ReorderStrategy::kNone},
       {"reorganizer-reorder-degree", true, true, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kDegree},
+       sparse::ReorderStrategy::kDegree},
       {"reorganizer-reorder-rcm", true, true, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kRcm},
+       sparse::ReorderStrategy::kRcm},
       {"reorganizer-reorder-cluster", true, true, true,
-       core::PlanningTier::kExact, sparse::ReorderStrategy::kCluster},
+       sparse::ReorderStrategy::kCluster},
   };
   for (const Variant& v : variants) {
     core::ReorganizerConfig config;
     config.enable_splitting = v.split;
     config.enable_gathering = v.gather;
     config.enable_limiting = v.limit;
-    config.planning_tier = force_tier ? forced_tier : v.tier;
     config.reorder = force_reorder ? forced_reorder : v.reorder;
     Status worst = Status::Ok();
     for (const std::string& family : verify::SweepFamilyNames()) {

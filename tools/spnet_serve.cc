@@ -21,7 +21,6 @@
 //               [--store_capacity 8]   (unpinned resident matrices)
 //               [--scale 0.05] [--seed 42] [--cache dir]
 //               [--deadline_ms D] [--fallback outer-product]
-//               [--planning_tier exact|estimated|auto]
 //               [--reorder none|degree|rcm|cluster]
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
@@ -39,7 +38,6 @@
 
 #include "common/flags.h"
 #include "common/mutex.h"
-#include "core/reorganizer_config.h"
 #include "common/parallel.h"
 #include "common/status.h"
 #include "engine/request.h"
@@ -113,11 +111,6 @@ Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
   options.engine.fallback_algorithm =
       flags.GetString("fallback", options.engine.fallback_algorithm);
   options.engine.default_deadline_ms = flags.GetDouble("deadline_ms", 0.0);
-  if (flags.Has("planning_tier")) {
-    SPNET_ASSIGN_OR_RETURN(
-        options.engine.reorganizer_config.planning_tier,
-        core::ParsePlanningTier(flags.GetString("planning_tier", "exact")));
-  }
   if (flags.Has("reorder")) {
     SPNET_ASSIGN_OR_RETURN(
         options.engine.reorganizer_config.reorder,
