@@ -1,7 +1,8 @@
 #include "engine/batch_runner.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -201,24 +202,24 @@ Result<ExecutionReport> BatchRunner::Execute(
   }
 
   // Fingerprint each distinct matrix once, in parallel — a manifest that
-  // repeats one graph N times hashes it once, not N times.
-  std::unordered_map<const sparse::CsrMatrix*, uint64_t> fingerprints;
-  for (const Request& r : requests) {
-    fingerprints.emplace(r.a.get(), 0);
-    if (r.b != nullptr) fingerprints.emplace(r.b.get(), 0);
-  }
+  // repeats one graph N times hashes it once, not N times. The value is
+  // cached on the matrix, so the run loop below reads it back for free.
   std::vector<const sparse::CsrMatrix*> distinct;
-  distinct.reserve(fingerprints.size());
-  for (const auto& [m, fp] : fingerprints) distinct.push_back(m);
+  distinct.reserve(2 * requests.size());
+  for (const Request& r : requests) {
+    distinct.push_back(r.a.get());
+    if (r.b != nullptr) distinct.push_back(r.b.get());
+  }
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
   {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "engine:fingerprint");
     SPNET_RETURN_IF_ERROR(ParallelFor(
         0, static_cast<int64_t>(distinct.size()), 1,
         [&](int64_t begin, int64_t end, int) {
           for (int64_t i = begin; i < end; ++i) {
-            fingerprints[distinct[static_cast<size_t>(i)]] =
-                sparse::StructuralFingerprint(
-                    *distinct[static_cast<size_t>(i)]);
+            sparse::StructuralFingerprint(*distinct[static_cast<size_t>(i)]);
           }
           return Status::Ok();
         }));
@@ -235,8 +236,9 @@ Result<ExecutionReport> BatchRunner::Execute(
             const auto idx = static_cast<size_t>(i);
             const Request& r = requests[idx];
             const sparse::CsrMatrix* b = r.b ? r.b.get() : r.a.get();
-            RunOne(r, fingerprints[r.a.get()], fingerprints[b],
-                   *primaries[idx], fallback, ctx, &report.responses[idx]);
+            RunOne(r, sparse::StructuralFingerprint(*r.a),
+                   sparse::StructuralFingerprint(*b), *primaries[idx],
+                   fallback, ctx, &report.responses[idx]);
           }
           return Status::Ok();
         }));

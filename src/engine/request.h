@@ -61,7 +61,9 @@ struct Response {
   std::string algorithm_used;
   bool plan_cache_hit = false;
   bool fallback_used = false;
-  /// Host wall-clock spent executing (fingerprint + plan + simulate).
+  /// Host wall-clock spent executing: the plan-cache lookup, planning on
+  /// a miss, and simulation. Fingerprinting happens before the timer
+  /// starts.
   double wall_ms = 0.0;
   /// Simulated end-to-end seconds on the device, as milliseconds.
   double sim_ms = 0.0;

@@ -662,6 +662,8 @@ LintOptions::LintOptions()
           "src/common/parallel",
           "src/engine/plan_cache",
           "src/metrics/registry",
+          "src/sparse/csr_matrix",
+          "src/sparse/fingerprint",
           "src/verify/fault_injection",
       }) {}
 

@@ -42,7 +42,8 @@ const std::vector<RuleInfo>& Rules();
 struct LintOptions {
   /// Files whose hot paths may use std::memory_order_relaxed. Defaults to
   /// the audited fast paths: pool statistics, metrics instruments, plan
-  /// cache counters and the fault-injector armed flag.
+  /// cache counters, the matrix's cached fingerprint and the
+  /// fault-injector armed flag.
   std::vector<std::string> relaxed_atomic_allowlist;
   /// Files allowed to use raw new/delete (beyond inline suppressions).
   /// Empty by default: the repo's intentional leaky singletons carry

@@ -4,12 +4,40 @@
 #include <cmath>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "sparse/row_scratch.h"
 
 namespace spnet {
 namespace sparse {
+
+CsrMatrix::CsrMatrix(const CsrMatrix& other)
+    : rows_(other.rows_),
+      cols_(other.cols_),
+      ptr_(other.ptr_),
+      indices_(other.indices_),
+      values_(other.values_),
+      fingerprint_(other.fingerprint_.load(std::memory_order_relaxed)) {}
+
+CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept { *this = std::move(other); }
+
+CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
+  return *this = CsrMatrix(other);
+}
+
+CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
+  if (this == &other) return *this;
+  rows_ = std::exchange(other.rows_, 0);
+  cols_ = std::exchange(other.cols_, 0);
+  ptr_ = std::exchange(other.ptr_, {});
+  indices_ = std::exchange(other.indices_, {});
+  values_ = std::exchange(other.values_, {});
+  fingerprint_.store(other.fingerprint_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  other.fingerprint_.store(0, std::memory_order_relaxed);
+  return *this;
+}
 
 Result<CsrMatrix> CsrMatrix::FromCoo(const CooMatrix& coo) {
   SPNET_RETURN_IF_ERROR(coo.Validate());
@@ -136,6 +164,7 @@ CsrMatrix CsrMatrix::Transpose() const {
 }
 
 void CsrMatrix::SortRows() {
+  fingerprint_.store(0, std::memory_order_relaxed);
   std::vector<std::pair<Index, Value>> buf;
   for (Index r = 0; r < rows_; ++r) {
     const Offset begin = ptr_[r];

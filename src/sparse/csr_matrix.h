@@ -1,6 +1,7 @@
 #ifndef SPNET_SPARSE_CSR_MATRIX_H_
 #define SPNET_SPARSE_CSR_MATRIX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,13 @@ struct SpanView {
 class CsrMatrix {
  public:
   CsrMatrix() = default;
+
+  /// A copy keeps the source's cached fingerprint. A move hands it over
+  /// and leaves the source an empty 0x0 matrix with nothing cached.
+  CsrMatrix(const CsrMatrix& other);
+  CsrMatrix(CsrMatrix&& other) noexcept;
+  CsrMatrix& operator=(const CsrMatrix& other);
+  CsrMatrix& operator=(CsrMatrix&& other) noexcept;
 
   /// Builds from COO; duplicate entries are summed. O(nnz log nnz).
   static Result<CsrMatrix> FromCoo(const CooMatrix& coo);
@@ -59,6 +67,7 @@ class CsrMatrix {
   CsrMatrix Transpose() const;
 
   /// Sorts the column indices within every row (stable for values).
+  /// Clears the cached fingerprint.
   void SortRows();
 
   /// True if every row's column indices are strictly increasing.
@@ -78,11 +87,18 @@ class CsrMatrix {
   }
 
  private:
+  friend uint64_t StructuralFingerprint(const CsrMatrix& m);
+
   Index rows_ = 0;
   Index cols_ = 0;
   std::vector<Offset> ptr_;
   std::vector<Index> indices_;
   std::vector<Value> values_;
+  // StructuralFingerprint's memo; 0 means "not computed yet". Relaxed
+  // loads and stores suffice because every racing writer stores the same
+  // value. Any member that changes the structure in place (today only
+  // SortRows) must reset it to 0.
+  mutable std::atomic<uint64_t> fingerprint_{0};
 };
 
 /// Compressed Sparse Column matrix. Stored as the CSR of the transpose:

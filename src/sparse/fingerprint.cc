@@ -1,5 +1,6 @@
 #include "sparse/fingerprint.h"
 
+#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -66,6 +67,8 @@ uint64_t MixArray(uint64_t h, const std::vector<T>& values) {
 }  // namespace
 
 uint64_t StructuralFingerprint(const CsrMatrix& m) {
+  const uint64_t cached = m.fingerprint_.load(std::memory_order_relaxed);
+  if (cached != 0) return cached;
   uint64_t h = Mix(kSeed, static_cast<uint64_t>(m.rows()));
   h = Mix(h, static_cast<uint64_t>(m.cols()));
   // A default-constructed matrix stores an empty ptr array while the
@@ -77,7 +80,10 @@ uint64_t StructuralFingerprint(const CsrMatrix& m) {
     h = MixArray(h, m.ptr());
   }
   h = MixArray(h, m.indices());
-  return Avalanche(h);
+  h = Avalanche(h);
+  // A hash of 0 reads as "not computed yet"; it is simply never cached.
+  m.fingerprint_.store(h, std::memory_order_relaxed);
+  return h;
 }
 
 uint64_t CombineFingerprints(uint64_t a, uint64_t b) {

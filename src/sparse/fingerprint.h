@@ -19,10 +19,12 @@ namespace sparse {
 /// independent lanes, then its final avalanche), with each array's length
 /// mixed in ahead of it. Hashing element values rather than bytes keeps
 /// the result deterministic across runs, processes and host endianness.
-/// The value is not persisted anywhere; tests pin it so that changing the
-/// hash is a deliberate act. Two different structures colliding is
-/// possible but needs ~2^32 distinct structures in one cache to become
-/// likely.
+/// The value is cached on the matrix object, never persisted: the first
+/// call hashes, later calls on that object or a copy of it return the
+/// memo until SortRows changes its structure. Concurrent calls on one
+/// matrix are safe. Tests pin the value so that changing the hash is a
+/// deliberate act. Two different structures colliding is possible but
+/// needs ~2^32 distinct structures in one cache to become likely.
 uint64_t StructuralFingerprint(const CsrMatrix& m);
 
 /// Mixes two fingerprints (or a fingerprint and a tag) into one, order

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/block_reorganizer.h"
 #include "engine/batch_runner.h"
 #include "engine/manifest.h"
@@ -121,6 +122,70 @@ TEST(FingerprintTest, ValuesArePinned) {
             0x34c7264dbf452e4dULL);
   EXPECT_EQ(StructuralFingerprint(testing_util::SkewedMatrix(1001, 300, 11)),
             0x0aa7c4a5476fca23ULL);
+}
+
+TEST(FingerprintTest, CopyKeepsTheFingerprint) {
+  const CsrMatrix a = testing_util::SkewedMatrix(64, 32, 7);
+  const uint64_t fp = StructuralFingerprint(a);
+  const CsrMatrix copied(a);
+  EXPECT_EQ(StructuralFingerprint(copied), fp);
+  // Assigning over a matrix that cached another structure takes the
+  // source's value, not the stale one.
+  CsrMatrix assigned = testing_util::SkewedMatrix(200, 64, 3);
+  ASSERT_NE(StructuralFingerprint(assigned), fp);
+  assigned = a;
+  EXPECT_EQ(StructuralFingerprint(assigned), fp);
+}
+
+TEST(FingerprintTest, MoveHandsTheFingerprintOver) {
+  const uint64_t empty = StructuralFingerprint(CsrMatrix{});
+  CsrMatrix a = testing_util::SkewedMatrix(64, 32, 7);
+  const uint64_t fp = StructuralFingerprint(a);
+  CsrMatrix moved(std::move(a));
+  EXPECT_EQ(StructuralFingerprint(moved), fp);
+  // The moved-from matrix is an empty 0x0 matrix with nothing cached.
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  EXPECT_EQ(a.rows(), 0);
+  EXPECT_EQ(a.cols(), 0);
+  EXPECT_EQ(a.nnz(), 0);
+  EXPECT_EQ(StructuralFingerprint(a), empty);
+
+  CsrMatrix assigned = testing_util::SkewedMatrix(200, 64, 3);
+  ASSERT_NE(StructuralFingerprint(assigned), fp);
+  assigned = std::move(moved);
+  EXPECT_EQ(StructuralFingerprint(assigned), fp);
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  EXPECT_EQ(StructuralFingerprint(moved), empty);
+}
+
+TEST(FingerprintTest, SortRowsClearsTheCachedFingerprint) {
+  // Row 0 holds columns {2, 0}: sorting changes the index array.
+  auto m = CsrMatrix::FromParts(2, 3, {0, 2, 3}, {2, 0, 1}, {1, 2, 3});
+  auto sorted = CsrMatrix::FromParts(2, 3, {0, 2, 3}, {0, 2, 1}, {2, 1, 3});
+  ASSERT_TRUE(m.ok() && sorted.ok());
+  ASSERT_NE(StructuralFingerprint(*m), StructuralFingerprint(*sorted));
+  m->SortRows();
+  EXPECT_EQ(StructuralFingerprint(*m), StructuralFingerprint(*sorted));
+}
+
+TEST(FingerprintTest, ConcurrentFirstCallsAgree) {
+  const uint64_t expected =
+      StructuralFingerprint(testing_util::SkewedMatrix(1001, 300, 11));
+  // Never hashed before the pool's chunks race to fill its cache.
+  const CsrMatrix shared = testing_util::SkewedMatrix(1001, 300, 11);
+  ThreadPool pool(4);
+  constexpr int64_t kCalls = 64;
+  std::vector<uint64_t> seen(kCalls, 0);
+  ASSERT_TRUE(pool.ParallelFor(0, kCalls, 1,
+                               [&](int64_t begin, int64_t end, int) {
+                                 for (int64_t i = begin; i < end; ++i) {
+                                   seen[static_cast<size_t>(i)] =
+                                       StructuralFingerprint(shared);
+                                 }
+                                 return Status::Ok();
+                               })
+                  .ok());
+  for (const uint64_t fp : seen) EXPECT_EQ(fp, expected);
 }
 
 TEST(FingerprintTest, DistinguishesNearIdenticalStructures) {
@@ -443,6 +508,48 @@ TEST(BatchRunnerTest, CachedResultsAgreeWithUncached) {
     EXPECT_DOUBLE_EQ(a->responses[i].sim_ms, b->responses[i].sim_ms);
     EXPECT_EQ(a->responses[i].flops, b->responses[i].flops);
     EXPECT_EQ(a->responses[i].output_nnz, b->responses[i].output_nnz);
+  }
+}
+
+/// 16 requests over two fresh, never-hashed operands: A², A·B, B·A and B²
+/// on the reorganizer and row-product.
+std::vector<Request> TwoOperandBatch() {
+  const auto a = SharedSkewed(200, 64, 3);
+  const auto b = SharedSkewed(200, 48, 5);
+  std::vector<Request> requests;
+  for (int i = 0; i < 16; ++i) {
+    const bool a_first = i % 4 < 2;
+    const bool square = i % 2 == 0;
+    const auto& lhs = a_first ? a : b;
+    const auto& rhs = square ? lhs : (a_first ? b : a);
+    auto request = RequestBuilder()
+                       .Id("q" + std::to_string(i))
+                       .Algorithm(i % 8 < 4 ? "reorganizer" : "row-product")
+                       .OperandA(lhs)
+                       .OperandB(rhs)
+                       .Build();
+    SPNET_CHECK(request.ok()) << request.status().ToString();
+    requests.push_back(std::move(request).value());
+  }
+  return requests;
+}
+
+TEST(BatchRunnerTest, FourThreadsAnswerLikeOne) {
+  SetGlobalThreadCount(1);
+  auto serial = BatchRunner(BatchOptions{}).Execute(TwoOperandBatch());
+  SetGlobalThreadCount(4);
+  auto parallel = BatchRunner(BatchOptions{}).Execute(TwoOperandBatch());
+  SetGlobalThreadCount(0);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  ASSERT_EQ(parallel->responses.size(), serial->responses.size());
+  EXPECT_EQ(parallel->succeeded, 16);
+  for (size_t i = 0; i < serial->responses.size(); ++i) {
+    const Response& got = parallel->responses[i];
+    const Response& want = serial->responses[i];
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.algorithm_used, want.algorithm_used);
+    ExpectSameMeasurement(got, want);
   }
 }
 
