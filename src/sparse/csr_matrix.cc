@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/parallel.h"
@@ -220,6 +221,14 @@ Status CsrMatrix::Validate() const {
   if (indices_.size() != values_.size()) {
     return Status::InvalidArgument("indices/values size mismatch");
   }
+  // A branch-free pass that vectorizes: a negative index wraps to a large
+  // unsigned value, so one unsigned compare catches both ends of the range.
+  // Only a failing pass pays for the early-exit loop that names the index.
+  using UIndex = std::make_unsigned_t<Index>;
+  const UIndex bound = static_cast<UIndex>(cols_);
+  UIndex out_of_range = 0;
+  for (Index c : indices_) out_of_range |= static_cast<UIndex>(c) >= bound;
+  if (out_of_range == 0) return Status::Ok();
   for (Index c : indices_) {
     if (c < 0 || c >= cols_) {
       return Status::OutOfRange("column index " + std::to_string(c) +

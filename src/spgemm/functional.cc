@@ -1,6 +1,7 @@
 #include "spgemm/functional.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -28,31 +29,39 @@ Status CheckDims(const CsrMatrix& a, const CsrMatrix& b) {
   return Status::Ok();
 }
 
-/// Dense accumulator for one kernel worker. `mark[c]` is the last row that
-/// touched column c, so rows need no reset pass: column c is untouched in
-/// row r while mark[c] != r. Cache-line aligned so neighbouring workers'
-/// vector headers never share a line.
+/// One column's accumulator slot: `mark` is the last row that touched the
+/// column and `pos` is its position in that row's output. Both share one
+/// 8-byte slot, so a product touches one cache line of accumulator state.
+struct Slot {
+  Index mark;
+  Index pos;
+};
+static_assert(sizeof(Slot) == 8, "Slot must stay 8 bytes");
+
+/// Row-stamped accumulator for one kernel worker. Column c is untouched in
+/// row r while slots[c].mark != r, so rows need no reset pass. Cache-line
+/// aligned so neighbouring workers' vector headers never share a line.
 struct alignas(64) StampAccumulator {
   explicit StampAccumulator(Index cols)
-      : acc(static_cast<size_t>(cols)), mark(static_cast<size_t>(cols), -1) {}
+      : slots(static_cast<size_t>(cols), Slot{-1, 0}) {}
 
-  std::vector<Value> acc;
-  std::vector<Index> mark;
+  std::vector<Slot> slots;
 };
 static_assert(alignof(StampAccumulator) >= 64,
               "StampAccumulator must be cache-line aligned");
 
-/// Accumulates row r of A*B into `s`: A's row entries in column order,
-/// each times B's row in column order, summed per output column in that
-/// order. This order fixes the output bits, so every pass and every thread
-/// count uses it. A column's first product is stored as `0.0 + p`, the sum
-/// into a zeroed accumulator, so a row of -0.0 products sums to +0.0.
-/// `emit(c)` is called once per distinct column, in first-touch order.
-template <typename Emit>
-void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
-                   StampAccumulator* s, Emit emit) {
-  Value* acc = s->acc.data();
-  Index* mark = s->mark.data();
+/// Accumulates row r of A*B straight into the output row `idx`/`val` and
+/// returns its length: A's row entries in column order, each times B's row
+/// in column order, summed per output column in that order. This order
+/// fixes the output bits, so every pass and every thread count uses it.
+/// Columns are listed in first-touch order. A column's first product is
+/// stored as `0.0 + p`, the sum into a zeroed accumulator, so a row of -0.0
+/// products sums to +0.0. The caller provides room for min(row products,
+/// cols) entries.
+Offset AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
+                     StampAccumulator* s, Index* idx, Value* val) {
+  Slot* slots = s->slots.data();
+  Index n = 0;
   const SpanView arow = a.Row(r);
   for (Offset k = 0; k < arow.size; ++k) {
     const SpanView brow = b.Row(arow.indices[k]);
@@ -60,30 +69,33 @@ void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
       const Value p = av * brow.values[l];
-      if (mark[c] != r) {
-        mark[c] = r;
-        acc[c] = 0.0 + p;
-        emit(c);
+      Slot& slot = slots[c];
+      if (slot.mark != r) {
+        slot.mark = r;
+        slot.pos = n;
+        idx[n] = c;
+        val[n++] = 0.0 + p;
       } else {
-        acc[c] += p;
+        val[slot.pos] += p;
       }
     }
   }
+  return n;
 }
 
 /// Counts the distinct output columns of row r without materializing the
 /// expansion (pass 1 of the two-pass scheme).
 Offset SymbolicRowNnz(const CsrMatrix& a, const CsrMatrix& b, Index r,
                       StampAccumulator* s) {
-  Index* mark = s->mark.data();
+  Slot* slots = s->slots.data();
   Offset distinct = 0;
   const SpanView arow = a.Row(r);
   for (Offset k = 0; k < arow.size; ++k) {
     const SpanView brow = b.Row(arow.indices[k]);
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
-      if (mark[c] != r) {
-        mark[c] = r;
+      if (slots[c].mark != r) {
+        slots[c].mark = r;
         ++distinct;
       }
     }
@@ -102,10 +114,14 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
 
   if (pool.threads() == 1) {
-    // Serial path: single pass, rows appended as they complete. flops bounds
-    // nnz(C), so the output never regrows; untouched reserve is not resident.
+    // Serial path: single pass, rows written in place as they complete.
+    // Each row grows the output by its product count, clamped to cols, and
+    // shrinks back to its real length; flops bounds that growth, so the
+    // reserve never reallocates and untouched reserve is not resident.
     StampAccumulator s(cols);
-    const int64_t flops = sparse::SpGemmFlops(a, b);
+    const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
+    const int64_t flops =
+        std::accumulate(row_flops.begin(), row_flops.end(), int64_t{0});
     std::vector<Index> out_idx;
     std::vector<Value> out_val;
     out_idx.reserve(static_cast<size_t>(flops));
@@ -114,11 +130,17 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     AdviseHugePages(out_val.data(), out_val.capacity() * sizeof(Value));
     for (Index r = 0; r < rows; ++r) {
       const size_t base = out_idx.size();
-      AccumulateRow(a, b, r, &s, [&](Index c) { out_idx.push_back(c); });
-      for (size_t j = base; j < out_idx.size(); ++j) {
-        out_val.push_back(s.acc[static_cast<size_t>(out_idx[j])]);
-      }
-      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
+      const size_t room = static_cast<size_t>(
+          std::min<int64_t>(row_flops[static_cast<size_t>(r)], cols));
+      out_idx.resize(base + room);
+      out_val.resize(base + room);
+      const size_t end =
+          base + static_cast<size_t>(AccumulateRow(a, b, r, &s,
+                                                   out_idx.data() + base,
+                                                   out_val.data() + base));
+      out_idx.resize(end);
+      out_val.resize(end);
+      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(end);
     }
     return CsrMatrix::FromParts(rows, cols, std::move(ptr),
                                 std::move(out_idx), std::move(out_val));
@@ -149,7 +171,7 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
   // A row may land on another thread in the numeric pass, where a symbolic
   // stamp equal to its row number would read as already touched.
   for (StampAccumulator& s : workers) {
-    std::fill(s.mark.begin(), s.mark.end(), Index{-1});
+    for (Slot& slot : s.slots) slot.mark = -1;
   }
 
   std::vector<Index> out_idx;
@@ -165,15 +187,9 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
       [&](int64_t row_begin, int64_t row_end, int thread_index) {
         StampAccumulator& s = workers[static_cast<size_t>(thread_index)];
         for (int64_t r = row_begin; r < row_end; ++r) {
-          const Offset begin = ptr[static_cast<size_t>(r)];
-          const Offset end = ptr[static_cast<size_t>(r) + 1];
-          Index* idx = out_idx.data() + begin;
+          const size_t begin = static_cast<size_t>(ptr[static_cast<size_t>(r)]);
           AccumulateRow(a, b, static_cast<Index>(r), &s,
-                        [&idx](Index c) { *idx++ = c; });
-          for (Offset j = begin; j < end; ++j) {
-            out_val[static_cast<size_t>(j)] =
-                s.acc[static_cast<size_t>(out_idx[static_cast<size_t>(j)])];
-          }
+                        out_idx.data() + begin, out_val.data() + begin);
         }
         return Status::Ok();
       }));

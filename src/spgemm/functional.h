@@ -10,8 +10,9 @@ namespace spgemm {
 /// The host kernel every algorithm's Compute runs: Gustavson's row
 /// product, with expansion and merge fused. Each output row accumulates
 /// A's row entries in column order, each times B's row in column order,
-/// into a row-stamped dense accumulator that writes each new column's
-/// index straight into the output, so rows come out in first-touch order
+/// straight into the output row: a row-stamped slot per column holds the
+/// column's position in the row, so a column's first product appends it
+/// and later products add in place. Rows come out in first-touch order
 /// (unordered CSR rows, like the paper's kernels). The output buffers are
 /// advised for huge pages before their first write. An algorithm whose
 /// GPU schedule visits the contraction axis in another order relabels A's

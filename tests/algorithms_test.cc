@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -217,6 +218,107 @@ TEST(FunctionalTest, NegativeZeroProductsMatchReferenceBits) {
       EXPECT_EQ(SortedBits(*got), expected_bits);
     }
   }
+}
+
+/// Random values in [-1, 1): non-dyadic, so a changed summation order
+/// would show in the bits.
+CsrMatrix FromPattern(sparse::Index rows, sparse::Index cols,
+                      const std::vector<std::pair<sparse::Index,
+                                                  sparse::Index>>& entries,
+                      uint64_t seed) {
+  Rng rng(seed);
+  sparse::CooMatrix coo(rows, cols);
+  for (const auto& [r, c] : entries) coo.Add(r, c, 2.0 * rng.NextDouble() - 1.0);
+  auto m = CsrMatrix::FromCoo(coo);
+  SPNET_CHECK(m.ok());
+  return std::move(m).value();
+}
+
+/// Runs the host kernel at 1, 2 and 4 threads: every run matches the
+/// reference and has exactly the 1-thread run's arrays, value bits included.
+void ExpectKernelExactAcrossThreads(const CsrMatrix& a, const CsrMatrix& b) {
+  auto expected = sparse::ReferenceSpGemm(a, b);
+  ASSERT_TRUE(expected.ok());
+  std::vector<CsrMatrix> runs;
+  for (int threads : {1, 2, 4}) {
+    SetGlobalThreadCount(threads);
+    auto got = RowProductExpandMerge(a, b);
+    SetGlobalThreadCount(0);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(CsrApproxEqual(*expected, *got, 1e-9))
+        << threads << " threads";
+    runs.push_back(std::move(got).value());
+  }
+  const CsrMatrix& base = runs.front();
+  for (size_t i = 1; i < runs.size(); ++i) {
+    const CsrMatrix& run = runs[i];
+    EXPECT_EQ(run.ptr(), base.ptr()) << "run " << i;
+    EXPECT_EQ(run.indices(), base.indices()) << "run " << i;
+    ASSERT_EQ(run.values().size(), base.values().size()) << "run " << i;
+    EXPECT_EQ(std::memcmp(run.values().data(), base.values().data(),
+                          base.values().size() * sizeof(sparse::Value)),
+              0)
+        << "run " << i;
+  }
+}
+
+/// Rows with far more products than output columns: the serial path's
+/// per-row growth is clamped to cols, not to the product count.
+TEST(FunctionalTest, RowWiderThanColsClampsGrowth) {
+  std::vector<std::pair<sparse::Index, sparse::Index>> a_entries;
+  std::vector<std::pair<sparse::Index, sparse::Index>> b_entries;
+  for (sparse::Index c = 0; c < 40; ++c) {
+    a_entries.emplace_back(0, c);
+    a_entries.emplace_back(3, c);
+    if (c % 7 == 0) a_entries.emplace_back(5, c);
+  }
+  a_entries.emplace_back(1, 9);
+  for (sparse::Index r = 0; r < 40; ++r) {
+    for (sparse::Index c = 0; c < 8; ++c) b_entries.emplace_back(r, c);
+  }
+  const CsrMatrix a = FromPattern(6, 40, a_entries, 31);
+  const CsrMatrix b = FromPattern(40, 8, b_entries, 32);
+  ASSERT_GT(a.RowNnz(0) * 8, b.cols());
+  ExpectKernelExactAcrossThreads(a, b);
+}
+
+/// Every product of a row lands in one column, so the row is one entry
+/// summed from many products.
+TEST(FunctionalTest, AllProductsInOneColumn) {
+  std::vector<std::pair<sparse::Index, sparse::Index>> a_entries;
+  std::vector<std::pair<sparse::Index, sparse::Index>> b_entries;
+  for (sparse::Index r = 0; r < 5; ++r) {
+    if (r == 2) continue;
+    for (sparse::Index c = 0; c < 50; ++c) a_entries.emplace_back(r, c);
+  }
+  for (sparse::Index r = 0; r < 50; ++r) b_entries.emplace_back(r, 17);
+  const CsrMatrix a = FromPattern(5, 50, a_entries, 41);
+  const CsrMatrix b = FromPattern(50, 30, b_entries, 42);
+  ExpectKernelExactAcrossThreads(a, b);
+  auto got = RowProductExpandMerge(a, b);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->nnz(), 4);
+}
+
+/// Long rows separated by runs of empty rows: each row starts where the
+/// last non-empty row ended, after the previous row shrank its growth.
+TEST(FunctionalTest, LongRowsBetweenEmptyRows) {
+  Rng rng(51);
+  std::vector<std::pair<sparse::Index, sparse::Index>> a_entries;
+  std::vector<std::pair<sparse::Index, sparse::Index>> b_entries;
+  for (sparse::Index r = 0; r < 80; r += 20) {
+    for (sparse::Index c = 0; c < 60; ++c) {
+      if (rng.NextBounded(5) != 0) a_entries.emplace_back(r, c);
+    }
+  }
+  for (sparse::Index r = 0; r < 60; ++r) {
+    for (sparse::Index c = 0; c < 70; ++c) {
+      if (rng.NextBounded(3) == 0) b_entries.emplace_back(r, c);
+    }
+  }
+  const CsrMatrix a = FromPattern(80, 60, a_entries, 52);
+  const CsrMatrix b = FromPattern(60, 70, b_entries, 53);
+  ExpectKernelExactAcrossThreads(a, b);
 }
 
 TEST(PlanTest, AllAlgorithmsProduceConsistentFlops) {

@@ -97,6 +97,29 @@ TEST(CsrMatrixTest, FromPartsValidates) {
   // good.
   auto good = CsrMatrix::FromParts(2, 2, {0, 1, 2}, {0, 1}, {1.0, 2.0});
   EXPECT_TRUE(good.ok());
+
+  // Long rows, long enough for the vectorized range pass: one bad index
+  // near the end is found and named exactly as the scalar check names it.
+  const Index cols = 64;
+  const size_t n = 1500;
+  auto long_row = [&](Index bad_index) {
+    std::vector<Index> indices(n);
+    for (size_t k = 0; k < n; ++k) indices[k] = static_cast<Index>(k % cols);
+    indices[n - 3] = bad_index;
+    return CsrMatrix::FromParts(1, cols, {0, static_cast<Offset>(n)},
+                                std::move(indices),
+                                std::vector<Value>(n, 1.0));
+  };
+  auto negative = long_row(-5);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(negative.status().message(), "column index -5 out of [0, 64)");
+  auto at_cols = long_row(cols);
+  ASSERT_FALSE(at_cols.ok());
+  EXPECT_EQ(at_cols.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(at_cols.status().message(), "column index 64 out of [0, 64)");
+  auto valid = long_row(cols - 1);
+  EXPECT_TRUE(valid.ok()) << valid.status().ToString();
 }
 
 TEST(CsrMatrixTest, TransposeRoundTrip) {
