@@ -8,7 +8,7 @@
 
 #include "common/math_util.h"
 #include "core/b_limiting.h"
-#include "sparse/reorder.h"
+#include "sparse/operations.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
@@ -94,38 +94,9 @@ KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
   return k;
 }
 
-/// The reorder pre-pass: A's rows and B's columns are permuted by the
-/// configured strategy. The inner (contraction) dimension is left alone,
-/// so the pair set, the per-pair processing order, and every per-entry
-/// accumulation order are unchanged — output values stay bit-identical to
-/// the unpermuted baseline once the inverse permutations are applied.
-struct ReorderedInputs {
-  sparse::Permutation rows;  ///< applied to a's rows
-  sparse::Permutation cols;  ///< applied to b's columns
-  CsrMatrix a;
-  CsrMatrix b;
-};
-
-Result<ReorderedInputs> BuildReorderedInputs(const CsrMatrix& a,
-                                             const CsrMatrix& b,
-                                             sparse::ReorderStrategy strategy,
-                                             spgemm::ExecContext* ctx) {
-  metrics::ScopedSpan span(spgemm::TraceOf(ctx), "reorder");
-  ReorderedInputs out;
-  SPNET_ASSIGN_OR_RETURN(out.rows, sparse::BuildRowPermutation(a, strategy));
-  SPNET_ASSIGN_OR_RETURN(out.cols, sparse::BuildColPermutation(b, strategy));
-  SPNET_ASSIGN_OR_RETURN(out.a, out.rows.ApplyToRows(a));
-  SPNET_ASSIGN_OR_RETURN(out.b, out.cols.ApplyToCols(b));
-  spgemm::AddCounter(ctx, "reorder.applied", 1);
-  return out;
-}
-
 }  // namespace
 
 struct BlockReorganizerSpGemm::Prepared {
-  /// Set when the config reorders; every other field describes the
-  /// permuted operands.
-  std::optional<ReorderedInputs> reordered;
   Workload workload;
   Classification classes;
   /// Built when splitting is enabled and dominators exist.
@@ -134,22 +105,13 @@ struct BlockReorganizerSpGemm::Prepared {
   std::optional<GatherPlan> gather;
 };
 
-Result<BlockReorganizerSpGemm::Prepared> BlockReorganizerSpGemm::Prepare(
+BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::Prepare(
     const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
     spgemm::ExecContext* ctx) const {
   Prepared prep;
-  const CsrMatrix* pa = &a;
-  const CsrMatrix* pb = &b;
-  if (config_.reorder != sparse::ReorderStrategy::kNone) {
-    SPNET_ASSIGN_OR_RETURN(prep.reordered,
-                           BuildReorderedInputs(a, b, config_.reorder, ctx));
-    pa = &prep.reordered->a;
-    pb = &prep.reordered->b;
-  }
-
   prep.workload = [&] {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-    return spgemm::BuildWorkload(*pa, *pb, ctx);
+    return spgemm::BuildWorkload(a, b, ctx);
   }();
   prep.classes = Classify(prep.workload, config_, ctx);
 
@@ -171,7 +133,7 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
     return Status::InvalidArgument(
         "dimension mismatch in Block Reorganizer plan");
   }
-  SPNET_ASSIGN_OR_RETURN(const Prepared prep, Prepare(a, b, device, ctx));
+  const Prepared prep = Prepare(a, b, device, ctx);
   const Workload& workload = prep.workload;
   const Classification& classes = prep.classes;
   auto pair_block = [&](Index pair) {
@@ -185,7 +147,6 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
   SpGemmPlan plan;
   plan.flops = workload.flops;
   plan.output_nnz = workload.output_nnz;
-  // Reordering permutes nnz(A), never changes it.
   plan.kernels.push_back(BuildPreprocessKernel(workload, a.nnz()));
 
   // --- Expansion: dominator kernel (split or not). --------------------------
@@ -275,11 +236,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
   // The prepared product only orders the expansion, and it reads only the
   // pair side. Compute has no device, so the split heuristic assumes the
   // paper's Titan Xp; the split factor never changes the output.
-  SPNET_ASSIGN_OR_RETURN(
-      const Prepared prep,
-      Prepare(a, b, gpusim::DeviceSpec::TitanXp(), ctx));
-  const CsrMatrix& pa = prep.reordered ? prep.reordered->a : a;
-  const CsrMatrix& pb = prep.reordered ? prep.reordered->b : b;
+  const Prepared prep = Prepare(a, b, gpusim::DeviceSpec::TitanXp(), ctx);
 
   // Each output row receives a pair's products when that pair's block (or
   // its first split fragment: fragments of one column are consecutive and
@@ -293,8 +250,8 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
   {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "relabel");
     std::vector<Index> order;
-    order.reserve(static_cast<size_t>(pa.cols()));
-    std::vector<uint8_t> ranked(static_cast<size_t>(pa.cols()), 0);
+    order.reserve(static_cast<size_t>(a.cols()));
+    std::vector<uint8_t> ranked(static_cast<size_t>(a.cols()), 0);
     auto rank = [&](Index pair) {
       if (ranked[static_cast<size_t>(pair)]) return;
       ranked[static_cast<size_t>(pair)] = 1;
@@ -312,11 +269,9 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
     } else {
       for (Index pair : prep.classes.low_performers) rank(pair);
     }
-    for (Index pair = 0; pair < pa.cols(); ++pair) rank(pair);
-    SPNET_ASSIGN_OR_RETURN(const sparse::Permutation relabel,
-                           sparse::Permutation::FromNewToOld(std::move(order)));
-    SPNET_ASSIGN_OR_RETURN(ra, relabel.ApplyToCols(pa));
-    SPNET_ASSIGN_OR_RETURN(rb, relabel.ApplyToRows(pb));
+    for (Index pair = 0; pair < a.cols(); ++pair) rank(pair);
+    SPNET_ASSIGN_OR_RETURN(ra, sparse::PermuteCols(a, order));
+    SPNET_ASSIGN_OR_RETURN(rb, sparse::PermuteRows(b, order));
   }
 
   // The output is the largest allocation left on the host path; a fault
@@ -329,14 +284,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
   if (!c.ok()) return c;
   spgemm::AddCounter(ctx, "expand.products", prep.workload.flops);
   spgemm::AddCounter(ctx, "merge.output_nnz", c->nnz());
-  if (!prep.reordered) return c;
-  // Invert the pre-pass: permuted row i holds original row rows.OldOf(i)
-  // and permuted column j is original column cols.OldOf(j). Values are
-  // moved, never recombined, so the restored matrix matches the
-  // unpermuted baseline bit for bit (within-row order aside).
-  SPNET_ASSIGN_OR_RETURN(const CsrMatrix rows_restored,
-                         prep.reordered->rows.Inverse().ApplyToRows(*c));
-  return prep.reordered->cols.Inverse().ApplyToCols(rows_restored);
+  return c;
 }
 
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
@@ -346,7 +294,7 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
     return Status::InvalidArgument("dimension mismatch in Analyze");
   }
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "analyze:" + name());
-  SPNET_ASSIGN_OR_RETURN(const Prepared prep, Prepare(a, b, device, ctx));
+  const Prepared prep = Prepare(a, b, device, ctx);
   const Classification& classes = prep.classes;
 
   ReorganizerReport report;
@@ -400,20 +348,6 @@ void RegisterCoreAlgorithms() {
     gathering_only.enable_limiting = false;
     add("reorganizer-gathering", gathering_only, "B-Gathering");
 
-    // Full reorganizer behind each reordering pre-pass; the differential
-    // sweep covers every strategy against the reference, proving the
-    // permute/invert round trip never changes results.
-    ReorganizerConfig reorder_degree;
-    reorder_degree.reorder = sparse::ReorderStrategy::kDegree;
-    add("reorganizer-reorder-degree", reorder_degree, "Reorder-Degree");
-
-    ReorganizerConfig reorder_rcm;
-    reorder_rcm.reorder = sparse::ReorderStrategy::kRcm;
-    add("reorganizer-reorder-rcm", reorder_rcm, "Reorder-RCM");
-
-    ReorganizerConfig reorder_cluster;
-    reorder_cluster.reorder = sparse::ReorderStrategy::kCluster;
-    add("reorganizer-reorder-cluster", reorder_cluster, "Reorder-Cluster");
     return true;
   }();
   (void)registered;

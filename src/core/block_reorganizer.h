@@ -71,12 +71,11 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
   struct Prepared;
 
   /// The paper's one pre-process pass, shared by Plan, Analyze and
-  /// Compute: the config's reorder pre-pass, the exact precalculation,
-  /// the bins, and the split and gather plans of non-empty bins.
-  Result<Prepared> Prepare(const sparse::CsrMatrix& a,
-                           const sparse::CsrMatrix& b,
-                           const gpusim::DeviceSpec& device,
-                           spgemm::ExecContext* ctx) const;
+  /// Compute: the exact precalculation on the operands as given, the
+  /// bins, and the split and gather plans of non-empty bins.
+  Prepared Prepare(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+                   const gpusim::DeviceSpec& device,
+                   spgemm::ExecContext* ctx) const;
 
   ReorganizerConfig config_;
   std::string name_;
@@ -90,8 +89,7 @@ Result<std::unique_ptr<spgemm::SpGemmAlgorithm>> MakeBlockReorganizer(
 
 /// Registers the Block Reorganizer family ("reorganizer" plus the
 /// single-technique ablation variants "reorganizer-limiting",
-/// "reorganizer-splitting", "reorganizer-gathering", and the reordering
-/// pre-pass ablations "reorganizer-reorder-degree" / "-rcm" / "-cluster") in
+/// "reorganizer-splitting" and "reorganizer-gathering") in
 /// spgemm::AlgorithmRegistry::Global(). Idempotent; call before querying
 /// the registry for core-layer algorithms.
 void RegisterCoreAlgorithms();

@@ -55,12 +55,6 @@ Status ReorganizerConfig::Validate() const {
         "block_size must be a positive multiple of 32, got " +
         std::to_string(block_size));
   }
-  if (reorder != sparse::ReorderStrategy::kNone &&
-      reorder != sparse::ReorderStrategy::kDegree &&
-      reorder != sparse::ReorderStrategy::kRcm &&
-      reorder != sparse::ReorderStrategy::kCluster) {
-    return Status::InvalidArgument("reorder is not a known strategy");
-  }
   return Status::Ok();
 }
 
@@ -74,7 +68,6 @@ uint64_t ReorganizerConfig::Fingerprint() const {
   h = FnvMix(h, static_cast<uint64_t>(splitting_factor_override));
   h = FnvMix(h, static_cast<uint64_t>(limiting_extra_shmem));
   h = FnvMix(h, static_cast<uint64_t>(block_size));
-  h = FnvMix(h, static_cast<uint64_t>(reorder));
   return h;
 }
 

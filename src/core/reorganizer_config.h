@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "sparse/reorder.h"
 
 namespace spnet {
 namespace core {
@@ -44,20 +43,10 @@ struct ReorganizerConfig {
   /// Thread block size for expansion and merge kernels.
   int block_size = 256;
 
-  /// Structural reordering pre-pass (sparse::BuildRowPermutation) applied
-  /// before planning and execution: A's rows and B's columns are permuted,
-  /// the product is computed in the permuted space, and the inverse
-  /// permutations are applied to the output. The inner (contraction)
-  /// dimension is never permuted, so every per-entry accumulation runs in
-  /// the original order and results stay bit-identical to the unpermuted
-  /// baseline (up to within-row entry order).
-  sparse::ReorderStrategy reorder = sparse::ReorderStrategy::kNone;
-
   /// Checks the knobs are usable before an algorithm is built around
   /// them: alpha/beta strictly positive, splitting_factor_override zero
   /// (heuristic) or a power of two, limiting_extra_shmem non-negative,
-  /// block_size a positive multiple of the 32-lane warp, and a known
-  /// reorder strategy.
+  /// block_size a positive multiple of the 32-lane warp.
   /// MakeBlockReorganizer and AutoTune refuse invalid configs with this
   /// Status instead of silently running with nonsense thresholds.
   Status Validate() const;

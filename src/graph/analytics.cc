@@ -81,14 +81,6 @@ CsrMatrix SymmetrizePattern(const CsrMatrix& a) {
   return Binarize(std::move(sum).value());  // same square shape, cannot fail
 }
 
-/// P·A·Pᵀ — the same permutation on rows and columns, keeping the graph
-/// isomorphic while relabeling node ids to the reorder strategy's order.
-Result<CsrMatrix> PermuteSymmetric(const CsrMatrix& a,
-                                   const sparse::Permutation& p) {
-  SPNET_ASSIGN_OR_RETURN(const CsrMatrix rows_permuted, p.ApplyToRows(a));
-  return p.ApplyToCols(rows_permuted);
-}
-
 }  // namespace
 
 Result<PageRankResult> PageRank(const CsrMatrix& adjacency,
@@ -101,21 +93,6 @@ Result<PageRankResult> PageRank(const CsrMatrix& adjacency,
   if (n == 0) {
     return PageRankResult{};
   }
-  if (options.reorder != sparse::ReorderStrategy::kNone) {
-    // One symmetric permutation up front, amortized over every iteration;
-    // scores are mapped back to the original node ids.
-    SPNET_ASSIGN_OR_RETURN(
-        const sparse::Permutation perm,
-        sparse::BuildRowPermutation(adjacency, options.reorder));
-    SPNET_ASSIGN_OR_RETURN(const CsrMatrix permuted,
-                           PermuteSymmetric(adjacency, perm));
-    PageRankOptions inner = options;
-    inner.reorder = sparse::ReorderStrategy::kNone;
-    SPNET_ASSIGN_OR_RETURN(PageRankResult result, PageRank(permuted, inner));
-    SPNET_ASSIGN_OR_RETURN(result.scores, perm.Inverse().Apply(result.scores));
-    return result;
-  }
-
   // Random-walk transition matrix: rows normalized to 1.
   const CsrMatrix p = sparse::RowNormalize(adjacency);
   std::vector<bool> dangling(static_cast<size_t>(n), false);
@@ -168,28 +145,10 @@ Result<CsrMatrix> CosineSimilarity(const CsrMatrix& a,
 
 Result<CsrMatrix> KHopReachability(const CsrMatrix& adjacency,
                                    const spgemm::SpGemmAlgorithm& algorithm,
-                                   int hops,
-                                   sparse::ReorderStrategy reorder) {
+                                   int hops) {
   SPNET_RETURN_IF_ERROR(CheckSquare(adjacency, "KHopReachability"));
   if (hops < 1) {
     return Status::InvalidArgument("hops must be >= 1");
-  }
-  if (reorder != sparse::ReorderStrategy::kNone) {
-    // The permutation from the input adjacency stays valid for every
-    // power in the squaring chain (a permuted pattern's powers are the
-    // permuted powers), so one reorder serves the whole chain. Patterns
-    // are exact: mapping back reproduces the unpermuted result.
-    SPNET_ASSIGN_OR_RETURN(const sparse::Permutation perm,
-                           sparse::BuildRowPermutation(adjacency, reorder));
-    SPNET_ASSIGN_OR_RETURN(const CsrMatrix permuted,
-                           PermuteSymmetric(adjacency, perm));
-    SPNET_ASSIGN_OR_RETURN(
-        CsrMatrix reach,
-        KHopReachability(permuted, algorithm, hops,
-                         sparse::ReorderStrategy::kNone));
-    const sparse::Permutation inverse = perm.Inverse();
-    SPNET_ASSIGN_OR_RETURN(reach, inverse.ApplyToRows(reach));
-    return inverse.ApplyToCols(reach);
   }
   // reach = pattern of (A + I)^hops via repeated squaring; binarizing
   // after every multiply keeps values from exploding and the pattern
@@ -215,19 +174,8 @@ Result<CsrMatrix> KHopReachability(const CsrMatrix& adjacency,
 }
 
 Result<int64_t> CountTriangles(const CsrMatrix& adjacency,
-                               const spgemm::SpGemmAlgorithm& algorithm,
-                               sparse::ReorderStrategy reorder) {
+                               const spgemm::SpGemmAlgorithm& algorithm) {
   SPNET_RETURN_IF_ERROR(CheckSquare(adjacency, "CountTriangles"));
-  if (reorder != sparse::ReorderStrategy::kNone) {
-    // Triangle counts are invariant under node relabeling, so no inverse
-    // mapping is needed — the permutation only improves locality.
-    SPNET_ASSIGN_OR_RETURN(const sparse::Permutation perm,
-                           sparse::BuildRowPermutation(adjacency, reorder));
-    SPNET_ASSIGN_OR_RETURN(const CsrMatrix permuted,
-                           PermuteSymmetric(adjacency, perm));
-    return CountTriangles(permuted, algorithm,
-                          sparse::ReorderStrategy::kNone);
-  }
   const CsrMatrix a = DropDiagonal(SymmetrizePattern(adjacency));
   SPNET_ASSIGN_OR_RETURN(CsrMatrix a2, algorithm.Compute(a, a));
   a2.SortRows();

@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "sparse/csr_matrix.h"
-#include "sparse/reorder.h"
 #include "spgemm/algorithm.h"
 
 namespace spnet {
@@ -15,12 +14,6 @@ namespace graph {
 /// (ranking, similarity computation, recommendation), built on the
 /// library's sparse primitives and — where they are spGEMM-shaped — on a
 /// pluggable SpGemmAlgorithm so the Block Reorganizer accelerates them.
-///
-/// Chained workloads (PageRank iterations, repeated-squaring k-hop,
-/// triangle counting) optionally take a sparse::ReorderStrategy: the
-/// adjacency is symmetrically permuted (P·A·Pᵀ) once up front, every
-/// iteration runs in the permuted space, and outputs are mapped back —
-/// the one-time reorder cost amortizes across the whole chain.
 
 /// Which edges a traversal follows on a (possibly directed) adjacency.
 enum class EdgeDirection {
@@ -35,12 +28,6 @@ struct PageRankOptions {
   int max_iterations = 100;
   /// L1 change below which iteration stops.
   double tolerance = 1e-9;
-  /// Optional locality pre-pass: the adjacency is symmetrically permuted
-  /// once before iterating and the scores are mapped back, so the result
-  /// is unchanged up to floating-point summation order (accumulations run
-  /// over permuted neighbor orders). The reorder cost amortizes across
-  /// all iterations.
-  sparse::ReorderStrategy reorder = sparse::ReorderStrategy::kNone;
 };
 
 struct PageRankResult {
@@ -64,26 +51,19 @@ Result<sparse::CsrMatrix> CosineSimilarity(
 
 /// Nodes reachable within `hops` steps of each node: the boolean pattern
 /// of (A + I)^hops, computed by repeated squaring through `algorithm`.
-/// Values in the result are 1.0. `hops` must be >= 1. With a reorder
-/// strategy the squaring chain runs in the permuted space and the pattern
-/// is mapped back — identical result (patterns are exact), one reorder
-/// amortized over log2(hops) multiplies.
+/// Values in the result are 1.0. `hops` must be >= 1.
 Result<sparse::CsrMatrix> KHopReachability(
     const sparse::CsrMatrix& adjacency,
-    const spgemm::SpGemmAlgorithm& algorithm, int hops,
-    sparse::ReorderStrategy reorder = sparse::ReorderStrategy::kNone);
+    const spgemm::SpGemmAlgorithm& algorithm, int hops);
 
 /// Counts triangles of the *undirected* simple graph underlying
 /// `adjacency`: a directed (asymmetric) input is symmetrized internally
 /// via the binarized pattern of A ∨ Aᵀ and the diagonal is dropped, so
 /// u–v–w counts as a triangle when each pair is connected in at least one
 /// direction. Computes sum(A .* A²) / 6 with A² through `algorithm`; the
-/// count is exact (integer sums stay below 2^53) and independent of any
-/// reorder strategy, which only changes the computation locality.
-Result<int64_t> CountTriangles(
-    const sparse::CsrMatrix& adjacency,
-    const spgemm::SpGemmAlgorithm& algorithm,
-    sparse::ReorderStrategy reorder = sparse::ReorderStrategy::kNone);
+/// count is exact (integer sums stay below 2^53).
+Result<int64_t> CountTriangles(const sparse::CsrMatrix& adjacency,
+                               const spgemm::SpGemmAlgorithm& algorithm);
 
 /// Common-neighbor link prediction scores: for each node, the `top_k`
 /// non-adjacent nodes sharing the most neighbors (A^2 masked by the

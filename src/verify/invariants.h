@@ -68,11 +68,7 @@ namespace verify {
 /// Runs the full invariant suite for one configuration on one A*B:
 /// classification, split/gather/limiting plans (as enabled), the built
 /// SpGemmPlan, and finally Compute whose CSR output must Validate() and
-/// match the reference oracle. The plan-level checks tolerate a reorder
-/// pre-pass transparently (flops are permutation invariant); when
-/// config.reorder is set, Compute's output must additionally be
-/// bit-identical (after row sorting) to the unpermuted-config baseline —
-/// the reorder pass's core promise.
+/// match the reference oracle.
 [[nodiscard]] Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const core::ReorganizerConfig& config);

@@ -3,6 +3,7 @@
 // the ReorganizerConfig validation that gates algorithm construction.
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -170,6 +171,30 @@ TEST(ReorganizerConfigTest, RejectsBadKnobs) {
     core::ReorganizerConfig config;
     config.block_size = 48;  // not a multiple of the warp size
     EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// Fingerprint is the plan-cache key's config part: changing any one knob
+/// must change it, and no two single-knob changes may collide.
+TEST(ReorganizerConfigTest, FingerprintSeparatesEveryKnob) {
+  std::vector<core::ReorganizerConfig> configs(9);
+  configs[1].enable_splitting = false;
+  configs[2].enable_gathering = false;
+  configs[3].enable_limiting = false;
+  configs[4].alpha = 16.0;
+  configs[5].beta = 5.0;
+  configs[6].splitting_factor_override = 8;
+  configs[7].limiting_extra_shmem = 0;
+  configs[8].block_size = 128;
+  std::vector<uint64_t> fingerprints;
+  for (const core::ReorganizerConfig& config : configs) {
+    ASSERT_TRUE(config.Validate().ok());
+    fingerprints.push_back(config.Fingerprint());
+  }
+  for (size_t i = 0; i < fingerprints.size(); ++i) {
+    for (size_t j = i + 1; j < fingerprints.size(); ++j) {
+      EXPECT_NE(fingerprints[i], fingerprints[j]) << i << " vs " << j;
+    }
   }
 }
 

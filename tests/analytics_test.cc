@@ -178,19 +178,6 @@ TEST(TriangleTest, DirectedInputIsSymmetrized) {
   EXPECT_EQ(m.value(), 1);
 }
 
-TEST(TriangleTest, ReorderStrategiesPreserveCounts) {
-  const CsrMatrix a = testing_util::SkewedMatrix(60, 40, 37);
-  auto baseline = CountTriangles(a, Reorganizer());
-  ASSERT_TRUE(baseline.ok());
-  for (sparse::ReorderStrategy strategy : sparse::AllReorderStrategies()) {
-    auto reordered = CountTriangles(a, Reorganizer(), strategy);
-    ASSERT_TRUE(reordered.ok())
-        << sparse::ReorderStrategyName(strategy);
-    EXPECT_EQ(reordered.value(), baseline.value())
-        << sparse::ReorderStrategyName(strategy);
-  }
-}
-
 TEST(JaccardTest, DirectedInputIsSymmetrized) {
   // Directed 3-cycle: underlying undirected K3, so every adjacent pair
   // scores 1/3 — and the output covers both directions of each edge.
@@ -352,39 +339,6 @@ TEST(ConnectedComponentsTest, DirectionOption) {
   EXPECT_EQ((*in)[0], 0);
   EXPECT_EQ((*in)[1], 1);  // root 1 floods its in-neighbors ...
   EXPECT_EQ((*in)[2], 1);  // ... reaching the unclaimed node 2
-}
-
-TEST(PageRankTest, ReorderStrategiesPreserveScores) {
-  const CsrMatrix a = testing_util::SkewedMatrix(80, 50, 39);
-  auto baseline = PageRank(a);
-  ASSERT_TRUE(baseline.ok());
-  for (sparse::ReorderStrategy strategy : sparse::AllReorderStrategies()) {
-    PageRankOptions options;
-    options.reorder = strategy;
-    auto reordered = PageRank(a, options);
-    ASSERT_TRUE(reordered.ok()) << sparse::ReorderStrategyName(strategy);
-    ASSERT_EQ(reordered->scores.size(), baseline->scores.size());
-    for (size_t i = 0; i < baseline->scores.size(); ++i) {
-      // Scores agree up to floating-point summation order.
-      EXPECT_NEAR(reordered->scores[i], baseline->scores[i], 1e-9)
-          << sparse::ReorderStrategyName(strategy) << " node " << i;
-    }
-  }
-}
-
-TEST(KHopTest, ReorderStrategiesPreservePattern) {
-  const CsrMatrix a = testing_util::SkewedMatrix(60, 30, 41);
-  auto baseline = KHopReachability(a, Reorganizer(), 3);
-  ASSERT_TRUE(baseline.ok());
-  baseline->SortRows();
-  for (sparse::ReorderStrategy strategy : sparse::AllReorderStrategies()) {
-    auto reordered = KHopReachability(a, Reorganizer(), 3, strategy);
-    ASSERT_TRUE(reordered.ok()) << sparse::ReorderStrategyName(strategy);
-    reordered->SortRows();
-    // Patterns are exact (all values 1.0): demand exact equality.
-    EXPECT_TRUE(sparse::CsrApproxEqual(*baseline, *reordered, 0.0))
-        << sparse::ReorderStrategyName(strategy);
-  }
 }
 
 TEST(JaccardTest, TriangleNeighborhoods) {

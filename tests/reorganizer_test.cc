@@ -304,33 +304,6 @@ TEST(ReorganizerTest, OutputBitsArePinned) {
       {"reorganizer-gathering", "empty-rows", 18281940742808905750ULL,
        {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
        0x3f015738ed693209ULL},
-      {"reorganizer-reorder-degree", "powerlaw-seed3", 2505987440335005027ULL,
-       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
-       0x3f2b019725d51fbfULL},
-      {"reorganizer-reorder-degree", "powerlaw-seed8", 1929394655947981095ULL,
-       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
-       0x3f2ad8564c8d2f7fULL},
-      {"reorganizer-reorder-degree", "empty-rows", 9835578435690253474ULL,
-       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
-       0x3f015738ed693209ULL},
-      {"reorganizer-reorder-rcm", "powerlaw-seed3", 2505987440335005027ULL,
-       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
-       0x3f309601d1f56ddaULL},
-      {"reorganizer-reorder-rcm", "powerlaw-seed8", 1929394655947981095ULL,
-       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
-       0x3f2d056e07908c58ULL},
-      {"reorganizer-reorder-rcm", "empty-rows", 9835578435690253474ULL,
-       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
-       0x3f015738ed693209ULL},
-      {"reorganizer-reorder-cluster", "powerlaw-seed3", 2505987440335005027ULL,
-       {2849, 10, 2776, 63, 14, 640, 65, 2776, 18005, 5343},
-       0x3f2c467e6e6fd50eULL},
-      {"reorganizer-reorder-cluster", "powerlaw-seed8", 1929394655947981095ULL,
-       {2834, 9, 2761, 64, 14, 576, 65, 2761, 18228, 5381},
-       0x3f2b049da6d6d818ULL},
-      {"reorganizer-reorder-cluster", "empty-rows", 9835578435690253474ULL,
-       {151, 0, 151, 0, 0, 0, 3, 150, 103, 26},
-       0x3f015738ed693209ULL},
   };
   RegisterCoreAlgorithms();
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();

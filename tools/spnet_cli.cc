@@ -1,6 +1,6 @@
 // Command-line front end for the library: multiply Matrix Market or SPNB
 // files with any registered algorithm (8 baselines plus the reorganizer
-// and its ablation and reorder variants), profile them on a simulated
+// and its ablation variants), profile them on a simulated
 // device, classify workloads, and convert between formats.
 //
 // Usage:
@@ -14,9 +14,7 @@
 //   spnet_cli batch    --manifest queries.txt [--plan_cache 64]
 //             [--deadline_ms D] [--fallback outer-product] [--repeats N]
 //             [--scale 0.05] [--cache dir] [--device titanxp]
-//             [--reorder none|degree|rcm|cluster]
 //   spnet_cli verify   [--sweep small|medium] [--seed 42]
-//             [--reorder none|degree|rcm|cluster]
 //
 // verify runs the correctness harness: a differential sweep of every
 // registered algorithm against the reference spGEMM over seeded input
@@ -67,7 +65,6 @@
 #include "gpusim/profiler.h"
 #include "metrics/report.h"
 #include "sparse/matrix_market.h"
-#include "sparse/reorder.h"
 #include "sparse/serialization.h"
 #include "sparse/stats.h"
 #include "spgemm/algorithm.h"
@@ -150,6 +147,14 @@ Status EmitObservability(const FlagParser& flags,
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// batch and verify once took --reorder; the flag parser ignores unknown
+/// names, so refuse it explicitly instead of silently doing nothing.
+Status RejectRemovedReorderFlag(const FlagParser& flags) {
+  if (!flags.Has("reorder")) return Status::Ok();
+  return Status::InvalidArgument(
+      "--reorder: the reorder pre-pass was removed");
 }
 
 int CmdMultiply(const FlagParser& flags) {
@@ -271,6 +276,8 @@ int CmdClassify(const FlagParser& flags) {
 }
 
 int CmdBatch(const FlagParser& flags) {
+  const Status removed = RejectRemovedReorderFlag(flags);
+  if (!removed.ok()) return Fail(removed);
   const std::string manifest = flags.GetString("manifest", "");
   if (manifest.empty()) {
     return Fail(Status::InvalidArgument("missing --manifest"));
@@ -300,12 +307,6 @@ int CmdBatch(const FlagParser& flags) {
       flags.GetDouble("alpha", options.reorganizer_config.alpha);
   options.reorganizer_config.beta =
       flags.GetDouble("beta", options.reorganizer_config.beta);
-  if (flags.Has("reorder")) {
-    auto strategy =
-        sparse::ParseReorderStrategy(flags.GetString("reorder", "none"));
-    if (!strategy.ok()) return Fail(strategy.status());
-    options.reorganizer_config.reorder = *strategy;
-  }
   engine::BatchRunner runner(std::move(options));
 
   const int64_t repeats = std::max<int64_t>(1, flags.GetInt("repeats", 1));
@@ -352,6 +353,8 @@ int CmdBatch(const FlagParser& flags) {
 }
 
 int CmdVerify(const FlagParser& flags) {
+  const Status removed = RejectRemovedReorderFlag(flags);
+  if (!removed.ok()) return Fail(removed);
   const std::string sweep = flags.GetString("sweep", "small");
   verify::DifferentialOptions options;
   if (sweep == "small") {
@@ -371,49 +374,25 @@ int CmdVerify(const FlagParser& flags) {
   std::printf("%s\n", report->Summary().c_str());
   failed = failed || !report->ok();
 
-  // 2. Plan invariants on every ablation and reorder variant of the
-  // reorganizer. A forced --reorder overrides every variant's reordering
-  // pre-pass — the CI reorder smoke runs the whole suite under each
-  // strategy, including the bit-identity check against the unpermuted
-  // baseline inside VerifyReorganizerInvariants.
-  sparse::ReorderStrategy forced_reorder = sparse::ReorderStrategy::kNone;
-  const bool force_reorder = flags.Has("reorder");
-  if (force_reorder) {
-    auto strategy =
-        sparse::ParseReorderStrategy(flags.GetString("reorder", "none"));
-    if (!strategy.ok()) return Fail(strategy.status());
-    forced_reorder = *strategy;
-  }
+  // 2. Plan invariants on every ablation variant of the reorganizer.
   struct Variant {
     const char* name;
     bool split;
     bool gather;
     bool limit;
-    sparse::ReorderStrategy reorder;
   };
   const Variant variants[] = {
-      {"reorganizer", true, true, true, sparse::ReorderStrategy::kNone},
-      {"reorganizer-splitting", true, false, false,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-gathering", false, true, false,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-limiting", false, false, true,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-none", false, false, false,
-       sparse::ReorderStrategy::kNone},
-      {"reorganizer-reorder-degree", true, true, true,
-       sparse::ReorderStrategy::kDegree},
-      {"reorganizer-reorder-rcm", true, true, true,
-       sparse::ReorderStrategy::kRcm},
-      {"reorganizer-reorder-cluster", true, true, true,
-       sparse::ReorderStrategy::kCluster},
+      {"reorganizer", true, true, true},
+      {"reorganizer-splitting", true, false, false},
+      {"reorganizer-gathering", false, true, false},
+      {"reorganizer-limiting", false, false, true},
+      {"reorganizer-none", false, false, false},
   };
   for (const Variant& v : variants) {
     core::ReorganizerConfig config;
     config.enable_splitting = v.split;
     config.enable_gathering = v.gather;
     config.enable_limiting = v.limit;
-    config.reorder = force_reorder ? forced_reorder : v.reorder;
     Status worst = Status::Ok();
     for (const std::string& family : verify::SweepFamilyNames()) {
       for (int k = 0; k < options.cases_per_family; ++k) {

@@ -21,7 +21,6 @@
 //               [--store_capacity 8]   (unpinned resident matrices)
 //               [--scale 0.05] [--seed 42] [--cache dir]
 //               [--deadline_ms D] [--fallback outer-product]
-//               [--reorder none|degree|rcm|cluster]
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
 //
@@ -45,7 +44,6 @@
 #include "metrics/json_writer.h"
 #include "serve/server.h"
 #include "serve/wire.h"
-#include "sparse/reorder.h"
 
 namespace spnet {
 namespace {
@@ -98,6 +96,12 @@ gpusim::DeviceSpec DeviceFromFlags(const FlagParser& flags) {
 }
 
 Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
+  // The flag parser ignores unknown names; refuse the retired flag instead
+  // of silently serving without it.
+  if (flags.Has("reorder")) {
+    return Status::InvalidArgument(
+        "--reorder: the reorder pre-pass was removed");
+  }
   serve::ServeOptions options;
   options.workers = static_cast<int>(flags.GetInt("workers", 2));
   options.queue_capacity =
@@ -111,11 +115,6 @@ Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
   options.engine.fallback_algorithm =
       flags.GetString("fallback", options.engine.fallback_algorithm);
   options.engine.default_deadline_ms = flags.GetDouble("deadline_ms", 0.0);
-  if (flags.Has("reorder")) {
-    SPNET_ASSIGN_OR_RETURN(
-        options.engine.reorganizer_config.reorder,
-        sparse::ParseReorderStrategy(flags.GetString("reorder", "none")));
-  }
   options.engine.device = DeviceFromFlags(flags);
   options.store.capacity = static_cast<size_t>(
       std::max<int64_t>(0, flags.GetInt("store_capacity", 8)));
