@@ -587,6 +587,98 @@ TEST(ReorganizerTest, BaselineMeasureBitsArePinned) {
   }
 }
 
+/// Pins Measure's total, expansion and merge seconds at the serving
+/// benchmark's operand size: 20000 x 20000 with 120k nonzeros, one
+/// power-law input (skew 0.8) and one quasi-regular input, for the
+/// reorganizer and the row product on all three device presets. These
+/// plans run thousands of merge blocks, and many of them retire at the
+/// same simulated cycle, so the scheduler's tie order is part of what is
+/// pinned.
+TEST(ReorganizerTest, ServeScaleMeasureBitsArePinned) {
+  struct Input {
+    const char* name;
+    CsrMatrix a;
+  };
+  datasets::PowerLawParams powerlaw;
+  powerlaw.rows = 20000;
+  powerlaw.cols = 20000;
+  powerlaw.nnz = 120000;
+  powerlaw.row_skew = 0.8;
+  powerlaw.col_skew = 0.8;
+  powerlaw.seed = 5;
+  auto skewed = datasets::GeneratePowerLaw(powerlaw);
+  ASSERT_TRUE(skewed.ok());
+  datasets::QuasiRegularParams quasi;
+  quasi.n = 20000;
+  quasi.nnz = 120000;
+  quasi.seed = 5;
+  auto regular = datasets::GenerateQuasiRegular(quasi);
+  ASSERT_TRUE(regular.ok());
+  const Input inputs[] = {
+      {"powerlaw-20k", std::move(skewed).value()},
+      {"quasi-regular-20k", std::move(regular).value()},
+  };
+  const gpusim::DeviceSpec devices[] = {gpusim::DeviceSpec::TitanXp(),
+                                        gpusim::DeviceSpec::TeslaV100(),
+                                        gpusim::DeviceSpec::Rtx2080Ti()};
+  struct Pin {
+    const char* algorithm;
+    const char* input;
+    const char* device;
+    uint64_t total_bits;
+    uint64_t expansion_bits;
+    uint64_t merge_bits;
+  };
+  const Pin pins[] = {
+      {"reorganizer", "powerlaw-20k", "TITAN Xp",
+       0x3f6394c6e0943e1aULL, 0x3f420eb2169eef89ULL, 0x3f5be49507cdbb06ULL},
+      {"reorganizer", "powerlaw-20k", "Tesla V100",
+       0x3f586d7d7d8fe123ULL, 0x3f35b8beca6c313bULL, 0x3f50c319ddbe0f8dULL},
+      {"reorganizer", "powerlaw-20k", "RTX 2080 Ti",
+       0x3f5cdeed62a230e8ULL, 0x3f3f072cf3710eeaULL, 0x3f52e109cfc7833fULL},
+      {"reorganizer", "quasi-regular-20k", "TITAN Xp",
+       0x3f17de878b3c9440ULL, 0x3ef7998df39dd97cULL, 0x3f004c24605c0080ULL},
+      {"reorganizer", "quasi-regular-20k", "Tesla V100",
+       0x3f1371f5327b0dccULL, 0x3ef19c5140d2d4cfULL, 0x3ef53e2c459df463ULL},
+      {"reorganizer", "quasi-regular-20k", "RTX 2080 Ti",
+       0x3f165ee72fb99392ULL, 0x3ef54b150d44a842ULL, 0x3efd4a163c3d0e5eULL},
+      {"row-product", "powerlaw-20k", "TITAN Xp",
+       0x3f70a79365bedf70ULL, 0x3f5e396d68c6a532ULL, 0x3f61fe02514433c1ULL},
+      {"row-product", "powerlaw-20k", "Tesla V100",
+       0x3f6598574d16ff39ULL, 0x3f503fc2ffe66edeULL, 0x3f5a88100e9b1e87ULL},
+      {"row-product", "powerlaw-20k", "RTX 2080 Ti",
+       0x3f66ec9b43426504ULL, 0x3f55fc7e76b43451ULL, 0x3f5773dc842424abULL},
+      {"row-product", "quasi-regular-20k", "TITAN Xp",
+       0x3f1a4c536cba80e2ULL, 0x3f073111038adfaeULL, 0x3f004c24605c0080ULL},
+      {"row-product", "quasi-regular-20k", "Tesla V100",
+       0x3f1465eb51682f6dULL, 0x3f01114f0a734312ULL, 0x3ef53e2c459df463ULL},
+      {"row-product", "quasi-regular-20k", "RTX 2080 Ti",
+       0x3f1882f1dc975d0eULL, 0x3f05456725821158ULL, 0x3efd4a163c3d0e5eULL},
+  };
+  ASSERT_EQ(std::size(pins), 2u * std::size(inputs) * std::size(devices));
+  RegisterCoreAlgorithms();
+  size_t next = 0;
+  for (const char* algorithm : {"reorganizer", "row-product"}) {
+    auto alg = spgemm::AlgorithmRegistry::Global().Create(algorithm);
+    ASSERT_TRUE(alg.ok());
+    for (const Input& input : inputs) {
+      for (const gpusim::DeviceSpec& device : devices) {
+        const Pin& pin = pins[next++];
+        SCOPED_TRACE(std::string(algorithm) + " on " + input.name + " on " +
+                     device.name);
+        ASSERT_EQ(std::string(pin.algorithm), algorithm);
+        ASSERT_EQ(std::string(pin.input), input.name);
+        ASSERT_EQ(pin.device, device.name);
+        auto measured = spgemm::Measure(**alg, input.a, input.a, device);
+        ASSERT_TRUE(measured.ok());
+        EXPECT_EQ(Bits(measured->total_seconds), pin.total_bits);
+        EXPECT_EQ(Bits(measured->expansion.seconds), pin.expansion_bits);
+        EXPECT_EQ(Bits(measured->merge.seconds), pin.merge_bits);
+      }
+    }
+  }
+}
+
 /// Number of recorded spans named `name`.
 int CountSpans(const spgemm::ExecContext& ctx, const std::string& name) {
   int n = 0;
