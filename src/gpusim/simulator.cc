@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <string>
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "gpusim/event_heap.h"
 
 namespace spnet {
 namespace gpusim {
@@ -200,14 +200,14 @@ KernelStats Simulator::Schedule(const KernelDesc& kernel) const {
     contention.push_back(AtomicContention(device_, std::max(r, 1)));
   }
 
+  // Block retirements, earliest first; see EventHeap for the tie order.
   struct Event {
     double time;
     int sm;
     int threads;
     int64_t shmem;
-    bool operator>(const Event& other) const { return time > other.time; }
   };
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  EventHeap<Event> events;
 
   size_t next_block = 0;
   double now = 0.0;

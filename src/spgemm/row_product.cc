@@ -30,7 +30,6 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
   kernel.phase = Phase::kExpansion;
   kernel.flops = workload.flops;
 
-  const int64_t rows = static_cast<int64_t>(workload.row_chat.size());
   const int block_size = options.block_size;
 
   // Cross-thread reuse of B rows: of the flops-proportional B reads, only
@@ -72,23 +71,12 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
 
   // Partition rows by work class, preserving the requested order inside
   // each class.
-  std::vector<int64_t> small_rows;
-  std::vector<int64_t> warp_rows;
-  std::vector<int64_t> block_rows;
-  for (int64_t slot = 0; slot < rows; ++slot) {
-    const int64_t r =
-        options.row_order ? (*options.row_order)[static_cast<size_t>(slot)]
-                          : slot;
-    const int64_t chat = workload.row_chat[static_cast<size_t>(r)];
-    if (chat == 0) continue;
-    if (chat > kBlockRowThreshold) {
-      block_rows.push_back(r);
-    } else if (chat > kWarpRowThreshold) {
-      warp_rows.push_back(r);
-    } else {
-      small_rows.push_back(r);
-    }
-  }
+  const RowSizeClasses classes = ClassifyRowSizes(
+      workload.row_chat, kWarpRowThreshold, kBlockRowThreshold,
+      options.row_order);
+  const std::vector<uint32_t>& small_rows = classes.small;
+  const std::vector<uint32_t>& warp_rows = classes.mid;
+  const std::vector<uint32_t>& block_rows = classes.large;
 
   // Thread-per-row blocks: lock-step warps stall on their longest row.
   const size_t rows_per_block = static_cast<size_t>(block_size);
@@ -104,8 +92,7 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
       const size_t w1 = std::min(end, w0 + 32);
       int64_t warp_max = 0;
       for (size_t k = w0; k < w1; ++k) {
-        const int64_t ops =
-            workload.row_chat[static_cast<size_t>(small_rows[k])];
+        const int64_t ops = workload.row_chat[small_rows[k]];
         block_work += ops;
         warp_max = std::max(warp_max, ops);
       }
@@ -134,8 +121,7 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
     int64_t crit = 0;
     int64_t warp_issue = 0;
     for (size_t k = begin; k < end; ++k) {
-      const int64_t chat =
-          workload.row_chat[static_cast<size_t>(warp_rows[k])];
+      const int64_t chat = workload.row_chat[warp_rows[k]];
       const int64_t lane_ops = CeilDiv(chat, 32);
       block_work += chat;
       warp_issue += lane_ops;
@@ -149,8 +135,8 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
   }
 
   // Block-per-row: the hub rows; the whole block streams one row.
-  for (int64_t r : block_rows) {
-    const int64_t chat = workload.row_chat[static_cast<size_t>(r)];
+  for (const uint32_t r : block_rows) {
+    const int64_t chat = workload.row_chat[r];
     ThreadBlockDesc tb;
     tb.threads = block_size;
     tb.effective_threads = block_size;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/math_util.h"
 #include "common/parallel.h"
@@ -43,6 +44,9 @@ SatPartial CombineSat(SatPartial acc, SatPartial p) {
 int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols) {
   // A 0-column B would divide by zero (NaN rows), so it short-circuits.
   if (chat <= 0 || cols <= 0) return 0;
+  // Under a quarter of a collision expected: the closed form rounds to
+  // chat (see the header).
+  if (chat <= (int64_t{1} << 30) && 2 * chat * chat <= cols) return chat;
   const double f = static_cast<double>(chat);
   const double c = static_cast<double>(cols);
   const double unique = std::min(c * (1.0 - std::exp(-f / c)), f);
@@ -141,12 +145,15 @@ Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
   FillBRowNnz(b, &w);
   FillPairWork(&w);
 
-  // Row-wise precalculation: nnz(C-hat) per output row.
+  // Row-wise precalculation: nnz(C-hat) per output row, and its merged
+  // estimate. Each row is independent; only the int64 total crosses rows.
   w.row_chat.assign(static_cast<size_t>(a.rows()), 0);
-  const SatPartial chat_sat = pool.ParallelReduce(
+  w.row_c_est.assign(static_cast<size_t>(a.rows()), 0);
+  const SatPartial out_total = pool.ParallelReduce(
       0, a.rows(), GrainForItems(a.rows(), threads), SatPartial{},
       [&](int64_t begin, int64_t end, int) {
         SatPartial p;
+        bool out_sat = false;
         for (int64_t r = begin; r < end; ++r) {
           const SpanView row = a.Row(static_cast<Index>(r));
           int64_t f = 0;
@@ -158,28 +165,12 @@ Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
             }
           }
           if (sat) ++p.saturations;
+          const int64_t est = EstimateMergedRowNnz(f, b.cols());
           w.row_chat[static_cast<size_t>(r)] = f;
-        }
-        return p;
-      },
-      CombineSat);
-  w.saturated += chat_sat.saturations;
-
-  // Merged row sizes. Each row's estimate is independent; only the int64
-  // total crosses rows.
-  w.row_c_est.assign(static_cast<size_t>(a.rows()), 0);
-  const SatPartial out_total = pool.ParallelReduce(
-      0, a.rows(), GrainForItems(a.rows(), threads), SatPartial{},
-      [&](int64_t begin, int64_t end, int) {
-        SatPartial p;
-        bool sat = false;
-        for (int64_t r = begin; r < end; ++r) {
-          const int64_t est = EstimateMergedRowNnz(
-              w.row_chat[static_cast<size_t>(r)], b.cols());
           w.row_c_est[static_cast<size_t>(r)] = est;
-          p.value = SatAddI64(p.value, est, &sat);
+          p.value = SatAddI64(p.value, est, &out_sat);
         }
-        if (sat) ++p.saturations;
+        if (out_sat) ++p.saturations;
         return p;
       },
       CombineSat);
@@ -187,6 +178,37 @@ Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
   w.saturated += out_total.saturations;
   if (w.saturated > 0) AddCounter(ctx, "workload.saturated", w.saturated);
   return w;
+}
+
+RowSizeClasses ClassifyRowSizes(const std::vector<int64_t>& row_chat,
+                                int64_t small_max, int64_t mid_max,
+                                const std::vector<int64_t>* order) {
+  // On skewed inputs a row's class is close to random, so the split is
+  // branch-free: every row is written to all three lists, each sized
+  // once, and only its own class's cursor advances.
+  const size_t rows = row_chat.size();
+  RowSizeClasses classes;
+  classes.small.resize(rows);
+  classes.mid.resize(rows);
+  classes.large.resize(rows);
+  size_t small = 0;
+  size_t mid = 0;
+  size_t large = 0;
+  for (size_t slot = 0; slot < rows; ++slot) {
+    const auto row = static_cast<uint32_t>(
+        order != nullptr ? (*order)[slot] : static_cast<int64_t>(slot));
+    const int64_t chat = row_chat[row];
+    classes.small[small] = row;
+    classes.mid[mid] = row;
+    classes.large[large] = row;
+    small += static_cast<size_t>((chat > 0) & (chat <= small_max));
+    mid += static_cast<size_t>((chat > small_max) & (chat <= mid_max));
+    large += static_cast<size_t>(chat > mid_max);
+  }
+  classes.small.resize(small);
+  classes.mid.resize(mid);
+  classes.large.resize(large);
+  return classes;
 }
 
 namespace {
@@ -214,21 +236,17 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
 
   // Partition rows by size class; real merge kernels batch small rows so
   // the block count tracks work, not matrix dimension.
-  std::vector<size_t> tiny_rows;
-  std::vector<size_t> small_rows;
-  std::vector<size_t> big_rows;
+  const RowSizeClasses classes = ClassifyRowSizes(
+      workload.row_chat, kMergeThreadRowMax, kMergeWarpRowMax);
+  const std::vector<uint32_t>& tiny_rows = classes.small;
+  const std::vector<uint32_t>& small_rows = classes.mid;
+  const std::vector<uint32_t>& big_rows = classes.large;
+  const int64_t long_min =
+      limiting ? options.limit_row_threshold
+               : std::numeric_limits<int64_t>::max();
   size_t long_rows = 0;
-  for (size_t r = 0; r < workload.row_chat.size(); ++r) {
-    const int64_t chat = workload.row_chat[r];
-    if (chat <= 0) continue;
-    if (chat <= kMergeThreadRowMax) {
-      tiny_rows.push_back(r);
-    } else if (chat <= kMergeWarpRowMax) {
-      small_rows.push_back(r);
-    } else {
-      big_rows.push_back(r);
-      if (limiting && chat > options.limit_row_threshold) ++long_rows;
-    }
+  for (const uint32_t r : big_rows) {
+    long_rows += static_cast<size_t>(workload.row_chat[r] > long_min);
   }
 
   const size_t rows_per_block = static_cast<size_t>(options.block_size);
@@ -304,7 +322,7 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
   }
 
   // Block-per-row for the long rows — the B-Limiting targets.
-  for (size_t r : big_rows) {
+  for (const uint32_t r : big_rows) {
     const int64_t chat = workload.row_chat[r];
     const int64_t out = workload.row_c_est[r];
     ThreadBlockDesc tb;
@@ -322,8 +340,7 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
     tb.atomics_in_shared = out <= kSharedAccumulatorEntries;
     tb.shared_mem_bytes = options.base_shared_mem_bytes;
 
-    const bool is_long = limiting && chat > options.limit_row_threshold;
-    if (is_long) {
+    if (chat > long_min) {
       tb.shared_mem_bytes += options.extra_shared_mem_bytes;
       limited.blocks.push_back(tb);
     } else {

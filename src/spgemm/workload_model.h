@@ -48,7 +48,32 @@ Workload BuildWorkload(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
 /// cols * (1 - e^(-chat / cols)) distinct entries, exact in expectation
 /// for independently placed products. Clamped to the hard bounds
 /// [1, min(chat, cols)]; 0 when the row or the output is empty.
+///
+/// Fast path: when chat <= 2^30 and 2 * chat^2 <= cols it returns chat
+/// without calling exp. Since 1 - e^(-x) >= x - x^2 / 2, the expected
+/// collisions chat - unique are at most chat^2 / (2 * cols) <= 1/4, so
+/// the closed form lies in [chat - 1/4, chat] and rounds to chat. Its
+/// floating-point error is about cols * 2^-53, far below that margin for
+/// any column count a matrix can have (below 2^31), so the fast path
+/// returns the closed form's value bit for bit. The 2^30 bound keeps
+/// 2 * chat^2 inside int64.
 int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols);
+
+/// Output rows split by C-hat population into the three size classes
+/// the kernel builders map to thread-, warp- and block-per-row work.
+struct RowSizeClasses {
+  std::vector<uint32_t> small;  ///< 0 < row_chat <= small_max
+  std::vector<uint32_t> mid;    ///< small_max < row_chat <= mid_max
+  std::vector<uint32_t> large;  ///< row_chat > mid_max
+};
+
+/// Splits the rows of `row_chat` (all non-negative) into size classes,
+/// skipping empty rows. Rows keep their order inside each class: the
+/// order of `order`, a permutation of the rows, when given, else
+/// ascending. Requires small_max <= mid_max.
+RowSizeClasses ClassifyRowSizes(const std::vector<int64_t>& row_chat,
+                                int64_t small_max, int64_t mid_max,
+                                const std::vector<int64_t>* order = nullptr);
 
 /// Options controlling merge-kernel construction; B-Limiting raises
 /// `extra_shared_mem_bytes` for the long-row kernel.

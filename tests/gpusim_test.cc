@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <queue>
+#include <random>
+#include <vector>
+
 #include "gpusim/device_spec.h"
+#include "gpusim/event_heap.h"
 #include "gpusim/kernel_desc.h"
 #include "gpusim/kernel_stats.h"
 #include "gpusim/simulator.h"
@@ -21,6 +29,12 @@ ThreadBlockDesc UniformBlock(int threads, int64_t ops_per_thread,
   tb.bytes_written = bytes - bytes / 2;
   tb.shared_mem_bytes = 1024;
   return tb;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 KernelDesc UniformKernel(int blocks, int threads, int64_t ops,
@@ -285,6 +299,84 @@ TEST(SimulatorTest, PipelineAccumulatesPhases) {
   ASSERT_TRUE(one.ok() && two.ok());
   EXPECT_NEAR(two->cycles, 2.0 * one->cycles, 1e-6);
   EXPECT_EQ(two->num_blocks, 2 * one->num_blocks);
+}
+
+struct HeapEvent {
+  double time;
+  int64_t id;
+  bool operator>(const HeapEvent& other) const { return time > other.time; }
+};
+
+/// The retirement heap pops in exactly the order of libstdc++'s priority
+/// queue, ties included: 100k random interleaved pushes and pops over 16
+/// distinct times, so nearly every comparison meets an equal time, and
+/// the id payload shows which of the tied events came out. The run starts
+/// from an empty heap and drains back to empty more than once.
+TEST(EventHeapTest, PopsInPriorityQueueOrder) {
+  EventHeap<HeapEvent> heap;
+  std::priority_queue<HeapEvent, std::vector<HeapEvent>,
+                      std::greater<HeapEvent>>
+      reference;
+  std::mt19937_64 rng(7);
+  int64_t next_id = 0;
+  int drained = 0;
+  auto pop_both = [&] {
+    ASSERT_FALSE(heap.empty());
+    EXPECT_EQ(heap.top().id, reference.top().id) << "at id " << next_id;
+    EXPECT_EQ(heap.top().time, reference.top().time);
+    heap.pop();
+    reference.pop();
+  };
+  for (int step = 0; step < 100000; ++step) {
+    // Grow while early in each phase of 10k steps, shrink late in it, so
+    // the size sweeps from empty to thousands and back.
+    const bool growing = (step / 5000) % 2 == 0;
+    const bool push = reference.empty() || rng() % 8 < (growing ? 6u : 2u);
+    if (push) {
+      const HeapEvent event{static_cast<double>(rng() % 16), next_id++};
+      heap.push(event);
+      reference.push(event);
+    } else {
+      pop_both();
+      if (reference.empty()) ++drained;
+    }
+    ASSERT_EQ(heap.empty(), reference.empty());
+  }
+  while (!reference.empty()) pop_both();
+  EXPECT_TRUE(heap.empty());
+  EXPECT_GT(drained, 1);
+}
+
+/// Uniform blocks retire at equal simulated cycles over and over, and
+/// the order in which tied retirements backfill their SMs decides which
+/// SM gets the next block. Pins a uniform kernel's cycles and per-SM busy
+/// time bit for bit on all three device presets, so a change to the
+/// retirement heap's tie order shows here.
+TEST(SimulatorTest, TiedRetirementBitsArePinned) {
+  struct Pin {
+    DeviceSpec device;
+    uint64_t cycles_bits;
+    uint64_t sm_busy_hash;
+  };
+  const Pin pins[] = {
+      {DeviceSpec::TitanXp(), 0x413263ec00000000ULL, 0xd579f3d2d698384bULL},
+      {DeviceSpec::TeslaV100(), 0x411c251000000000ULL,
+       0x9239563b67d3af43ULL},
+      {DeviceSpec::Rtx2080Ti(), 0x4120a22000000000ULL,
+       0x519c73b9667da433ULL},
+  };
+  const KernelDesc kernel = UniformKernel(3000, 256, 500, 1 << 14);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.device.name);
+    auto stats = Simulator(pin.device).RunKernel(kernel);
+    ASSERT_TRUE(stats.ok());
+    uint64_t hash = 1469598103934665603ULL;
+    for (double busy : stats->sm_busy_cycles) {
+      hash = (hash ^ Bits(busy)) * 1099511628211ULL;
+    }
+    EXPECT_EQ(Bits(stats->cycles), pin.cycles_bits);
+    EXPECT_EQ(hash, pin.sm_busy_hash);
+  }
 }
 
 TEST(KernelStatsTest, LbiEdgeCases) {

@@ -591,9 +591,9 @@ TEST(ReorganizerTest, BaselineMeasureBitsArePinned) {
 /// benchmark's operand size: 20000 x 20000 with 120k nonzeros, one
 /// power-law input (skew 0.8) and one quasi-regular input, for the
 /// reorganizer and the row product on all three device presets. These
-/// plans run thousands of merge blocks, and many of them retire at the
-/// same simulated cycle, so the scheduler's tie order is part of what is
-/// pinned.
+/// plans run thousands of merge blocks through the scheduler, where the
+/// small pins above run hundreds. (Equal retirement times are rare here;
+/// SimulatorTest.TiedRetirementBitsArePinned pins the tie order.)
 TEST(ReorganizerTest, ServeScaleMeasureBitsArePinned) {
   struct Input {
     const char* name;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
+#include <vector>
 
 #include "spgemm/row_product.h"
 #include "spgemm/workload_model.h"
@@ -89,6 +94,57 @@ TEST(WorkloadTest, OneColumnBClampsRowEstimateToOne) {
     total += w.row_c_est[r];
   }
   EXPECT_EQ(w.output_nnz, total);
+}
+
+/// The hashing estimator's closed form, clamped as the header states.
+int64_t ClosedFormEstimate(int64_t chat, int64_t cols) {
+  const double f = static_cast<double>(chat);
+  const double c = static_cast<double>(cols);
+  const double unique = std::min(c * (1.0 - std::exp(-f / c)), f);
+  const int64_t est = std::max<int64_t>(1, std::llround(unique));
+  return std::min(est, std::min(chat, cols));
+}
+
+/// EstimateMergedRowNnz skips exp when 2 * chat^2 <= cols. That fast path
+/// must give the closed form's value exactly: at every (chat, cols) in
+/// range for cols up to 20000, and at the largest chat in range for
+/// random cols up to 2^31 - 1.
+TEST(WorkloadTest, EstimateFastPathIsExact) {
+  for (int64_t cols = 1; cols <= 20000; ++cols) {
+    for (int64_t chat = 1; 2 * chat * chat <= cols; ++chat) {
+      ASSERT_EQ(EstimateMergedRowNnz(chat, cols),
+                ClosedFormEstimate(chat, cols))
+          << "chat " << chat << " cols " << cols;
+    }
+  }
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<int64_t> random_cols(1,
+                                                     (int64_t{1} << 31) - 1);
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t cols = random_cols(rng);
+    int64_t chat =
+        static_cast<int64_t>(std::sqrt(static_cast<double>(cols) / 2));
+    while (2 * (chat + 1) * (chat + 1) <= cols) ++chat;
+    while (chat > 0 && 2 * chat * chat > cols) --chat;
+    if (chat == 0) continue;
+    ASSERT_EQ(EstimateMergedRowNnz(chat, cols),
+              ClosedFormEstimate(chat, cols))
+        << "chat " << chat << " cols " << cols;
+  }
+}
+
+TEST(WorkloadTest, ClassifyRowSizesSplitsAtTheBoundsInOrder) {
+  // Rows 0..7 sit on and around the class bounds 8 and 256.
+  const std::vector<int64_t> row_chat = {0, 1, 8, 9, 256, 257, 0, 5};
+  const RowSizeClasses ascending = ClassifyRowSizes(row_chat, 8, 256);
+  EXPECT_EQ(ascending.small, (std::vector<uint32_t>{1, 2, 7}));
+  EXPECT_EQ(ascending.mid, (std::vector<uint32_t>{3, 4}));
+  EXPECT_EQ(ascending.large, (std::vector<uint32_t>{5}));
+  const std::vector<int64_t> order = {7, 6, 5, 4, 3, 2, 1, 0};
+  const RowSizeClasses reversed = ClassifyRowSizes(row_chat, 8, 256, &order);
+  EXPECT_EQ(reversed.small, (std::vector<uint32_t>{7, 2, 1}));
+  EXPECT_EQ(reversed.mid, (std::vector<uint32_t>{4, 3}));
+  EXPECT_EQ(reversed.large, (std::vector<uint32_t>{5}));
 }
 
 TEST(MakePairBlockTest, SmallPairGetsWarp) {
