@@ -321,6 +321,82 @@ TEST(FunctionalTest, LongRowsBetweenEmptyRows) {
   ExpectKernelExactAcrossThreads(a, b);
 }
 
+/// Pins the host kernel's ptr, indices and value bits for A*A at 1 thread
+/// (the serial single pass) and at 4 (the parallel two-pass) on four
+/// families with non-dyadic values: a hub-heavy power law, RMAT, a narrow
+/// quasi-regular band and block-diagonal communities. Every input has rows
+/// whose products exceed cols / 8 and nonempty rows whose products do not.
+TEST(FunctionalTest, KernelOutputBitsArePinned) {
+  auto power_law = [] {
+    datasets::PowerLawParams p;
+    p.rows = 4000;
+    p.cols = 4000;
+    p.nnz = 40000;
+    p.row_skew = 1.0;
+    p.col_skew = 1.0;
+    p.seed = 61;
+    return datasets::GeneratePowerLaw(p);
+  };
+  auto rmat = [] {
+    datasets::RmatParams p;
+    p.scale = 12;
+    p.edge_count = 40000;
+    p.seed = 62;
+    return datasets::GenerateRmat(p);
+  };
+  auto band = [] {
+    datasets::QuasiRegularParams p;
+    p.n = 2000;
+    p.nnz = 32000;
+    p.band_frac = 0.01;
+    p.seed = 63;
+    return datasets::GenerateQuasiRegular(p);
+  };
+  auto blocks = [] {
+    datasets::BlockDiagonalParams p;
+    p.n = 3000;
+    p.block_size = 64;
+    p.fill = 0.3;
+    p.seed = 64;
+    return datasets::GenerateBlockDiagonal(p);
+  };
+  struct Pin {
+    const char* input;
+    Result<CsrMatrix> a;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"powerlaw-skew1", power_law(), 4747001641685424634ULL},
+      {"rmat-scale12", rmat(), 2282403758975508685ULL},
+      {"narrow-band", band(), 14696501119157934847ULL},
+      {"block-diagonal", blocks(), 2843891872387646859ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.input);
+    ASSERT_TRUE(pin.a.ok()) << pin.a.status().ToString();
+    const CsrMatrix& a = *pin.a;
+    int64_t collision_rows = 0;
+    int64_t sparse_rows = 0;
+    for (int64_t products : sparse::SpGemmRowFlops(a, a)) {
+      if (products * 8 > a.cols()) {
+        ++collision_rows;
+      } else if (products > 0) {
+        ++sparse_rows;
+      }
+    }
+    EXPECT_GT(collision_rows, 0);
+    EXPECT_GT(sparse_rows, 0);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      SetGlobalThreadCount(threads);
+      auto c = RowProductExpandMerge(a, a);
+      SetGlobalThreadCount(0);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      EXPECT_EQ(testing_util::OutputHash(*c), pin.hash);
+    }
+  }
+}
+
 TEST(PlanTest, AllAlgorithmsProduceConsistentFlops) {
   const CsrMatrix a = testing_util::SkewedMatrix(200, 120, 90);
   const int64_t flops = sparse::SpGemmFlops(a, a);

@@ -206,25 +206,6 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-/// FNV-1a over the output's dimensions, ptr, indices and value bit
-/// patterns: any change to the per-row summation order or emission order
-/// changes it.
-uint64_t OutputHash(const CsrMatrix& c) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(static_cast<uint64_t>(c.rows()));
-  mix(static_cast<uint64_t>(c.cols()));
-  for (sparse::Offset p : c.ptr()) mix(static_cast<uint64_t>(p));
-  for (sparse::Index i : c.indices()) mix(static_cast<uint64_t>(i));
-  for (sparse::Value v : c.values()) mix(Bits(v));
-  return h;
-}
-
 CsrMatrix PowerLaw(uint64_t seed) {
   datasets::PowerLawParams params;
   params.rows = 3000;
@@ -336,7 +317,7 @@ TEST(ReorganizerTest, OutputBitsArePinned) {
       EXPECT_GT(report->fragments, report->dominators);
       EXPECT_GT(report->gathered_pairs, 0);
     }
-    EXPECT_EQ(OutputHash(*c), pin.hash);
+    EXPECT_EQ(testing_util::OutputHash(*c), pin.hash);
     EXPECT_EQ(Census(*report), pin.census);
     EXPECT_EQ(Bits(measured->total_seconds), pin.seconds_bits);
   }
@@ -370,7 +351,7 @@ TEST(ReorganizerTest, BaselineOutputBitsArePinned) {
         auto c = (*alg)->Compute(pin.a, pin.a);
         SetGlobalThreadCount(0);
         ASSERT_TRUE(c.ok());
-        EXPECT_EQ(OutputHash(*c), pin.hash);
+        EXPECT_EQ(testing_util::OutputHash(*c), pin.hash);
       }
     }
   }

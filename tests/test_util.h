@@ -2,6 +2,7 @@
 #define SPNET_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -48,6 +49,29 @@ inline sparse::CsrMatrix SkewedMatrix(sparse::Index n, sparse::Index hub_nnz,
   auto result = sparse::CsrMatrix::FromCoo(coo);
   SPNET_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// FNV-1a over the output's dimensions, ptr, indices and value bit
+/// patterns: any change to the per-row summation order or emission order
+/// changes it.
+inline uint64_t OutputHash(const sparse::CsrMatrix& c) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(static_cast<uint64_t>(c.rows()));
+  mix(static_cast<uint64_t>(c.cols()));
+  for (sparse::Offset p : c.ptr()) mix(static_cast<uint64_t>(p));
+  for (sparse::Index i : c.indices()) mix(static_cast<uint64_t>(i));
+  for (sparse::Value v : c.values()) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mix(bits);
+  }
+  return h;
 }
 
 }  // namespace testing_util
