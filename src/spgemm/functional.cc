@@ -56,13 +56,43 @@ static_assert(alignof(StampAccumulator) >= 64,
 /// fixes the output bits, so every pass and every thread count uses it.
 /// Columns are listed in first-touch order. A column's first product is
 /// stored as `0.0 + p`, the sum into a zeroed accumulator, so a row of -0.0
-/// products sums to +0.0. The caller provides room for min(row products,
-/// cols) entries.
+/// products sums to +0.0. The caller provides room for the row's distinct
+/// columns, at most min(`products`, cols), zero-filled with +0.0.
+///
+/// Two inner loops give the same bits. The branchy loop asks per product
+/// whether the column is new; it suits rows where nearly every column is,
+/// because the branch then predicts well. On a row whose products exceed
+/// cols / 8, EstimateMergedRowNnz's random-collision model expects at least
+/// about 6% repeats, and on hub rows the repeats cannot be predicted, so
+/// such rows take the branch-free loop: every product writes its column
+/// and adds into a position chosen by a mask, and a new column's position
+/// is the next free one, whose +0.0 fill makes the add `0.0 + p`.
 Offset AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
-                     StampAccumulator* s, Index* idx, Value* val) {
+                     int64_t products, StampAccumulator* s, Index* idx,
+                     Value* val) {
   Slot* slots = s->slots.data();
   Index n = 0;
   const SpanView arow = a.Row(r);
+  if (products * 8 > b.cols()) {
+    for (Offset k = 0; k < arow.size; ++k) {
+      const SpanView brow = b.Row(arow.indices[k]);
+      const Value av = arow.values[k];
+      for (Offset l = 0; l < brow.size; ++l) {
+        const Index c = brow.indices[l];
+        const Value p = av * brow.values[l];
+        const Slot slot = slots[c];
+        // All ones on a repeat, zero on a new column. A mask select, not
+        // `?:`, which the compiler may turn back into a jump.
+        const Index repeat = -static_cast<Index>(slot.mark == r);
+        const Index pos = n ^ ((n ^ slot.pos) & repeat);
+        idx[pos] = c;
+        val[pos] += p;
+        slots[c] = Slot{r, pos};
+        n += static_cast<Index>(slot.mark != r);
+      }
+    }
+    return n;
+  }
   for (Offset k = 0; k < arow.size; ++k) {
     const SpanView brow = b.Row(arow.indices[k]);
     const Value av = arow.values[k];
@@ -84,7 +114,9 @@ Offset AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
 }
 
 /// Counts the distinct output columns of row r without materializing the
-/// expansion (pass 1 of the two-pass scheme).
+/// expansion (pass 1 of the two-pass scheme). Branch-free on every row:
+/// counting needs no position, so dropping the branch costs only one
+/// unconditional store per product.
 Offset SymbolicRowNnz(const CsrMatrix& a, const CsrMatrix& b, Index r,
                       StampAccumulator* s) {
   Slot* slots = s->slots.data();
@@ -94,10 +126,8 @@ Offset SymbolicRowNnz(const CsrMatrix& a, const CsrMatrix& b, Index r,
     const SpanView brow = b.Row(arow.indices[k]);
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
-      if (slots[c].mark != r) {
-        slots[c].mark = r;
-        ++distinct;
-      }
+      distinct += slots[c].mark != r;
+      slots[c].mark = r;
     }
   }
   return distinct;
@@ -112,6 +142,7 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
   const Index cols = b.cols();
   ThreadPool& pool = GlobalThreadPool();
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
+  const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
 
   if (pool.threads() == 1) {
     // Serial path: single pass, rows written in place as they complete.
@@ -119,7 +150,6 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     // shrinks back to its real length; flops bounds that growth, so the
     // reserve never reallocates and untouched reserve is not resident.
     StampAccumulator s(cols);
-    const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
     const int64_t flops =
         std::accumulate(row_flops.begin(), row_flops.end(), int64_t{0});
     std::vector<Index> out_idx;
@@ -130,12 +160,13 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     AdviseHugePages(out_val.data(), out_val.capacity() * sizeof(Value));
     for (Index r = 0; r < rows; ++r) {
       const size_t base = out_idx.size();
-      const size_t room = static_cast<size_t>(
-          std::min<int64_t>(row_flops[static_cast<size_t>(r)], cols));
+      const int64_t products = row_flops[static_cast<size_t>(r)];
+      const size_t room =
+          static_cast<size_t>(std::min<int64_t>(products, cols));
       out_idx.resize(base + room);
       out_val.resize(base + room);
       const size_t end =
-          base + static_cast<size_t>(AccumulateRow(a, b, r, &s,
+          base + static_cast<size_t>(AccumulateRow(a, b, r, products, &s,
                                                    out_idx.data() + base,
                                                    out_val.data() + base));
       out_idx.resize(end);
@@ -188,7 +219,8 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
         StampAccumulator& s = workers[static_cast<size_t>(thread_index)];
         for (int64_t r = row_begin; r < row_end; ++r) {
           const size_t begin = static_cast<size_t>(ptr[static_cast<size_t>(r)]);
-          AccumulateRow(a, b, static_cast<Index>(r), &s,
+          AccumulateRow(a, b, static_cast<Index>(r),
+                        row_flops[static_cast<size_t>(r)], &s,
                         out_idx.data() + begin, out_val.data() + begin);
         }
         return Status::Ok();

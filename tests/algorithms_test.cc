@@ -171,51 +171,73 @@ std::vector<std::tuple<sparse::Index, sparse::Index, uint64_t>> SortedBits(
 /// -0.0, +0.0 and nonzero products. The values are small dyadic numbers, so
 /// every sum is exact and the kernels' different accumulation orders cannot
 /// change a bit: the host kernels, at both thread counts, must equal the
-/// reference exactly.
+/// reference exactly. A narrow B puts the rows' products above cols / 8,
+/// where the host kernel accumulates branch-free; a wide, sparse B puts
+/// most of them at or below it, where it branches. Each shape puts some
+/// all -0.0 rows on its side.
 TEST(FunctionalTest, NegativeZeroProductsMatchReferenceBits) {
-  Rng rng(77);
-  const sparse::Value a_values[] = {-0.0, 0.0, -2.0, 1.0, 0.5};
-  const sparse::Value b_values[] = {0.0, 1.0, 3.0, 0.25};
-  sparse::CooMatrix a_coo(48, 40);
-  sparse::CooMatrix b_coo(40, 36);
-  for (sparse::Index r = 0; r < 48; ++r) {
-    for (sparse::Index c = 0; c < 40; ++c) {
-      if (rng.NextBounded(6) != 0) continue;
-      a_coo.Add(r, c, r % 4 == 0 ? -0.0 : a_values[rng.NextBounded(5)]);
+  struct Shape {
+    sparse::Index b_cols;
+    uint64_t one_in;  // B's density is 1 / one_in
+    bool branchy;     // the side of cols / 8 its -0.0 rows must reach
+  };
+  for (const Shape& shape : {Shape{36, 6, false}, Shape{2000, 64, true}}) {
+    SCOPED_TRACE("B with " + std::to_string(shape.b_cols) + " columns");
+    Rng rng(77);
+    const sparse::Value a_values[] = {-0.0, 0.0, -2.0, 1.0, 0.5};
+    const sparse::Value b_values[] = {0.0, 1.0, 3.0, 0.25};
+    sparse::CooMatrix a_coo(48, 40);
+    sparse::CooMatrix b_coo(40, shape.b_cols);
+    for (sparse::Index r = 0; r < 48; ++r) {
+      for (sparse::Index c = 0; c < 40; ++c) {
+        if (rng.NextBounded(6) != 0) continue;
+        a_coo.Add(r, c, r % 4 == 0 ? -0.0 : a_values[rng.NextBounded(5)]);
+      }
     }
-  }
-  for (sparse::Index r = 0; r < 40; ++r) {
-    for (sparse::Index c = 0; c < 36; ++c) {
-      if (rng.NextBounded(6) == 0) b_coo.Add(r, c, b_values[rng.NextBounded(4)]);
+    for (sparse::Index r = 0; r < 40; ++r) {
+      for (sparse::Index c = 0; c < shape.b_cols; ++c) {
+        if (rng.NextBounded(shape.one_in) == 0) {
+          b_coo.Add(r, c, b_values[rng.NextBounded(4)]);
+        }
+      }
     }
-  }
-  auto a = CsrMatrix::FromCoo(a_coo);
-  auto b = CsrMatrix::FromCoo(b_coo);
-  ASSERT_TRUE(a.ok() && b.ok());
+    auto a = CsrMatrix::FromCoo(a_coo);
+    auto b = CsrMatrix::FromCoo(b_coo);
+    ASSERT_TRUE(a.ok() && b.ok());
+    const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(*a, *b);
+    int64_t zero_rows_on_side = 0;
+    for (sparse::Index r = 0; r < 48; r += 4) {
+      const int64_t products = row_flops[static_cast<size_t>(r)];
+      if (products > 0 && (products * 8 <= b->cols()) == shape.branchy) {
+        ++zero_rows_on_side;
+      }
+    }
+    EXPECT_GT(zero_rows_on_side, 0);
 
-  auto expected = sparse::ReferenceSpGemm(*a, *b);
-  ASSERT_TRUE(expected.ok());
-  const auto expected_bits = SortedBits(*expected);
-  int64_t zero_rows_entries = 0;
-  for (const auto& [r, c, bits] : expected_bits) {
-    if (r % 4 != 0) continue;
-    ++zero_rows_entries;
-    EXPECT_EQ(bits, 0u) << "(" << r << ", " << c << ")";
-  }
-  ASSERT_GT(zero_rows_entries, 0);
+    auto expected = sparse::ReferenceSpGemm(*a, *b);
+    ASSERT_TRUE(expected.ok());
+    const auto expected_bits = SortedBits(*expected);
+    int64_t zero_rows_entries = 0;
+    for (const auto& [r, c, bits] : expected_bits) {
+      if (r % 4 != 0) continue;
+      ++zero_rows_entries;
+      EXPECT_EQ(bits, 0u) << "(" << r << ", " << c << ")";
+    }
+    ASSERT_GT(zero_rows_entries, 0);
 
-  core::RegisterCoreAlgorithms();
-  for (const char* name : {"row-product", "outer-product", "reorganizer"}) {
-    auto alg = AlgorithmRegistry::Global().Create(name);
-    ASSERT_TRUE(alg.ok()) << name;
-    for (int threads : {1, 3}) {
-      SCOPED_TRACE(std::string(name) + " with " + std::to_string(threads) +
-                   " threads");
-      SetGlobalThreadCount(threads);
-      auto got = (*alg)->Compute(*a, *b);
-      SetGlobalThreadCount(0);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(SortedBits(*got), expected_bits);
+    core::RegisterCoreAlgorithms();
+    for (const char* name : {"row-product", "outer-product", "reorganizer"}) {
+      auto alg = AlgorithmRegistry::Global().Create(name);
+      ASSERT_TRUE(alg.ok()) << name;
+      for (int threads : {1, 3}) {
+        SCOPED_TRACE(std::string(name) + " with " + std::to_string(threads) +
+                     " threads");
+        SetGlobalThreadCount(threads);
+        auto got = (*alg)->Compute(*a, *b);
+        SetGlobalThreadCount(0);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(SortedBits(*got), expected_bits);
+      }
     }
   }
 }
