@@ -29,105 +29,85 @@ Status CheckDims(const CsrMatrix& a, const CsrMatrix& b) {
   return Status::Ok();
 }
 
-/// One column's accumulator slot: `mark` is the last row that touched the
-/// column and `pos` is its position in that row's output. Both share one
-/// 8-byte slot, so a product touches one cache line of accumulator state.
-struct Slot {
-  Index mark;
-  Index pos;
-};
-static_assert(sizeof(Slot) == 8, "Slot must stay 8 bytes");
-
-/// Row-stamped accumulator for one kernel worker. Column c is untouched in
-/// row r while slots[c].mark != r, so rows need no reset pass. Cache-line
-/// aligned so neighbouring workers' vector headers never share a line.
+/// Per-worker accumulator. In the numeric pass slots[c] is the output
+/// position where column c was last accumulated, or -1. A worker writes
+/// its rows at growing positions, so column c already has an entry in the
+/// row that starts at `base` exactly when slots[c] >= base, and rows need
+/// no reset pass. `end` is where the worker's last row ended. In the
+/// symbolic pass slots[c] is the last row that touched column c.
+/// Cache-line aligned so neighbouring workers' vector headers never share
+/// a line.
 struct alignas(64) StampAccumulator {
   explicit StampAccumulator(Index cols)
-      : slots(static_cast<size_t>(cols), Slot{-1, 0}) {}
+      : slots(static_cast<size_t>(cols), -1) {}
 
-  std::vector<Slot> slots;
+  std::vector<Offset> slots;
+  Offset end = 0;
 };
 static_assert(alignof(StampAccumulator) >= 64,
               "StampAccumulator must be cache-line aligned");
 
-/// Accumulates row r of A*B straight into the output row `idx`/`val` and
-/// returns its length: A's row entries in column order, each times B's row
-/// in column order, summed per output column in that order. This order
-/// fixes the output bits, so every pass and every thread count uses it.
-/// Columns are listed in first-touch order. A column's first product is
-/// stored as `0.0 + p`, the sum into a zeroed accumulator, so a row of -0.0
-/// products sums to +0.0. The caller provides room for the row's distinct
-/// columns, at most min(`products`, cols), zero-filled with +0.0.
+/// Accumulates row r of A*B into the output arrays `idx`/`val` from
+/// position `base` on and returns the row's length: A's row entries in
+/// column order, each times B's row in column order, summed per output
+/// column in that order. This order fixes the output bits, so every pass
+/// and every thread count uses it. Columns are listed in first-touch
+/// order. A column's first product is stored as `0.0 + p`, the sum into a
+/// zeroed accumulator, so a row of -0.0 products sums to +0.0. The caller
+/// provides room for the row's distinct columns, at most min(row
+/// products, cols), zero-filled with +0.0.
 ///
-/// Two inner loops give the same bits. The branchy loop asks per product
-/// whether the column is new; it suits rows where nearly every column is,
-/// because the branch then predicts well. On a row whose products exceed
-/// cols / 8, EstimateMergedRowNnz's random-collision model expects at least
-/// about 6% repeats, and on hub rows the repeats cannot be predicted, so
-/// such rows take the branch-free loop: every product writes its column
-/// and adds into a position chosen by a mask, and a new column's position
-/// is the next free one, whose +0.0 fill makes the add `0.0 + p`.
+/// The loop is branch-free: on hub rows "new column or repeat?" cannot be
+/// predicted, so every product writes its column and adds into a position
+/// chosen by a mask. A new column's position is the row's next free one,
+/// whose +0.0 fill makes the add `0.0 + p`; a repeat rewrites its own
+/// column.
 Offset AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
-                     int64_t products, StampAccumulator* s, Index* idx,
+                     Offset base, StampAccumulator* s, Index* idx,
                      Value* val) {
-  Slot* slots = s->slots.data();
-  Index n = 0;
+  Offset* slots = s->slots.data();
+  // A row that starts below the worker's last row would read that row's
+  // positions as its own. ParallelFor hands each worker its chunks in
+  // increasing order, so this reset never runs there; it keeps the kernel
+  // correct under any schedule.
+  if (base < s->end) std::fill(s->slots.begin(), s->slots.end(), -1);
+  Offset end = base;
   const SpanView arow = a.Row(r);
-  if (products * 8 > b.cols()) {
-    for (Offset k = 0; k < arow.size; ++k) {
-      const SpanView brow = b.Row(arow.indices[k]);
-      const Value av = arow.values[k];
-      for (Offset l = 0; l < brow.size; ++l) {
-        const Index c = brow.indices[l];
-        const Value p = av * brow.values[l];
-        const Slot slot = slots[c];
-        // All ones on a repeat, zero on a new column. A mask select, not
-        // `?:`, which the compiler may turn back into a jump.
-        const Index repeat = -static_cast<Index>(slot.mark == r);
-        const Index pos = n ^ ((n ^ slot.pos) & repeat);
-        idx[pos] = c;
-        val[pos] += p;
-        slots[c] = Slot{r, pos};
-        n += static_cast<Index>(slot.mark != r);
-      }
-    }
-    return n;
-  }
   for (Offset k = 0; k < arow.size; ++k) {
     const SpanView brow = b.Row(arow.indices[k]);
     const Value av = arow.values[k];
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
       const Value p = av * brow.values[l];
-      Slot& slot = slots[c];
-      if (slot.mark != r) {
-        slot.mark = r;
-        slot.pos = n;
-        idx[n] = c;
-        val[n++] = 0.0 + p;
-      } else {
-        val[slot.pos] += p;
-      }
+      const Offset seen = slots[c];
+      // All ones on a new column, zero on a repeat. A mask select, not
+      // `?:`, which the compiler may turn back into a jump.
+      const Offset fresh = (seen - base) >> 63;
+      const Offset pos = seen ^ ((seen ^ end) & fresh);
+      idx[pos] = c;
+      val[pos] += p;
+      slots[c] = pos;
+      end -= fresh;
     }
   }
-  return n;
+  s->end = end;
+  return end - base;
 }
 
 /// Counts the distinct output columns of row r without materializing the
-/// expansion (pass 1 of the two-pass scheme). Branch-free on every row:
-/// counting needs no position, so dropping the branch costs only one
-/// unconditional store per product.
+/// expansion (pass 1 of the two-pass scheme). Branch-free like
+/// AccumulateRow.
 Offset SymbolicRowNnz(const CsrMatrix& a, const CsrMatrix& b, Index r,
                       StampAccumulator* s) {
-  Slot* slots = s->slots.data();
+  Offset* slots = s->slots.data();
   Offset distinct = 0;
   const SpanView arow = a.Row(r);
   for (Offset k = 0; k < arow.size; ++k) {
     const SpanView brow = b.Row(arow.indices[k]);
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
-      distinct += slots[c].mark != r;
-      slots[c].mark = r;
+      distinct += slots[c] != r;
+      slots[c] = r;
     }
   }
   return distinct;
@@ -142,7 +122,6 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
   const Index cols = b.cols();
   ThreadPool& pool = GlobalThreadPool();
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-  const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
 
   if (pool.threads() == 1) {
     // Serial path: single pass, rows written in place as they complete.
@@ -150,6 +129,7 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     // shrinks back to its real length; flops bounds that growth, so the
     // reserve never reallocates and untouched reserve is not resident.
     StampAccumulator s(cols);
+    const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
     const int64_t flops =
         std::accumulate(row_flops.begin(), row_flops.end(), int64_t{0});
     std::vector<Index> out_idx;
@@ -160,15 +140,14 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     AdviseHugePages(out_val.data(), out_val.capacity() * sizeof(Value));
     for (Index r = 0; r < rows; ++r) {
       const size_t base = out_idx.size();
-      const int64_t products = row_flops[static_cast<size_t>(r)];
-      const size_t room =
-          static_cast<size_t>(std::min<int64_t>(products, cols));
+      const size_t room = static_cast<size_t>(
+          std::min<int64_t>(row_flops[static_cast<size_t>(r)], cols));
       out_idx.resize(base + room);
       out_val.resize(base + room);
       const size_t end =
-          base + static_cast<size_t>(AccumulateRow(a, b, r, products, &s,
-                                                   out_idx.data() + base,
-                                                   out_val.data() + base));
+          base + static_cast<size_t>(AccumulateRow(
+                     a, b, r, static_cast<Offset>(base), &s, out_idx.data(),
+                     out_val.data()));
       out_idx.resize(end);
       out_val.resize(end);
       ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(end);
@@ -199,10 +178,10 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     ptr[r + 1] += ptr[r];
   }
   const size_t total = static_cast<size_t>(ptr[static_cast<size_t>(rows)]);
-  // A row may land on another thread in the numeric pass, where a symbolic
-  // stamp equal to its row number would read as already touched.
+  // The numeric pass reads slots as output positions, where a symbolic
+  // row stamp would read as a column already in the row.
   for (StampAccumulator& s : workers) {
-    for (Slot& slot : s.slots) slot.mark = -1;
+    std::fill(s.slots.begin(), s.slots.end(), -1);
   }
 
   std::vector<Index> out_idx;
@@ -218,10 +197,9 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
       [&](int64_t row_begin, int64_t row_end, int thread_index) {
         StampAccumulator& s = workers[static_cast<size_t>(thread_index)];
         for (int64_t r = row_begin; r < row_end; ++r) {
-          const size_t begin = static_cast<size_t>(ptr[static_cast<size_t>(r)]);
           AccumulateRow(a, b, static_cast<Index>(r),
-                        row_flops[static_cast<size_t>(r)], &s,
-                        out_idx.data() + begin, out_val.data() + begin);
+                        ptr[static_cast<size_t>(r)], &s, out_idx.data(),
+                        out_val.data());
         }
         return Status::Ok();
       }));

@@ -10,20 +10,18 @@ namespace spgemm {
 /// The host kernel every algorithm's Compute runs: Gustavson's row
 /// product, with expansion and merge fused. Each output row accumulates
 /// A's row entries in column order, each times B's row in column order,
-/// straight into the output row: a row-stamped slot per column holds the
-/// column's position in the row, so a column's first product appends it
-/// and later products add in place. A row with more than cols / 8
-/// products, where the random-collision model expects at least about 6%
-/// repeated columns, accumulates branch-free: each product writes at a
+/// straight into the output row: a slot per column holds the output
+/// position where the column was last accumulated, so a column whose slot
+/// is before the row's start is new to the row. Its first product appends
+/// it and later products add in place. The loop is branch-free, because on
+/// hub rows "new column?" cannot be predicted: each product writes at a
 /// mask-selected position, and a new column adds into the output's +0.0
-/// fill, so the output value storage must be zero-filled first. Other rows
-/// branch on "new column?", which predicts well there; both loops give the
-/// same bits. Rows come out in first-touch order
-/// (unordered CSR rows, like the paper's kernels). The output buffers are
-/// advised for huge pages before their first write. An algorithm whose
-/// GPU schedule visits the contraction axis in another order relabels A's
-/// columns and B's rows first; the output bits are the same for any
-/// thread count.
+/// fill, so the output value storage must be zero-filled first. Rows come
+/// out in first-touch order (unordered CSR rows, like the paper's
+/// kernels). The output buffers are advised for huge pages before their
+/// first write. An algorithm whose GPU schedule visits the contraction axis
+/// in another order relabels A's columns and B's rows first; the output
+/// bits are the same for any thread count.
 Result<sparse::CsrMatrix> RowProductExpandMerge(const sparse::CsrMatrix& a,
                                                 const sparse::CsrMatrix& b);
 

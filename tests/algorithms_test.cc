@@ -171,17 +171,15 @@ std::vector<std::tuple<sparse::Index, sparse::Index, uint64_t>> SortedBits(
 /// -0.0, +0.0 and nonzero products. The values are small dyadic numbers, so
 /// every sum is exact and the kernels' different accumulation orders cannot
 /// change a bit: the host kernels, at both thread counts, must equal the
-/// reference exactly. A narrow B puts the rows' products above cols / 8,
-/// where the host kernel accumulates branch-free; a wide, sparse B puts
-/// most of them at or below it, where it branches. Each shape puts some
-/// all -0.0 rows on its side.
+/// reference exactly. A narrow B gives rows full of repeated columns; a
+/// wide, sparse B gives rows where nearly every column is new, so the
+/// kernel's mask select reads the +0.0 fill on both kinds of row.
 TEST(FunctionalTest, NegativeZeroProductsMatchReferenceBits) {
   struct Shape {
     sparse::Index b_cols;
     uint64_t one_in;  // B's density is 1 / one_in
-    bool branchy;     // the side of cols / 8 its -0.0 rows must reach
   };
-  for (const Shape& shape : {Shape{36, 6, false}, Shape{2000, 64, true}}) {
+  for (const Shape& shape : {Shape{36, 6}, Shape{2000, 64}}) {
     SCOPED_TRACE("B with " + std::to_string(shape.b_cols) + " columns");
     Rng rng(77);
     const sparse::Value a_values[] = {-0.0, 0.0, -2.0, 1.0, 0.5};
@@ -204,15 +202,6 @@ TEST(FunctionalTest, NegativeZeroProductsMatchReferenceBits) {
     auto a = CsrMatrix::FromCoo(a_coo);
     auto b = CsrMatrix::FromCoo(b_coo);
     ASSERT_TRUE(a.ok() && b.ok());
-    const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(*a, *b);
-    int64_t zero_rows_on_side = 0;
-    for (sparse::Index r = 0; r < 48; r += 4) {
-      const int64_t products = row_flops[static_cast<size_t>(r)];
-      if (products > 0 && (products * 8 <= b->cols()) == shape.branchy) {
-        ++zero_rows_on_side;
-      }
-    }
-    EXPECT_GT(zero_rows_on_side, 0);
 
     auto expected = sparse::ReferenceSpGemm(*a, *b);
     ASSERT_TRUE(expected.ok());
@@ -346,8 +335,7 @@ TEST(FunctionalTest, LongRowsBetweenEmptyRows) {
 /// Pins the host kernel's ptr, indices and value bits for A*A at 1 thread
 /// (the serial single pass) and at 4 (the parallel two-pass) on four
 /// families with non-dyadic values: a hub-heavy power law, RMAT, a narrow
-/// quasi-regular band and block-diagonal communities. Every input has rows
-/// whose products exceed cols / 8 and nonempty rows whose products do not.
+/// quasi-regular band and block-diagonal communities.
 TEST(FunctionalTest, KernelOutputBitsArePinned) {
   auto power_law = [] {
     datasets::PowerLawParams p;
@@ -397,17 +385,6 @@ TEST(FunctionalTest, KernelOutputBitsArePinned) {
     SCOPED_TRACE(pin.input);
     ASSERT_TRUE(pin.a.ok()) << pin.a.status().ToString();
     const CsrMatrix& a = *pin.a;
-    int64_t collision_rows = 0;
-    int64_t sparse_rows = 0;
-    for (int64_t products : sparse::SpGemmRowFlops(a, a)) {
-      if (products * 8 > a.cols()) {
-        ++collision_rows;
-      } else if (products > 0) {
-        ++sparse_rows;
-      }
-    }
-    EXPECT_GT(collision_rows, 0);
-    EXPECT_GT(sparse_rows, 0);
     for (int threads : {1, 4}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       SetGlobalThreadCount(threads);
