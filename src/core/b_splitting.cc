@@ -10,15 +10,6 @@ namespace core {
 
 using sparse::Index;
 
-std::vector<Index> SplitPlan::BuildMapper() const {
-  std::vector<Index> mapper;
-  mapper.reserve(static_cast<size_t>(total_fragments));
-  for (const SplitVector& v : vectors) {
-    for (int f = 0; f < v.factor; ++f) mapper.push_back(v.pair);
-  }
-  return mapper;
-}
-
 SplitPlan BuildSplitPlan(const spgemm::Workload& workload,
                          const std::vector<Index>& dominators,
                          const ReorganizerConfig& config,
@@ -26,7 +17,7 @@ SplitPlan BuildSplitPlan(const spgemm::Workload& workload,
                          spgemm::ExecContext* ctx) {
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "b-splitting");
   SplitPlan plan;
-  plan.vectors.reserve(dominators.size());
+  int64_t split_pairs = 0;
 
   for (Index pair : dominators) {
     const int64_t col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
@@ -46,33 +37,29 @@ SplitPlan BuildSplitPlan(const spgemm::Workload& workload,
     factor = std::min(factor, PrevPow2(std::max<int64_t>(col_nnz, 1)));
     factor = std::max<int64_t>(factor, 1);
 
-    SplitVector v;
-    v.pair = pair;
-    v.factor = static_cast<int>(factor);
-    v.offsets.resize(static_cast<size_t>(factor) + 1);
     // Even carve with remainder spread over the leading fragments: the
     // pointer-expansion trick shifts elements to the next vector
     // sequentially, which produces exactly this shape.
     const int64_t base = col_nnz / factor;
     const int64_t rem = col_nnz % factor;
     int64_t cursor = 0;
-    for (int64_t f = 0; f <= factor; ++f) {
-      v.offsets[static_cast<size_t>(f)] = cursor;
-      if (f < factor) cursor += base + (f < rem ? 1 : 0);
+    for (int64_t f = 0; f < factor; ++f) {
+      plan.mapper.push_back(pair);
+      plan.col_begin.push_back(cursor);
+      cursor += base + (f < rem ? 1 : 0);
+      plan.col_end.push_back(cursor);
     }
-    v.offsets.back() = col_nnz;
 
-    plan.total_fragments += factor;
+    ++split_pairs;
     // The dominator column and row vectors are copied into A'/B' on the
     // host before pointer expansion.
     plan.copied_elements += col_nnz + row_nnz;
     spgemm::ObserveHistogram(ctx, "splitting.factor", factor);
-    plan.vectors.push_back(std::move(v));
   }
   spgemm::SetGauge(ctx, "splitting.split_vectors",
-                   static_cast<double>(plan.vectors.size()));
+                   static_cast<double>(split_pairs));
   spgemm::SetGauge(ctx, "splitting.fragments",
-                   static_cast<double>(plan.total_fragments));
+                   static_cast<double>(plan.mapper.size()));
   spgemm::SetGauge(ctx, "splitting.copied_elements",
                    static_cast<double>(plan.copied_elements));
   return plan;

@@ -16,30 +16,22 @@ struct ExecContext;
 
 namespace core {
 
-/// One dominator pair split into power-of-two column fragments. The
-/// fragments reference contiguous sub-ranges of the dominator column of A
-/// (the paper rewrites the copied column's pointer values to carve these
-/// ranges); each fragment multiplies its sub-column with the *whole*
-/// B row.
-struct SplitVector {
-  sparse::Index pair = 0;          ///< original column/row pair id
-  int factor = 1;                  ///< number of fragments (2^n)
-  /// factor+1 offsets into the column's element range; fragment f covers
-  /// [offsets[f], offsets[f+1]).
-  std::vector<int64_t> offsets;
-};
-
-/// The complete B-Splitting transformation of one multiplication.
+/// The complete B-Splitting transformation of one multiplication, indexed
+/// by fragment. Each dominator pair is split into 2^n fragments that are
+/// contiguous sub-ranges of its column of A (the paper rewrites the copied
+/// column's pointer values to carve these ranges); each fragment
+/// multiplies its sub-column with the *whole* B row. A pair's fragments
+/// are consecutive, in dominator order, and fragment f covers the column
+/// elements [col_begin[f], col_end[f]).
 struct SplitPlan {
-  std::vector<SplitVector> vectors;
-  int64_t total_fragments = 0;
+  /// The paper's mapper array: fragment id -> original pair id, in
+  /// dispatch order.
+  std::vector<sparse::Index> mapper;
+  std::vector<int64_t> col_begin;
+  std::vector<int64_t> col_end;
   /// Elements copied into the temporary matrices A'/B' — the host-side
   /// preprocessing cost the paper includes in its timings.
   int64_t copied_elements = 0;
-
-  /// The paper's mapper array: fragment id -> original pair id, in
-  /// dispatch order.
-  std::vector<sparse::Index> BuildMapper() const;
 };
 
 /// Chooses each dominator's splitting factor and fragment boundaries.
@@ -51,7 +43,7 @@ struct SplitPlan {
 ///
 /// With a context, records a "b-splitting" span, splitting.* gauges
 /// (fragments, copied elements, split vectors) and a
-/// splitting.factor histogram (one observation per split vector).
+/// splitting.factor histogram (one observation per split pair).
 SplitPlan BuildSplitPlan(const spgemm::Workload& workload,
                          const std::vector<sparse::Index>& dominators,
                          const ReorganizerConfig& config,

@@ -96,15 +96,6 @@ KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
 
 }  // namespace
 
-struct BlockReorganizerSpGemm::Prepared {
-  Workload workload;
-  Classification classes;
-  /// Built when splitting is enabled and dominators exist.
-  std::optional<SplitPlan> split;
-  /// Built when gathering is enabled and low performers exist.
-  std::optional<GatherPlan> gather;
-};
-
 BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::Prepare(
     const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
     spgemm::ExecContext* ctx) const {
@@ -136,80 +127,49 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
   const Prepared prep = Prepare(a, b, device, ctx);
   const Workload& workload = prep.workload;
   const Classification& classes = prep.classes;
-  auto pair_block = [&](Index pair) {
-    PairBlockParams p;
-    p.col_nnz = workload.a_col_nnz[static_cast<size_t>(pair)];
-    p.row_nnz = workload.b_row_nnz[static_cast<size_t>(pair)];
-    p.block_size = config_.block_size;
-    return MakePairBlock(p);
-  };
 
   SpGemmPlan plan;
   plan.flops = workload.flops;
   plan.output_nnz = workload.output_nnz;
   plan.kernels.push_back(BuildPreprocessKernel(workload, a.nnz()));
 
-  // --- Expansion: dominator kernel (split or not). --------------------------
+  // --- Expansion: the dominator kernel, then normal + gathered. -------------
   KernelDesc dominators;
   dominators.label = "expansion-dominators";
   dominators.phase = Phase::kExpansion;
-  int64_t copied_elements = 0;
-  if (prep.split) {
-    copied_elements = prep.split->copied_elements;
-    for (const SplitVector& v : prep.split->vectors) {
-      const size_t pair = static_cast<size_t>(v.pair);
-      const int64_t row_nnz = workload.b_row_nnz[pair];
-      const int64_t row_bytes = kElementBytes * row_nnz;
-      for (int f = 0; f < v.factor; ++f) {
-        const int64_t frag_cols = v.offsets[static_cast<size_t>(f) + 1] -
-                                  v.offsets[static_cast<size_t>(f)];
-        if (frag_cols <= 0) continue;
-        PairBlockParams p;
-        p.col_nnz = frag_cols;
-        p.row_nnz = row_nnz;
-        p.block_size = config_.block_size;
-        // All fragments after the first re-read a row vector that a
-        // sibling already pulled through the L2.
-        p.shared_read_bytes = f == 0 ? 0 : row_bytes;
-        dominators.blocks.push_back(MakePairBlock(p));
-      }
-    }
-  } else {
-    for (Index pair : classes.dominators) {
-      dominators.blocks.push_back(pair_block(pair));
-    }
-  }
-  if (!dominators.blocks.empty()) {
-    plan.kernels.push_back(std::move(dominators));
-  }
-
-  // --- Expansion: normal + gathered kernel. ---------------------------------
   KernelDesc expansion;
   expansion.label = "expansion-main";
   expansion.phase = Phase::kExpansion;
   expansion.flops = workload.flops;
-  expansion.blocks.reserve(
-      classes.normals.size() +
-      (prep.gather
-           ? prep.gather->num_blocks() + prep.gather->ungathered.size()
-           : classes.low_performers.size()));
-  for (Index pair : classes.normals) {
-    expansion.blocks.push_back(pair_block(pair));
-  }
-  if (prep.gather) {
-    const GatherPlan& gather = *prep.gather;
-    for (size_t i = 0; i < gather.num_blocks(); ++i) {
-      expansion.blocks.push_back(
-          MakeGatheredBlock(workload, gather.block_pairs(i),
-                            gather.micro_threads[i], config_.block_size));
+  // Size both kernels exactly: cached plans keep any spare capacity.
+  size_t dominator_blocks = 0;
+  size_t main_blocks = 0;
+  WalkExpansion(prep, [&](const ExpansionBlock& block) {
+    ++(block.kernel == ExpansionKernel::kDominators ? dominator_blocks
+                                                    : main_blocks);
+  });
+  dominators.blocks.reserve(dominator_blocks);
+  expansion.blocks.reserve(main_blocks);
+  WalkExpansion(prep, [&](const ExpansionBlock& block) {
+    KernelDesc& kernel = block.kernel == ExpansionKernel::kDominators
+                             ? dominators
+                             : expansion;
+    if (block.micro_threads > 0) {
+      kernel.blocks.push_back(MakeGatheredBlock(
+          workload, block.pairs, block.micro_threads, config_.block_size));
+      return;
     }
-    for (Index pair : gather.ungathered) {
-      expansion.blocks.push_back(pair_block(pair));
-    }
-  } else {
-    for (Index pair : classes.low_performers) {
-      expansion.blocks.push_back(pair_block(pair));
-    }
+    PairBlockParams p;
+    p.col_nnz = block.col_end - block.col_begin;
+    p.row_nnz = workload.b_row_nnz[static_cast<size_t>(block.pairs.front())];
+    p.block_size = config_.block_size;
+    // All fragments after the first re-read a row vector that a sibling
+    // already pulled through the L2.
+    p.shared_read_bytes = block.first_fragment ? 0 : kElementBytes * p.row_nnz;
+    kernel.blocks.push_back(MakePairBlock(p));
+  });
+  if (!dominators.blocks.empty()) {
+    plan.kernels.push_back(std::move(dominators));
   }
   if (!expansion.blocks.empty()) {
     plan.kernels.push_back(std::move(expansion));
@@ -223,7 +183,8 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
   }
 
   plan.host_seconds = spgemm::HostPreprocessSeconds(
-      static_cast<int64_t>(workload.pair_work.size()), copied_elements);
+      static_cast<int64_t>(workload.pair_work.size()),
+      prep.split ? prep.split->copied_elements : 0);
   return plan;
 }
 
@@ -249,27 +210,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
   CsrMatrix rb;
   {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "relabel");
-    std::vector<Index> order;
-    order.reserve(static_cast<size_t>(a.cols()));
-    std::vector<uint8_t> ranked(static_cast<size_t>(a.cols()), 0);
-    auto rank = [&](Index pair) {
-      if (ranked[static_cast<size_t>(pair)]) return;
-      ranked[static_cast<size_t>(pair)] = 1;
-      order.push_back(pair);
-    };
-    if (prep.split) {
-      for (const SplitVector& v : prep.split->vectors) rank(v.pair);
-    } else {
-      for (Index pair : prep.classes.dominators) rank(pair);
-    }
-    for (Index pair : prep.classes.normals) rank(pair);
-    if (prep.gather) {
-      for (Index pair : prep.gather->pairs) rank(pair);
-      for (Index pair : prep.gather->ungathered) rank(pair);
-    } else {
-      for (Index pair : prep.classes.low_performers) rank(pair);
-    }
-    for (Index pair = 0; pair < a.cols(); ++pair) rank(pair);
+    const std::vector<Index> order = FirstDispatchOrder(prep);
     SPNET_ASSIGN_OR_RETURN(ra, sparse::PermuteCols(a, order));
     SPNET_ASSIGN_OR_RETURN(rb, sparse::PermuteRows(b, order));
   }
@@ -306,12 +247,32 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
   report.limited_rows = static_cast<int64_t>(classes.limited_rows.size());
   report.dominator_threshold = classes.dominator_threshold;
   report.limit_row_threshold = classes.limit_row_threshold;
-  if (prep.split) report.fragments = prep.split->total_fragments;
+  if (prep.split) {
+    report.fragments = static_cast<int64_t>(prep.split->mapper.size());
+  }
   if (prep.gather) {
     report.combined_blocks = static_cast<int64_t>(prep.gather->num_blocks());
     report.gathered_pairs = prep.gather->gathered_pairs();
   }
   return report;
+}
+
+std::vector<Index> FirstDispatchOrder(
+    const BlockReorganizerSpGemm::Prepared& prep) {
+  const size_t pairs = prep.workload.pair_work.size();
+  std::vector<Index> order;
+  order.reserve(pairs);
+  std::vector<uint8_t> ranked(pairs, 0);
+  auto rank = [&](Index pair) {
+    if (ranked[static_cast<size_t>(pair)]) return;
+    ranked[static_cast<size_t>(pair)] = 1;
+    order.push_back(pair);
+  };
+  WalkExpansion(prep, [&](const ExpansionBlock& block) {
+    for (Index pair : block.pairs) rank(pair);
+  });
+  for (size_t pair = 0; pair < pairs; ++pair) rank(static_cast<Index>(pair));
+  return order;
 }
 
 Result<std::unique_ptr<spgemm::SpGemmAlgorithm>> MakeBlockReorganizer(

@@ -2,7 +2,10 @@
 #define SPNET_CORE_BLOCK_REORGANIZER_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/b_gathering.h"
 #include "core/b_splitting.h"
@@ -45,6 +48,23 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
 
   const ReorganizerConfig& config() const { return config_; }
 
+  /// The immutable product of the pre-process.
+  struct Prepared {
+    spgemm::Workload workload;
+    Classification classes;
+    /// Built when splitting is enabled and dominators exist.
+    std::optional<SplitPlan> split;
+    /// Built when gathering is enabled and low performers exist.
+    std::optional<GatherPlan> gather;
+  };
+
+  /// The paper's one pre-process pass, shared by Plan, Analyze and
+  /// Compute: the exact precalculation on the operands as given, the
+  /// bins, and the split and gather plans of non-empty bins.
+  Prepared Prepare(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+                   const gpusim::DeviceSpec& device,
+                   spgemm::ExecContext* ctx = nullptr) const;
+
   /// Runs only the pre-process and reports the bin populations.
   Result<ReorganizerReport> Analyze(const sparse::CsrMatrix& a,
                                     const sparse::CsrMatrix& b,
@@ -67,19 +87,86 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                         spgemm::ExecContext* ctx) const override;
 
  private:
-  /// The immutable product of the pre-process (defined in the .cc).
-  struct Prepared;
-
-  /// The paper's one pre-process pass, shared by Plan, Analyze and
-  /// Compute: the exact precalculation on the operands as given, the
-  /// bins, and the split and gather plans of non-empty bins.
-  Prepared Prepare(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
-                   const gpusim::DeviceSpec& device,
-                   spgemm::ExecContext* ctx) const;
-
   ReorganizerConfig config_;
   std::string name_;
 };
+
+/// The reorganizer's two expansion kernels, in launch order.
+enum class ExpansionKernel { kDominators, kMain };
+
+/// One expansion thread block, as WalkExpansion dispatches it.
+struct ExpansionBlock {
+  ExpansionKernel kernel = ExpansionKernel::kMain;
+  /// The block's one pair, or a gathered block's micro-blocks.
+  std::span<const sparse::Index> pairs;
+  /// A gathered block's lane quota per micro-block (2^n); 0 for a
+  /// one-pair block.
+  int micro_threads = 0;
+  /// A one-pair block multiplies the elements [col_begin, col_end) of its
+  /// pair's A column with the whole B row: a split fragment's range, or
+  /// the whole column.
+  int64_t col_begin = 0;
+  int64_t col_end = 0;
+  /// False only for a split fragment after its pair's first.
+  bool first_fragment = true;
+};
+
+/// The expansion dispatch order, spelled out once: split dominator
+/// fragments in mapper order (or whole dominators when unsplit), then
+/// normals, then gathered blocks, then ungathered pairs (or every low
+/// performer when ungathered). Calls `visit(const ExpansionBlock&)` once
+/// per block, in that order. Plan turns each call into a thread block;
+/// Compute ranks pairs by their first appearance (FirstDispatchOrder).
+template <typename Visit>
+void WalkExpansion(const BlockReorganizerSpGemm::Prepared& prep,
+                   Visit&& visit) {
+  using sparse::Index;
+  auto whole = [&](ExpansionKernel kernel, const Index& pair) {
+    visit(ExpansionBlock{
+        .kernel = kernel,
+        .pairs = {&pair, 1},
+        .col_end = prep.workload.a_col_nnz[static_cast<size_t>(pair)]});
+  };
+  if (prep.split) {
+    const SplitPlan& split = *prep.split;
+    for (size_t f = 0; f < split.mapper.size(); ++f) {
+      visit(ExpansionBlock{
+          .kernel = ExpansionKernel::kDominators,
+          .pairs = {&split.mapper[f], 1},
+          .col_begin = split.col_begin[f],
+          .col_end = split.col_end[f],
+          .first_fragment = f == 0 || split.mapper[f - 1] != split.mapper[f]});
+    }
+  } else {
+    for (const Index& pair : prep.classes.dominators) {
+      whole(ExpansionKernel::kDominators, pair);
+    }
+  }
+  for (const Index& pair : prep.classes.normals) {
+    whole(ExpansionKernel::kMain, pair);
+  }
+  if (prep.gather) {
+    const GatherPlan& gather = *prep.gather;
+    for (size_t i = 0; i < gather.num_blocks(); ++i) {
+      visit(ExpansionBlock{.kernel = ExpansionKernel::kMain,
+                           .pairs = gather.block_pairs(i),
+                           .micro_threads = gather.micro_threads[i]});
+    }
+    for (const Index& pair : gather.ungathered) {
+      whole(ExpansionKernel::kMain, pair);
+    }
+  } else {
+    for (const Index& pair : prep.classes.low_performers) {
+      whole(ExpansionKernel::kMain, pair);
+    }
+  }
+}
+
+/// Every pair ranked by its first appearance in WalkExpansion, then the
+/// zero-work pairs no bin holds, in index order: a permutation of
+/// [0, pairs). Compute relabels the contraction axis by it.
+std::vector<sparse::Index> FirstDispatchOrder(
+    const BlockReorganizerSpGemm::Prepared& prep);
 
 /// Convenience factory used by the benchmark suite and the CLI. Validates
 /// `config` first (see ReorganizerConfig::Validate) and refuses to build

@@ -191,7 +191,6 @@ const char* DefaultLayeringManifestText() {
          "gpusim: common metrics\n"
          "datasets: common sparse\n"
          "spgemm: common metrics sparse gpusim faultinject\n"
-         "graph: common sparse spgemm\n"
          "core: common sparse gpusim spgemm faultinject\n"
          "engine: common metrics sparse datasets gpusim spgemm core\n"
          "verify: common sparse datasets gpusim spgemm core engine "

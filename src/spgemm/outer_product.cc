@@ -45,7 +45,9 @@ Result<SpGemmPlan> OuterProductSpGemm::PlanImpl(const CsrMatrix& a,
     plan.kernels.push_back(std::move(k));
   }
   // Outer product needs the row-wise C-hat prefix sums (relocation
-  // cursors) before expansion; the scan is device-side, the setup is host.
+  // cursors) before expansion. The plan emits no kernel for that scan and
+  // charges only host_seconds over the pairs; whether it becomes a device
+  // kernel is ROADMAP item 2, Step B.
   plan.host_seconds =
       HostPreprocessSeconds(static_cast<int64_t>(workload.pair_work.size()), 0);
   return plan;

@@ -18,7 +18,6 @@ namespace verify {
 using core::Classification;
 using core::GatherPlan;
 using core::SplitPlan;
-using core::SplitVector;
 using sparse::Index;
 using spgemm::Workload;
 
@@ -118,78 +117,70 @@ Status CheckClassification(const Workload& workload,
 Status CheckSplitPlan(const Workload& workload,
                       const std::vector<Index>& dominators,
                       const SplitPlan& split) {
-  std::vector<Index> expected(dominators);
-  std::sort(expected.begin(), expected.end());
-  std::vector<Index> got;
-  got.reserve(split.vectors.size());
-  for (const SplitVector& v : split.vectors) got.push_back(v.pair);
-  std::sort(got.begin(), got.end());
-  if (got != expected) {
-    return Violation("split vectors cover " + std::to_string(got.size()) +
-                     " pairs, dominators number " +
-                     std::to_string(expected.size()) +
-                     " (or the sets differ)");
+  const std::vector<Index>& mapper = split.mapper;
+  const size_t fragments = mapper.size();
+  if (split.col_begin.size() != fragments ||
+      split.col_end.size() != fragments) {
+    return Violation("mapper holds " + std::to_string(fragments) +
+                     " fragments, column bounds hold " +
+                     std::to_string(split.col_begin.size()) + " and " +
+                     std::to_string(split.col_end.size()));
   }
 
-  int64_t fragments = 0;
-  for (const SplitVector& v : split.vectors) {
-    const size_t i = static_cast<size_t>(v.pair);
+  // One run of equal mapper entries per split pair; a pair whose fragments
+  // are not contiguous shows up as two runs, so as a duplicate below.
+  std::vector<Index> got;
+  for (size_t first = 0; first < fragments;) {
+    const Index pair = mapper[first];
+    if (pair < 0 || static_cast<size_t>(pair) >= workload.pair_work.size()) {
+      return Violation("mapper fragment " + std::to_string(first) +
+                       " points at " + PairLabel(pair) + ", out of range");
+    }
+    size_t last = first + 1;
+    while (last < fragments && mapper[last] == pair) ++last;
+    got.push_back(pair);
+
+    const size_t i = static_cast<size_t>(pair);
     const int64_t col_nnz = workload.a_col_nnz[i];
     const int64_t row_nnz = workload.b_row_nnz[i];
-    if (!IsPow2(v.factor)) {
-      return Violation(PairLabel(v.pair) + " split factor " +
-                       std::to_string(v.factor) + " is not a power of two");
+    const int64_t factor = static_cast<int64_t>(last - first);
+    if (!IsPow2(factor)) {
+      return Violation(PairLabel(pair) + " has " + std::to_string(factor) +
+                       " fragments, not a power of two");
     }
-    if (v.offsets.size() != static_cast<size_t>(v.factor) + 1) {
-      return Violation(PairLabel(v.pair) + " has " +
-                       std::to_string(v.offsets.size()) + " offsets for " +
-                       std::to_string(v.factor) + " fragments");
-    }
-    if (v.offsets.front() != 0 || v.offsets.back() != col_nnz) {
-      return Violation(PairLabel(v.pair) + " offsets span [" +
-                       std::to_string(v.offsets.front()) + ", " +
-                       std::to_string(v.offsets.back()) +
+    if (split.col_begin[first] != 0 || split.col_end[last - 1] != col_nnz) {
+      return Violation(PairLabel(pair) + " fragments span [" +
+                       std::to_string(split.col_begin[first]) + ", " +
+                       std::to_string(split.col_end[last - 1]) +
                        "), column holds " + std::to_string(col_nnz));
     }
     int64_t products = 0;
-    for (int f = 0; f < v.factor; ++f) {
-      const int64_t len = v.offsets[static_cast<size_t>(f) + 1] -
-                          v.offsets[static_cast<size_t>(f)];
-      if (len <= 0) {
-        return Violation(PairLabel(v.pair) + " fragment " + std::to_string(f) +
-                         " is empty or reversed");
+    for (size_t f = first; f < last; ++f) {
+      const int64_t len = split.col_end[f] - split.col_begin[f];
+      const bool detached =
+          f > first && split.col_begin[f] != split.col_end[f - 1];
+      if (len <= 0 || detached) {
+        return Violation(PairLabel(pair) + " fragment " + std::to_string(f) +
+                         " is empty, reversed or detached from its sibling");
       }
       products += len * row_nnz;
     }
     if (products != workload.pair_work[i]) {
-      return Violation(PairLabel(v.pair) + " fragments produce " +
+      return Violation(PairLabel(pair) + " fragments produce " +
                        std::to_string(products) + " products, pair work is " +
                        std::to_string(workload.pair_work[i]));
     }
-    fragments += v.factor;
-  }
-  if (fragments != split.total_fragments) {
-    return Violation("total_fragments " +
-                     std::to_string(split.total_fragments) +
-                     " disagrees with the vectors (" +
-                     std::to_string(fragments) + ")");
+    first = last;
   }
 
-  const std::vector<Index> mapper = split.BuildMapper();
-  if (static_cast<int64_t>(mapper.size()) != split.total_fragments) {
-    return Violation("mapper holds " + std::to_string(mapper.size()) +
-                     " entries for " + std::to_string(split.total_fragments) +
-                     " fragments");
-  }
-  size_t cursor = 0;
-  for (const SplitVector& v : split.vectors) {
-    for (int f = 0; f < v.factor; ++f, ++cursor) {
-      if (mapper[cursor] != v.pair) {
-        return Violation("mapper fragment " + std::to_string(cursor) +
-                         " points at " + PairLabel(mapper[cursor]) +
-                         ", expected " + PairLabel(v.pair));
-      }
-    }
+  std::vector<Index> expected(dominators);
+  std::sort(expected.begin(), expected.end());
+  std::sort(got.begin(), got.end());
+  if (got != expected) {
+    return Violation("fragments cover " + std::to_string(got.size()) +
+                     " pair runs, dominators number " +
+                     std::to_string(expected.size()) +
+                     " (or the sets differ, or a pair's fragments are split)");
   }
   return Status::Ok();
 }

@@ -29,12 +29,11 @@ namespace verify {
 [[nodiscard]] Status CheckClassification(const spgemm::Workload& workload,
                            const core::Classification& classes);
 
-/// The split plan covers every dominator exactly once; each vector's
-/// factor is a power of two, its offsets carve [0, col_nnz) into `factor`
-/// non-empty contiguous fragments, and the fragments reproduce the
-/// original pair's product count exactly (sum of fragment_len * row_nnz
-/// == pair_work). The mapper array has total_fragments entries in
-/// dispatch order.
+/// The split plan covers every dominator exactly once; the mapper lists
+/// each pair's fragments contiguously, a power of two of them, and their
+/// column bounds carve [0, col_nnz) into non-empty contiguous fragments
+/// that reproduce the original pair's product count exactly (sum of
+/// fragment_len * row_nnz == pair_work).
 [[nodiscard]] Status CheckSplitPlan(const spgemm::Workload& workload,
                       const std::vector<sparse::Index>& dominators,
                       const core::SplitPlan& split);

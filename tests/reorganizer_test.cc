@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/parallel.h"
 #include "core/block_reorganizer.h"
@@ -22,6 +25,7 @@ namespace core {
 namespace {
 
 using sparse::CsrMatrix;
+using sparse::Index;
 
 ReorganizerConfig ConfigFromMask(int mask) {
   ReorganizerConfig config;
@@ -687,6 +691,76 @@ TEST(ReorganizerTest, ComputeTracesRelabelAndFusedExpand) {
   auto counters = ctx.registry.Snapshot();
   EXPECT_EQ(counters["expand.products"], sparse::SpGemmFlops(a, a));
   EXPECT_EQ(counters["merge.output_nnz"], c->nnz());
+}
+
+/// WalkExpansion is the one dispatch order that Plan and Compute read. Per
+/// kernel and in order, its blocks are Plan's expansion blocks one to one.
+/// The pairs' first appearances in it open FirstDispatchOrder, which
+/// Compute relabels by: every pair once, nonzero-work pairs first.
+TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
+  const CsrMatrix inputs[] = {PowerLaw(3), PowerLaw(8),
+                              testing_util::RandomMatrix(300, 300, 0.004, 5)};
+  RegisterCoreAlgorithms();
+  const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
+  for (const char* name : {"reorganizer", "reorganizer-limiting",
+                           "reorganizer-splitting", "reorganizer-gathering"}) {
+    auto created = spgemm::AlgorithmRegistry::Global().Create(name);
+    ASSERT_TRUE(created.ok());
+    const auto* alg =
+        dynamic_cast<const BlockReorganizerSpGemm*>(created->get());
+    ASSERT_NE(alg, nullptr);
+    for (size_t in = 0; in < std::size(inputs); ++in) {
+      SCOPED_TRACE(std::string(name) + " on input " + std::to_string(in));
+      const CsrMatrix& a = inputs[in];
+      const BlockReorganizerSpGemm::Prepared prep =
+          alg->Prepare(a, a, device);
+      const spgemm::Workload& w = prep.workload;
+
+      std::map<std::string, std::vector<int64_t>> walked;
+      std::vector<Index> first_seen;
+      std::vector<uint8_t> seen(w.pair_work.size(), 0);
+      WalkExpansion(prep, [&](const ExpansionBlock& block) {
+        int64_t useful = 0;
+        for (Index pair : block.pairs) {
+          const size_t p = static_cast<size_t>(pair);
+          const int64_t cols = block.micro_threads > 0
+                                   ? w.a_col_nnz[p]
+                                   : block.col_end - block.col_begin;
+          useful += cols * w.b_row_nnz[p];
+          if (!seen[p]) first_seen.push_back(pair);
+          seen[p] = 1;
+        }
+        walked[block.kernel == ExpansionKernel::kDominators
+                   ? "expansion-dominators"
+                   : "expansion-main"]
+            .push_back(useful);
+      });
+      auto plan = alg->Plan(a, a, device);
+      ASSERT_TRUE(plan.ok());
+      std::map<std::string, std::vector<int64_t>> planned;
+      for (const gpusim::KernelDesc& k : plan->kernels) {
+        if (k.phase != gpusim::Phase::kExpansion) continue;
+        for (const gpusim::ThreadBlockDesc& tb : k.blocks) {
+          planned[k.label].push_back(tb.useful_lane_ops);
+        }
+      }
+      EXPECT_EQ(walked, planned);
+
+      const std::vector<Index> order = FirstDispatchOrder(prep);
+      ASSERT_EQ(order.size(), w.pair_work.size());
+      ASSERT_LE(first_seen.size(), order.size());
+      EXPECT_TRUE(
+          std::equal(first_seen.begin(), first_seen.end(), order.begin()));
+      std::vector<uint8_t> placed(order.size(), 0);
+      for (size_t k = 0; k < order.size(); ++k) {
+        const size_t p = static_cast<size_t>(order[k]);
+        ASSERT_LT(p, placed.size());
+        EXPECT_EQ(placed[p], 0) << "pair " << p << " ranked twice";
+        placed[p] = 1;
+        EXPECT_EQ(w.pair_work[p] > 0, k < first_seen.size()) << "rank " << k;
+      }
+    }
+  }
 }
 
 TEST(ReorganizerTest, NamedConfigurations) {

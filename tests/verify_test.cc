@@ -251,7 +251,7 @@ TEST(InvariantsTest, DetectsBadThreshold) {
   EXPECT_FALSE(verify::CheckClassification(workload, classes).ok());
 }
 
-TEST(InvariantsTest, DetectsCorruptedSplitOffsets) {
+TEST(InvariantsTest, DetectsCorruptedSplitPlan) {
   // Force dominators with a tiny alpha so the split plan is non-trivial.
   const CsrMatrix a = SmallMatrix();
   const spgemm::Workload workload = spgemm::BuildWorkload(a, a);
@@ -259,22 +259,38 @@ TEST(InvariantsTest, DetectsCorruptedSplitOffsets) {
   config.alpha = 0.1;
   const core::Classification classes = core::Classify(workload, config);
   ASSERT_FALSE(classes.dominators.empty());
-  core::SplitPlan split = core::BuildSplitPlan(
+  const core::SplitPlan split = core::BuildSplitPlan(
       workload, classes.dominators, config, gpusim::DeviceSpec::TitanXp());
   ASSERT_TRUE(
       verify::CheckSplitPlan(workload, classes.dominators, split).ok());
+  ASSERT_FALSE(split.mapper.empty());
 
-  // Shift one interior offset: fragment products no longer sum correctly
-  // against a neighbor, or a fragment goes empty.
-  ASSERT_FALSE(split.vectors.empty());
-  core::SplitVector& v = split.vectors.front();
-  if (v.factor > 1) {
-    v.offsets[1] = v.offsets[0];  // empty first fragment
-  } else {
-    v.offsets.back() -= 1;  // fragment range no longer covers the column
-  }
+  // An empty first fragment: its end collapses onto its begin.
+  core::SplitPlan empty_first = split;
+  empty_first.col_end.front() = empty_first.col_begin.front();
   EXPECT_FALSE(
-      verify::CheckSplitPlan(workload, classes.dominators, split).ok());
+      verify::CheckSplitPlan(workload, classes.dominators, empty_first).ok());
+
+  // A last fragment that stops one element short of the column.
+  core::SplitPlan short_last = split;
+  short_last.col_end.back() -= 1;
+  EXPECT_FALSE(
+      verify::CheckSplitPlan(workload, classes.dominators, short_last).ok());
+
+  // A middle fragment slid one element right: same lengths, same span and
+  // products, but a gap before it and an overlap after it.
+  size_t middle = 1;
+  while (middle + 1 < split.mapper.size() &&
+         (split.mapper[middle - 1] != split.mapper[middle] ||
+          split.mapper[middle + 1] != split.mapper[middle])) {
+    ++middle;
+  }
+  ASSERT_LT(middle + 1, split.mapper.size());
+  core::SplitPlan slid = split;
+  slid.col_begin[middle] += 1;
+  slid.col_end[middle] += 1;
+  EXPECT_FALSE(
+      verify::CheckSplitPlan(workload, classes.dominators, slid).ok());
 }
 
 TEST(InvariantsTest, DetectsCorruptedGatherPlan) {
