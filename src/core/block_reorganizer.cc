@@ -97,7 +97,7 @@ KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
 }  // namespace
 
 BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::Prepare(
-    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
+    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec* device,
     spgemm::ExecContext* ctx) const {
   Prepared prep;
   prep.workload = [&] {
@@ -106,9 +106,10 @@ BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::Prepare(
   }();
   prep.classes = Classify(prep.workload, config_, ctx);
 
-  if (config_.enable_splitting && !prep.classes.dominators.empty()) {
+  if (device != nullptr && config_.enable_splitting &&
+      !prep.classes.dominators.empty()) {
     prep.split = BuildSplitPlan(prep.workload, prep.classes.dominators,
-                                config_, device, ctx);
+                                config_, *device, ctx);
   }
   if (config_.enable_gathering && !prep.classes.low_performers.empty()) {
     prep.gather = BuildGatherPlan(prep.workload, prep.classes.low_performers,
@@ -124,7 +125,7 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
     return Status::InvalidArgument(
         "dimension mismatch in Block Reorganizer plan");
   }
-  const Prepared prep = Prepare(a, b, device, ctx);
+  const Prepared prep = Prepare(a, b, &device, ctx);
   const Workload& workload = prep.workload;
   const Classification& classes = prep.classes;
 
@@ -195,9 +196,10 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
         "dimension mismatch in Block Reorganizer compute");
   }
   // The prepared product only orders the expansion, and it reads only the
-  // pair side. Compute has no device, so the split heuristic assumes the
-  // paper's Titan Xp; the split factor never changes the output.
-  const Prepared prep = Prepare(a, b, gpusim::DeviceSpec::TitanXp(), ctx);
+  // pair side. Compute has no device and needs no split plan: a split
+  // dominator's fragments are dispatched consecutively, in the order an
+  // unsplit walk visits the whole dominators.
+  const Prepared prep = Prepare(a, b, nullptr, ctx);
 
   // Each output row receives a pair's products when that pair's block (or
   // its first split fragment: fragments of one column are consecutive and
@@ -235,7 +237,7 @@ Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
     return Status::InvalidArgument("dimension mismatch in Analyze");
   }
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "analyze:" + name());
-  const Prepared prep = Prepare(a, b, device, ctx);
+  const Prepared prep = Prepare(a, b, &device, ctx);
   const Classification& classes = prep.classes;
 
   ReorganizerReport report;

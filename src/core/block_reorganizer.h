@@ -52,7 +52,8 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
   struct Prepared {
     spgemm::Workload workload;
     Classification classes;
-    /// Built when splitting is enabled and dominators exist.
+    /// Built when splitting is enabled, dominators exist and Prepare was
+    /// given a device.
     std::optional<SplitPlan> split;
     /// Built when gathering is enabled and low performers exist.
     std::optional<GatherPlan> gather;
@@ -60,9 +61,12 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
 
   /// The paper's one pre-process pass, shared by Plan, Analyze and
   /// Compute: the exact precalculation on the operands as given, the
-  /// bins, and the split and gather plans of non-empty bins.
+  /// bins, and the split and gather plans of non-empty bins. The split
+  /// plan is sized for `device`. Compute passes no device and gets no
+  /// split plan: a dominator's fragments are dispatched consecutively, in
+  /// dominator order, so FirstDispatchOrder is the same without it.
   Prepared Prepare(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
-                   const gpusim::DeviceSpec& device,
+                   const gpusim::DeviceSpec* device,
                    spgemm::ExecContext* ctx = nullptr) const;
 
   /// Runs only the pre-process and reports the bin populations.

@@ -48,29 +48,77 @@ const BatchRunner::AlgorithmEntry& BatchRunner::ResolveAlgorithm(
   return resolved_.emplace(name, std::move(entry)).first->second;
 }
 
-void BatchRunner::RunOne(const Request& request, uint64_t fp_a, uint64_t fp_b,
-                         const AlgorithmEntry& primary,
-                         const AlgorithmEntry& fallback,
-                         spgemm::ExecContext* ctx, Response* response) {
-  Timer timer;
-  response->id = request.id;
-  response->tenant = request.tenant;
-  // A request-level deadline (>= 0, where 0 is born expired) wins; the
-  // negative sentinel inherits the batch default, whose own <= 0 still
-  // means "no deadline".
+namespace {
+
+/// True once `request` has used up its deadline on `timer`. A
+/// request-level deadline (>= 0, where 0 is born expired) wins; the
+/// negative sentinel inherits `default_deadline_ms`, whose own <= 0 still
+/// means "no deadline".
+bool Expired(const Request& request, double default_deadline_ms,
+             const Timer& timer) {
   const bool inherits = request.deadline_ms < 0.0;
   const double deadline_ms =
-      inherits ? options_.default_deadline_ms : request.deadline_ms;
-  const bool has_deadline = inherits ? deadline_ms > 0.0 : true;
-  const auto expired = [&] {
-    return has_deadline && timer.Seconds() * 1e3 >= deadline_ms;
-  };
-  if (expired()) {
+      inherits ? default_deadline_ms : request.deadline_ms;
+  if (inherits && deadline_ms <= 0.0) return false;
+  return timer.Seconds() * 1e3 >= deadline_ms;
+}
+
+/// The cache key of `request` planned with the algorithm `name`.
+PlanKey KeyFor(const Request& request, const std::string& name,
+               uint64_t reorganizer_config_fp) {
+  return PlanKey{sparse::StructuralFingerprint(*request.a),
+                 sparse::StructuralFingerprint(request.b ? *request.b
+                                                         : *request.a),
+                 name, name == "reorganizer" ? reorganizer_config_fp : 0};
+}
+
+/// Copies what a caller sees of `measurement` into `response` and stamps
+/// its wall time.
+void FillMeasured(const spgemm::SpGemmMeasurement& measurement,
+                  const Timer& timer, Response* response) {
+  response->sim_ms = measurement.total_seconds * 1e3;
+  response->gflops = measurement.Gflops();
+  response->flops = measurement.flops;
+  response->output_nnz = measurement.output_nnz;
+  response->wall_ms = timer.Seconds() * 1e3;
+}
+
+}  // namespace
+
+bool AnswerFromCache(const Request& request, const BatchOptions& options,
+                     uint64_t reorganizer_config_fp, PlanCache& cache,
+                     const Timer& timer, spgemm::ExecContext* ctx,
+                     Response* response) {
+  response->id = request.id;
+  response->tenant = request.tenant;
+  if (Expired(request, options.default_deadline_ms, timer)) {
     response->status =
         Status::DeadlineExceeded(request.id + " expired on arrival");
     response->wall_ms = timer.Seconds() * 1e3;
+    return true;
+  }
+  // A hit on a measured entry is done: the memo is the measurement
+  // SimulatePlan would return for this (plan, device).
+  const CachedPlan cached = cache.FindMeasured(
+      KeyFor(request, request.algorithm, reorganizer_config_fp), ctx);
+  if (cached.measurement == nullptr) return false;
+  response->plan_cache_hit = true;
+  response->algorithm_used = request.algorithm;
+  FillMeasured(*cached.measurement, timer, response);
+  return true;
+}
+
+void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
+                         const AlgorithmEntry& fallback,
+                         spgemm::ExecContext* ctx, Response* response) {
+  Timer timer;
+  if (AnswerFromCache(request, options_, reorganizer_config_fp_, *cache_,
+                      timer, ctx, response)) {
     return;
   }
+  const auto expired = [&] {
+    return Expired(request, options_.default_deadline_ms, timer);
+  };
 
   // Graceful degradation step 1: a request whose algorithm could not be
   // built (unknown name, invalid reorganizer config) runs on the fallback
@@ -93,8 +141,7 @@ void BatchRunner::RunOne(const Request& request, uint64_t fp_a, uint64_t fp_b,
   CachedPlan cached;
   spgemm::SpGemmPlan planned_here;
   while (true) {
-    key = PlanKey{fp_a, fp_b, name,
-                  name == "reorganizer" ? reorganizer_config_fp_ : 0};
+    key = KeyFor(request, name, reorganizer_config_fp_);
     cached = cache_->Find(key, ctx);
     if (cached.plan != nullptr) {
       response->plan_cache_hit = true;
@@ -131,8 +178,8 @@ void BatchRunner::RunOne(const Request& request, uint64_t fp_a, uint64_t fp_b,
   }
   response->algorithm_used = name;
 
-  // A hit on a measured entry is done: the memo is the measurement
-  // SimulatePlan would return for this (plan, device).
+  // A measured entry that appeared since AnswerFromCache looked, or one
+  // under the fallback's name, needs no simulation either.
   if (cached.measurement == nullptr) {
     const bool miss = cached.plan == nullptr;
     if (expired()) {
@@ -158,12 +205,7 @@ void BatchRunner::RunOne(const Request& request, uint64_t fp_a, uint64_t fp_b,
           std::move(measured).value());
     }
   }
-  const spgemm::SpGemmMeasurement& measurement = *cached.measurement;
-  response->sim_ms = measurement.total_seconds * 1e3;
-  response->gflops = measurement.Gflops();
-  response->flops = measurement.flops;
-  response->output_nnz = measurement.output_nnz;
-  response->wall_ms = timer.Seconds() * 1e3;
+  FillMeasured(*cached.measurement, timer, response);
 }
 
 Result<ExecutionReport> BatchRunner::Execute(
@@ -234,11 +276,8 @@ Result<ExecutionReport> BatchRunner::Execute(
         [&](int64_t begin, int64_t end, int) {
           for (int64_t i = begin; i < end; ++i) {
             const auto idx = static_cast<size_t>(i);
-            const Request& r = requests[idx];
-            const sparse::CsrMatrix* b = r.b ? r.b.get() : r.a.get();
-            RunOne(r, sparse::StructuralFingerprint(*r.a),
-                   sparse::StructuralFingerprint(*b), *primaries[idx],
-                   fallback, ctx, &report.responses[idx]);
+            RunOne(requests[idx], *primaries[idx], fallback, ctx,
+                   &report.responses[idx]);
           }
           return Status::Ok();
         }));

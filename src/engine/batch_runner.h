@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "core/reorganizer_config.h"
 #include "engine/plan_cache.h"
 #include "engine/request.h"
@@ -63,17 +64,36 @@ struct BatchOptions {
   double default_deadline_ms = 0.0;
 };
 
+/// Answers `request` from the plan cache alone when it can: the measured-hit
+/// path that BatchRunner runs first for every request and that the serve
+/// layer runs at admission. `timer` started when the request began
+/// executing; `response` gets the request's id and tenant in every case.
+/// Returns true when `response` is final, because the request's deadline
+/// had expired on arrival (DeadlineExceeded, no lookup counted) or because
+/// `cache` holds a measured entry for the request's own algorithm (one hit
+/// counted, the response filled from the memoized measurement). Returns
+/// false, counting no lookup, when the request still has to plan or
+/// simulate. A request whose algorithm cannot be built never has an entry
+/// under its name, so fallback is always left to the caller. `cache` must
+/// serve `options.device`.
+[[nodiscard]] bool AnswerFromCache(const Request& request,
+                                   const BatchOptions& options,
+                                   uint64_t reorganizer_config_fp,
+                                   PlanCache& cache, const Timer& timer,
+                                   spgemm::ExecContext* ctx,
+                                   Response* response);
+
 /// Executes batches of spGEMM requests concurrently over the global
 /// ThreadPool, reusing plans across requests with the same matrix
 /// structure through a PlanCache.
 ///
 /// Per request: fingerprint both operands (memoized per distinct matrix),
-/// look the plan up in the cache, and return the entry's memoized
-/// measurement on a hit. On a miss, plan, simulate on the configured
-/// device, and cache the plan together with its measurement. A request
-/// whose algorithm cannot be built or whose Plan fails is retried with
-/// the fallback baseline; a request that
-/// exceeds its deadline reports DeadlineExceeded. Both outcomes land in
+/// and answer from the cache when AnswerFromCache can. Otherwise look the
+/// plan up and simulate a plan-only hit; on a miss, plan, simulate on the
+/// configured device, and cache the plan together with its measurement.
+/// A request whose algorithm cannot be built or whose Plan fails is
+/// retried with the fallback baseline; a request that exceeds its deadline
+/// reports DeadlineExceeded. Both outcomes land in
 /// that request's Response::status — Execute itself fails only for
 /// malformed input or an unbuildable fallback.
 ///
@@ -117,9 +137,9 @@ class BatchRunner {
   /// Looks up / creates the named algorithm. Serial-phase only.
   const AlgorithmEntry& ResolveAlgorithm(const std::string& name);
 
-  void RunOne(const Request& request, uint64_t fp_a, uint64_t fp_b,
-              const AlgorithmEntry& primary, const AlgorithmEntry& fallback,
-              spgemm::ExecContext* ctx, Response* response);
+  void RunOne(const Request& request, const AlgorithmEntry& primary,
+              const AlgorithmEntry& fallback, spgemm::ExecContext* ctx,
+              Response* response);
 
   BatchOptions options_;
   uint64_t reorganizer_config_fp_ = 0;

@@ -35,22 +35,34 @@ PlanCache::Shard& PlanCache::ShardFor(const PlanKey& key) {
   return *shards_[PlanKeyHash{}(key) % shards_.size()];
 }
 
-CachedPlan PlanCache::Find(const PlanKey& key, spgemm::ExecContext* ctx) {
+CachedPlan PlanCache::Probe(const PlanKey& key, bool measured_only,
+                           spgemm::ExecContext* ctx) {
   Shard& shard = ShardFor(key);
-  {
-    MutexLock lock(&shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Refresh recency: splice the entry to the front of the LRU list.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      spgemm::AddCounter(ctx, "engine.plan_cache.hit", 1);
-      return it->second->second;
-    }
+  MutexLock lock(&shard.mu);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end() ||
+      (measured_only && it->second->second.measurement == nullptr)) {
+    return {};
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  spgemm::AddCounter(ctx, "engine.plan_cache.miss", 1);
-  return {};
+  // Refresh recency: splice the entry to the front of the LRU list.
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  spgemm::AddCounter(ctx, "engine.plan_cache.hit", 1);
+  return it->second->second;
+}
+
+CachedPlan PlanCache::Find(const PlanKey& key, spgemm::ExecContext* ctx) {
+  CachedPlan entry = Probe(key, /*measured_only=*/false, ctx);
+  if (entry.plan == nullptr) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    spgemm::AddCounter(ctx, "engine.plan_cache.miss", 1);
+  }
+  return entry;
+}
+
+CachedPlan PlanCache::FindMeasured(const PlanKey& key,
+                                   spgemm::ExecContext* ctx) {
+  return Probe(key, /*measured_only=*/true, ctx);
 }
 
 CachedPlan PlanCache::Insert(const PlanKey& key, spgemm::SpGemmPlan plan,

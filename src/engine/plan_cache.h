@@ -102,6 +102,13 @@ class PlanCache {
   /// a null plan on a miss.
   CachedPlan Find(const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
 
+  /// Find restricted to measured entries: returns the entry, counting a
+  /// hit and refreshing its recency, only when it carries a measurement.
+  /// A miss or a plan-only entry returns a null plan and counts nothing,
+  /// so a caller that falls back to Find still counts one lookup.
+  CachedPlan FindMeasured(const PlanKey& key,
+                          spgemm::ExecContext* ctx = nullptr);
+
   /// Find's plan alone: the cached plan, or nullptr on a miss.
   std::shared_ptr<const spgemm::SpGemmPlan> Lookup(
       const PlanKey& key, spgemm::ExecContext* ctx = nullptr) {
@@ -151,6 +158,12 @@ class PlanCache {
   };
 
   Shard& ShardFor(const PlanKey& key);
+
+  /// The entry for `key` when it exists (and, with `measured_only`, is
+  /// measured), counted as a hit and moved to most-recently-used; a null
+  /// plan, counted as nothing, otherwise.
+  CachedPlan Probe(const PlanKey& key, bool measured_only,
+                   spgemm::ExecContext* ctx);
 
   /// Replacement and eviction shared by both Insert forms.
   void Admit(const PlanKey& key, const CachedPlan& entry,

@@ -16,6 +16,8 @@ Server::Server(ServeOptions options)
                             options_.engine.plan_cache_capacity,
                             options_.plan_cache_shards,
                             options_.engine.device)),
+      answers_at_admission_(plan_cache_->device() == options_.engine.device),
+      reorganizer_config_fp_(options_.engine.reorganizer_config.Fingerprint()),
       store_(options_.store),
       queue_(options_.queue_capacity),
       other_tenants_("other", options_.default_quota) {
@@ -105,8 +107,21 @@ Status Server::Submit(engine::Request request, Callback done) {
   job.done = std::move(done);
   job.admit_seconds = clock_.Seconds();
   job.tenant = &state;
-  const int priority = job.request.priority;
   in_flight_.fetch_add(1);
+  // A measured hit is answered here, on the submitting thread: queueing it
+  // would only add a worker's wake-up to a lookup.
+  engine::Response answer;
+  if (answers_at_admission_ &&
+      engine::AnswerFromCache(job.request, options_.engine,
+                              reorganizer_config_fp_, *plan_cache_, Timer(),
+                              nullptr, &answer)) {
+    registry_.AddCounter("serve.admitted", 1);
+    registry_.AddCounter("serve.tenant." + state.label + ".admitted", 1);
+    registry_.AddCounter("serve.answered_at_admission", 1);
+    Finish(job, answer, job.admit_seconds);
+    return Status::Ok();
+  }
+  const int priority = job.request.priority;
   if (!queue_.TryPush(std::move(job), priority)) {
     in_flight_.fetch_sub(1);
     // The push can lose a race with BeginDrain closing the queue; report
@@ -161,49 +176,52 @@ void Server::WorkerLoop() {
     registry_.SetGauge("serve.queue_depth",
                        static_cast<double>(queue_.size()));
     const double popped_s = clock_.Seconds();
-    registry_.ObserveHistogram(
-        "serve.queue_us",
-        static_cast<int64_t>((popped_s - job.admit_seconds) * 1e6));
 
     // Workers pass a null ExecContext: its TraceRecorder is
     // single-threaded, and the serve metrics live in registry_.
     std::vector<engine::Request> batch;
-    batch.push_back(job.request);
+    batch.push_back(std::move(job.request));
     auto executed = runner.Execute(batch, nullptr);
 
     engine::Response response;
     if (executed.ok() && !executed->responses.empty()) {
       response = std::move(executed->responses.front());
     } else {
-      response.id = job.request.id;
-      response.tenant = job.request.tenant;
+      response.id = batch.front().id;
+      response.tenant = batch.front().tenant;
       response.status = executed.ok()
                             ? Status::Internal("empty execution report")
                             : executed.status();
     }
-
-    const double done_s = clock_.Seconds();
-    registry_.ObserveHistogram(
-        "serve.exec_us", static_cast<int64_t>((done_s - popped_s) * 1e6));
-    registry_.ObserveHistogram(
-        "serve.latency_us",
-        static_cast<int64_t>((done_s - job.admit_seconds) * 1e6));
-    const bool ok = response.status.ok();
-    registry_.AddCounter(ok ? "serve.completed" : "serve.failed", 1);
-    registry_.AddCounter("serve.tenant." + job.tenant->label +
-                             (ok ? ".completed" : ".failed"),
-                         1);
-    if (response.status.code() == StatusCode::kDeadlineExceeded) {
-      registry_.AddCounter("serve.deadline_expired", 1);
-    }
-    if (response.plan_cache_hit) {
-      registry_.AddCounter("serve.plan_cache_hit", 1);
-    }
-
-    if (job.done) job.done(response);
-    in_flight_.fetch_sub(1);
+    Finish(job, response, popped_s);
     job = Job();  // release the callback/matrix before blocking in Pop
   }
+}
+
+void Server::Finish(const Job& job, const engine::Response& response,
+                    double start_s) {
+  const double done_s = clock_.Seconds();
+  registry_.ObserveHistogram(
+      "serve.queue_us",
+      static_cast<int64_t>((start_s - job.admit_seconds) * 1e6));
+  registry_.ObserveHistogram("serve.exec_us",
+                             static_cast<int64_t>((done_s - start_s) * 1e6));
+  registry_.ObserveHistogram(
+      "serve.latency_us",
+      static_cast<int64_t>((done_s - job.admit_seconds) * 1e6));
+  const bool ok = response.status.ok();
+  registry_.AddCounter(ok ? "serve.completed" : "serve.failed", 1);
+  registry_.AddCounter("serve.tenant." + job.tenant->label +
+                           (ok ? ".completed" : ".failed"),
+                       1);
+  if (response.status.code() == StatusCode::kDeadlineExceeded) {
+    registry_.AddCounter("serve.deadline_expired", 1);
+  }
+  if (response.plan_cache_hit) {
+    registry_.AddCounter("serve.plan_cache_hit", 1);
+  }
+  if (job.done) job.done(response);
+  in_flight_.fetch_sub(1);
 }
 
 void Server::BeginDrain() {

@@ -2,6 +2,7 @@
 #define SPNET_SERVE_SERVER_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -79,22 +80,29 @@ struct ServeOptions {
 ///   3. serve.admit fault    → injected code        (serve.rejected.injected)
 ///   4. tenant token bucket  → kResourceExhausted   (serve.rejected.quota;
 ///                             tenants past kMaxTrackedTenants share one)
-///   5. bounded queue full   → kResourceExhausted   (serve.rejected.queue_full)
+///   5. bounded queue full   → kResourceExhausted   (serve.rejected.queue_full;
+///                             only requests not answered at admission)
 /// A rejected Submit returns the error and never invokes the callback —
 /// transports turn the status into an error response line themselves.
 ///
-/// Admitted requests are queued with their Request::priority (higher
-/// drains first, FIFO within a class) and executed by a worker, which then
-/// invokes the callback on the worker thread. Callbacks must be
-/// thread-safe and cheap; the daemon's writes one response line under an
-/// output mutex.
+/// An admitted request whose plan cache entry is already measured (see
+/// engine::AnswerFromCache) is answered before Submit returns: its
+/// callback runs on the submitting thread, and it waits behind no queued
+/// work of any priority. Every other admitted request is queued with its
+/// Request::priority (higher drains first, FIFO within a class) and
+/// executed by a worker, which then invokes the callback on the worker
+/// thread. Callbacks must be thread-safe and cheap, and a caller must not
+/// hold, while it calls Submit, a lock its callback takes; the daemon's
+/// callback writes one response line under an output mutex that its read
+/// loop never holds.
 ///
 /// Observability: serve.* counters (admitted/completed/failed plus the
-/// per-reason rejections above, and per-tenant mirrors under
+/// per-reason rejections above, serve.answered_at_admission, and
+/// per-tenant mirrors under
 /// serve.tenant.<tenant>.*, or serve.tenant.other.* past
 /// kMaxTrackedTenants), serve.queue_depth gauge, and log2 histograms
 /// serve.queue_us / serve.exec_us / serve.latency_us (admission to
-/// callback). StatsJson() snapshots everything plus
+/// callback; an answer at admission waits 0 in the queue). StatsJson() snapshots everything plus
 /// p50/p99/p999 latency percentiles and plan-cache / matrix-store state.
 class Server {
  public:
@@ -109,7 +117,8 @@ class Server {
   /// Pins hot sources and starts the worker threads. Call exactly once.
   [[nodiscard]] Status Start();
 
-  /// Admission control + enqueue (see class comment). The request must
+  /// Admission control, then an answer at admission or an enqueue (see
+  /// class comment). The request must
   /// have been built by RequestBuilder (Submit re-validates the
   /// invariants it can check cheaply).
   [[nodiscard]] Status Submit(engine::Request request, Callback done);
@@ -166,6 +175,12 @@ class Server {
   };
 
   void WorkerLoop();
+  /// Completion bookkeeping for every admitted request, whether a worker
+  /// or Submit answered it: the serve.* latency histograms and outcome
+  /// counters, the callback, and in_flight_. `start_s` is when execution
+  /// began on clock_ (the admission time for an answer at admission).
+  void Finish(const Job& job, const engine::Response& response,
+              double start_s);
   /// The tenant's own state, created on first use; the shared overflow
   /// state once kMaxTrackedTenants unconfigured tenants exist. `name` must
   /// be non-empty.
@@ -174,6 +189,10 @@ class Server {
 
   ServeOptions options_;
   std::shared_ptr<engine::PlanCache> plan_cache_;
+  /// False only when a caller-provided cache serves another device than
+  /// the engine simulates on: its entries must not answer requests.
+  const bool answers_at_admission_;
+  const uint64_t reorganizer_config_fp_;
   MatrixStore store_;
   metrics::Registry registry_;
   /// Process-lifetime monotonic clock: token-bucket refill timestamps and

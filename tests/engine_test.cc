@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/timer.h"
 #include "core/block_reorganizer.h"
 #include "engine/batch_runner.h"
 #include "engine/manifest.h"
@@ -330,6 +331,36 @@ TEST(PlanCacheTest, MemoizesTheMeasurementWithThePlan) {
   EXPECT_EQ(cache.Find(PlanKey{3, 3, "x", 0}).plan, nullptr);
 }
 
+TEST(PlanCacheTest, FindMeasuredCountsAndRefreshesOnlyMeasuredHits) {
+  spgemm::ExecContext ctx;
+  PlanCache cache(2);
+  const PlanKey measured{1, 1, "x", 0};
+  const PlanKey plan_only{2, 2, "x", 0};
+  spgemm::SpGemmMeasurement m;
+  m.flops = 7;
+  cache.Insert(measured, DummyPlan(7), m);
+  cache.Insert(plan_only, DummyPlan(8));  // most recently used
+
+  EXPECT_EQ(cache.FindMeasured(PlanKey{3, 3, "x", 0}, &ctx).plan, nullptr);
+  EXPECT_EQ(cache.FindMeasured(plan_only, &ctx).plan, nullptr);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.misses(), 0);
+  EXPECT_TRUE(ctx.registry.Snapshot().empty());
+
+  const CachedPlan hit = cache.FindMeasured(measured, &ctx);
+  ASSERT_NE(hit.measurement, nullptr);
+  EXPECT_EQ(hit.measurement->flops, 7);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 0);
+  EXPECT_EQ(ctx.registry.Snapshot().at("engine.plan_cache.hit"), 1);
+
+  // The hit made `measured` most recently used: the next insert evicts
+  // the plan-only entry instead.
+  cache.Insert(PlanKey{4, 4, "x", 0}, DummyPlan(9));
+  EXPECT_NE(cache.Find(measured).plan, nullptr);
+  EXPECT_EQ(cache.Find(plan_only).plan, nullptr);
+}
+
 TEST(PlanCacheTest, RecordsItsDevice) {
   EXPECT_EQ(PlanCache(1).device(), gpusim::DeviceSpec::TitanXp());
   const PlanCache v100(1, 1, gpusim::DeviceSpec::TeslaV100());
@@ -631,6 +662,59 @@ TEST(BatchRunnerTest, HitResponseIsBitEqualToMissAndDirectSimulation) {
   expected.flops = direct->flops;
   expected.output_nnz = direct->output_nnz;
   ExpectSameMeasurement(hit->responses[0], expected);
+}
+
+TEST(BatchRunnerTest, AnswerFromCacheAnswersOnlyMeasuredHits) {
+  const auto m = SharedSkewed(200, 64, 3);
+  const BatchOptions options;
+  BatchRunner runner(options);
+  PlanCache& cache = runner.plan_cache();
+  const uint64_t config_fp = options.reorganizer_config.Fingerprint();
+  const auto answer = [&](const Request& request, Response* response) {
+    return AnswerFromCache(request, options, config_fp, cache, Timer(),
+                           nullptr, response);
+  };
+
+  // Cold: nothing to answer from, and no lookup counted.
+  Response cold;
+  EXPECT_FALSE(answer(SingleRequest(m, "q"), &cold));
+  EXPECT_EQ(cache.hits() + cache.misses(), 0);
+
+  auto miss = runner.Execute({SingleRequest(m, "q")});
+  auto hit = runner.Execute({SingleRequest(m, "q")});
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  ASSERT_TRUE(hit->responses[0].plan_cache_hit);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 1);
+
+  Response warm;
+  ASSERT_TRUE(answer(SingleRequest(m, "q"), &warm));
+  EXPECT_EQ(cache.hits(), 2);
+  const Response& want = hit->responses[0];
+  EXPECT_TRUE(warm.status.ok());
+  EXPECT_EQ(warm.id, want.id);
+  EXPECT_EQ(warm.tenant, want.tenant);
+  EXPECT_EQ(warm.algorithm_used, want.algorithm_used);
+  EXPECT_TRUE(warm.plan_cache_hit);
+  EXPECT_FALSE(warm.fallback_used);
+  ExpectSameMeasurement(warm, want);
+
+  // Another algorithm's key, or one no algorithm is built under, is not
+  // answered.
+  Response other;
+  EXPECT_FALSE(answer(SingleRequest(m, "q", "row-product"), &other));
+  EXPECT_FALSE(answer(SingleRequest(m, "q", "no-such-algorithm"), &other));
+  EXPECT_EQ(cache.hits() + cache.misses(), 3);
+
+  // An expired deadline wins over the cached measurement.
+  Request expired = SingleRequest(m, "late");
+  expired.deadline_ms = 0.0;
+  Response late;
+  ASSERT_TRUE(answer(expired, &late));
+  EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(late.plan_cache_hit);
+  EXPECT_EQ(late.id, "late");
+  EXPECT_EQ(cache.hits() + cache.misses(), 3);
 }
 
 TEST(BatchRunnerTest, HitsOnMeasuredEntriesDoNotSimulate) {

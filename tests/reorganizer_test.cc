@@ -702,6 +702,7 @@ TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
                               testing_util::RandomMatrix(300, 300, 0.004, 5)};
   RegisterCoreAlgorithms();
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
+  int split_plans = 0;
   for (const char* name : {"reorganizer", "reorganizer-limiting",
                            "reorganizer-splitting", "reorganizer-gathering"}) {
     auto created = spgemm::AlgorithmRegistry::Global().Create(name);
@@ -713,7 +714,7 @@ TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
       SCOPED_TRACE(std::string(name) + " on input " + std::to_string(in));
       const CsrMatrix& a = inputs[in];
       const BlockReorganizerSpGemm::Prepared prep =
-          alg->Prepare(a, a, device);
+          alg->Prepare(a, a, &device);
       const spgemm::Workload& w = prep.workload;
 
       std::map<std::string, std::vector<int64_t>> walked;
@@ -759,8 +760,20 @@ TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
         placed[p] = 1;
         EXPECT_EQ(w.pair_work[p] > 0, k < first_seen.size()) << "rank " << k;
       }
+
+      // The split plan never moves a pair's first dispatch, so Compute
+      // prepares without one.
+      split_plans += prep.split.has_value() ? 1 : 0;
+      BlockReorganizerSpGemm::Prepared unsplit = prep;
+      unsplit.split.reset();
+      EXPECT_EQ(FirstDispatchOrder(unsplit), order);
+      const BlockReorganizerSpGemm::Prepared deviceless =
+          alg->Prepare(a, a, nullptr);
+      EXPECT_FALSE(deviceless.split.has_value());
+      EXPECT_EQ(FirstDispatchOrder(deviceless), order);
     }
   }
+  EXPECT_GT(split_plans, 0);
 }
 
 TEST(ReorganizerTest, NamedConfigurations) {

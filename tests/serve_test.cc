@@ -2,8 +2,8 @@
 // histogram percentiles, the NDJSON wire codec, and the Server's
 // admission-control contract — queue-full rejection, per-tenant quota
 // exhaustion under concurrent tenants, the bound on per-tenant state,
-// graceful drain, deadline inheritance and the serve.admit
-// fault-injection site.
+// graceful drain, deadline inheritance, the serve.admit fault-injection
+// site, and measured plan-cache hits answered at admission.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/bounded_queue.h"
+#include "common/logging.h"
 #include "common/mutex.h"
 #include "common/token_bucket.h"
 #include "engine/request.h"
@@ -277,14 +278,60 @@ TEST(WireTest, SerializeResponseCarriesStatusAndMeasurements) {
 
 // ------------------------------------------------------------------ Server
 
+/// A request for C = A^2 on the server's copy of `source`.
+engine::Request StoreRequest(Server& server, const std::string& id,
+                             const std::string& tenant = "default",
+                             const std::string& source = "as-caida") {
+  auto matrix = server.matrix_store().Get(source);
+  SPNET_CHECK(matrix.ok()) << matrix.status().ToString();
+  auto request = engine::RequestBuilder()
+                     .Id(id)
+                     .Tenant(tenant)
+                     .OperandA(std::move(matrix).value())
+                     .Build();
+  SPNET_CHECK(request.ok()) << request.status().ToString();
+  return std::move(request).value();
+}
+
+/// Holds a server's only worker inside a callback until Release().
+class WorkerStall {
+ public:
+  Server::Callback Callback() {
+    return [this](const engine::Response&) {
+      MutexLock lock(&mu_);
+      stalled_ = true;
+      cv_.NotifyAll();
+      while (!released_) cv_.Wait(&mu_);
+    };
+  }
+  void WaitStalled() {
+    MutexLock lock(&mu_);
+    while (!stalled_) cv_.Wait(&mu_);
+  }
+  void Release() {
+    MutexLock lock(&mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool stalled_ GUARDED_BY(mu_) = false;
+  bool released_ GUARDED_BY(mu_) = false;
+};
+
 TEST(ServerTest, ExecutesRequestsAndHitsSharedPlanCache) {
   Server server(SmallServerOptions());
   ASSERT_TRUE(server.Start().ok());
   ResponseLog log;
   ASSERT_TRUE(server.SubmitWire(SmallWire("q1"), log.Sink()).ok());
   log.WaitFor(1);
+  EXPECT_EQ(server.plan_cache().misses(), 1);
+  EXPECT_EQ(server.plan_cache().hits(), 0);
   ASSERT_TRUE(server.SubmitWire(SmallWire("q2"), log.Sink()).ok());
-  log.WaitFor(2);
+  // q1 measured its plan, so q2 was answered before Submit returned.
+  EXPECT_EQ(log.Take().size(), 2u);
   server.Drain();
 
   const auto responses = log.Take();
@@ -294,10 +341,12 @@ TEST(ServerTest, ExecutesRequestsAndHitsSharedPlanCache) {
     EXPECT_EQ(r.algorithm_used, "reorganizer");
     EXPECT_GT(r.sim_ms, 0.0);
   }
-  // q2 reused q1's plan through the shared cache.
+  // q2 reused q1's plan through the shared cache: one lookup each.
   EXPECT_FALSE(responses[0].plan_cache_hit);
   EXPECT_TRUE(responses[1].plan_cache_hit);
   EXPECT_EQ(server.plan_cache().hits(), 1);
+  EXPECT_EQ(server.plan_cache().misses(), 1);
+  EXPECT_EQ(server.registry().Snapshot().at("serve.answered_at_admission"), 1);
 }
 
 TEST(ServerTest, QuotaExhaustionRejectsWithResourceExhausted) {
@@ -421,39 +470,129 @@ TEST(ServerTest, FullQueueRejectsWithResourceExhausted) {
 
   // Stall the single worker inside the first request's callback so the
   // queue state is deterministic: q2 occupies the only slot, q3 must be
-  // rejected without blocking.
-  Mutex mu;
-  CondVar cv;
-  bool in_callback = false;
-  bool release = false;
-  ASSERT_TRUE(server
-                  .SubmitWire(SmallWire("q1"),
-                              [&](const engine::Response&) {
-                                MutexLock lock(&mu);
-                                in_callback = true;
-                                cv.NotifyAll();
-                                while (!release) cv.Wait(&mu);
-                              })
-                  .ok());
-  {
-    MutexLock lock(&mu);
-    while (!in_callback) cv.Wait(&mu);
-  }
+  // rejected without blocking. q1's measured plan is cached before its
+  // callback runs, so q2 and q3 ask for another algorithm: a hit would be
+  // answered at admission and never queue.
+  WorkerStall stall;
+  ASSERT_TRUE(server.SubmitWire(SmallWire("q1"), stall.Callback()).ok());
+  stall.WaitStalled();
+  WireRequest q2 = SmallWire("q2");
+  q2.algorithm = "row-product";
+  WireRequest q3 = SmallWire("q3");
+  q3.algorithm = "row-product";
   ResponseLog log;
-  ASSERT_TRUE(server.SubmitWire(SmallWire("q2"), log.Sink()).ok());
-  const Status third = server.SubmitWire(SmallWire("q3"), log.Sink());
+  ASSERT_TRUE(server.SubmitWire(q2, log.Sink()).ok());
+  const Status third = server.SubmitWire(q3, log.Sink());
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(third.message().find("queue full"), std::string::npos)
       << third.ToString();
-  {
-    MutexLock lock(&mu);
-    release = true;
-    cv.NotifyAll();
-  }
+  stall.Release();
   log.WaitFor(1);
   server.Drain();
   EXPECT_EQ(server.registry().Snapshot().at("serve.rejected.queue_full"), 1);
+}
+
+TEST(ServerTest, MeasuredHitIsAnsweredOnTheSubmittingThread) {
+  ServeOptions options = SmallServerOptions();
+  options.workers = 1;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A worker-answered hit: with the only worker stalled on another
+  // algorithm, "cold" and "hit" queue behind it; the worker then plans
+  // "cold" and answers "hit" from the entry "cold" measured.
+  WorkerStall stall;
+  WireRequest other = SmallWire("stall");
+  other.algorithm = "row-product";
+  ASSERT_TRUE(server.SubmitWire(other, stall.Callback()).ok());
+  stall.WaitStalled();
+  ResponseLog worker_log;
+  ASSERT_TRUE(server.Submit(StoreRequest(server, "cold"), worker_log.Sink())
+                  .ok());
+  ASSERT_TRUE(server.Submit(StoreRequest(server, "hit"), worker_log.Sink())
+                  .ok());
+  EXPECT_EQ(server.queue_depth(), 2u);
+  stall.Release();
+  worker_log.WaitFor(2);
+  const engine::Response worker_hit = worker_log.Take()[1];
+  ASSERT_EQ(worker_hit.id, "hit");
+  ASSERT_TRUE(worker_hit.plan_cache_hit);
+
+  // The same request again is answered inside Submit, on this thread.
+  const std::thread::id submitter = std::this_thread::get_id();
+  bool called = false;
+  std::thread::id callback_thread;
+  engine::Response answer;
+  ASSERT_TRUE(server
+                  .Submit(StoreRequest(server, "hit"),
+                          [&](const engine::Response& response) {
+                            called = true;
+                            callback_thread = std::this_thread::get_id();
+                            answer = response;
+                          })
+                  .ok());
+  ASSERT_TRUE(called);
+  EXPECT_EQ(callback_thread, submitter);
+  server.Drain();
+
+  EXPECT_EQ(answer.schema_version, worker_hit.schema_version);
+  EXPECT_EQ(answer.id, worker_hit.id);
+  EXPECT_EQ(answer.tenant, worker_hit.tenant);
+  EXPECT_EQ(answer.status.code(), worker_hit.status.code());
+  EXPECT_EQ(answer.status.message(), worker_hit.status.message());
+  EXPECT_EQ(answer.algorithm_used, worker_hit.algorithm_used);
+  EXPECT_EQ(answer.plan_cache_hit, worker_hit.plan_cache_hit);
+  EXPECT_EQ(answer.fallback_used, worker_hit.fallback_used);
+  EXPECT_EQ(answer.sim_ms, worker_hit.sim_ms);
+  EXPECT_EQ(answer.gflops, worker_hit.gflops);
+  EXPECT_EQ(answer.flops, worker_hit.flops);
+  EXPECT_EQ(answer.output_nnz, worker_hit.output_nnz);
+
+  // Completion bookkeeping counts the answer at admission like any other.
+  const auto snapshot = server.registry().Snapshot();
+  EXPECT_EQ(snapshot.at("serve.answered_at_admission"), 1);
+  EXPECT_EQ(snapshot.at("serve.admitted"), 4);
+  EXPECT_EQ(snapshot.at("serve.completed"), 4);
+  EXPECT_EQ(snapshot.at("serve.plan_cache_hit"), 2);
+  EXPECT_EQ(snapshot.at("serve.tenant.default.completed"), 4);
+  const metrics::Histogram* latency =
+      server.registry().FindHistogram("serve.latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 4);
+}
+
+TEST(ServerTest, RejectionsPrecedeAnAnswerAtAdmission) {
+  ServeOptions options = SmallServerOptions();
+  options.tenant_quotas["capped"] = TenantQuota{1.0, 0.0};
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  ResponseLog log;
+  ASSERT_TRUE(server.Submit(StoreRequest(server, "warmup"), log.Sink()).ok());
+  log.WaitFor(1);
+
+  std::atomic<int> rejected_callbacks{0};
+  const Server::Callback must_not_run = [&](const engine::Response&) {
+    rejected_callbacks.fetch_add(1);
+  };
+  ASSERT_TRUE(
+      server.Submit(StoreRequest(server, "first", "capped"), log.Sink()).ok());
+  const Status quota =
+      server.Submit(StoreRequest(server, "second", "capped"), must_not_run);
+  EXPECT_EQ(quota.code(), StatusCode::kResourceExhausted) << quota.ToString();
+  server.BeginDrain();
+  const Status draining =
+      server.Submit(StoreRequest(server, "late"), must_not_run);
+  EXPECT_EQ(draining.code(), StatusCode::kFailedPrecondition)
+      << draining.ToString();
+  server.Drain();
+
+  EXPECT_EQ(rejected_callbacks.load(), 0);
+  EXPECT_EQ(log.Take().size(), 2u);
+  const auto snapshot = server.registry().Snapshot();
+  EXPECT_EQ(snapshot.at("serve.rejected.quota"), 1);
+  EXPECT_EQ(snapshot.at("serve.rejected.draining"), 1);
+  EXPECT_EQ(snapshot.at("serve.answered_at_admission"), 1);
 }
 
 TEST(ServerTest, DrainCompletesInFlightAndRejectsNewWork) {
@@ -488,22 +627,27 @@ TEST(ServerTest, DeadlineInheritsEngineDefaultThroughRequest) {
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
   ResponseLog log;
-  // kInheritDeadline (the wire default) picks up the engine default...
-  ASSERT_TRUE(server.SubmitWire(SmallWire("inherit"), log.Sink()).ok());
-  // ...while an explicit generous per-request budget overrides it.
+  // An explicit generous per-request budget overrides the default, and
+  // plans and measures the key...
   WireRequest generous = SmallWire("explicit");
   generous.deadline_ms = 1e9;
   ASSERT_TRUE(server.SubmitWire(generous, log.Sink()).ok());
+  log.WaitFor(1);
+  // ...while kInheritDeadline (the wire default) picks up the engine
+  // default, and expires although the key is cached.
+  ASSERT_TRUE(server.SubmitWire(SmallWire("inherit"), log.Sink()).ok());
   log.WaitFor(2);
   server.Drain();
   for (const engine::Response& r : log.Take()) {
     if (r.id == "inherit") {
       EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
           << r.status.ToString();
+      EXPECT_FALSE(r.plan_cache_hit);
     } else {
       EXPECT_TRUE(r.status.ok()) << r.status.ToString();
     }
   }
+  EXPECT_EQ(server.registry().Snapshot().at("serve.deadline_expired"), 1);
 }
 
 TEST(ServerTest, AdmitFaultInjectionRejectsAtTheAdmissionGate) {
