@@ -21,7 +21,7 @@ class FlagParser {
   Status Parse(int argc, const char* const* argv);
 
   /// Like Parse, but names in `boolean_flags` never consume the following
-  /// token as a value (`--werror src` keeps `src` positional). Tools whose
+  /// token as a value (`--list-rules src` keeps `src` positional). Tools whose
   /// boolean switches precede positional paths must use this overload;
   /// `--name=value` still works for every flag.
   Status Parse(int argc, const char* const* argv,

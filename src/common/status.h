@@ -35,9 +35,8 @@ const char* StatusCodeName(StatusCode code);
 ///   if (!s.ok()) return s;
 ///
 /// The class is [[nodiscard]]: a call site that drops a returned Status on
-/// the floor is a compile error under SPNET_WERROR (and an spnet_lint
-/// `discarded-status` diagnostic). Intentional drops must say so with a
-/// cast: `(void)DoThing();  // why it is safe to ignore`.
+/// the floor is a compile error under SPNET_WERROR. Intentional drops must
+/// say so with a cast: `(void)DoThing();  // why it is safe to ignore`.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -468,7 +468,6 @@ std::vector<Diagnostic> CheckProjectGraph(const ProjectGraph& graph,
       if (!manifest.Knows(node.module)) {
         diagnostics.push_back(
             {node.display_path, ref.line, "layering-violation",
-             Severity::kError,
              "module '" + node.module +
                  "' is not in the layering manifest; add it to LAYERING.md "
                  "and the built-in table in src/lint/graph.cc"});
@@ -477,7 +476,6 @@ std::vector<Diagnostic> CheckProjectGraph(const ProjectGraph& graph,
       if (!manifest.Allows(node.module, to)) {
         diagnostics.push_back(
             {node.display_path, ref.line, "layering-violation",
-             Severity::kError,
              "include of '" + ref.target + "' creates module edge '" +
                  node.module + " -> " + to +
                  "' which the layering manifest does not allow (see "
@@ -505,7 +503,6 @@ std::vector<Diagnostic> CheckProjectGraph(const ProjectGraph& graph,
     }
     path += " -> " + cycle.front();
     diagnostics.push_back({anchor->display_path, line, "include-cycle",
-                           Severity::kError,
                            "include cycle: " + path +
                                "; break it with a forward declaration or by "
                                "moving shared types down a layer"});

@@ -16,36 +16,6 @@ namespace {
 
 constexpr size_t kNpos = static_cast<size_t>(-1);
 
-/// Status/Result-returning entry points whose return value must not be
-/// discarded. The compiler enforces this authoritatively via [[nodiscard]]
-/// (-Wunused-result); this rule is the portable backstop that fires in any
-/// build mode and inside templates the compiler never instantiates.
-const std::set<std::string>& StatusReturningNames() {
-  // clang-format off
-  static const std::set<std::string> kNames = {
-      "ArmFromSpec",    "BuildRequests",
-      "Check",          "CheckClassification",
-      "CheckGatherPlan", "CheckLimitedMergeOptions",
-      "CheckPlanStructure", "CheckSplitPlan",
-      "Compute",        "Create",
-      "Execute",        "LoadManifestRequests",
-      "LoadManifestSource", "MakeSweepCase",
-      "MaterializeCached", "MaybeInjectFault",
-      "ParallelFor",    "ParseManifest",
-      "ParseMatrixMarket", "ParseRequestLine",
-      "Pin",            "Plan",
-      "ReadBinary",     "ReadMatrixMarket",
-      "Register",       "RegisterAlias",
-      "Run",            "RunDifferentialSweep",
-      "Start",          "Submit",
-      "SubmitWire",     "Validate",
-      "VerifyReorganizerInvariants", "WriteBinary",
-      "WriteMatrixMarket",
-  };
-  // clang-format on
-  return kNames;
-}
-
 const std::set<std::string>& CtypeNames() {
   // clang-format off
   static const std::set<std::string> kNames = {
@@ -70,16 +40,6 @@ bool PathEndsWith(const std::string& path, const char* suffix) {
   return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
 }
 
-bool PathMatchesAllowlist(const std::string& path,
-                          const std::vector<std::string>& allowlist) {
-  std::string normalized = path;
-  std::replace(normalized.begin(), normalized.end(), '\\', '/');
-  for (const std::string& entry : allowlist) {
-    if (normalized.find(entry) != std::string::npos) return true;
-  }
-  return false;
-}
-
 /// Index of the `)` matching the `(` at `open`, or kNpos. Only rounds are
 /// tracked: rules use this on argument/parameter lists.
 size_t MatchingParen(const std::vector<Token>& code, size_t open) {
@@ -96,22 +56,19 @@ size_t MatchingParen(const std::vector<Token>& code, size_t open) {
 /// plus emission with suppression filtering.
 class RuleContext {
  public:
-  RuleContext(const std::string& path, const std::vector<Token>& tokens,
-              const LintOptions& options)
-      : path_(path), options_(options), suppressions_(tokens) {
+  RuleContext(const std::string& path, const std::vector<Token>& tokens)
+      : path_(path), suppressions_(tokens) {
     for (const Token& token : tokens) {
       if (token.kind != TokenKind::kComment) code_.push_back(token);
     }
   }
 
   const std::string& path() const { return path_; }
-  const LintOptions& options() const { return options_; }
   const std::vector<Token>& code() const { return code_; }
 
-  void Emit(const char* rule, Severity severity, int line,
-            std::string message) {
+  void Emit(const char* rule, int line, std::string message) {
     if (suppressions_.Allows(rule, line)) return;
-    diagnostics_.push_back({path_, line, rule, severity, std::move(message)});
+    diagnostics_.push_back({path_, line, rule, std::move(message)});
   }
 
   std::vector<Diagnostic> TakeDiagnostics() {
@@ -124,64 +81,14 @@ class RuleContext {
 
  private:
   const std::string& path_;
-  const LintOptions& options_;
   SuppressionIndex suppressions_;
   std::vector<Token> code_;
   std::vector<Diagnostic> diagnostics_;
 };
 
-// --- rule: discarded-status ------------------------------------------------
-
-bool IsStatementStart(const std::vector<Token>& code, size_t i) {
-  if (i == 0) return true;
-  const Token& prev = code[i - 1];
-  if (prev.kind == TokenKind::kPreproc) return true;
-  // `:` is deliberately not a statement start: it would match the arms of
-  // a ternary (`return ok ? Load(a) : Load(b);`), and calls directly after
-  // labels/access specifiers are declaration context anyway.
-  if (prev.kind == TokenKind::kPunct &&
-      (prev.text == ";" || prev.text == "{" || prev.text == "}")) {
-    return true;
-  }
-  return IsIdent(prev, "else") || IsIdent(prev, "do");
-}
-
-void CheckDiscardedStatus(RuleContext* ctx) {
-  const std::vector<Token>& code = ctx->code();
-  for (size_t i = 0; i < code.size(); ++i) {
-    if (code[i].kind != TokenKind::kIdentifier) continue;
-    if (!IsStatementStart(code, i)) continue;
-    // Walk the call chain: ident ((:: | . | ->) ident)* `(`. A second bare
-    // identifier (as in `Status Run(...)` declarations or `return Run()`)
-    // breaks the pattern, so declarations never match.
-    size_t last = i;
-    size_t j = i + 1;
-    while (j + 1 < code.size() && code[j].kind == TokenKind::kPunct &&
-           (code[j].text == "::" || code[j].text == "." ||
-            code[j].text == "->") &&
-           code[j + 1].kind == TokenKind::kIdentifier) {
-      last = j + 1;
-      j += 2;
-    }
-    if (j >= code.size() || !IsPunct(code[j], "(")) continue;
-    if (StatusReturningNames().count(code[last].text) == 0) continue;
-    const size_t close = MatchingParen(code, j);
-    if (close == kNpos || close + 1 >= code.size()) continue;
-    if (!IsPunct(code[close + 1], ";")) continue;
-    ctx->Emit("discarded-status", Severity::kError, code[i].line,
-              "result of Status/Result-returning call '" + code[last].text +
-                  "' is discarded; assign it, return it, or wrap the call "
-                  "in SPNET_CHECK_OK if failure is impossible here");
-  }
-}
-
 // --- rule: raw-new-delete --------------------------------------------------
 
 void CheckRawNewDelete(RuleContext* ctx) {
-  if (PathMatchesAllowlist(ctx->path(),
-                           ctx->options().raw_new_delete_allowlist)) {
-    return;
-  }
   const std::vector<Token>& code = ctx->code();
   for (size_t i = 0; i < code.size(); ++i) {
     const bool is_new = IsIdent(code[i], "new");
@@ -194,11 +101,10 @@ void CheckRawNewDelete(RuleContext* ctx) {
       if (is_delete && IsPunct(prev, "=")) continue;
       if (IsIdent(prev, "operator")) continue;
     }
-    ctx->Emit("raw-new-delete", Severity::kError, code[i].line,
+    ctx->Emit("raw-new-delete", code[i].line,
               std::string("raw '") + (is_new ? "new" : "delete") +
-                  "' outside an allow-listed file; use std::make_unique / "
-                  "containers, or annotate an intentional leak with "
-                  "spnet-lint: allow(raw-new-delete)");
+                  "'; use std::make_unique / containers, or annotate an "
+                  "intentional leak with spnet-lint: allow(raw-new-delete)");
   }
 }
 
@@ -220,7 +126,7 @@ void CheckCharCtype(RuleContext* ctx) {
       }
     }
     if (has_unsigned_cast) continue;
-    ctx->Emit("char-ctype", Severity::kError, code[i].line,
+    ctx->Emit("char-ctype", code[i].line,
               "'" + code[i].text +
                   "' on a plain char is UB for negative values; cast the "
                   "argument to unsigned char first");
@@ -289,7 +195,7 @@ void AnalyzeNamespaceScopeRun(RuleContext* ctx,
     if (IsPunct(t, "(")) return;
   }
   if (run.size() < 2) return;  // `;` noise, not a declaration
-  ctx->Emit("global-mutable-state", Severity::kError, first.line,
+  ctx->Emit("global-mutable-state", first.line,
             "mutable namespace-scope state; make it const/constexpr, guard "
             "it with a Mutex (and GUARDED_BY), use std::atomic, or move it "
             "into a function-local static");
@@ -356,54 +262,29 @@ void CheckGlobalMutableState(RuleContext* ctx) {
 
 // --- rule: relaxed-atomic --------------------------------------------------
 
+/// Files whose hot paths may use std::memory_order_relaxed, matched as
+/// substrings of the slash-normalized path: pool statistics, metrics
+/// instruments, plan cache counters, the matrix's cached fingerprint and
+/// the fault-injector armed flag.
+constexpr const char* kRelaxedAtomicFiles[] = {
+    "src/common/parallel",    "src/engine/plan_cache",
+    "src/metrics/registry",   "src/sparse/csr_matrix",
+    "src/sparse/fingerprint", "src/verify/fault_injection",
+};
+
 void CheckRelaxedAtomic(RuleContext* ctx) {
-  if (PathMatchesAllowlist(ctx->path(),
-                           ctx->options().relaxed_atomic_allowlist)) {
-    return;
+  std::string normalized = ctx->path();
+  std::replace(normalized.begin(), normalized.end(), '\\', '/');
+  for (const char* file : kRelaxedAtomicFiles) {
+    if (normalized.find(file) != std::string::npos) return;
   }
   for (const Token& token : ctx->code()) {
     if (IsIdent(token, "memory_order_relaxed")) {
-      ctx->Emit("relaxed-atomic", Severity::kWarning, token.line,
+      ctx->Emit("relaxed-atomic", token.line,
                 "std::memory_order_relaxed outside the audited fast paths; "
-                "default to sequential consistency or add this file to the "
-                "allowlist after review");
+                "default to sequential consistency or add this file to "
+                "kRelaxedAtomicFiles in src/lint/lint.cc after review");
     }
-  }
-}
-
-// --- rule: exec-context-threading ------------------------------------------
-
-void CheckExecContextThreading(RuleContext* ctx) {
-  const std::vector<Token>& code = ctx->code();
-  for (size_t i = 0; i + 1 < code.size(); ++i) {
-    if (!IsIdent(code[i], "PlanImpl") && !IsIdent(code[i], "ComputeImpl")) {
-      continue;
-    }
-    if (!IsPunct(code[i + 1], "(")) continue;
-    const size_t close = MatchingParen(code, i + 1);
-    if (close == kNpos || close + 1 >= code.size()) continue;
-    // Declarations and definitions carry a trailing const/override/final
-    // or open a body; call sites (the NVI wrappers) are followed by `;`,
-    // `)` or an operator and are not this rule's business.
-    const Token& after = code[close + 1];
-    const bool is_declaration = IsIdent(after, "const") ||
-                                IsIdent(after, "override") ||
-                                IsIdent(after, "final") ||
-                                IsPunct(after, "{");
-    if (!is_declaration) continue;
-    bool has_ctx = false;
-    for (size_t j = i + 2; j < close; ++j) {
-      if (IsIdent(code[j], "ExecContext")) {
-        has_ctx = true;
-        break;
-      }
-    }
-    if (has_ctx) continue;
-    ctx->Emit("exec-context-threading", Severity::kError, code[i].line,
-              "'" + code[i].text +
-                  "' override does not thread ExecContext*; every "
-                  "plan/compute hook must accept the context so tracing and "
-                  "metrics flow through the whole pipeline");
   }
 }
 
@@ -421,7 +302,7 @@ void CheckIncludeIostream(RuleContext* ctx, const std::vector<Token>& tokens) {
     }
     if (squeezed.rfind("#include<iostream>", 0) == 0 ||
         squeezed.rfind("#include\"iostream\"", 0) == 0) {
-      ctx->Emit("include-iostream", Severity::kError, token.line,
+      ctx->Emit("include-iostream", token.line,
                 "<iostream> in a header drags static iostream initializers "
                 "into every TU; include it in the .cc or use <ostream> / "
                 "<cstdio>");
@@ -517,7 +398,7 @@ void CheckUnsafePlannerArithmetic(RuleContext* ctx) {
     if (name.empty()) name = RightAuditedOperand(code, i + 1);
     if (name.empty()) continue;
     const bool add = op == "+" || op == "+=";
-    ctx->Emit("unsafe-planner-arithmetic", Severity::kError, code[i].line,
+    ctx->Emit("unsafe-planner-arithmetic", code[i].line,
               "raw '" + op + "' on audited planner quantity '" + name +
                   "'; use " + (add ? "SatAddI64" : "SatMulI64") +
                   " from common/math_util.h so overflow saturates instead of "
@@ -551,7 +432,7 @@ void CheckLockDiscipline(RuleContext* ctx) {
       if (!IsIdent(code[i], "std") || !IsPunct(code[i + 1], "::")) continue;
       if (code[i + 2].kind != TokenKind::kIdentifier) continue;
       if (ForbiddenStdLockNames().count(code[i + 2].text) == 0) continue;
-      ctx->Emit("lock-discipline", Severity::kError, code[i].line,
+      ctx->Emit("lock-discipline", code[i].line,
                 "direct std::" + code[i + 2].text +
                     " bypasses thread-safety annotations; use spnet::Mutex / "
                     "MutexLock / CondVar from common/mutex.h");
@@ -614,7 +495,7 @@ void CheckLockDiscipline(RuleContext* ctx) {
         continue;
       }
       for (const auto& [line, name] : done.mutex_members) {
-        ctx->Emit("lock-discipline", Severity::kError, line,
+        ctx->Emit("lock-discipline", line,
                   "Mutex member '" + name +
                       "' protects nothing: no GUARDED_BY/PT_GUARDED_BY in "
                       "the class body names it (see "
@@ -628,56 +509,36 @@ void CheckLockDiscipline(RuleContext* ctx) {
 
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"discarded-status", Severity::kError,
-       "Status/Result return values must be consumed"},
-      {"raw-new-delete", Severity::kError,
-       "no raw new/delete outside allow-listed files"},
-      {"char-ctype", Severity::kError,
-       "<cctype> classifiers require an unsigned char cast"},
-      {"global-mutable-state", Severity::kError,
+      {"raw-new-delete",
+       "no raw new/delete; mark an intentional leak with an inline allow"},
+      {"char-ctype", "<cctype> classifiers require an unsigned char cast"},
+      {"global-mutable-state",
        "namespace-scope state must be immutable, atomic or mutex-guarded"},
-      {"relaxed-atomic", Severity::kWarning,
+      {"relaxed-atomic",
        "memory_order_relaxed only in audited fast-path files"},
-      {"exec-context-threading", Severity::kError,
-       "PlanImpl/ComputeImpl overrides must accept ExecContext*"},
-      {"include-iostream", Severity::kError,
-       "headers must not include <iostream>"},
-      {"unsafe-planner-arithmetic", Severity::kError,
+      {"include-iostream", "headers must not include <iostream>"},
+      {"unsafe-planner-arithmetic",
        "planner int64 quantities (pair_work/flops/output_nnz/row_chat) must "
        "combine via SatAddI64/SatMulI64 in src/spgemm and src/core"},
-      {"lock-discipline", Severity::kError,
+      {"lock-discipline",
        "std lock primitives only inside common/mutex.h; Mutex members need "
        "a GUARDED_BY in the class body"},
-      {"layering-violation", Severity::kError,
+      {"layering-violation",
        "cross-module includes must follow the LAYERING.md allowed-edges "
        "manifest"},
-      {"include-cycle", Severity::kError,
-       "the first-party include graph must stay acyclic"},
+      {"include-cycle", "the first-party include graph must stay acyclic"},
   };
   return kRules;
 }
 
-LintOptions::LintOptions()
-    : relaxed_atomic_allowlist({
-          "src/common/parallel",
-          "src/engine/plan_cache",
-          "src/metrics/registry",
-          "src/sparse/csr_matrix",
-          "src/sparse/fingerprint",
-          "src/verify/fault_injection",
-      }) {}
-
 std::vector<Diagnostic> LintSource(const std::string& path,
-                                   const std::string& content,
-                                   const LintOptions& options) {
+                                   const std::string& content) {
   const std::vector<Token> tokens = Tokenize(content);
-  RuleContext ctx(path, tokens, options);
-  CheckDiscardedStatus(&ctx);
+  RuleContext ctx(path, tokens);
   CheckRawNewDelete(&ctx);
   CheckCharCtype(&ctx);
   CheckGlobalMutableState(&ctx);
   CheckRelaxedAtomic(&ctx);
-  CheckExecContextThreading(&ctx);
   CheckIncludeIostream(&ctx, tokens);
   CheckUnsafePlannerArithmetic(&ctx);
   CheckLockDiscipline(&ctx);

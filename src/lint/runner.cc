@@ -108,15 +108,14 @@ Result<std::vector<SourceFile>> LoadSources(
 
 }  // namespace
 
-Result<RunSummary> LintPaths(const std::vector<std::string>& paths,
-                             const LintOptions& options) {
+Result<RunSummary> LintPaths(const std::vector<std::string>& paths) {
   Result<std::vector<SourceFile>> sources = LoadSources(paths);
   if (!sources.ok()) return sources.status();
 
   RunSummary summary;
   for (const SourceFile& source : *sources) {
     std::vector<Diagnostic> diagnostics =
-        LintSource(source.path, source.content, options);
+        LintSource(source.path, source.content);
     ++summary.files_linted;
     for (Diagnostic& diagnostic : diagnostics) {
       summary.diagnostics.push_back(std::move(diagnostic));
@@ -124,12 +123,7 @@ Result<RunSummary> LintPaths(const std::vector<std::string>& paths,
   }
 
   // Project-graph tier: needs the whole file set at once.
-  Result<LayeringManifest> parsed_manifest =
-      options.layering_manifest.empty()
-          ? Result<LayeringManifest>(DefaultLayeringManifest())
-          : ParseLayeringManifest(options.layering_manifest);
-  if (!parsed_manifest.ok()) return parsed_manifest.status();
-  const LayeringManifest& manifest = *parsed_manifest;
+  const LayeringManifest& manifest = DefaultLayeringManifest();
   const ProjectGraph graph = ProjectGraph::Build(*sources);
   for (Diagnostic& diagnostic : CheckProjectGraph(graph, manifest)) {
     summary.diagnostics.push_back(std::move(diagnostic));
@@ -142,13 +136,7 @@ Result<RunSummary> LintPaths(const std::vector<std::string>& paths,
               if (a.line != b.line) return a.line < b.line;
               return a.rule < b.rule;
             });
-  for (const Diagnostic& diagnostic : summary.diagnostics) {
-    if (diagnostic.severity == Severity::kError) {
-      ++summary.errors;
-    } else {
-      ++summary.warnings;
-    }
-  }
+  summary.errors = static_cast<int>(summary.diagnostics.size());
   return summary;
 }
 
@@ -160,28 +148,24 @@ Result<ProjectGraph> BuildProjectGraph(const std::vector<std::string>& paths) {
 
 std::string FormatDiagnostic(const Diagnostic& diagnostic) {
   std::ostringstream out;
-  out << diagnostic.file << ':' << diagnostic.line << ": "
-      << (diagnostic.severity == Severity::kError ? "error" : "warning")
-      << ": " << diagnostic.message << " [" << diagnostic.rule << ']';
+  out << diagnostic.file << ':' << diagnostic.line << ": error: "
+      << diagnostic.message << " [" << diagnostic.rule << ']';
   return out.str();
 }
 
 std::string FindingsJson(const RunSummary& summary) {
   metrics::JsonWriter w;
   w.BeginObject();
-  w.Key("schema_version").Int(1);
+  w.Key("schema_version").Int(2);
   w.Key("tool").String("spnet_lint");
   w.Key("files_linted").Int(summary.files_linted);
   w.Key("errors").Int(summary.errors);
-  w.Key("warnings").Int(summary.warnings);
   w.Key("findings").BeginArray();
   for (const Diagnostic& diagnostic : summary.diagnostics) {
     w.BeginObject();
     w.Key("file").String(diagnostic.file);
     w.Key("line").Int(diagnostic.line);
     w.Key("rule").String(diagnostic.rule);
-    w.Key("severity")
-        .String(diagnostic.severity == Severity::kError ? "error" : "warning");
     w.Key("message").String(diagnostic.message);
     w.EndObject();
   }

@@ -15,11 +15,10 @@ namespace lint {
 struct RunSummary {
   int files_linted = 0;
   int errors = 0;
-  int warnings = 0;
   /// Every finding (per-file rules plus the project-graph tier), ordered
   /// by file path, then line, then rule.
   std::vector<Diagnostic> diagnostics;
-  /// The include-graph JSON (`ProjectGraph::ToJson` against the active
+  /// The include-graph JSON (`ProjectGraph::ToJson` against the built-in
   /// manifest), ready for `--graph_out` / CI artifacts.
   std::string graph_json;
 };
@@ -30,12 +29,12 @@ bool IsLintableFile(const std::string& path);
 
 /// Lints each path: files directly, directories recursively, then runs the
 /// project-graph rules (layering-violation, include-cycle) across the
-/// whole file set. Skipped during the walk: hidden directories, anything
-/// named `build*` or `third_party`, and `lint_fixtures` (the test corpus
-/// violates rules on purpose). NotFound if a path does not exist;
-/// InvalidArgument if `options.layering_manifest` does not parse.
+/// whole file set against the built-in layering manifest. Skipped during
+/// the walk: hidden directories, anything named `build*` or
+/// `third_party`, and `lint_fixtures` (the test corpus violates rules on
+/// purpose). NotFound if a path does not exist.
 [[nodiscard]] Result<RunSummary> LintPaths(
-    const std::vector<std::string>& paths, const LintOptions& options);
+    const std::vector<std::string>& paths);
 
 /// Builds the include graph for the same file set LintPaths would lint,
 /// without running any rules. Used by the repo self-check tests.

@@ -3,13 +3,13 @@
 // Tokenizes the C++ sources under the given paths with a real lexer
 // (comments, string/char literals, raw strings and preprocessor lines are
 // understood, so rules never fire inside them) and enforces the project
-// rules described in DESIGN.md §lint. Exit status: 0 when clean, 1 when
-// any error-severity finding survives suppression (or any warning under
-// --werror), 2 on usage/IO problems.
+// rules described in DESIGN.md §9. Every finding is an error. Exit
+// status: 0 when clean, 1 when any finding survives suppression, 2 on
+// usage/IO problems, including any flag not listed below.
 //
 // Usage:
-//   spnet_lint [--werror] [--list-rules] [--json_out <path>]
-//              [--graph_out <path>] <path>...
+//   spnet_lint [--list-rules] [--json_out <path>] [--graph_out <path>]
+//              <path>...
 //
 // Suppress a finding inline with `// spnet-lint: allow(<rule>)` on the
 // same line or the line above.
@@ -28,9 +28,8 @@ namespace {
 void PrintUsage() {
   std::fprintf(
       stderr,
-      "usage: spnet_lint [--werror] [--list-rules] [--json_out <path>]\n"
+      "usage: spnet_lint [--list-rules] [--json_out <path>]\n"
       "                  [--graph_out <path>] <path>...\n"
-      "  --werror            treat warnings as errors\n"
       "  --list-rules        print the rule catalog and exit\n"
       "  --json_out <path>   write machine-readable findings JSON\n"
       "  --graph_out <path>  write the include-graph/layering JSON\n");
@@ -38,26 +37,36 @@ void PrintUsage() {
 
 void PrintRules() {
   for (const spnet::lint::RuleInfo& rule : spnet::lint::Rules()) {
-    std::printf("%-24s %-8s %s\n", rule.name,
-                rule.severity == spnet::lint::Severity::kError ? "error"
-                                                               : "warning",
-                rule.summary);
+    std::printf("%-26s %s\n", rule.name, rule.summary);
   }
+}
+
+/// FlagParser gives an unknown `--flag` the next token as its value, which
+/// would silently drop a path from the run; refuse any flag not listed.
+bool IsKnownFlag(const std::string& arg) {
+  const std::string name = arg.substr(2, arg.find('=') - 2);
+  return name == "list-rules" || name == "json_out" || name == "graph_out";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) == 0 && !IsKnownFlag(arg)) {
+      std::fprintf(stderr, "spnet_lint: unknown flag %s\n", argv[i]);
+      PrintUsage();
+      return 2;
+    }
+  }
   spnet::FlagParser flags;
-  const spnet::Status parsed =
-      flags.Parse(argc, argv, {"werror", "list-rules", "list_rules"});
+  const spnet::Status parsed = flags.Parse(argc, argv, {"list-rules"});
   if (!parsed.ok()) {
     std::fprintf(stderr, "spnet_lint: %s\n", parsed.ToString().c_str());
     PrintUsage();
     return 2;
   }
-  if (flags.GetBool("list-rules", false) ||
-      flags.GetBool("list_rules", false)) {
+  if (flags.GetBool("list-rules", false)) {
     PrintRules();
     return 0;
   }
@@ -66,8 +75,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const spnet::lint::LintOptions options;
-  auto summary = spnet::lint::LintPaths(flags.positional(), options);
+  auto summary = spnet::lint::LintPaths(flags.positional());
   if (!summary.ok()) {
     std::fprintf(stderr, "spnet_lint: %s\n",
                  summary.status().ToString().c_str());
@@ -95,12 +103,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool werror = flags.GetBool("werror", false);
-  const int effective_errors =
-      summary->errors + (werror ? summary->warnings : 0);
-  std::fprintf(stderr, "spnet_lint: %d file%s, %d error%s, %d warning%s\n",
+  std::fprintf(stderr, "spnet_lint: %d file%s, %d error%s\n",
                summary->files_linted, summary->files_linted == 1 ? "" : "s",
-               summary->errors, summary->errors == 1 ? "" : "s",
-               summary->warnings, summary->warnings == 1 ? "" : "s");
-  return effective_errors > 0 ? 1 : 0;
+               summary->errors, summary->errors == 1 ? "" : "s");
+  return summary->errors > 0 ? 1 : 0;
 }
