@@ -65,4 +65,15 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
+std::string FirstUnknownFlag(int argc, const char* const* argv,
+                             const std::set<std::string>& known) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) continue;
+    const std::string name = arg.substr(2, arg.find('=') - 2);
+    if (known.count(name) == 0) return "--" + name;
+  }
+  return "";
+}
+
 }  // namespace spnet

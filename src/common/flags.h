@@ -41,6 +41,14 @@ class FlagParser {
   std::vector<std::string> positional_;
 };
 
+/// Returns the first `--name` or `--name=value` in argv (as `--name`) whose
+/// name is not in `known`, or "" when every flag is known. FlagParser
+/// accepts any name, and an unknown `--name value` takes the next token as
+/// its value, so a tool that declares its flags checks argv with this
+/// before it parses or runs anything.
+std::string FirstUnknownFlag(int argc, const char* const* argv,
+                             const std::set<std::string>& known);
+
 }  // namespace spnet
 
 #endif  // SPNET_COMMON_FLAGS_H_

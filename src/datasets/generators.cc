@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,6 +15,8 @@ namespace datasets {
 using sparse::CooMatrix;
 using sparse::CsrMatrix;
 using sparse::Index;
+using sparse::Offset;
+using sparse::Value;
 
 namespace {
 
@@ -166,13 +169,27 @@ Result<CsrMatrix> GeneratePowerLaw(const PowerLawParams& p) {
     }
   }
 
-  CooMatrix coo(p.rows, p.cols);
-  coo.Reserve(p.nnz);
-  std::unordered_set<uint64_t> row_seen;
+  // Rows are drawn in rank order. Every row ends with exactly its degree
+  // (the fallback fills what sampling missed), so each row's slice of the
+  // CSR arrays is known before any row is drawn.
+  std::vector<Offset> ptr(static_cast<size_t>(p.rows) + 1, 0);
+  for (Index rank = 0; rank < p.rows; ++rank) {
+    ptr[static_cast<size_t>(row_of_rank[static_cast<size_t>(rank)]) + 1] =
+        degree[static_cast<size_t>(rank)];
+  }
+  for (size_t r = 0; r < static_cast<size_t>(p.rows); ++r) {
+    ptr[r + 1] += ptr[r];
+  }
+  std::vector<Index> indices(static_cast<size_t>(ptr.back()));
+  std::vector<Value> values(indices.size());
+  // stamp[c] == r: column c is already in row r. Each row is drawn once,
+  // so the stamps never need clearing.
+  std::vector<Index> stamp(static_cast<size_t>(p.cols), -1);
+  std::vector<std::pair<Index, Value>> row;
   for (Index rank = 0; rank < p.rows; ++rank) {
     const Index r = row_of_rank[static_cast<size_t>(rank)];
     const int64_t d = degree[static_cast<size_t>(rank)];
-    row_seen.clear();
+    row.clear();
     int64_t emitted = 0;
     int64_t attempts = 0;
     const int64_t max_attempts = d * 16 + 16;
@@ -185,20 +202,31 @@ Result<CsrMatrix> GeneratePowerLaw(const PowerLawParams& p) {
           static_cast<Index>(std::distance(col_cdf.begin(), it));
       if (col_rank >= p.cols) col_rank = p.cols - 1;
       const Index c = col_of_rank[static_cast<size_t>(col_rank)];
-      if (!row_seen.insert(EdgeKey(0, c)).second) continue;
+      if (stamp[static_cast<size_t>(c)] == r) continue;
+      stamp[static_cast<size_t>(c)] = r;
       const double v = p.weighted ? (rng.NextDouble() + 1e-6) : 1.0;
-      coo.Add(r, c, v);
+      row.emplace_back(c, v);
       ++emitted;
     }
     // Dense-row fallback: hubs that exhausted sampling get sequential fill.
     for (Index c = 0; emitted < d && c < p.cols; ++c) {
-      if (row_seen.insert(EdgeKey(0, c)).second) {
-        coo.Add(r, c, p.weighted ? (rng.NextDouble() + 1e-6) : 1.0);
+      if (stamp[static_cast<size_t>(c)] != r) {
+        stamp[static_cast<size_t>(c)] = r;
+        row.emplace_back(c, p.weighted ? (rng.NextDouble() + 1e-6) : 1.0);
         ++emitted;
       }
     }
+    // Columns are distinct, so sorting the pairs sorts by column alone.
+    std::sort(row.begin(), row.end());
+    Offset k = ptr[static_cast<size_t>(r)];
+    for (const auto& [c, v] : row) {
+      indices[static_cast<size_t>(k)] = c;
+      values[static_cast<size_t>(k)] = v;
+      ++k;
+    }
   }
-  return CsrMatrix::FromCoo(coo);
+  return CsrMatrix::FromParts(p.rows, p.cols, std::move(ptr),
+                              std::move(indices), std::move(values));
 }
 
 Result<CsrMatrix> GenerateQuasiRegular(const QuasiRegularParams& p) {
@@ -214,19 +242,26 @@ Result<CsrMatrix> GenerateQuasiRegular(const QuasiRegularParams& p) {
   const int64_t band = std::max<int64_t>(
       8, static_cast<int64_t>(p.band_frac * static_cast<double>(p.n)));
 
-  CooMatrix coo(p.n, p.n);
-  coo.Reserve(p.nnz);
-  std::unordered_set<uint64_t> row_seen;
+  // Rows are drawn in order, and a row may stop short of its degree when
+  // its attempts run out, so each row is appended after the last.
+  std::vector<Offset> ptr(static_cast<size_t>(p.n) + 1, 0);
+  std::vector<Index> indices;
+  std::vector<Value> values;
+  indices.reserve(static_cast<size_t>(p.nnz));
+  values.reserve(static_cast<size_t>(p.nnz));
+  // stamp[c] == r: column c is already in row r (rows are drawn once).
+  std::vector<Index> stamp(static_cast<size_t>(p.n), -1);
+  std::vector<std::pair<Index, Value>> row;
   for (Index r = 0; r < p.n; ++r) {
     const double jitter =
         1.0 + p.degree_jitter * (2.0 * rng.NextDouble() - 1.0);
     int64_t d = std::max<int64_t>(
         1, static_cast<int64_t>(std::llround(mean_deg * jitter)));
     d = std::min<int64_t>(d, 2 * band + 1);
-    row_seen.clear();
+    row.clear();
     // Diagonal first (FEM matrices have full diagonals), then band fill.
-    coo.Add(r, r, p.weighted ? (rng.NextDouble() + 1e-6) : 1.0);
-    row_seen.insert(EdgeKey(0, r));
+    row.emplace_back(r, p.weighted ? (rng.NextDouble() + 1e-6) : 1.0);
+    stamp[static_cast<size_t>(r)] = r;
     int64_t emitted = 1;
     int64_t attempts = 0;
     const int64_t max_attempts = d * 16 + 16;
@@ -236,13 +271,22 @@ Result<CsrMatrix> GenerateQuasiRegular(const QuasiRegularParams& p) {
           static_cast<int64_t>(rng.NextBounded(2 * band + 1)) - band;
       const int64_t c = static_cast<int64_t>(r) + offset;
       if (c < 0 || c >= p.n) continue;
-      if (!row_seen.insert(EdgeKey(0, static_cast<Index>(c))).second) continue;
-      coo.Add(r, static_cast<Index>(c),
-              p.weighted ? (rng.NextDouble() + 1e-6) : 1.0);
+      if (stamp[static_cast<size_t>(c)] == r) continue;
+      stamp[static_cast<size_t>(c)] = r;
+      row.emplace_back(static_cast<Index>(c),
+                       p.weighted ? (rng.NextDouble() + 1e-6) : 1.0);
       ++emitted;
     }
+    // Columns are distinct, so sorting the pairs sorts by column alone.
+    std::sort(row.begin(), row.end());
+    for (const auto& [c, v] : row) {
+      indices.push_back(c);
+      values.push_back(v);
+    }
+    ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(indices.size());
   }
-  return CsrMatrix::FromCoo(coo);
+  return CsrMatrix::FromParts(p.n, p.n, std::move(ptr), std::move(indices),
+                              std::move(values));
 }
 
 Result<CsrMatrix> GenerateBlockDiagonal(const BlockDiagonalParams& p) {

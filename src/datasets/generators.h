@@ -33,7 +33,10 @@ Result<sparse::CsrMatrix> GenerateRmat(const RmatParams& params);
 /// Power-law bipartite generator used for the real-world network
 /// stand-ins: row degrees and column picks both follow a Zipf(skew)
 /// distribution, reproducing the hub structure (a few extremely dense
-/// rows/columns) that creates the paper's dominator blocks.
+/// rows/columns) that creates the paper's dominator blocks. A row's
+/// columns are deduplicated with a per-column row stamp; a row whose
+/// sampling attempts run out is filled to its degree with the lowest
+/// unused columns. Rows are written straight into CSR, sorted by column.
 struct PowerLawParams {
   sparse::Index rows = 0;
   sparse::Index cols = 0;
@@ -57,7 +60,10 @@ Result<sparse::CsrMatrix> GeneratePowerLaw(const PowerLawParams& params);
 
 /// Quasi-regular banded generator standing in for the Florida suite's
 /// FEM/mesh matrices: every row has close to the same number of nonzeros,
-/// placed inside a band around the diagonal with small jitter.
+/// placed inside a band around the diagonal with small jitter. A row's
+/// columns are deduplicated with a per-column row stamp, and a row near
+/// the matrix edge may stop short of its degree when its attempts run
+/// out. Rows are appended straight into CSR, sorted by column.
 struct QuasiRegularParams {
   sparse::Index n = 0;
   int64_t nnz = 0;

@@ -1,11 +1,13 @@
 #include "sparse/reference_spgemm.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "common/parallel.h"
 #include "sparse/row_scratch.h"
+#include "sparse/stats.h"
 
 namespace spnet {
 namespace sparse {
@@ -30,6 +32,33 @@ void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
   }
 }
 
+/// Puts the row's touched columns in ascending order, in place. A row that
+/// touched n of the `cols` columns is either sorted, O(n log n), or
+/// rebuilt by one branch-free scan of the touched bitmap, O(cols). On
+/// 2k-100k columns the scan measured faster once n*log2(n) passes about
+/// cols/2, so dense rows are scanned and sparse rows sorted. Both give
+/// the same ascending list, so the choice never changes an output bit.
+void SortTouched(Index cols, RowScratch* s) {
+  std::vector<Index>& list = s->touched_cols;
+  const size_t n = list.size();
+  if (2 * n * static_cast<size_t>(std::bit_width(n)) <=
+      static_cast<size_t>(cols)) {
+    std::sort(list.begin(), list.end());
+    return;
+  }
+  // Column c is written to slot k, and k moves on only past a touched
+  // column, so each slot ends up holding its touched column. The extra
+  // element takes the writes after the last touched column.
+  list.push_back(0);
+  Index* out = list.data();
+  size_t k = 0;
+  for (Index c = 0; c < cols; ++c) {
+    out[k] = c;
+    k += s->touched[static_cast<size_t>(c)];
+  }
+  list.pop_back();
+}
+
 }  // namespace
 
 Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
@@ -46,15 +75,20 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
 
   if (pool.threads() == 1) {
-    // Serial path: the historical single-pass Gustavson loop (grow the
-    // output as rows complete). Avoids the symbolic pass entirely.
+    // Serial path: the historical single-pass Gustavson loop, with no
+    // symbolic pass. The output is reserved once at flops(A*B), an upper
+    // bound on nnz(C), instead of doubling; reserved pages that no row
+    // reaches are never touched, so they cost address space, not memory.
     RowScratch s;
     s.EnsureCols(cols);
+    const auto bound = static_cast<size_t>(SpGemmFlops(a, b));
     std::vector<Index> out_idx;
     std::vector<Value> out_val;
+    out_idx.reserve(bound);
+    out_val.reserve(bound);
     for (Index r = 0; r < rows; ++r) {
       AccumulateRow(a, b, r, &s);
-      std::sort(s.touched_cols.begin(), s.touched_cols.end());
+      SortTouched(cols, &s);
       for (Index c : s.touched_cols) {
         out_idx.push_back(c);
         out_val.push_back(s.acc[static_cast<size_t>(c)]);
@@ -107,7 +141,7 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
         RowScratch& s = arena.at(thread_index);
         for (int64_t r = row_begin; r < row_end; ++r) {
           AccumulateRow(a, b, static_cast<Index>(r), &s);
-          std::sort(s.touched_cols.begin(), s.touched_cols.end());
+          SortTouched(cols, &s);
           Offset cursor = ptr[static_cast<size_t>(r)];
           for (Index c : s.touched_cols) {
             out_idx[static_cast<size_t>(cursor)] = c;

@@ -14,8 +14,10 @@ namespace sparse {
 /// the oracle stays independent of the code it checks. It holds a value
 /// accumulator, a byte-per-column touched bitmap (uint8_t, not
 /// std::vector<bool> — the packed-bit specialization's read-modify-write is
-/// a measurable tax in the inner loop), and the touched-column list used to
-/// reset both in O(row nnz). One RowScratch is reused across every row a
+/// a measurable tax in the inner loop; each byte is exactly 0 or 1, so the
+/// oracle can add it to an output cursor when it scans a dense row into
+/// column order), and the touched-column list used to reset both in
+/// O(row nnz). One RowScratch is reused across every row a
 /// thread accumulates, so the per-row cost is proportional to the row,
 /// never to the matrix width. Cache-line aligned so the vector headers of
 /// neighbouring workers in a RowScratchArena never share a line: every

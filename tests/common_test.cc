@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/flags.h"
@@ -213,6 +214,20 @@ TEST(FlagsTest, IntegerParsing) {
   ASSERT_TRUE(flags.Parse(3, argv).ok());
   EXPECT_EQ(flags.GetInt("n", 0), 1000000);
   EXPECT_EQ(flags.GetInt("neg", 0), -5);
+}
+
+TEST(FlagsTest, FirstUnknownFlagNamesTheFirstUndeclaredFlag) {
+  const std::set<std::string> known = {"dim", "out"};
+  const char* clean[] = {"prog", "generate", "--dim=50", "--out", "a.mtx"};
+  EXPECT_EQ(FirstUnknownFlag(5, clean, known), "");
+  // The value of an unknown flag is not mistaken for a flag of its own.
+  const char* misspelt[] = {"prog", "--dimm", "50", "--out=a.mtx",
+                            "--nnz=200"};
+  EXPECT_EQ(FirstUnknownFlag(5, misspelt, known), "--dimm");
+  const char* with_value[] = {"prog", "--dim=50", "--nnz=200"};
+  EXPECT_EQ(FirstUnknownFlag(3, with_value, known), "--nnz");
+  const char* bare[] = {"prog", "--"};
+  EXPECT_EQ(FirstUnknownFlag(2, bare, known), "--");
 }
 
 TEST(HugePagesTest, DegenerateRangesAreNoOps) {

@@ -4,6 +4,7 @@
 
 #include "datasets/generators.h"
 #include "sparse/stats.h"
+#include "tests/test_util.h"
 
 namespace spnet {
 namespace datasets {
@@ -245,6 +246,63 @@ TEST(QuasiRegularTest, Deterministic) {
   auto b = GenerateQuasiRegular(p);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(CsrApproxEqual(*a, *b, 0.0));
+}
+
+/// Pins every bit (ptr, indices, value bits) the power-law and
+/// quasi-regular generators produce. The cases cover weighted and
+/// unweighted power-law, a rectangular one, a tiny hub-heavy one whose top
+/// rows exhaust their sampling attempts and take the dense-row fallback,
+/// and quasi-regular rows that stop short of their degree at the band edge.
+TEST(GeneratorsTest, OutputBitsArePinned) {
+  auto power_law = [](sparse::Index rows, sparse::Index cols, int64_t nnz,
+                      double row_skew, double col_skew, bool weighted) {
+    PowerLawParams p;
+    p.rows = rows;
+    p.cols = cols;
+    p.nnz = nnz;
+    p.row_skew = row_skew;
+    p.col_skew = col_skew;
+    p.weighted = weighted;
+    p.seed = 17;
+    auto m = GeneratePowerLaw(p);
+    SPNET_CHECK(m.ok()) << m.status().ToString();
+    return std::move(m).value();
+  };
+  auto quasi_regular = [](sparse::Index n, int64_t nnz, double band_frac,
+                          double jitter) {
+    QuasiRegularParams p;
+    p.n = n;
+    p.nnz = nnz;
+    p.band_frac = band_frac;
+    p.degree_jitter = jitter;
+    p.seed = 19;
+    auto m = GenerateQuasiRegular(p);
+    SPNET_CHECK(m.ok()) << m.status().ToString();
+    return std::move(m).value();
+  };
+  struct Pin {
+    const char* name;
+    CsrMatrix m;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"powerlaw-unweighted", power_law(3000, 3000, 30000, 0.8, 0.8, false),
+       17053454903603648725ULL},
+      {"powerlaw-weighted", power_law(3000, 3000, 30000, 0.9, 0.7, true),
+       15093739477184408602ULL},
+      {"powerlaw-rectangular", power_law(400, 700, 6000, 0.8, 0.8, true),
+       17527053300841039468ULL},
+      {"powerlaw-hub-fallback", power_law(64, 64, 1500, 1.2, 2.0, true),
+       10246315572301366142ULL},
+      {"quasi-regular", quasi_regular(3000, 30000, 0.02, 0.25),
+       5520101886445167034ULL},
+      {"quasi-regular-short-rows", quasi_regular(200, 3400, 0.0, 0.0),
+       6008741189295246647ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    EXPECT_EQ(testing_util::OutputHash(pin.m), pin.hash);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "common/parallel.h"
 #include "sparse/reference_spgemm.h"
 #include "sparse/stats.h"
 #include "tests/test_util.h"
@@ -170,6 +174,61 @@ TEST(ReferenceSpGemmTest, AssociativityOnSmallMatrices) {
   auto a_bc = ReferenceSpGemm(a, *bc);
   ASSERT_TRUE(ab_c.ok() && a_bc.ok());
   EXPECT_TRUE(CsrApproxEqual(*ab_c, *a_bc, 1e-8));
+}
+
+/// B for the cancellation pin: row 0 fills columns 0..599 with 1.0, row 1
+/// puts -1.0 on every third of them, and rows 2 and 3 put 2.0 and -2.0 on
+/// column 7 (row 2 also on column 900). A's rows pick (0, 1), (1), (2, 3)
+/// and nothing, so C has a wide row of exact zeros, a plain wide row, a
+/// two-entry row with a cancelled entry and an empty row.
+std::pair<CsrMatrix, CsrMatrix> CancellingOperands() {
+  CooMatrix ca(4, 4), cb(4, 1000);
+  ca.Add(0, 0, 1.0);
+  ca.Add(0, 1, 1.0);
+  ca.Add(1, 1, 1.0);
+  ca.Add(2, 2, 1.0);
+  ca.Add(2, 3, 1.0);
+  for (Index c = 0; c < 600; ++c) cb.Add(0, c, 1.0);
+  for (Index c = 0; c < 600; c += 3) cb.Add(1, c, -1.0);
+  cb.Add(2, 7, 2.0);
+  cb.Add(2, 900, 2.0);
+  cb.Add(3, 7, -2.0);
+  auto a = CsrMatrix::FromCoo(ca);
+  auto b = CsrMatrix::FromCoo(cb);
+  SPNET_CHECK(a.ok() && b.ok());
+  return {std::move(a).value(), std::move(b).value()};
+}
+
+/// Pins every bit of the oracle's output on its serial (1 thread) and
+/// parallel (4 threads) paths. The skewed product has hub rows that touch
+/// most of C's columns and tail rows that touch a handful; the random one
+/// has empty rows; the cancelling one keeps exact zeros.
+TEST(ReferenceSpGemmTest, OutputBitsArePinned) {
+  const CsrMatrix skewed = testing_util::SkewedMatrix(600, 500, 7);
+  const CsrMatrix sparse_rows = testing_util::RandomMatrix(300, 300, 0.004, 5);
+  const auto [cancel_a, cancel_b] = CancellingOperands();
+  struct Pin {
+    const char* name;
+    const CsrMatrix& a;
+    const CsrMatrix& b;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"skewed", skewed, skewed, 8323349849015304431ULL},
+      {"empty-rows", sparse_rows, sparse_rows, 9835578435690253474ULL},
+      {"cancelling", cancel_a, cancel_b, 863302957928289398ULL},
+  };
+  for (const Pin& pin : pins) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(pin.name) + " with " + std::to_string(threads) +
+                   " threads");
+      SetGlobalThreadCount(threads);
+      auto c = ReferenceSpGemm(pin.a, pin.b);
+      SetGlobalThreadCount(0);
+      ASSERT_TRUE(c.ok());
+      EXPECT_EQ(testing_util::OutputHash(*c), pin.hash);
+    }
+  }
 }
 
 }  // namespace

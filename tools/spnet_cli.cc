@@ -6,14 +6,17 @@
 // Usage:
 //   spnet_cli multiply --a A.mtx [--b B.mtx] [--algorithm reorganizer]
 //             [--out C.mtx] [--device titanxp] [--auto_tune]
-//   spnet_cli profile  --a A.mtx [--b B.mtx] [--device titanxp]
-//   spnet_cli classify --a A.mtx [--b B.mtx]
+//             [--alpha A] [--beta B]
+//   spnet_cli profile  --a A.mtx [--b B.mtx] [--device titanxp] [--detail]
+//   spnet_cli classify --a A.mtx [--b B.mtx] [--device titanxp]
 //   spnet_cli convert  --in X.mtx --out X.spnb     (and back)
 //   spnet_cli generate --kind rmat|powerlaw|regular --out X.spnb
 //             [--scale 14] [--edges N] [--dim N] [--nnz N] [--skew S]
+//             [--seed 42]
 //   spnet_cli batch    --manifest queries.txt [--plan_cache 64]
 //             [--deadline_ms D] [--fallback outer-product] [--repeats N]
-//             [--scale 0.05] [--cache dir] [--device titanxp]
+//             [--scale 0.05] [--seed 42] [--cache dir] [--device titanxp]
+//             [--alpha A] [--beta B]
 //   spnet_cli verify   [--sweep small|medium] [--seed 42]
 //
 // verify runs the correctness harness: a differential sweep of every
@@ -27,8 +30,10 @@
 // Omitting --b computes C = A^2. Files ending in .spnb use the binary
 // container; anything else is treated as Matrix Market. Every command
 // accepts --threads=<n> to size the host thread pool (default: hardware
-// concurrency). Algorithm names come from spgemm::AlgorithmRegistry; pass
-// a bogus --algorithm to have the error list them.
+// concurrency). A flag the command does not read is refused with
+// "unknown flag --name" (exit 2) before any work. Algorithm names come
+// from spgemm::AlgorithmRegistry; pass a bogus --algorithm to have the
+// error list them.
 //
 // batch executes a manifest of queries (one "<dataset-or-path> [algorithm]
 // [repeat]" per line, '#' comments) concurrently through the
@@ -48,7 +53,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -149,8 +156,8 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// batch and verify once took --reorder; the flag parser ignores unknown
-/// names, so refuse it explicitly instead of silently doing nothing.
+/// batch and verify once took --reorder; it stays declared for them so
+/// that it is refused by name instead of as an unknown flag.
 Status RejectRemovedReorderFlag(const FlagParser& flags) {
   if (!flags.Has("reorder")) return Status::Ok();
   return Status::InvalidArgument(
@@ -501,6 +508,29 @@ int CmdGenerate(const FlagParser& flags) {
   return 0;
 }
 
+/// The flags each command reads. Any other `--name` is refused before the
+/// command runs, so a misspelt flag cannot quietly fall back to its default.
+const std::map<std::string, std::set<std::string>>& CommandFlags() {
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"multiply",
+       {"a", "b", "algorithm", "out", "device", "auto_tune", "alpha", "beta",
+        "metrics_out", "trace", "threads"}},
+      {"profile",
+       {"a", "b", "device", "detail", "metrics_out", "trace", "threads"}},
+      {"classify", {"a", "b", "device", "metrics_out", "trace", "threads"}},
+      {"batch",
+       {"manifest", "scale", "seed", "cache", "deadline_ms", "plan_cache",
+        "fallback", "device", "alpha", "beta", "repeats", "reorder",
+        "metrics_out", "trace", "threads"}},
+      {"verify", {"sweep", "seed", "reorder", "threads"}},
+      {"convert", {"in", "out", "threads"}},
+      {"generate",
+       {"kind", "scale", "edges", "dim", "nnz", "skew", "seed", "out",
+        "threads"}},
+  };
+  return kFlags;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: spnet_cli "
@@ -513,10 +543,17 @@ int Run(int argc, char** argv) {
   FlagParser flags;
   if (!flags.Parse(argc, argv).ok()) return Usage();
   if (flags.positional().empty()) return Usage();
+  const std::string& command = flags.positional()[0];
+  const auto known = CommandFlags().find(command);
+  if (known == CommandFlags().end()) return Usage();
+  const std::string unknown = FirstUnknownFlag(argc, argv, known->second);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "spnet_cli: unknown flag %s\n", unknown.c_str());
+    return 2;
+  }
   // Host threads for the functional stack (0 = hardware concurrency);
   // every command funnels through the same expansion/merge engines.
   SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
-  const std::string& command = flags.positional()[0];
   if (command == "multiply") return CmdMultiply(flags);
   if (command == "profile") return CmdProfile(flags);
   if (command == "classify") return CmdClassify(flags);

@@ -41,23 +41,17 @@ void PrintRules() {
   }
 }
 
-/// FlagParser gives an unknown `--flag` the next token as its value, which
-/// would silently drop a path from the run; refuse any flag not listed.
-bool IsKnownFlag(const std::string& arg) {
-  const std::string name = arg.substr(2, arg.find('=') - 2);
-  return name == "list-rules" || name == "json_out" || name == "graph_out";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0 && !IsKnownFlag(arg)) {
-      std::fprintf(stderr, "spnet_lint: unknown flag %s\n", argv[i]);
-      PrintUsage();
-      return 2;
-    }
+  // FlagParser gives an unknown `--flag` the next token as its value, which
+  // would silently drop a path from the run; refuse any flag not listed.
+  const std::string unknown = spnet::FirstUnknownFlag(
+      argc, argv, {"list-rules", "json_out", "graph_out"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "spnet_lint: unknown flag %s\n", unknown.c_str());
+    PrintUsage();
+    return 2;
   }
   spnet::FlagParser flags;
   const spnet::Status parsed = flags.Parse(argc, argv, {"list-rules"});

@@ -24,6 +24,9 @@
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
 //
+// Any other `--name` is refused with "unknown flag --name" (exit 2) before
+// the daemon starts.
+//
 // Shutdown: EOF on stdin or SIGTERM/SIGINT begins a graceful drain — no
 // new requests are admitted, queued and in-flight requests finish and
 // their responses are written, then the daemon flushes --metrics_out (the
@@ -96,8 +99,7 @@ gpusim::DeviceSpec DeviceFromFlags(const FlagParser& flags) {
 }
 
 Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
-  // The flag parser ignores unknown names; refuse the retired flag instead
-  // of silently serving without it.
+  // The retired flag gets its own message instead of "unknown flag".
   if (flags.Has("reorder")) {
     return Status::InvalidArgument(
         "--reorder: the reorder pre-pass was removed");
@@ -134,6 +136,18 @@ Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
 }
 
 int Run(int argc, char** argv) {
+  // Every flag the daemon reads (see the usage above); --reorder is listed
+  // only so that OptionsFromFlags can refuse it by name.
+  const std::string unknown = FirstUnknownFlag(
+      argc, argv,
+      {"workers", "queue", "plan_cache", "shards", "quota_capacity",
+       "quota_refill", "pin", "store_capacity", "scale", "seed", "cache",
+       "deadline_ms", "fallback", "device", "threads", "metrics_out",
+       "reorder"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "spnet_serve: unknown flag %s\n", unknown.c_str());
+    return 2;
+  }
   FlagParser flags;
   if (!flags.Parse(argc, argv).ok()) {
     std::fprintf(stderr, "usage: spnet_serve [flags] "
