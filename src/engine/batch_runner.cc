@@ -99,12 +99,12 @@ bool AnswerFromCache(const Request& request, const BatchOptions& options,
   }
   // A hit on a measured entry is done: the memo is the measurement
   // SimulatePlan would return for this (plan, device).
-  const CachedPlan cached = cache.FindMeasured(
+  const auto measurement = cache.FindMeasured(
       KeyFor(request, request.algorithm, reorganizer_config_fp), ctx);
-  if (cached.measurement == nullptr) return false;
+  if (measurement == nullptr) return false;
   response->plan_cache_hit = true;
   response->algorithm_used = request.algorithm;
-  FillMeasured(*cached.measurement, timer, response);
+  FillMeasured(*measurement, timer, response);
   return true;
 }
 
@@ -138,14 +138,17 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
   }
 
   PlanKey key;
-  CachedPlan cached;
-  spgemm::SpGemmPlan planned_here;
+  spgemm::SpGemmPlan plan;
   while (true) {
     key = KeyFor(request, name, reorganizer_config_fp_);
-    cached = cache_->Find(key, ctx);
-    if (cached.plan != nullptr) {
+    // A measurement that appeared since AnswerFromCache looked, or one
+    // under the fallback's name, is the answer. Anything else plans.
+    const auto measurement = cache_->Find(key, ctx);
+    if (measurement != nullptr) {
       response->plan_cache_hit = true;
-      break;
+      response->algorithm_used = name;
+      FillMeasured(*measurement, timer, response);
+      return;
     }
     if (expired()) {
       response->status =
@@ -160,7 +163,7 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
         algorithm->Plan(*request.a, request.b ? *request.b : *request.a,
                         options_.device, nullptr);
     if (planned.ok()) {
-      planned_here = std::move(planned).value();
+      plan = std::move(planned).value();
       break;
     }
     // Graceful degradation step 2: a failed Plan retries once on the
@@ -178,34 +181,22 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
   }
   response->algorithm_used = name;
 
-  // A measured entry that appeared since AnswerFromCache looked, or one
-  // under the fallback's name, needs no simulation either.
-  if (cached.measurement == nullptr) {
-    const bool miss = cached.plan == nullptr;
-    if (expired()) {
-      // The plan this request paid for still warms the cache.
-      if (miss) cache_->Insert(key, std::move(planned_here), ctx);
-      response->status =
-          Status::DeadlineExceeded(request.id + " expired before simulation");
-      response->wall_ms = timer.Seconds() * 1e3;
-      return;
-    }
-    auto measured = spgemm::SimulatePlan(miss ? planned_here : *cached.plan,
-                                         options_.device, nullptr);
-    if (!measured.ok()) {
-      response->status = measured.status();
-      response->wall_ms = timer.Seconds() * 1e3;
-      return;
-    }
-    if (miss) {
-      cached = cache_->Insert(key, std::move(planned_here),
-                              std::move(measured).value(), ctx);
-    } else {
-      cached.measurement = std::make_shared<const spgemm::SpGemmMeasurement>(
-          std::move(measured).value());
-    }
+  // The cache keeps only the measurement; the plan dies with this request,
+  // so one that expires here leaves nothing behind.
+  if (expired()) {
+    response->status =
+        Status::DeadlineExceeded(request.id + " expired before simulation");
+    response->wall_ms = timer.Seconds() * 1e3;
+    return;
   }
-  FillMeasured(*cached.measurement, timer, response);
+  auto measured = spgemm::SimulatePlan(plan, options_.device, nullptr);
+  if (!measured.ok()) {
+    response->status = measured.status();
+    response->wall_ms = timer.Seconds() * 1e3;
+    return;
+  }
+  FillMeasured(*measured, timer, response);
+  cache_->Insert(key, std::move(measured).value(), ctx);
 }
 
 Result<ExecutionReport> BatchRunner::Execute(

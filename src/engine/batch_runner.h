@@ -40,7 +40,7 @@ struct ExecutionReport {
 };
 
 struct BatchOptions {
-  /// Max plans kept by the runner's LRU cache; 0 disables plan caching.
+  /// Max entries kept by the runner's LRU cache; 0 disables caching.
   /// Ignored when shared_plan_cache is set.
   size_t plan_cache_capacity = 64;
   /// Lock shards for the runner-owned plan cache (see PlanCache). The
@@ -84,16 +84,15 @@ struct BatchOptions {
                                    Response* response);
 
 /// Executes batches of spGEMM requests concurrently over the global
-/// ThreadPool, reusing plans across requests with the same matrix
+/// ThreadPool, reusing answers across requests with the same matrix
 /// structure through a PlanCache.
 ///
 /// Per request: fingerprint both operands (memoized per distinct matrix),
-/// and answer from the cache when AnswerFromCache can. Otherwise look the
-/// plan up and simulate a plan-only hit; on a miss, plan, simulate on the
-/// configured device, and cache the plan together with its measurement.
-/// A request whose algorithm cannot be built or whose Plan fails is
-/// retried with the fallback baseline; a request that exceeds its deadline
-/// reports DeadlineExceeded. Both outcomes land in
+/// and answer from the cache when AnswerFromCache can. Otherwise plan,
+/// simulate on the configured device, and cache the measurement; the plan
+/// is freed with the request. A request whose algorithm cannot be built or
+/// whose Plan fails is retried with the fallback baseline; a request that
+/// exceeds its deadline reports DeadlineExceeded. Both outcomes land in
 /// that request's Response::status — Execute itself fails only for
 /// malformed input or an unbuildable fallback.
 ///

@@ -35,56 +35,66 @@ PlanCache::Shard& PlanCache::ShardFor(const PlanKey& key) {
   return *shards_[PlanKeyHash{}(key) % shards_.size()];
 }
 
-CachedPlan PlanCache::Probe(const PlanKey& key, bool measured_only,
-                           spgemm::ExecContext* ctx) {
+PlanCache::Value PlanCache::Probe(const PlanKey& key, bool want_plan,
+                                  spgemm::ExecContext* ctx) {
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end() ||
-      (measured_only && it->second->second.measurement == nullptr)) {
+  if (it == shard.index.end()) return {};
+  const Value& value = it->second->second;
+  if (want_plan ? value.plan == nullptr : value.measurement == nullptr) {
     return {};
   }
   // Refresh recency: splice the entry to the front of the LRU list.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   spgemm::AddCounter(ctx, "engine.plan_cache.hit", 1);
-  return it->second->second;
+  return value;
 }
 
-CachedPlan PlanCache::Find(const PlanKey& key, spgemm::ExecContext* ctx) {
-  CachedPlan entry = Probe(key, /*measured_only=*/false, ctx);
-  if (entry.plan == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    spgemm::AddCounter(ctx, "engine.plan_cache.miss", 1);
-  }
-  return entry;
+void PlanCache::CountMiss(spgemm::ExecContext* ctx) {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  spgemm::AddCounter(ctx, "engine.plan_cache.miss", 1);
 }
 
-CachedPlan PlanCache::FindMeasured(const PlanKey& key,
-                                   spgemm::ExecContext* ctx) {
-  return Probe(key, /*measured_only=*/true, ctx);
+std::shared_ptr<const spgemm::SpGemmMeasurement> PlanCache::Find(
+    const PlanKey& key, spgemm::ExecContext* ctx) {
+  auto measurement = FindMeasured(key, ctx);
+  if (measurement == nullptr) CountMiss(ctx);
+  return measurement;
 }
 
-CachedPlan PlanCache::Insert(const PlanKey& key, spgemm::SpGemmPlan plan,
-                             spgemm::SpGemmMeasurement measurement,
-                             spgemm::ExecContext* ctx) {
-  CachedPlan entry{
-      std::make_shared<const spgemm::SpGemmPlan>(std::move(plan)),
-      std::make_shared<const spgemm::SpGemmMeasurement>(
-          std::move(measurement))};
-  Admit(key, entry, ctx);
-  return entry;
+std::shared_ptr<const spgemm::SpGemmMeasurement> PlanCache::FindMeasured(
+    const PlanKey& key, spgemm::ExecContext* ctx) {
+  return Probe(key, /*want_plan=*/false, ctx).measurement;
+}
+
+void PlanCache::Insert(const PlanKey& key,
+                       spgemm::SpGemmMeasurement measurement,
+                       spgemm::ExecContext* ctx) {
+  Admit(key,
+        {std::make_shared<const spgemm::SpGemmMeasurement>(
+             std::move(measurement)),
+         nullptr},
+        ctx);
+}
+
+std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Lookup(
+    const PlanKey& key, spgemm::ExecContext* ctx) {
+  auto plan = Probe(key, /*want_plan=*/true, ctx).plan;
+  if (plan == nullptr) CountMiss(ctx);
+  return plan;
 }
 
 std::shared_ptr<const spgemm::SpGemmPlan> PlanCache::Insert(
     const PlanKey& key, spgemm::SpGemmPlan plan, spgemm::ExecContext* ctx) {
-  CachedPlan entry{std::make_shared<const spgemm::SpGemmPlan>(std::move(plan)),
-                   nullptr};
-  Admit(key, entry, ctx);
-  return entry.plan;
+  Value value{nullptr,
+              std::make_shared<const spgemm::SpGemmPlan>(std::move(plan))};
+  Admit(key, value, ctx);
+  return value.plan;
 }
 
-void PlanCache::Admit(const PlanKey& key, const CachedPlan& entry,
+void PlanCache::Admit(const PlanKey& key, const Value& value,
                       spgemm::ExecContext* ctx) {
   if (capacity_ == 0) return;
   Shard& shard = ShardFor(key);
@@ -92,9 +102,9 @@ void PlanCache::Admit(const PlanKey& key, const CachedPlan& entry,
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Concurrent planners can race to insert the same key; keep the newer
-    // entry (the plans are equivalent) and refresh recency.
+    // entry (the answers are equal) and refresh recency.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    it->second->second = entry;
+    it->second->second = value;
     return;
   }
   if (shard.lru.size() >= shard.capacity) {
@@ -103,7 +113,7 @@ void PlanCache::Admit(const PlanKey& key, const CachedPlan& entry,
     evictions_.fetch_add(1, std::memory_order_relaxed);
     spgemm::AddCounter(ctx, "engine.plan_cache.evict", 1);
   }
-  shard.lru.emplace_front(key, entry);
+  shard.lru.emplace_front(key, value);
   shard.index.emplace(key, shard.lru.begin());
 }
 

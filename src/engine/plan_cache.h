@@ -23,12 +23,11 @@ namespace engine {
 /// operands (sparse::StructuralFingerprint — values excluded, structure
 /// only), the algorithm name, and the fingerprint of the algorithm's
 /// configuration (ReorganizerConfig::Fingerprint for the reorganizer, 0 for
-/// the config-free baselines). Plans and their memoized measurements also
-/// depend on the DeviceSpec, which is deliberately not part of the key:
-/// each PlanCache records the one device it serves (PlanCache::device),
-/// and BatchRunner::Execute refuses a shared cache built for another
-/// device, because a hit would otherwise return another device's plan and
-/// simulated time.
+/// the config-free baselines). Cached measurements also depend on the
+/// DeviceSpec, which is deliberately not part of the key: each PlanCache
+/// records the one device it serves (PlanCache::device), and
+/// BatchRunner::Execute refuses a shared cache built for another device,
+/// because a hit would otherwise return another device's simulated time.
 struct PlanKey {
   uint64_t fp_a = 0;
   uint64_t fp_b = 0;
@@ -45,22 +44,13 @@ struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const;
 };
 
-/// One cache entry as the cache hands it out: the plan, and the plan's
-/// measurement on the cache's device when the inserter simulated it.
-struct CachedPlan {
-  /// Null on a miss.
-  std::shared_ptr<const spgemm::SpGemmPlan> plan;
-  /// Null on a miss and for entries inserted plan-only.
-  std::shared_ptr<const spgemm::SpGemmMeasurement> measurement;
-};
-
-/// Thread-safe LRU cache of SpGemmPlan results for one device. Repeated
+/// Thread-safe LRU cache of planning answers for one device. Repeated
 /// queries over the same matrix structure skip the whole Block Reorganizer
 /// planning pipeline (classification, B-Splitting, B-Gathering,
-/// B-Limiting) — the amortizable cost that dominates spGEMM latency on
-/// power-law graphs. Simulation is a pure function of (plan, device), so
-/// an entry may also memoize its plan's SpGemmMeasurement: a hit on such
-/// an entry skips simulation too and costs only the lookup.
+/// B-Limiting) and the simulation after it: simulation is a pure function
+/// of (plan, device), so an entry keeps only the plan's SpGemmMeasurement,
+/// and the plan, whose block descriptors are most of its bytes, is freed
+/// with the request that built it.
 ///
 /// Sharding: the capacity can be split across `shards` independent LRU
 /// shards, each with its own mutex, selected by the key's hash. Under
@@ -76,55 +66,55 @@ struct CachedPlan {
 /// the full shard, which approximates global LRU the way any sharded cache
 /// does. The default of one shard preserves exact global LRU order.
 ///
-/// Plans and measurements are shared immutably (shared_ptr to const), so a
-/// hit is one map lookup plus refcount bumps and entries stay valid even
-/// if evicted while a query is still using them.
+/// Entries are shared immutably (shared_ptr to const), so a hit is one map
+/// lookup plus refcount bumps and entries stay valid even if evicted while
+/// a query is still using them.
 ///
-/// Observability: every Lookup/Insert optionally records
+/// Observability: every lookup and insert optionally records
 /// engine.plan_cache.{hit,miss,evict} counters on an ExecContext; the same
 /// totals are always available from hits()/misses()/evictions() (used by
 /// tests and the CLI summary line).
 class PlanCache {
  public:
-  /// `capacity` is the max number of cached plans across all shards; 0
-  /// disables caching (every Lookup misses, Insert is a no-op). `shards`
+  /// `capacity` is the max number of cached entries across all shards; 0
+  /// disables caching (every lookup misses, Insert is a no-op). `shards`
   /// is clamped to [1, capacity] so every shard owns at least one entry;
   /// the per-shard capacity is capacity/shards with the remainder spread
-  /// over the first shards. `device` is the device every cached plan and
-  /// measurement was built for.
+  /// over the first shards. `device` is the device every cached
+  /// measurement was taken on.
   explicit PlanCache(size_t capacity, size_t shards = 1,
                      gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp());
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the cached entry and refreshes its recency, or an entry with
-  /// a null plan on a miss.
-  CachedPlan Find(const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
+  /// The measurement cached for `key`, counted as a hit and refreshed to
+  /// most-recently-used; nullptr, counted as a miss, when there is none. A
+  /// plan-only entry answers nothing, so it counts as a miss too.
+  std::shared_ptr<const spgemm::SpGemmMeasurement> Find(
+      const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
 
-  /// Find restricted to measured entries: returns the entry, counting a
-  /// hit and refreshing its recency, only when it carries a measurement.
-  /// A miss or a plan-only entry returns a null plan and counts nothing,
-  /// so a caller that falls back to Find still counts one lookup.
-  CachedPlan FindMeasured(const PlanKey& key,
-                          spgemm::ExecContext* ctx = nullptr);
+  /// Find that counts nothing when it finds no measurement, so a caller
+  /// that falls back to Find still counts one lookup.
+  std::shared_ptr<const spgemm::SpGemmMeasurement> FindMeasured(
+      const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
 
-  /// Find's plan alone: the cached plan, or nullptr on a miss.
+  /// Inserts (or replaces) the measured entry for `key`: the `measurement`
+  /// of its plan on device(). Evicts the shard's least-recently-used entry
+  /// when the shard is full.
+  void Insert(const PlanKey& key, spgemm::SpGemmMeasurement measurement,
+              spgemm::ExecContext* ctx = nullptr);
+
+  /// The plan of a plan-only entry, counted as a hit, or nullptr, counted
+  /// as a miss (a measured entry holds no plan). Kept only for perfbench's
+  /// traced serve replay; it goes when that replay moves to Find (ROADMAP
+  /// item 6).
   std::shared_ptr<const spgemm::SpGemmPlan> Lookup(
-      const PlanKey& key, spgemm::ExecContext* ctx = nullptr) {
-    return Find(key, ctx).plan;
-  }
+      const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
 
-  /// Inserts (or replaces) the entry for `key` with `plan` and its
-  /// `measurement` on device(), evicting the shard's least-recently-used
-  /// entry when the shard is full. Returns the shared form of both, also
-  /// when caching is disabled.
-  CachedPlan Insert(const PlanKey& key, spgemm::SpGemmPlan plan,
-                    spgemm::SpGemmMeasurement measurement,
-                    spgemm::ExecContext* ctx = nullptr);
-
-  /// Inserts a plan-only entry: a hit on it still has to simulate. Returns
-  /// the shared form of the plan.
+  /// Inserts (or replaces) a plan-only entry and returns the shared plan,
+  /// also when caching is disabled. Kept only for perfbench's traced serve
+  /// replay, like Lookup; the engine never makes such entries.
   std::shared_ptr<const spgemm::SpGemmPlan> Insert(
       const PlanKey& key, spgemm::SpGemmPlan plan,
       spgemm::ExecContext* ctx = nullptr);
@@ -144,7 +134,13 @@ class PlanCache {
   const gpusim::DeviceSpec& device() const { return device_; }
 
  private:
-  using Entry = std::pair<PlanKey, CachedPlan>;
+  /// A measured entry holds only its measurement; a plan-only entry, made
+  /// only by the replay's Insert, holds only its plan.
+  struct Value {
+    std::shared_ptr<const spgemm::SpGemmMeasurement> measurement;
+    std::shared_ptr<const spgemm::SpGemmPlan> plan;
+  };
+  using Entry = std::pair<PlanKey, Value>;
 
   /// One independent LRU cache; selected by key hash.
   struct Shard {
@@ -159,14 +155,14 @@ class PlanCache {
 
   Shard& ShardFor(const PlanKey& key);
 
-  /// The entry for `key` when it exists (and, with `measured_only`, is
-  /// measured), counted as a hit and moved to most-recently-used; a null
-  /// plan, counted as nothing, otherwise.
-  CachedPlan Probe(const PlanKey& key, bool measured_only,
-                   spgemm::ExecContext* ctx);
+  /// The entry for `key` when it holds what the caller reads (its plan
+  /// with `want_plan`, else its measurement), counted as a hit and moved to
+  /// most-recently-used; an empty value, counted as nothing, otherwise.
+  Value Probe(const PlanKey& key, bool want_plan, spgemm::ExecContext* ctx);
+  void CountMiss(spgemm::ExecContext* ctx);
 
   /// Replacement and eviction shared by both Insert forms.
-  void Admit(const PlanKey& key, const CachedPlan& entry,
+  void Admit(const PlanKey& key, const Value& value,
              spgemm::ExecContext* ctx);
 
   const size_t capacity_;

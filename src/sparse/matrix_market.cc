@@ -95,6 +95,21 @@ Result<CsrMatrix> ParseMatrixMarket(const std::string& content) {
                               " exceed 32-bit index range");
   }
 
+  // Every entry is two (pattern) or three tokens of at least one byte, so
+  // a declared count the rest of the input cannot hold is refused before
+  // anything is reserved. That also bounds `2 * entries` by twice the
+  // input size, far from overflow.
+  const long long tokens = pattern ? 2 : 3;
+  const long long remaining =
+      in.eof() ? 0
+               : static_cast<long long>(content.size()) -
+                     static_cast<long long>(in.tellg());
+  if (entries > remaining / tokens) {
+    return Status::InvalidArgument(
+        "header declares " + std::to_string(entries) + " entries, but the " +
+        std::to_string(remaining) + " bytes after it hold at most " +
+        std::to_string(remaining / tokens));
+  }
   CooMatrix coo(static_cast<Index>(rows), static_cast<Index>(cols));
   coo.Reserve(symmetric ? 2 * entries : entries);
   for (long long k = 0; k < entries; ++k) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "verify/fault_injection.h"
@@ -73,6 +74,26 @@ Result<CsrMatrix> ReadBinary(const std::string& path) {
     return Status::OutOfRange(
         "SPNB header dimensions " + std::to_string(header.rows) + " x " +
         std::to_string(header.cols) + " exceed 32-bit index range");
+  }
+
+  // Compare the body the header implies with the bytes the file holds
+  // before allocating for it: a lying nnz must not size the arrays. rows is
+  // 32-bit here, so ptr_bytes cannot overflow, and nnz is bounded by
+  // division.
+  const std::streamoff body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto body_bytes = static_cast<uint64_t>(in.tellg() - body_start);
+  in.seekg(body_start);
+  const uint64_t ptr_bytes =
+      (static_cast<uint64_t>(header.rows) + 1) * sizeof(Offset);
+  if (!in || body_bytes < ptr_bytes ||
+      static_cast<uint64_t>(header.nnz) >
+          (body_bytes - ptr_bytes) / (sizeof(Index) + sizeof(Value))) {
+    return Status::IoError("truncated body in " + path + ": header declares " +
+                           std::to_string(header.rows) + " rows and " +
+                           std::to_string(header.nnz) +
+                           " nonzeros, more than the " +
+                           std::to_string(body_bytes) + " bytes after it hold");
   }
 
   std::vector<Offset> ptr(static_cast<size_t>(header.rows) + 1);

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/block_reorganizer.h"
+#include "datasets/generators.h"
 #include "engine/batch_runner.h"
 #include "engine/manifest.h"
 #include "engine/plan_cache.h"
@@ -25,6 +28,7 @@ namespace {
 
 using sparse::CsrMatrix;
 using sparse::StructuralFingerprint;
+using testing_util::Numbered;
 
 std::shared_ptr<const CsrMatrix> SharedSkewed(sparse::Index n,
                                               sparse::Index hub_nnz,
@@ -38,6 +42,13 @@ spgemm::SpGemmPlan DummyPlan(int64_t flops) {
   plan.flops = flops;
   plan.output_nnz = flops;
   return plan;
+}
+
+spgemm::SpGemmMeasurement Measured(int64_t flops) {
+  spgemm::SpGemmMeasurement measurement;
+  measurement.flops = flops;
+  measurement.output_nnz = flops;
+  return measurement;
 }
 
 // ---------------------------------------------------------------- fingerprint
@@ -224,19 +235,19 @@ TEST(PlanCacheTest, LruEvictionOrder) {
   const PlanKey k1{1, 1, "x", 0};
   const PlanKey k2{2, 2, "x", 0};
   const PlanKey k3{3, 3, "x", 0};
-  cache.Insert(k1, DummyPlan(1));
-  cache.Insert(k2, DummyPlan(2));
+  cache.Insert(k1, Measured(1));
+  cache.Insert(k2, Measured(2));
   // Touch k1 so k2 becomes the least recently used entry.
-  ASSERT_NE(cache.Lookup(k1), nullptr);
-  cache.Insert(k3, DummyPlan(3));
+  ASSERT_NE(cache.Find(k1), nullptr);
+  cache.Insert(k3, Measured(3));
 
-  EXPECT_EQ(cache.Lookup(k2), nullptr);  // evicted
-  auto p1 = cache.Lookup(k1);
-  auto p3 = cache.Lookup(k3);
-  ASSERT_NE(p1, nullptr);
-  ASSERT_NE(p3, nullptr);
-  EXPECT_EQ(p1->flops, 1);
-  EXPECT_EQ(p3->flops, 3);
+  EXPECT_EQ(cache.Find(k2), nullptr);  // evicted
+  auto m1 = cache.Find(k1);
+  auto m3 = cache.Find(k3);
+  ASSERT_NE(m1, nullptr);
+  ASSERT_NE(m3, nullptr);
+  EXPECT_EQ(m1->flops, 1);
+  EXPECT_EQ(m3->flops, 3);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(cache.size(), 2u);
 }
@@ -244,8 +255,10 @@ TEST(PlanCacheTest, LruEvictionOrder) {
 TEST(PlanCacheTest, CapacityZeroDisablesCaching) {
   PlanCache cache(0);
   const PlanKey k{1, 1, "x", 0};
+  cache.Insert(k, Measured(1));
+  EXPECT_EQ(cache.Find(k), nullptr);
   auto inserted = cache.Insert(k, DummyPlan(1));
-  ASSERT_NE(inserted, nullptr);  // caller still gets the shared plan
+  ASSERT_NE(inserted, nullptr);  // the replay still gets the shared plan
   EXPECT_EQ(cache.Lookup(k), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -254,9 +267,9 @@ TEST(PlanCacheTest, KeysDifferingOnlyInConfigAreDistinct) {
   PlanCache cache(4);
   const PlanKey k1{1, 1, "reorganizer", 10};
   const PlanKey k2{1, 1, "reorganizer", 11};
-  cache.Insert(k1, DummyPlan(1));
-  EXPECT_EQ(cache.Lookup(k2), nullptr);
-  EXPECT_NE(cache.Lookup(k1), nullptr);
+  cache.Insert(k1, Measured(1));
+  EXPECT_EQ(cache.Find(k2), nullptr);
+  EXPECT_NE(cache.Find(k1), nullptr);
 }
 
 TEST(PlanCacheTest, RecordsCountersOnContext) {
@@ -264,10 +277,10 @@ TEST(PlanCacheTest, RecordsCountersOnContext) {
   PlanCache cache(1);
   const PlanKey k1{1, 1, "x", 0};
   const PlanKey k2{2, 2, "x", 0};
-  EXPECT_EQ(cache.Lookup(k1, &ctx), nullptr);  // miss
-  cache.Insert(k1, DummyPlan(1), &ctx);
-  EXPECT_NE(cache.Lookup(k1, &ctx), nullptr);  // hit
-  cache.Insert(k2, DummyPlan(2), &ctx);        // evicts k1
+  EXPECT_EQ(cache.Find(k1, &ctx), nullptr);  // miss
+  cache.Insert(k1, Measured(1), &ctx);
+  EXPECT_NE(cache.Find(k1, &ctx), nullptr);  // hit
+  cache.Insert(k2, Measured(2), &ctx);                   // evicts k1
 
   const auto snapshot = ctx.registry.Snapshot();
   EXPECT_EQ(snapshot.at("engine.plan_cache.miss"), 1);
@@ -283,9 +296,9 @@ TEST(PlanCacheTest, ShardedCacheAggregatesCountersGlobally) {
   EXPECT_EQ(cache.shards(), 4u);
   for (uint64_t i = 0; i < 8; ++i) {
     const PlanKey k{i + 1, i + 1, "x", 0};
-    EXPECT_EQ(cache.Lookup(k), nullptr);  // miss
-    cache.Insert(k, DummyPlan(static_cast<int64_t>(i)));
-    EXPECT_NE(cache.Lookup(k), nullptr);  // hit
+    EXPECT_EQ(cache.Find(k), nullptr);  // miss
+    cache.Insert(k, Measured(static_cast<int64_t>(i)));
+    EXPECT_NE(cache.Find(k), nullptr);  // hit
   }
   EXPECT_EQ(cache.misses(), 8);
   EXPECT_EQ(cache.hits(), 8);
@@ -295,7 +308,7 @@ TEST(PlanCacheTest, ShardedCacheAggregatesCountersGlobally) {
             8u - static_cast<size_t>(cache.evictions()));
   // Push enough new keys to overflow every shard's share of the capacity.
   for (uint64_t i = 100; i < 132; ++i) {
-    cache.Insert(PlanKey{i, i, "x", 0}, DummyPlan(1));
+    cache.Insert(PlanKey{i, i, "x", 0}, Measured(1));
   }
   EXPECT_GT(cache.evictions(), 0);
   // Shards never grow past the distributed capacity, and every insert is
@@ -304,31 +317,45 @@ TEST(PlanCacheTest, ShardedCacheAggregatesCountersGlobally) {
   EXPECT_EQ(cache.size(), 40u - static_cast<size_t>(cache.evictions()));
 }
 
-TEST(PlanCacheTest, MemoizesTheMeasurementWithThePlan) {
+TEST(PlanCacheTest, MeasuredEntryKeepsOnlyTheMeasurement) {
   PlanCache cache(4);
   const PlanKey measured{1, 1, "x", 0};
   const PlanKey plan_only{2, 2, "x", 0};
   spgemm::SpGemmMeasurement m;
   m.total_seconds = 0.25;
   m.flops = 7;
-  cache.Insert(measured, DummyPlan(7), m);
+  cache.Insert(measured, m);
   cache.Insert(plan_only, DummyPlan(8));
 
-  const CachedPlan hit = cache.Find(measured);
-  ASSERT_NE(hit.plan, nullptr);
-  ASSERT_NE(hit.measurement, nullptr);
-  EXPECT_EQ(hit.plan->flops, 7);
-  EXPECT_EQ(hit.measurement->total_seconds, 0.25);
-  EXPECT_EQ(cache.Lookup(measured), hit.plan);
+  // A measured hit answers with its measurement and counts one hit.
+  const auto hit = cache.Find(measured);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->total_seconds, 0.25);
+  EXPECT_EQ(hit->flops, 7);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 0);
+  // It holds no plan, so Lookup answers nothing: a miss.
+  EXPECT_EQ(cache.Lookup(measured), nullptr);
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 1);
 
-  const CachedPlan bare = cache.Find(plan_only);
-  ASSERT_NE(bare.plan, nullptr);
-  EXPECT_EQ(bare.measurement, nullptr);
+  // A plan-only entry is the reverse: Lookup hits, Find misses.
+  const auto plan = cache.Lookup(plan_only);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->flops, 8);
+  EXPECT_EQ(cache.Find(plan_only), nullptr);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 2);
 
-  // Replacing a measured entry plan-only drops the memo with the old plan.
+  // Replacing an entry in the other form keeps only the new form.
   cache.Insert(measured, DummyPlan(9));
-  EXPECT_EQ(cache.Find(measured).measurement, nullptr);
-  EXPECT_EQ(cache.Find(PlanKey{3, 3, "x", 0}).plan, nullptr);
+  EXPECT_EQ(cache.Find(measured), nullptr);
+  cache.Insert(plan_only, m);
+  EXPECT_EQ(cache.Lookup(plan_only), nullptr);
+  EXPECT_NE(cache.Find(plan_only), nullptr);
+
+  EXPECT_EQ(cache.Find(PlanKey{3, 3, "x", 0}), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(PlanCacheTest, FindMeasuredCountsAndRefreshesOnlyMeasuredHits) {
@@ -336,29 +363,28 @@ TEST(PlanCacheTest, FindMeasuredCountsAndRefreshesOnlyMeasuredHits) {
   PlanCache cache(2);
   const PlanKey measured{1, 1, "x", 0};
   const PlanKey plan_only{2, 2, "x", 0};
-  spgemm::SpGemmMeasurement m;
-  m.flops = 7;
-  cache.Insert(measured, DummyPlan(7), m);
+  cache.Insert(measured, Measured(7));
   cache.Insert(plan_only, DummyPlan(8));  // most recently used
 
-  EXPECT_EQ(cache.FindMeasured(PlanKey{3, 3, "x", 0}, &ctx).plan, nullptr);
-  EXPECT_EQ(cache.FindMeasured(plan_only, &ctx).plan, nullptr);
+  EXPECT_EQ(cache.FindMeasured(PlanKey{3, 3, "x", 0}, &ctx), nullptr);
+  EXPECT_EQ(cache.FindMeasured(plan_only, &ctx), nullptr);
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.misses(), 0);
   EXPECT_TRUE(ctx.registry.Snapshot().empty());
 
-  const CachedPlan hit = cache.FindMeasured(measured, &ctx);
-  ASSERT_NE(hit.measurement, nullptr);
-  EXPECT_EQ(hit.measurement->flops, 7);
+  const auto hit = cache.FindMeasured(measured, &ctx);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->flops, 7);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 0);
   EXPECT_EQ(ctx.registry.Snapshot().at("engine.plan_cache.hit"), 1);
 
   // The hit made `measured` most recently used: the next insert evicts
   // the plan-only entry instead.
-  cache.Insert(PlanKey{4, 4, "x", 0}, DummyPlan(9));
-  EXPECT_NE(cache.Find(measured).plan, nullptr);
-  EXPECT_EQ(cache.Find(plan_only).plan, nullptr);
+  cache.Insert(PlanKey{4, 4, "x", 0}, Measured(9));
+  EXPECT_NE(cache.Find(measured), nullptr);
+  EXPECT_EQ(cache.Lookup(plan_only), nullptr);
+  EXPECT_EQ(cache.evictions(), 1);
 }
 
 TEST(PlanCacheTest, RecordsItsDevice) {
@@ -462,7 +488,7 @@ std::vector<Request> RepeatedRequests(const std::shared_ptr<const CsrMatrix>& m,
                                       int n, const std::string& algorithm) {
   std::vector<Request> requests;
   for (int i = 0; i < n; ++i) {
-    requests.push_back(SingleRequest(m, "q" + std::to_string(i), algorithm));
+    requests.push_back(SingleRequest(m, Numbered("q", i), algorithm));
   }
   return requests;
 }
@@ -554,7 +580,7 @@ std::vector<Request> TwoOperandBatch() {
     const auto& lhs = a_first ? a : b;
     const auto& rhs = square ? lhs : (a_first ? b : a);
     auto request = RequestBuilder()
-                       .Id("q" + std::to_string(i))
+                       .Id(Numbered("q", i))
                        .Algorithm(i % 8 < 4 ? "reorganizer" : "row-product")
                        .OperandA(lhs)
                        .OperandB(rhs)
@@ -730,7 +756,7 @@ TEST(BatchRunnerTest, HitsOnMeasuredEntriesDoNotSimulate) {
                                       /*count=*/0);
   std::vector<Request> hits;
   for (int i = 0; i < 5; ++i) {
-    hits.push_back(SingleRequest(warm, "hit" + std::to_string(i)));
+    hits.push_back(SingleRequest(warm, Numbered("hit", i)));
   }
   auto hit_report = runner.Execute(hits);
   ASSERT_TRUE(hit_report.ok());
@@ -750,33 +776,164 @@ TEST(BatchRunnerTest, HitsOnMeasuredEntriesDoNotSimulate) {
   EXPECT_EQ(miss_report->responses[0].status.code(), StatusCode::kInternal);
 }
 
-TEST(BatchRunnerTest, PlanOnlyEntryStillSimulatesOnHit) {
+/// Every Response field but the wall time.
+void ExpectSameResponse(const Response& r, const Response& expected) {
+  EXPECT_EQ(r.schema_version, expected.schema_version);
+  EXPECT_EQ(r.id, expected.id);
+  EXPECT_EQ(r.tenant, expected.tenant);
+  EXPECT_EQ(r.status, expected.status);
+  EXPECT_EQ(r.algorithm_used, expected.algorithm_used);
+  EXPECT_EQ(r.plan_cache_hit, expected.plan_cache_hit);
+  EXPECT_EQ(r.fallback_used, expected.fallback_used);
+  ExpectSameMeasurement(r, expected);
+}
+
+TEST(BatchRunnerTest, PlanOnlyEntryIsPlannedLikeAMiss) {
   InjectorGuard guard;
   const auto m = SharedSkewed(150, 48, 5);
-  auto cache = std::make_shared<PlanCache>(8);
   BatchOptions options;
-  options.shared_plan_cache = cache;
-  BatchRunner runner(options);
+  options.shared_plan_cache = std::make_shared<PlanCache>(8);
+  auto cold = BatchRunner(options).Execute({SingleRequest(m, "q")});
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(cold->responses[0].status.ok());
 
-  auto algorithm = spgemm::AlgorithmRegistry::Global().Create("row-product");
+  // A plan-only entry (only perfbench's traced replay makes them) carries
+  // no answer, so the request plans and simulates as on a miss.
+  auto cache = std::make_shared<PlanCache>(8);
+  options.shared_plan_cache = cache;
+  auto algorithm = core::MakeBlockReorganizer(options.reorganizer_config);
   ASSERT_TRUE(algorithm.ok());
   auto plan = (*algorithm)->Plan(*m, *m, options.device);
   ASSERT_TRUE(plan.ok());
-  auto direct = spgemm::SimulatePlan(*plan, options.device);
-  ASSERT_TRUE(direct.ok());
   const uint64_t fp = StructuralFingerprint(*m);
-  cache->Insert(PlanKey{fp, fp, "row-product", 0}, std::move(plan).value());
+  const PlanKey key{fp, fp, "reorganizer",
+                    options.reorganizer_config.Fingerprint()};
+  cache->Insert(key, std::move(plan).value());
 
   CountSimulations();
-  auto report = runner.Execute({SingleRequest(m, "q", "row-product")});
+  auto report = BatchRunner(options).Execute({SingleRequest(m, "q")});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(Simulations(), 1);
+  ExpectSameResponse(report->responses[0], cold->responses[0]);
+  // The counters agree with the response: one lookup, a miss.
+  EXPECT_EQ(report->plan_cache_hits, 0);
+  EXPECT_EQ(report->plan_cache_misses, 1);
+
+  // The measurement replaced the plan-only entry.
+  EXPECT_EQ(cache->Lookup(key), nullptr);
+  const auto measurement = cache->Find(key);
+  ASSERT_NE(measurement, nullptr);
+  EXPECT_EQ(measurement->flops, cold->responses[0].flops);
+}
+
+/// The row product with a Plan that first sleeps kPlanMs.
+class SlowPlanner : public spgemm::SpGemmAlgorithm {
+ public:
+  static constexpr char kName[] = "slow-planning-row-product";
+  static constexpr int kPlanMs = 150;
+
+  std::string name() const override { return kName; }
+
+ protected:
+  Result<spgemm::SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+                                      const gpusim::DeviceSpec& device,
+                                      spgemm::ExecContext* ctx) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kPlanMs));
+    auto inner = spgemm::AlgorithmRegistry::Global().Create("row-product");
+    if (!inner.ok()) return inner.status();
+    return (*inner)->Plan(a, b, device, ctx);
+  }
+};
+
+TEST(BatchRunnerTest, ExpiryBeforeSimulationCachesNothing) {
+  using Owned = std::unique_ptr<spgemm::SpGemmAlgorithm>;
+  auto& registry = spgemm::AlgorithmRegistry::Global();
+  if (!registry.Contains(SlowPlanner::kName)) {
+    ASSERT_TRUE(registry
+                    .Register(SlowPlanner::kName,
+                              []() -> Result<Owned> {
+                                return Owned(std::make_unique<SlowPlanner>());
+                              })
+                    .ok());
+  }
+  InjectorGuard guard;
+  CountSimulations();
+  const auto m = SharedSkewed(150, 48, 5);
+  BatchRunner runner(BatchOptions{});
+  Request request = SingleRequest(m, "late", SlowPlanner::kName);
+  // Passes the checks before planning, then expires while it plans.
+  request.deadline_ms = SlowPlanner::kPlanMs / 3.0;
+
+  auto report = runner.Execute({request});
   ASSERT_TRUE(report.ok());
   const Response& r = report->responses[0];
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.plan_cache_hit);
-  EXPECT_EQ(Simulations(), 1);
-  EXPECT_EQ(r.sim_ms, direct->total_seconds * 1e3);
-  EXPECT_EQ(r.flops, direct->flops);
-  EXPECT_EQ(r.output_nnz, direct->output_nnz);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(r.status.message().find("expired before simulation"),
+            std::string::npos)
+      << r.status.ToString();
+  EXPECT_EQ(report->plan_cache_misses, 1);
+  EXPECT_EQ(Simulations(), 0);
+  EXPECT_EQ(runner.plan_cache().size(), 0u);
+}
+
+TEST(BatchRunnerTest, MeasuredEntriesOfServeSizedPlansHoldNoPlan) {
+  // Four 20k x 20k power-law operands with 120k nonzeros, the serving
+  // benchmark's shape, give 16 distinct products A_i * A_j. Each
+  // reorganizer plan carries thousands of block descriptors; the cache
+  // must keep none of them.
+  std::vector<std::shared_ptr<const CsrMatrix>> operands;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    datasets::PowerLawParams params;
+    params.rows = 20000;
+    params.cols = 20000;
+    params.nnz = 120000;
+    params.row_skew = 0.8;
+    params.col_skew = 0.8;
+    params.seed = seed;
+    auto generated = datasets::GeneratePowerLaw(params);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    operands.push_back(
+        std::make_shared<const CsrMatrix>(std::move(generated).value()));
+  }
+  std::vector<Request> requests;
+  for (const auto& lhs : operands) {
+    for (const auto& rhs : operands) {
+      auto request = RequestBuilder()
+                         .Id(Numbered("q", requests.size()))
+                         .OperandA(lhs)
+                         .OperandB(rhs)
+                         .Build();
+      ASSERT_TRUE(request.ok());
+      requests.push_back(std::move(request).value());
+    }
+  }
+  BatchOptions options;
+  options.plan_cache_capacity = 16;
+  BatchRunner runner(options);
+  auto report = runner.Execute(requests);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->succeeded, 16);
+  EXPECT_EQ(report->plan_cache_misses, 16);
+  ASSERT_EQ(runner.plan_cache().size(), 16u);
+
+  auto algorithm = core::MakeBlockReorganizer(options.reorganizer_config);
+  ASSERT_TRUE(algorithm.ok());
+  auto plan = (*algorithm)->Plan(*operands[0], *operands[0], options.device);
+  ASSERT_TRUE(plan.ok());
+  size_t blocks = 0;
+  for (const gpusim::KernelDesc& kernel : plan->kernels) {
+    blocks += kernel.blocks.size();
+  }
+  EXPECT_GT(blocks, 1000u);
+
+  const uint64_t config_fp = options.reorganizer_config.Fingerprint();
+  for (const Request& request : requests) {
+    const PlanKey key{StructuralFingerprint(*request.a),
+                      StructuralFingerprint(*request.b), "reorganizer",
+                      config_fp};
+    EXPECT_EQ(runner.plan_cache().Lookup(key), nullptr) << request.id;
+    EXPECT_NE(runner.plan_cache().Find(key), nullptr) << request.id;
+  }
 }
 
 TEST(BatchRunnerTest, SharedCacheOfAnotherDeviceIsInvalidArgument) {

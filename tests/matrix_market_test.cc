@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -83,6 +84,40 @@ TEST(MatrixMarketTest, RejectsTruncatedEntries) {
       "2 2 2\n"
       "1 1 1.0\n";
   EXPECT_FALSE(ParseMatrixMarket(content).ok());
+}
+
+TEST(MatrixMarketTest, DeclaredCountTheInputCannotHoldIsInvalidArgument) {
+  // Reserving the declared 4e9 entries would ask for 64 GB before the
+  // first entry is read.
+  const std::string lying =
+      "%%MatrixMarket matrix coordinate real general\n"
+      "3 3 4000000000\n"
+      "1 1 1.0\n";
+  const auto start = std::chrono::steady_clock::now();
+  Status status;
+  EXPECT_NO_THROW(status = ParseMatrixMarket(lying).status());
+  const std::chrono::duration<double, std::milli> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_LT(elapsed.count(), 10.0);
+
+  // A symmetric file doubles the reserve; the largest count must not
+  // overflow on the way.
+  auto symmetric = ParseMatrixMarket(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "3 3 9223372036854775807\n"
+      "1 1 1.0\n");
+  ASSERT_FALSE(symmetric.ok());
+  EXPECT_EQ(symmetric.status().code(), StatusCode::kInvalidArgument);
+
+  // The bound never refuses input that holds its count: one-byte tokens,
+  // no trailing newline.
+  auto tight = ParseMatrixMarket(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "2 2 2\n"
+      "1 1\n2 2");
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  EXPECT_EQ(tight->nnz(), 2);
 }
 
 TEST(MatrixMarketTest, OversizedHeaderIsOutOfRange) {

@@ -88,6 +88,24 @@ TEST(SerializationTest, RejectsCorruptedStructure) {
   std::remove(path.c_str());
 }
 
+TEST(SerializationTest, HeaderNnzBeyondTheFileFailsBeforeAllocating) {
+  // A valid 2-row header that declares 2^40 nonzeros, then a few body
+  // bytes. Sizing the arrays from the header would ask for 12 TB.
+  const CsrMatrix m = testing_util::RandomMatrix(2, 2, 1.0, 7);
+  const std::string path = TempPath("lying_nnz.spnb");
+  ASSERT_TRUE(WriteBinary(m, path).ok());
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  const int64_t nnz = int64_t{1} << 40;
+  f.seekp(24);  // magic, version, rows, cols, then nnz
+  f.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+  f.close();
+
+  auto r = ReadBinary(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
 TEST(SerializationTest, MissingFile) {
   auto r = ReadBinary("/nonexistent/dir/matrix.spnb");
   ASSERT_FALSE(r.ok());

@@ -24,6 +24,7 @@
 #include "serve/matrix_store.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "tests/test_util.h"
 #include "verify/fault_injection.h"
 
 namespace spnet {
@@ -31,6 +32,7 @@ namespace serve {
 namespace {
 
 using verify::FaultInjector;
+using testing_util::Numbered;
 
 /// Guarantees the process-wide injector is disarmed when a test exits,
 /// even on assertion failure.
@@ -390,14 +392,14 @@ TEST(ServerTest, QuotaClipsAConcurrentFloodWhilePoliteTenantCompletes) {
   std::thread flooder([&server, &flood_status] {
     for (int i = 0; i < 40; ++i) {
       flood_status.push_back(server.SubmitWire(
-          SmallWire("f" + std::to_string(i), "flood"), nullptr));
+          SmallWire(Numbered("f", i), "flood"), nullptr));
     }
   });
   ResponseLog polite_log;
   constexpr int kPolite = 10;
   for (int i = 0; i < kPolite; ++i) {
     const Status admitted = server.SubmitWire(
-        SmallWire("p" + std::to_string(i), "polite"), polite_log.Sink());
+        SmallWire(Numbered("p", i), "polite"), polite_log.Sink());
     EXPECT_TRUE(admitted.ok()) << admitted.ToString();
   }
   flooder.join();
@@ -434,7 +436,7 @@ TEST(ServerTest, TenantStateStaysBoundedPastTheCap) {
   ResponseLog log;
   const size_t extra = 16;
   for (size_t i = 0; i < kMaxTrackedTenants + extra; ++i) {
-    const std::string tenant = "t" + std::to_string(i);
+    const std::string tenant = Numbered("t", i);
     ASSERT_TRUE(server.SubmitWire(SmallWire(tenant, tenant), log.Sink()).ok())
         << tenant;
   }
@@ -454,7 +456,7 @@ TEST(ServerTest, TenantStateStaysBoundedPastTheCap) {
   // The tracked tenants, "vip" and the shared "other".
   EXPECT_EQ(labels.size(), kMaxTrackedTenants + 2);
   EXPECT_EQ(labels.count("other"), 1u);
-  EXPECT_EQ(labels.count("t" + std::to_string(kMaxTrackedTenants)), 0u);
+  EXPECT_EQ(labels.count(Numbered("t", kMaxTrackedTenants)), 0u);
   EXPECT_EQ(snapshot.at("serve.tenant.other.admitted"),
             static_cast<double>(extra));
   EXPECT_EQ(snapshot.at("serve.tenant.vip.admitted"), 1);
@@ -601,8 +603,7 @@ TEST(ServerTest, DrainCompletesInFlightAndRejectsNewWork) {
   ResponseLog log;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        server.SubmitWire(SmallWire("q" + std::to_string(i)), log.Sink())
-            .ok());
+        server.SubmitWire(SmallWire(Numbered("q", i)), log.Sink()).ok());
   }
   server.BeginDrain();
   const Status late = server.SubmitWire(SmallWire("late"), log.Sink());

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -11,6 +12,16 @@
 
 namespace spnet {
 namespace testing_util {
+
+/// `prefix` followed by `i` ("q7"). Appends rather than writing
+/// `"q" + std::to_string(i)`: GCC 12 at -O3 reports a false -Wrestrict for
+/// that operator+, which inserts at the front of a temporary.
+template <typename Int>
+inline std::string Numbered(const char* prefix, Int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
 
 /// Uniform random sparse matrix with ~density fraction of nonzeros.
 inline sparse::CsrMatrix RandomMatrix(sparse::Index rows, sparse::Index cols,
