@@ -14,21 +14,18 @@
 namespace spnet {
 namespace engine {
 
-BatchRunner::BatchRunner(BatchOptions options)
+BatchRunner::BatchRunner(BatchOptions options, size_t plan_cache_shards)
     : options_(std::move(options)),
       reorganizer_config_fp_(options_.reorganizer_config.Fingerprint()),
-      cache_(options_.shared_plan_cache != nullptr
-                 ? options_.shared_plan_cache
-                 : std::make_shared<PlanCache>(options_.plan_cache_capacity,
-                                               options_.plan_cache_shards,
-                                               options_.device)) {
+      cache_(options_.plan_cache_capacity, plan_cache_shards) {
   core::RegisterCoreAlgorithms();
 }
 
 const BatchRunner::AlgorithmEntry& BatchRunner::ResolveAlgorithm(
     const std::string& name) {
-  auto it = resolved_.find(name);
-  if (it != resolved_.end()) return it->second;
+  MutexLock lock(&mu_);
+  auto it = algorithms_.find(name);
+  if (it != algorithms_.end()) return it->second;
 
   AlgorithmEntry entry;
   // "reorganizer" honors the runner's configured knobs; everything else
@@ -39,16 +36,34 @@ const BatchRunner::AlgorithmEntry& BatchRunner::ResolveAlgorithm(
           ? core::MakeBlockReorganizer(options_.reorganizer_config)
           : spgemm::AlgorithmRegistry::Global().Create(name);
   if (created.ok()) {
-    auto owned = std::move(created).value();
-    entry.algorithm = owned.get();
-    instances_[name] = std::move(owned);
+    entry.algorithm = std::move(created).value();
   } else {
     entry.status = created.status();
   }
-  return resolved_.emplace(name, std::move(entry)).first->second;
+  return algorithms_.emplace(name, std::move(entry)).first->second;
+}
+
+Status BatchRunner::CheckFallback() {
+  const AlgorithmEntry& fallback =
+      ResolveAlgorithm(options_.fallback_algorithm);
+  if (fallback.algorithm != nullptr) return Status::Ok();
+  return Status(fallback.status.code(),
+                "fallback algorithm '" + options_.fallback_algorithm +
+                    "' cannot be built: " + fallback.status.message());
 }
 
 namespace {
+
+/// What Execute requires of every request before it runs any: this
+/// binary's schema version and an A operand.
+Status CheckRequest(const Request& request) {
+  SPNET_RETURN_IF_ERROR(ValidateSchemaVersion(request.schema_version));
+  if (request.a == nullptr) {
+    return Status::InvalidArgument("request '" + request.id +
+                                   "' has no A matrix");
+  }
+  return Status::Ok();
+}
 
 /// True once `request` has used up its deadline on `timer`. A
 /// request-level deadline (>= 0, where 0 is born expired) wins; the
@@ -85,13 +100,12 @@ void FillMeasured(const spgemm::SpGemmMeasurement& measurement,
 
 }  // namespace
 
-bool AnswerFromCache(const Request& request, const BatchOptions& options,
-                     uint64_t reorganizer_config_fp, PlanCache& cache,
-                     const Timer& timer, spgemm::ExecContext* ctx,
-                     Response* response) {
+bool BatchRunner::AnswerFromCache(const Request& request, const Timer& timer,
+                                  spgemm::ExecContext* ctx,
+                                  Response* response) {
   response->id = request.id;
   response->tenant = request.tenant;
-  if (Expired(request, options.default_deadline_ms, timer)) {
+  if (Expired(request, options_.default_deadline_ms, timer)) {
     response->status =
         Status::DeadlineExceeded(request.id + " expired on arrival");
     response->wall_ms = timer.Seconds() * 1e3;
@@ -99,8 +113,8 @@ bool AnswerFromCache(const Request& request, const BatchOptions& options,
   }
   // A hit on a measured entry is done: the memo is the measurement
   // SimulatePlan would return for this (plan, device).
-  const auto measurement = cache.FindMeasured(
-      KeyFor(request, request.algorithm, reorganizer_config_fp), ctx);
+  const auto measurement = cache_.FindMeasured(
+      KeyFor(request, request.algorithm, reorganizer_config_fp_), ctx);
   if (measurement == nullptr) return false;
   response->plan_cache_hit = true;
   response->algorithm_used = request.algorithm;
@@ -108,14 +122,33 @@ bool AnswerFromCache(const Request& request, const BatchOptions& options,
   return true;
 }
 
-void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
-                         const AlgorithmEntry& fallback,
-                         spgemm::ExecContext* ctx, Response* response) {
+Response BatchRunner::Run(const Request& request, spgemm::ExecContext* ctx) {
+  Response response;
+  // A request runs every nested ParallelFor (classification, the workload
+  // build) inline on the thread that executes it. Execute already spreads
+  // a batch over the pool, and a direct call, such as a serve worker's,
+  // must not fan its planning out to the shared pool: that pool runs one
+  // top-level job at a time, so the other workers' planning would queue
+  // behind it. A one-chunk ParallelFor marks this thread as in-chunk for
+  // the call.
+  SPNET_CHECK_OK(ParallelFor(0, 1, 1, [&](int64_t, int64_t, int) {
+    RunInline(request, ctx, &response);
+    return Status::Ok();
+  }));
+  return response;
+}
+
+void BatchRunner::RunInline(const Request& request, spgemm::ExecContext* ctx,
+                            Response* response) {
   Timer timer;
-  if (AnswerFromCache(request, options_, reorganizer_config_fp_, *cache_,
-                      timer, ctx, response)) {
+  response->id = request.id;
+  response->tenant = request.tenant;
+  const Status valid = CheckRequest(request);
+  if (!valid.ok()) {
+    response->status = valid;
     return;
   }
+  if (AnswerFromCache(request, timer, ctx, response)) return;
   const auto expired = [&] {
     return Expired(request, options_.default_deadline_ms, timer);
   };
@@ -123,7 +156,10 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
   // Graceful degradation step 1: a request whose algorithm could not be
   // built (unknown name, invalid reorganizer config) runs on the fallback
   // baseline instead of failing.
-  const spgemm::SpGemmAlgorithm* algorithm = primary.algorithm;
+  const AlgorithmEntry& primary = ResolveAlgorithm(request.algorithm);
+  const AlgorithmEntry& fallback =
+      ResolveAlgorithm(options_.fallback_algorithm);
+  const spgemm::SpGemmAlgorithm* algorithm = primary.algorithm.get();
   std::string name = request.algorithm;
   if (algorithm == nullptr) {
     if (fallback.algorithm == nullptr ||
@@ -133,7 +169,7 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
       return;
     }
     response->fallback_used = true;
-    algorithm = fallback.algorithm;
+    algorithm = fallback.algorithm.get();
     name = options_.fallback_algorithm;
   }
 
@@ -143,7 +179,7 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
     key = KeyFor(request, name, reorganizer_config_fp_);
     // A measurement that appeared since AnswerFromCache looked, or one
     // under the fallback's name, is the answer. Anything else plans.
-    const auto measurement = cache_->Find(key, ctx);
+    const auto measurement = cache_.Find(key, ctx);
     if (measurement != nullptr) {
       response->plan_cache_hit = true;
       response->algorithm_used = name;
@@ -171,7 +207,7 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
     if (!response->fallback_used && fallback.algorithm != nullptr &&
         name != options_.fallback_algorithm) {
       response->fallback_used = true;
-      algorithm = fallback.algorithm;
+      algorithm = fallback.algorithm.get();
       name = options_.fallback_algorithm;
       continue;
     }
@@ -196,43 +232,21 @@ void BatchRunner::RunOne(const Request& request, const AlgorithmEntry& primary,
     return;
   }
   FillMeasured(*measured, timer, response);
-  cache_->Insert(key, std::move(measured).value(), ctx);
+  cache_.Insert(key, std::move(measured).value(), ctx);
 }
 
 Result<ExecutionReport> BatchRunner::Execute(
     const std::vector<Request>& requests, spgemm::ExecContext* ctx) {
   metrics::ScopedSpan batch_span(spgemm::TraceOf(ctx), "engine:batch");
   Timer timer;
-  const int64_t hits_before = cache_->hits();
-  const int64_t misses_before = cache_->misses();
-  const int64_t evictions_before = cache_->evictions();
+  const int64_t hits_before = cache_.hits();
+  const int64_t misses_before = cache_.misses();
+  const int64_t evictions_before = cache_.evictions();
 
-  if (cache_->device() != options_.device) {
-    return Status::InvalidArgument(
-        "plan cache serves device '" + cache_->device().name +
-        "' but the runner simulates on '" + options_.device.name + "'");
+  for (const Request& request : requests) {
+    SPNET_RETURN_IF_ERROR(CheckRequest(request));
   }
-  for (size_t i = 0; i < requests.size(); ++i) {
-    SPNET_RETURN_IF_ERROR(
-        ValidateSchemaVersion(requests[i].schema_version));
-    if (requests[i].a == nullptr) {
-      return Status::InvalidArgument("request " + std::to_string(i) + " (" +
-                                     requests[i].id + ") has no A matrix");
-    }
-  }
-  const AlgorithmEntry& fallback =
-      ResolveAlgorithm(options_.fallback_algorithm);
-  if (fallback.algorithm == nullptr) {
-    return Status(fallback.status.code(),
-                  "fallback algorithm '" + options_.fallback_algorithm +
-                      "' cannot be built: " + fallback.status.message());
-  }
-  // Serial prepass: resolve every distinct algorithm once so the parallel
-  // phase only reads the memo maps.
-  std::vector<const AlgorithmEntry*> primaries(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    primaries[i] = &ResolveAlgorithm(requests[i].algorithm);
-  }
+  SPNET_RETURN_IF_ERROR(CheckFallback());
 
   // Fingerprint each distinct matrix once, in parallel — a manifest that
   // repeats one graph N times hashes it once, not N times. The value is
@@ -267,8 +281,7 @@ Result<ExecutionReport> BatchRunner::Execute(
         [&](int64_t begin, int64_t end, int) {
           for (int64_t i = begin; i < end; ++i) {
             const auto idx = static_cast<size_t>(i);
-            RunOne(requests[idx], *primaries[idx], fallback, ctx,
-                   &report.responses[idx]);
+            report.responses[idx] = Run(requests[idx], ctx);
           }
           return Status::Ok();
         }));
@@ -285,9 +298,9 @@ Result<ExecutionReport> BatchRunner::Execute(
     if (r.fallback_used) ++report.fallbacks;
   }
   report.wall_ms = timer.Seconds() * 1e3;
-  report.plan_cache_hits = cache_->hits() - hits_before;
-  report.plan_cache_misses = cache_->misses() - misses_before;
-  report.plan_cache_evictions = cache_->evictions() - evictions_before;
+  report.plan_cache_hits = cache_.hits() - hits_before;
+  report.plan_cache_misses = cache_.misses() - misses_before;
+  report.plan_cache_evictions = cache_.evictions() - evictions_before;
 
   spgemm::AddCounter(ctx, "engine.batch.queries",
                      static_cast<int64_t>(requests.size()));
@@ -298,7 +311,7 @@ Result<ExecutionReport> BatchRunner::Execute(
                      report.deadline_expired);
   spgemm::SetGauge(ctx, "engine.batch.wall_ms", report.wall_ms);
   spgemm::SetGauge(ctx, "engine.plan_cache.size",
-                   static_cast<double>(cache_->size()));
+                   static_cast<double>(cache_.size()));
   return report;
 }
 

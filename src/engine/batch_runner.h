@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "core/reorganizer_config.h"
 #include "engine/plan_cache.h"
@@ -30,10 +32,9 @@ struct ExecutionReport {
   int64_t fallbacks = 0;
   int64_t deadline_expired = 0;
   /// Plan-cache activity attributable to this Execute call (deltas, so
-  /// repeated calls on one runner report per-run numbers). When the cache
-  /// is shared across runners (serve workers), concurrent activity from
-  /// other runners lands in these deltas too — the counters are global to
-  /// the cache, not to the caller.
+  /// repeated calls on one runner report per-run numbers). Run calls that
+  /// other threads make on the same runner meanwhile land in these deltas
+  /// too: the counters belong to the cache, not to the caller.
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   int64_t plan_cache_evictions = 0;
@@ -41,18 +42,7 @@ struct ExecutionReport {
 
 struct BatchOptions {
   /// Max entries kept by the runner's LRU cache; 0 disables caching.
-  /// Ignored when shared_plan_cache is set.
   size_t plan_cache_capacity = 64;
-  /// Lock shards for the runner-owned plan cache (see PlanCache). The
-  /// default of 1 preserves exact global LRU order; the serving layer
-  /// raises it. Ignored when shared_plan_cache is set.
-  size_t plan_cache_shards = 1;
-  /// When set, the runner uses this cache instead of creating its own.
-  /// This is how serve workers — one BatchRunner per worker thread, since
-  /// a runner's algorithm memo is not thread-safe — share one plan cache
-  /// so any worker's planning warms every other worker. Its device() must
-  /// equal `device` below, or Execute returns InvalidArgument.
-  std::shared_ptr<PlanCache> shared_plan_cache;
   /// Algorithm used when a query's own algorithm cannot be built or its
   /// Plan fails (graceful degradation). Must name a registry baseline.
   std::string fallback_algorithm = "outer-product";
@@ -64,90 +54,91 @@ struct BatchOptions {
   double default_deadline_ms = 0.0;
 };
 
-/// Answers `request` from the plan cache alone when it can: the measured-hit
-/// path that BatchRunner runs first for every request and that the serve
-/// layer runs at admission. `timer` started when the request began
-/// executing; `response` gets the request's id and tenant in every case.
-/// Returns true when `response` is final, because the request's deadline
-/// had expired on arrival (DeadlineExceeded, no lookup counted) or because
-/// `cache` holds a measured entry for the request's own algorithm (one hit
-/// counted, the response filled from the memoized measurement). Returns
-/// false, counting no lookup, when the request still has to plan or
-/// simulate. A request whose algorithm cannot be built never has an entry
-/// under its name, so fallback is always left to the caller. `cache` must
-/// serve `options.device`.
-[[nodiscard]] bool AnswerFromCache(const Request& request,
-                                   const BatchOptions& options,
-                                   uint64_t reorganizer_config_fp,
-                                   PlanCache& cache, const Timer& timer,
-                                   spgemm::ExecContext* ctx,
-                                   Response* response);
-
-/// Executes batches of spGEMM requests concurrently over the global
-/// ThreadPool, reusing answers across requests with the same matrix
-/// structure through a PlanCache.
+/// Executes spGEMM requests, reusing answers across requests with the
+/// same matrix structure through the PlanCache it owns.
 ///
-/// Per request: fingerprint both operands (memoized per distinct matrix),
-/// and answer from the cache when AnswerFromCache can. Otherwise plan,
-/// simulate on the configured device, and cache the measurement; the plan
-/// is freed with the request. A request whose algorithm cannot be built or
-/// whose Plan fails is retried with the fallback baseline; a request that
-/// exceeds its deadline reports DeadlineExceeded. Both outcomes land in
-/// that request's Response::status — Execute itself fails only for
-/// malformed input or an unbuildable fallback.
+/// Per request (Run): answer from the cache when AnswerFromCache can.
+/// Otherwise plan, simulate on the configured device, and cache the
+/// measurement; the plan is freed with the request. A request whose
+/// algorithm cannot be built or whose Plan fails is retried with the
+/// fallback baseline; a request that exceeds its deadline reports
+/// DeadlineExceeded. Both outcomes land in that request's
+/// Response::status.
+///
+/// Every member is safe to call from many threads at once: the cache is
+/// thread-safe and the algorithm memo is locked. The serve layer's
+/// workers share one runner this way; Execute spreads a batch over the
+/// global ThreadPool the same way.
 ///
 /// Observability: Execute records engine.batch.* counters and the plan
 /// cache records engine.plan_cache.* counters on the ExecContext's
 /// registry (thread-safe). Trace spans cover the batch stages, not
 /// individual requests — the TraceRecorder is single-threaded by design,
-/// so worker threads do not touch it.
-///
-/// The runner is reusable: consecutive Execute calls share the plan cache,
-/// which is what makes a warm batch fast. Concurrent Execute calls on one
-/// runner are not supported (the algorithm memo mutates between batches);
-/// concurrent runners may share a cache via BatchOptions::shared_plan_cache.
+/// so Run never touches it.
 class BatchRunner {
  public:
-  explicit BatchRunner(BatchOptions options);
+  /// `plan_cache_shards` splits the cache into independently locked LRU
+  /// shards (see PlanCache); 1 keeps exact global LRU order.
+  explicit BatchRunner(BatchOptions options, size_t plan_cache_shards = 1);
 
   /// Executes every request and reports per-request Responses plus
-  /// run-level aggregates. The requests' schema_version must be the one
-  /// this binary speaks, and the plan cache must serve this runner's
-  /// device (InvalidArgument otherwise).
+  /// run-level aggregates. Fails, running nothing, when a request has
+  /// another schema_version or no A operand (InvalidArgument) or when the
+  /// fallback cannot be built.
+  /// Consecutive calls share the plan cache, which is what makes a warm
+  /// batch fast.
   [[nodiscard]] Result<ExecutionReport> Execute(
       const std::vector<Request>& requests,
       spgemm::ExecContext* ctx = nullptr);
 
-  PlanCache& plan_cache() { return *cache_; }
-  /// The runner's cache in shareable form, for wiring additional runners
-  /// onto the same cache.
-  const std::shared_ptr<PlanCache>& shared_plan_cache() const {
-    return cache_;
-  }
-  const BatchOptions& options() const { return options_; }
+  /// Executes one request on the calling thread. A malformed request and
+  /// an unbuildable fallback fail only this request's Response.
+  Response Run(const Request& request, spgemm::ExecContext* ctx = nullptr);
+
+  /// Answers `request` from the plan cache alone when it can: the path Run
+  /// takes first and the serve layer takes at admission. `timer` started
+  /// when the request began executing; `response` gets the request's id
+  /// and tenant in every case. Returns true when `response` is final,
+  /// because the request's deadline had expired on arrival
+  /// (DeadlineExceeded, no lookup counted) or because the cache holds a
+  /// measured entry for the request's own algorithm (one hit counted, the
+  /// response filled from the memoized measurement). Returns false,
+  /// counting no lookup, when the request still has to plan or simulate.
+  /// A request whose algorithm cannot be built never has an entry under
+  /// its name, so fallback is always left to Run.
+  [[nodiscard]] bool AnswerFromCache(const Request& request,
+                                     const Timer& timer,
+                                     spgemm::ExecContext* ctx,
+                                     Response* response);
+
+  /// OK when the fallback algorithm can be built; otherwise the error
+  /// Execute fails with.
+  [[nodiscard]] Status CheckFallback();
+
+  PlanCache& plan_cache() { return cache_; }
 
  private:
-  /// Resolved (and memoized) algorithm instance, or the creation error.
+  /// A created algorithm, or the error its creation returned.
   struct AlgorithmEntry {
-    const spgemm::SpGemmAlgorithm* algorithm = nullptr;
+    std::unique_ptr<spgemm::SpGemmAlgorithm> algorithm;
     Status status;
   };
 
-  /// Looks up / creates the named algorithm. Serial-phase only.
-  const AlgorithmEntry& ResolveAlgorithm(const std::string& name);
+  /// The memoized entry for `name`, created on first use. Entries are
+  /// never changed or erased, and std::map nodes do not move, so the
+  /// reference stays valid after the lock is released.
+  const AlgorithmEntry& ResolveAlgorithm(const std::string& name)
+      EXCLUDES(mu_);
 
-  void RunOne(const Request& request, const AlgorithmEntry& primary,
-              const AlgorithmEntry& fallback, spgemm::ExecContext* ctx,
-              Response* response);
+  /// Run's body; Run supplies the in-chunk marking.
+  void RunInline(const Request& request, spgemm::ExecContext* ctx,
+                 Response* response);
 
-  BatchOptions options_;
-  uint64_t reorganizer_config_fp_ = 0;
-  std::shared_ptr<PlanCache> cache_;
-  /// Memoized algorithm instances, keyed by name. Mutated only between
-  /// batches (ResolveAlgorithm runs before the parallel phase), read-only
-  /// while workers are in flight.
-  std::map<std::string, std::unique_ptr<spgemm::SpGemmAlgorithm>> instances_;
-  std::map<std::string, AlgorithmEntry> resolved_;
+  const BatchOptions options_;
+  const uint64_t reorganizer_config_fp_;
+  PlanCache cache_;
+  Mutex mu_;
+  std::map<std::string, AlgorithmEntry> algorithms_ GUARDED_BY(mu_);
 };
 
 }  // namespace engine

@@ -16,8 +16,7 @@ size_t PlanKeyHash::operator()(const PlanKey& k) const {
   return static_cast<size_t>(h);
 }
 
-PlanCache::PlanCache(size_t capacity, size_t shards, gpusim::DeviceSpec device)
-    : capacity_(capacity), device_(std::move(device)) {
+PlanCache::PlanCache(size_t capacity, size_t shards) : capacity_(capacity) {
   if (shards < 1) shards = 1;
   if (capacity > 0 && shards > capacity) shards = capacity;
   if (capacity == 0) shards = 1;  // a single empty shard keeps paths uniform
@@ -115,14 +114,6 @@ void PlanCache::Admit(const PlanKey& key, const Value& value,
   }
   shard.lru.emplace_front(key, value);
   shard.index.emplace(key, shard.lru.begin());
-}
-
-void PlanCache::Clear() {
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
 }
 
 size_t PlanCache::size() const {

@@ -12,7 +12,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "gpusim/device_spec.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/plan.h"
 
@@ -24,10 +23,9 @@ namespace engine {
 /// only), the algorithm name, and the fingerprint of the algorithm's
 /// configuration (ReorganizerConfig::Fingerprint for the reorganizer, 0 for
 /// the config-free baselines). Cached measurements also depend on the
-/// DeviceSpec, which is deliberately not part of the key: each PlanCache
-/// records the one device it serves (PlanCache::device), and
-/// BatchRunner::Execute refuses a shared cache built for another device,
-/// because a hit would otherwise return another device's simulated time.
+/// DeviceSpec, which is deliberately not part of the key: a PlanCache
+/// belongs to the one BatchRunner that fills it, and that runner simulates
+/// on one device.
 struct PlanKey {
   uint64_t fp_a = 0;
   uint64_t fp_b = 0;
@@ -44,13 +42,13 @@ struct PlanKeyHash {
   size_t operator()(const PlanKey& k) const;
 };
 
-/// Thread-safe LRU cache of planning answers for one device. Repeated
-/// queries over the same matrix structure skip the whole Block Reorganizer
-/// planning pipeline (classification, B-Splitting, B-Gathering,
-/// B-Limiting) and the simulation after it: simulation is a pure function
-/// of (plan, device), so an entry keeps only the plan's SpGemmMeasurement,
-/// and the plan, whose block descriptors are most of its bytes, is freed
-/// with the request that built it.
+/// Thread-safe LRU cache of planning answers, owned by one BatchRunner.
+/// Repeated queries over the same matrix structure skip the whole Block
+/// Reorganizer planning pipeline (classification, B-Splitting,
+/// B-Gathering, B-Limiting) and the simulation after it: simulation is a
+/// pure function of (plan, device), so an entry keeps only the plan's
+/// SpGemmMeasurement, and the plan, whose block descriptors are most of its
+/// bytes, is freed with the request that built it.
 ///
 /// Sharding: the capacity can be split across `shards` independent LRU
 /// shards, each with its own mutex, selected by the key's hash. Under
@@ -80,10 +78,8 @@ class PlanCache {
   /// disables caching (every lookup misses, Insert is a no-op). `shards`
   /// is clamped to [1, capacity] so every shard owns at least one entry;
   /// the per-shard capacity is capacity/shards with the remainder spread
-  /// over the first shards. `device` is the device every cached
-  /// measurement was taken on.
-  explicit PlanCache(size_t capacity, size_t shards = 1,
-                     gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp());
+  /// over the first shards.
+  explicit PlanCache(size_t capacity, size_t shards = 1);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -100,8 +96,8 @@ class PlanCache {
       const PlanKey& key, spgemm::ExecContext* ctx = nullptr);
 
   /// Inserts (or replaces) the measured entry for `key`: the `measurement`
-  /// of its plan on device(). Evicts the shard's least-recently-used entry
-  /// when the shard is full.
+  /// of its plan on the owning runner's device. Evicts the shard's
+  /// least-recently-used entry when the shard is full.
   void Insert(const PlanKey& key, spgemm::SpGemmMeasurement measurement,
               spgemm::ExecContext* ctx = nullptr);
 
@@ -119,8 +115,6 @@ class PlanCache {
       const PlanKey& key, spgemm::SpGemmPlan plan,
       spgemm::ExecContext* ctx = nullptr);
 
-  void Clear();
-
   size_t capacity() const { return capacity_; }
   size_t shards() const { return shards_.size(); }
   /// Entries currently cached, summed over all shards.
@@ -131,7 +125,6 @@ class PlanCache {
   int64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  const gpusim::DeviceSpec& device() const { return device_; }
 
  private:
   /// A measured entry holds only its measurement; a plan-only entry, made
@@ -166,7 +159,6 @@ class PlanCache {
              spgemm::ExecContext* ctx);
 
   const size_t capacity_;
-  const gpusim::DeviceSpec device_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<int64_t> hits_{0};

@@ -10,30 +10,25 @@ namespace serve {
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      plan_cache_(options_.engine.shared_plan_cache != nullptr
-                      ? options_.engine.shared_plan_cache
-                      : std::make_shared<engine::PlanCache>(
-                            options_.engine.plan_cache_capacity,
-                            options_.plan_cache_shards,
-                            options_.engine.device)),
-      answers_at_admission_(plan_cache_->device() == options_.engine.device),
-      reorganizer_config_fp_(options_.engine.reorganizer_config.Fingerprint()),
+      runner_(options_.engine, options_.plan_cache_shards),
       store_(options_.store),
       queue_(options_.queue_capacity),
-      other_tenants_("other", options_.default_quota) {
-  // Every worker's runner joins the server-wide cache, so one worker's
-  // planning warms all of them.
-  options_.engine.shared_plan_cache = plan_cache_;
-}
+      other_tenants_("other", options_.default_quota) {}
 
 Server::~Server() { Drain(); }
 
 Status Server::Start() {
-  if (started_.exchange(true)) {
+  if (started_.load()) {
     return Status::FailedPrecondition("Server::Start called twice");
   }
+  // Checked before started_ is set, so a server that cannot run admits
+  // nothing instead of queueing requests no worker will take.
+  SPNET_RETURN_IF_ERROR(runner_.CheckFallback());
   for (const std::string& source : options_.pinned_sources) {
     SPNET_RETURN_IF_ERROR(store_.Pin(source));
+  }
+  if (started_.exchange(true)) {
+    return Status::FailedPrecondition("Server::Start called twice");
   }
   const int count = options_.workers < 1 ? 1 : options_.workers;
   registry_.SetGauge("serve.workers", static_cast<double>(count));
@@ -111,10 +106,7 @@ Status Server::Submit(engine::Request request, Callback done) {
   // A measured hit is answered here, on the submitting thread: queueing it
   // would only add a worker's wake-up to a lookup.
   engine::Response answer;
-  if (answers_at_admission_ &&
-      engine::AnswerFromCache(job.request, options_.engine,
-                              reorganizer_config_fp_, *plan_cache_, Timer(),
-                              nullptr, &answer)) {
+  if (runner_.AnswerFromCache(job.request, Timer(), nullptr, &answer)) {
     registry_.AddCounter("serve.admitted", 1);
     registry_.AddCounter("serve.tenant." + state.label + ".admitted", 1);
     registry_.AddCounter("serve.answered_at_admission", 1);
@@ -167,33 +159,14 @@ Status Server::SubmitWire(const WireRequest& wire, Callback done) {
 }
 
 void Server::WorkerLoop() {
-  // One runner per worker: the runner's algorithm memo is mutated by
-  // Execute's serial prepass and is not thread-safe; the plan cache the
-  // runners share is.
-  engine::BatchRunner runner(options_.engine);
   Job job;
   while (queue_.Pop(&job)) {
     registry_.SetGauge("serve.queue_depth",
                        static_cast<double>(queue_.size()));
     const double popped_s = clock_.Seconds();
-
     // Workers pass a null ExecContext: its TraceRecorder is
     // single-threaded, and the serve metrics live in registry_.
-    std::vector<engine::Request> batch;
-    batch.push_back(std::move(job.request));
-    auto executed = runner.Execute(batch, nullptr);
-
-    engine::Response response;
-    if (executed.ok() && !executed->responses.empty()) {
-      response = std::move(executed->responses.front());
-    } else {
-      response.id = batch.front().id;
-      response.tenant = batch.front().tenant;
-      response.status = executed.ok()
-                            ? Status::Internal("empty execution report")
-                            : executed.status();
-    }
-    Finish(job, response, popped_s);
+    Finish(job, runner_.Run(job.request, nullptr), popped_s);
     job = Job();  // release the callback/matrix before blocking in Pop
   }
 }
@@ -271,12 +244,12 @@ std::string Server::StatsJson() {
   }
   w.EndObject();
   w.Key("plan_cache").BeginObject();
-  w.Key("capacity").Int(static_cast<int64_t>(plan_cache_->capacity()));
-  w.Key("shards").Int(static_cast<int64_t>(plan_cache_->shards()));
-  w.Key("size").Int(static_cast<int64_t>(plan_cache_->size()));
-  w.Key("hits").Int(plan_cache_->hits());
-  w.Key("misses").Int(plan_cache_->misses());
-  w.Key("evictions").Int(plan_cache_->evictions());
+  w.Key("capacity").Int(static_cast<int64_t>(plan_cache().capacity()));
+  w.Key("shards").Int(static_cast<int64_t>(plan_cache().shards()));
+  w.Key("size").Int(static_cast<int64_t>(plan_cache().size()));
+  w.Key("hits").Int(plan_cache().hits());
+  w.Key("misses").Int(plan_cache().misses());
+  w.Key("evictions").Int(plan_cache().evictions());
   w.EndObject();
   w.Key("matrix_store").BeginObject();
   w.Key("resident").Int(static_cast<int64_t>(store_.size()));

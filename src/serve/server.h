@@ -41,9 +41,8 @@ struct TenantQuota {
 inline constexpr size_t kMaxTrackedTenants = 64;
 
 struct ServeOptions {
-  /// Worker threads executing requests. Each worker owns a private
-  /// BatchRunner (a runner's algorithm memo is not thread-safe); all
-  /// runners share one plan cache.
+  /// Worker threads executing requests. They all call the server's one
+  /// BatchRunner, so any worker's planning warms every other worker.
   int workers = 2;
   /// Admission-control bound: requests beyond this many queued are
   /// rejected with kResourceExhausted instead of queued.
@@ -52,13 +51,11 @@ struct ServeOptions {
   TenantQuota default_quota;
   std::map<std::string, TenantQuota> tenant_quotas;
   /// Engine knobs (fallback algorithm, device, default deadline, plan
-  /// cache capacity). plan_cache_shards below overrides the engine's
-  /// shard knob; shared_plan_cache must be unset (the server wires its
-  /// own).
+  /// cache capacity). An unbuildable fallback fails Start().
   engine::BatchOptions engine;
-  /// Lock shards of the shared plan cache. Serving traffic hits the cache
-  /// from every worker at once, so the default trades exact global LRU
-  /// for 8-way reduced contention.
+  /// Lock shards of the runner's plan cache. Serving traffic hits the
+  /// cache from every worker at once, so the default trades exact global
+  /// LRU for 8-way reduced contention.
   size_t plan_cache_shards = 8;
   /// Matrix resolution (dataset scale/seed/cache + resident LRU bound).
   MatrixStore::Options store;
@@ -86,7 +83,7 @@ struct ServeOptions {
 /// transports turn the status into an error response line themselves.
 ///
 /// An admitted request whose plan cache entry is already measured (see
-/// engine::AnswerFromCache) is answered before Submit returns: its
+/// engine::BatchRunner::AnswerFromCache) is answered before Submit returns: its
 /// callback runs on the submitting thread, and it waits behind no queued
 /// work of any priority. Every other admitted request is queued with its
 /// Request::priority (higher drains first, FIFO within a class) and
@@ -114,7 +111,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Pins hot sources and starts the worker threads. Call exactly once.
+  /// Checks that the engine's fallback algorithm can be built, pins hot
+  /// sources and starts the worker threads. Call exactly once.
   [[nodiscard]] Status Start();
 
   /// Admission control, then an answer at admission or an enqueue (see
@@ -144,7 +142,7 @@ class Server {
   int64_t in_flight() const { return in_flight_.load(); }
 
   MatrixStore& matrix_store() { return store_; }
-  engine::PlanCache& plan_cache() { return *plan_cache_; }
+  engine::PlanCache& plan_cache() { return runner_.plan_cache(); }
   metrics::Registry& registry() { return registry_; }
   const ServeOptions& options() const { return options_; }
 
@@ -188,11 +186,8 @@ class Server {
   void CountRejection(const std::string& reason, const std::string& tenant);
 
   ServeOptions options_;
-  std::shared_ptr<engine::PlanCache> plan_cache_;
-  /// False only when a caller-provided cache serves another device than
-  /// the engine simulates on: its entries must not answer requests.
-  const bool answers_at_admission_;
-  const uint64_t reorganizer_config_fp_;
+  /// Shared by every worker and by Submit's answers at admission.
+  engine::BatchRunner runner_;
   MatrixStore store_;
   metrics::Registry registry_;
   /// Process-lifetime monotonic clock: token-bucket refill timestamps and

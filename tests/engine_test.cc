@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -387,13 +388,6 @@ TEST(PlanCacheTest, FindMeasuredCountsAndRefreshesOnlyMeasuredHits) {
   EXPECT_EQ(cache.evictions(), 1);
 }
 
-TEST(PlanCacheTest, RecordsItsDevice) {
-  EXPECT_EQ(PlanCache(1).device(), gpusim::DeviceSpec::TitanXp());
-  const PlanCache v100(1, 1, gpusim::DeviceSpec::TeslaV100());
-  EXPECT_EQ(v100.device(), gpusim::DeviceSpec::TeslaV100());
-  EXPECT_NE(v100.device(), gpusim::DeviceSpec::TitanXp());
-}
-
 TEST(PlanCacheTest, SingleShardKeepsExactGlobalLru) {
   // The default shard count must preserve the exact global LRU order the
   // legacy tests (LruEvictionOrder above) rely on.
@@ -692,13 +686,10 @@ TEST(BatchRunnerTest, HitResponseIsBitEqualToMissAndDirectSimulation) {
 
 TEST(BatchRunnerTest, AnswerFromCacheAnswersOnlyMeasuredHits) {
   const auto m = SharedSkewed(200, 64, 3);
-  const BatchOptions options;
-  BatchRunner runner(options);
+  BatchRunner runner(BatchOptions{});
   PlanCache& cache = runner.plan_cache();
-  const uint64_t config_fp = options.reorganizer_config.Fingerprint();
   const auto answer = [&](const Request& request, Response* response) {
-    return AnswerFromCache(request, options, config_fp, cache, Timer(),
-                           nullptr, response);
+    return runner.AnswerFromCache(request, Timer(), nullptr, response);
   };
 
   // Cold: nothing to answer from, and no lookup counted.
@@ -792,15 +783,15 @@ TEST(BatchRunnerTest, PlanOnlyEntryIsPlannedLikeAMiss) {
   InjectorGuard guard;
   const auto m = SharedSkewed(150, 48, 5);
   BatchOptions options;
-  options.shared_plan_cache = std::make_shared<PlanCache>(8);
+  options.plan_cache_capacity = 8;
   auto cold = BatchRunner(options).Execute({SingleRequest(m, "q")});
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(cold->responses[0].status.ok());
 
   // A plan-only entry (only perfbench's traced replay makes them) carries
   // no answer, so the request plans and simulates as on a miss.
-  auto cache = std::make_shared<PlanCache>(8);
-  options.shared_plan_cache = cache;
+  BatchRunner runner(options);
+  PlanCache& cache = runner.plan_cache();
   auto algorithm = core::MakeBlockReorganizer(options.reorganizer_config);
   ASSERT_TRUE(algorithm.ok());
   auto plan = (*algorithm)->Plan(*m, *m, options.device);
@@ -808,10 +799,10 @@ TEST(BatchRunnerTest, PlanOnlyEntryIsPlannedLikeAMiss) {
   const uint64_t fp = StructuralFingerprint(*m);
   const PlanKey key{fp, fp, "reorganizer",
                     options.reorganizer_config.Fingerprint()};
-  cache->Insert(key, std::move(plan).value());
+  cache.Insert(key, std::move(plan).value());
 
   CountSimulations();
-  auto report = BatchRunner(options).Execute({SingleRequest(m, "q")});
+  auto report = runner.Execute({SingleRequest(m, "q")});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(Simulations(), 1);
   ExpectSameResponse(report->responses[0], cold->responses[0]);
@@ -820,10 +811,78 @@ TEST(BatchRunnerTest, PlanOnlyEntryIsPlannedLikeAMiss) {
   EXPECT_EQ(report->plan_cache_misses, 1);
 
   // The measurement replaced the plan-only entry.
-  EXPECT_EQ(cache->Lookup(key), nullptr);
-  const auto measurement = cache->Find(key);
+  EXPECT_EQ(cache.Lookup(key), nullptr);
+  const auto measurement = cache.Find(key);
   ASSERT_NE(measurement, nullptr);
   EXPECT_EQ(measurement->flops, cold->responses[0].flops);
+}
+
+TEST(BatchRunnerTest, ConcurrentRunsAnswerLikeASerialRun) {
+  // Misses on keys no other request shares, hits on two warmed keys, a
+  // fallback and a request born expired: every outcome is fixed by the
+  // request alone, so four threads on one runner must answer like one.
+  // The four threads start on misses, so they resolve algorithms at once.
+  std::vector<std::shared_ptr<const CsrMatrix>> operands;
+  for (uint64_t seed = 3; seed < 7; ++seed) {
+    operands.push_back(SharedSkewed(150, 48, seed));
+  }
+  std::vector<Request> requests;
+  for (size_t k = 2; k < operands.size(); ++k) {
+    requests.push_back(SingleRequest(operands[k], Numbered("reorg", k)));
+    requests.push_back(
+        SingleRequest(operands[k], Numbered("row", k), "row-product"));
+  }
+  for (int i = 0; i < 12; ++i) {
+    requests.push_back(SingleRequest(operands[i % 2], Numbered("hit", i)));
+  }
+  requests.push_back(SingleRequest(operands[0], "row0", "row-product"));
+  requests.push_back(
+      SingleRequest(operands[1], "fallback", "no-such-algorithm"));
+  requests.push_back(SingleRequest(operands[0], "late"));
+  requests.back().deadline_ms = 0.0;
+
+  const auto warm = [&](BatchRunner& runner) {
+    for (int i = 0; i < 2; ++i) {
+      const Response r = runner.Run(SingleRequest(operands[i], "warmup"));
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    }
+  };
+  BatchRunner serial(BatchOptions{});
+  warm(serial);
+  std::vector<Response> want;
+  for (const Request& request : requests) want.push_back(serial.Run(request));
+
+  SetGlobalThreadCount(4);
+  BatchRunner shared(BatchOptions{});
+  warm(shared);
+  const int64_t pool_jobs = GlobalThreadPool().stats().parallel_jobs;
+  std::vector<Response> got(requests.size());
+  std::vector<std::thread> threads;
+  std::atomic<int> starting{4};
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      starting.fetch_sub(1);
+      while (starting.load() > 0) std::this_thread::yield();
+      for (size_t i = t; i < requests.size(); i += 4) {
+        got[i] = shared.Run(requests[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // Each Run planned inline on its own thread.
+  EXPECT_EQ(GlobalThreadPool().stats().parallel_jobs, pool_jobs);
+  SetGlobalThreadCount(0);
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ExpectSameResponse(got[i], want[i]);
+  }
+  EXPECT_FALSE(want[0].plan_cache_hit);
+  EXPECT_TRUE(want[4].plan_cache_hit);
+  EXPECT_TRUE(want[want.size() - 2].fallback_used);
+  EXPECT_EQ(want.back().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(shared.plan_cache().hits(), serial.plan_cache().hits());
+  EXPECT_EQ(shared.plan_cache().misses(), serial.plan_cache().misses());
+  EXPECT_EQ(shared.plan_cache().size(), serial.plan_cache().size());
 }
 
 /// The row product with a Plan that first sleeps kPlanMs.
@@ -936,26 +995,6 @@ TEST(BatchRunnerTest, MeasuredEntriesOfServeSizedPlansHoldNoPlan) {
   }
 }
 
-TEST(BatchRunnerTest, SharedCacheOfAnotherDeviceIsInvalidArgument) {
-  const auto m = SharedSkewed(64, 16, 3);
-  BatchOptions options;
-  options.device = gpusim::DeviceSpec::TeslaV100();
-  options.shared_plan_cache =
-      std::make_shared<PlanCache>(8, 1, gpusim::DeviceSpec::TitanXp());
-  BatchRunner runner(options);
-  auto report = runner.Execute({SingleRequest(m, "q")});
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(options.shared_plan_cache->size(), 0u);
-
-  // A runner that owns its cache binds it to its own device.
-  BatchOptions owned;
-  owned.device = gpusim::DeviceSpec::TeslaV100();
-  BatchRunner owner(owned);
-  EXPECT_EQ(owner.plan_cache().device(), gpusim::DeviceSpec::TeslaV100());
-  EXPECT_TRUE(owner.Execute({SingleRequest(m, "q")}).ok());
-}
-
 TEST(BatchRunnerTest, InvalidReorganizerConfigFallsBackToBaseline) {
   const auto m = SharedSkewed(150, 48, 5);
   BatchOptions options;
@@ -993,8 +1032,13 @@ TEST(BatchRunnerTest, UnbuildableFallbackFailsTheRun) {
   BatchOptions options;
   options.fallback_algorithm = "no-such-algorithm";
   BatchRunner runner(options);
+  EXPECT_FALSE(runner.CheckFallback().ok());
   auto report = runner.Execute(RepeatedRequests(m, 1, "reorganizer"));
   EXPECT_FALSE(report.ok());
+  // A single Run fails only when it needs the fallback.
+  EXPECT_TRUE(runner.Run(SingleRequest(m, "q")).status.ok());
+  EXPECT_EQ(runner.Run(SingleRequest(m, "q", "other-missing")).status.code(),
+            StatusCode::kNotFound);
 }
 
 TEST(BatchRunnerTest, EmptyBatchIsOk) {
@@ -1012,6 +1056,9 @@ TEST(BatchRunnerTest, MissingMatrixIsInvalidArgument) {
   auto report = runner.Execute({request});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  const Response response = runner.Run(request);
+  EXPECT_EQ(response.id, "no-matrix");
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------------- manifest

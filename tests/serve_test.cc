@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/bounded_queue.h"
 #include "common/logging.h"
 #include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/token_bucket.h"
 #include "engine/request.h"
 #include "metrics/registry.h"
@@ -678,6 +681,86 @@ TEST(ServerTest, UnknownSourceIsRejectedAtSubmit) {
   ASSERT_FALSE(s.ok());
   server.Drain();
   EXPECT_EQ(server.registry().Snapshot().at("serve.rejected.source"), 1);
+}
+
+TEST(ServerTest, LyingMatrixMarketHeaderIsRejectedAtSubmit) {
+  // Three lines whose header declares four billion entries: the loader
+  // must refuse it before allocating, and the server keeps serving.
+  const std::string path = ::testing::TempDir() + "/lying_header.mtx";
+  {
+    std::ofstream out(path);
+    out << "%%MatrixMarket matrix coordinate real general\n"
+           "3 3 4000000000\n"
+           "1 1 1.0\n";
+  }
+  Server server(SmallServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  ResponseLog log;
+  WireRequest lying = SmallWire("lying");
+  lying.source = path;
+  const Status rejected = server.SubmitWire(lying, log.Sink());
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
+      << rejected.ToString();
+  ASSERT_TRUE(server.SubmitWire(SmallWire("good"), log.Sink()).ok());
+  log.WaitFor(1);
+  server.Drain();
+  std::remove(path.c_str());
+
+  const auto responses = log.Take();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].id, "good");
+  EXPECT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  const auto snapshot = server.registry().Snapshot();
+  EXPECT_EQ(snapshot.at("serve.rejected.source"), 1);
+  EXPECT_EQ(snapshot.at("serve.completed"), 1);
+}
+
+TEST(ServerTest, ColdRequestsPlanInlineOnTheirWorker) {
+  // A worker runs every nested ParallelFor of its request inline: fanned
+  // out to the global pool, which runs one top-level job at a time, each
+  // worker's planning would queue behind the others'.
+  SetGlobalThreadCount(4);
+  {
+    ServeOptions options = SmallServerOptions();
+    options.queue_capacity = 64;
+    Server server(options);
+    ASSERT_TRUE(server.Start().ok());
+    std::vector<engine::Request> requests;
+    for (const char* source : {"as-caida", "emailEnron"}) {
+      for (const char* algorithm : {"reorganizer", "row-product"}) {
+        requests.push_back(StoreRequest(
+            server, std::string(source) + "/" + algorithm, "default", source));
+        requests.back().algorithm = algorithm;
+      }
+    }
+    const int64_t pool_jobs = GlobalThreadPool().stats().parallel_jobs;
+    ResponseLog log;
+    for (engine::Request& request : requests) {
+      ASSERT_TRUE(server.Submit(std::move(request), log.Sink()).ok());
+    }
+    log.WaitFor(4);
+    server.Drain();
+    EXPECT_EQ(GlobalThreadPool().stats().parallel_jobs, pool_jobs);
+    for (const engine::Response& r : log.Take()) {
+      EXPECT_TRUE(r.status.ok()) << r.id << ": " << r.status.ToString();
+      EXPECT_FALSE(r.plan_cache_hit) << r.id;
+    }
+  }
+  SetGlobalThreadCount(0);
+}
+
+TEST(ServerTest, UnbuildableFallbackFailsStart) {
+  ServeOptions options = SmallServerOptions();
+  options.engine.fallback_algorithm = "no-such-algorithm";
+  Server server(options);
+  const Status started = server.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_NE(started.message().find("no-such-algorithm"), std::string::npos)
+      << started.ToString();
+  // A server that failed to start admits nothing.
+  ResponseLog log;
+  EXPECT_EQ(server.SubmitWire(SmallWire("q"), log.Sink()).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ServerTest, SubmitBeforeStartFailsAndStartPinsSources) {
