@@ -15,8 +15,10 @@ namespace datasets {
 using sparse::CooMatrix;
 using sparse::CsrMatrix;
 using sparse::Index;
+using sparse::IndexArray;
 using sparse::Offset;
 using sparse::Value;
+using sparse::ValueArray;
 
 namespace {
 
@@ -180,8 +182,8 @@ Result<CsrMatrix> GeneratePowerLaw(const PowerLawParams& p) {
   for (size_t r = 0; r < static_cast<size_t>(p.rows); ++r) {
     ptr[r + 1] += ptr[r];
   }
-  std::vector<Index> indices(static_cast<size_t>(ptr.back()));
-  std::vector<Value> values(indices.size());
+  IndexArray indices(static_cast<size_t>(ptr.back()));
+  ValueArray values(indices.size());
   // stamp[c] == r: column c is already in row r. Each row is drawn once,
   // so the stamps never need clearing.
   std::vector<Index> stamp(static_cast<size_t>(p.cols), -1);
@@ -245,8 +247,8 @@ Result<CsrMatrix> GenerateQuasiRegular(const QuasiRegularParams& p) {
   // Rows are drawn in order, and a row may stop short of its degree when
   // its attempts run out, so each row is appended after the last.
   std::vector<Offset> ptr(static_cast<size_t>(p.n) + 1, 0);
-  std::vector<Index> indices;
-  std::vector<Value> values;
+  IndexArray indices;
+  ValueArray values;
   indices.reserve(static_cast<size_t>(p.nnz));
   values.reserve(static_cast<size_t>(p.nnz));
   // stamp[c] == r: column c is already in row r (rows are drawn once).

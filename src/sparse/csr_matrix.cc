@@ -13,6 +13,15 @@
 namespace spnet {
 namespace sparse {
 
+namespace {
+
+void ReleaseUnusedTails(const IndexArray& indices, const ValueArray& values) {
+  ReleaseUnusedTail(indices);
+  ReleaseUnusedTail(values);
+}
+
+}  // namespace
+
 CsrMatrix::CsrMatrix(const CsrMatrix& other)
     : rows_(other.rows_),
       cols_(other.cols_),
@@ -58,13 +67,14 @@ Result<CsrMatrix> CsrMatrix::FromCoo(const CooMatrix& coo) {
   }
   m.indices_.assign(ci.begin(), ci.end());
   m.values_.assign(vv.begin(), vv.end());
+  ReleaseUnusedTails(m.indices_, m.values_);
   return m;
 }
 
 Result<CsrMatrix> CsrMatrix::FromParts(Index rows, Index cols,
                                        std::vector<Offset> ptr,
-                                       std::vector<Index> indices,
-                                       std::vector<Value> values) {
+                                       IndexArray indices,
+                                       ValueArray values) {
   CsrMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
@@ -72,6 +82,7 @@ Result<CsrMatrix> CsrMatrix::FromParts(Index rows, Index cols,
   m.indices_ = std::move(indices);
   m.values_ = std::move(values);
   SPNET_RETURN_IF_ERROR(m.Validate());
+  ReleaseUnusedTails(m.indices_, m.values_);
   return m;
 }
 
@@ -101,6 +112,7 @@ CsrMatrix CsrMatrix::Transpose() const {
         t.values_[static_cast<size_t>(slot)] = values_[static_cast<size_t>(k)];
       }
     }
+    ReleaseUnusedTails(t.indices_, t.values_);
     return t;
   }
 
@@ -161,6 +173,7 @@ CsrMatrix CsrMatrix::Transpose() const {
                      }
                      return Status::Ok();
                    }));
+  ReleaseUnusedTails(t.indices_, t.values_);
   return t;
 }
 

@@ -40,19 +40,19 @@ class CsrMatrix {
   /// Builds from COO; duplicate entries are summed. O(nnz log nnz).
   static Result<CsrMatrix> FromCoo(const CooMatrix& coo);
 
-  /// Builds directly from parts. Validates the invariants.
+  /// Builds directly from parts, taking the arrays over without a copy.
+  /// Validates the invariants.
   static Result<CsrMatrix> FromParts(Index rows, Index cols,
                                      std::vector<Offset> ptr,
-                                     std::vector<Index> indices,
-                                     std::vector<Value> values);
+                                     IndexArray indices, ValueArray values);
 
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
   Offset nnz() const { return ptr_.empty() ? 0 : ptr_.back(); }
 
   const std::vector<Offset>& ptr() const { return ptr_; }
-  const std::vector<Index>& indices() const { return indices_; }
-  const std::vector<Value>& values() const { return values_; }
+  const IndexArray& indices() const { return indices_; }
+  const ValueArray& values() const { return values_; }
 
   /// Number of nonzeros in row r.
   Offset RowNnz(Index r) const { return ptr_[r + 1] - ptr_[r]; }
@@ -92,8 +92,8 @@ class CsrMatrix {
   Index rows_ = 0;
   Index cols_ = 0;
   std::vector<Offset> ptr_;
-  std::vector<Index> indices_;
-  std::vector<Value> values_;
+  IndexArray indices_;
+  ValueArray values_;
   // StructuralFingerprint's memo; 0 means "not computed yet". Relaxed
   // loads and stores suffice because every racing writer stores the same
   // value. Any member that changes the structure in place (today only
@@ -122,8 +122,8 @@ class CscMatrix {
   SpanView Col(Index c) const { return t_.Row(c); }
 
   const std::vector<Offset>& ptr() const { return t_.ptr(); }
-  const std::vector<Index>& indices() const { return t_.indices(); }
-  const std::vector<Value>& values() const { return t_.values(); }
+  const IndexArray& indices() const { return t_.indices(); }
+  const ValueArray& values() const { return t_.values(); }
 
  private:
   Index rows_ = 0;

@@ -44,8 +44,8 @@ constexpr uint64_t Avalanche(uint64_t h) {
 /// its elements as 64-bit words over four independent lanes, so the
 /// multiply chains overlap. Hashing values, not memory, keeps the result
 /// independent of host endianness and of the element type's layout.
-template <typename T>
-uint64_t MixArray(uint64_t h, const std::vector<T>& values) {
+template <typename T, typename Alloc>
+uint64_t MixArray(uint64_t h, const std::vector<T, Alloc>& values) {
   const size_t n = values.size();
   h = Mix(h, static_cast<uint64_t>(n));
   uint64_t lane0 = h + kPrime1 + kPrime2;

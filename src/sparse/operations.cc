@@ -46,8 +46,8 @@ Result<CsrMatrix> PermuteRows(const CsrMatrix& m,
   for (size_t i = 0; i < rows; ++i) {
     ptr[i + 1] = ptr[i] + m.RowNnz(new_to_old[i]);
   }
-  std::vector<Index> indices(static_cast<size_t>(m.nnz()));
-  std::vector<Value> values(static_cast<size_t>(m.nnz()));
+  IndexArray indices(static_cast<size_t>(m.nnz()));
+  ValueArray values(static_cast<size_t>(m.nnz()));
   for (size_t i = 0; i < rows; ++i) {
     const SpanView row = m.Row(new_to_old[i]);
     const size_t out = static_cast<size_t>(ptr[i]);
@@ -63,8 +63,8 @@ Result<CsrMatrix> PermuteCols(const CsrMatrix& m,
   SPNET_ASSIGN_OR_RETURN(const std::vector<Index> old_to_new,
                          InvertPermutation(new_to_old, m.cols()));
   std::vector<Offset> ptr = m.ptr();
-  std::vector<Index> indices(static_cast<size_t>(m.nnz()));
-  std::vector<Value> values(static_cast<size_t>(m.nnz()));
+  IndexArray indices(static_cast<size_t>(m.nnz()));
+  ValueArray values(static_cast<size_t>(m.nnz()));
   std::vector<std::pair<Index, Value>> buf;
   for (Index r = 0; r < m.rows(); ++r) {
     const SpanView row = m.Row(r);

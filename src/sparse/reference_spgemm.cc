@@ -82,8 +82,8 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
     RowScratch s;
     s.EnsureCols(cols);
     const auto bound = static_cast<size_t>(SpGemmFlops(a, b));
-    std::vector<Index> out_idx;
-    std::vector<Value> out_val;
+    IndexArray out_idx;
+    ValueArray out_val;
     out_idx.reserve(bound);
     out_val.reserve(bound);
     for (Index r = 0; r < rows; ++r) {
@@ -133,8 +133,8 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
   const Offset total = ptr[static_cast<size_t>(rows)];
 
   // Pass 2: numeric fill into the pre-sized output slices.
-  std::vector<Index> out_idx(static_cast<size_t>(total));
-  std::vector<Value> out_val(static_cast<size_t>(total));
+  IndexArray out_idx(static_cast<size_t>(total));
+  ValueArray out_val(static_cast<size_t>(total));
   SPNET_CHECK_OK(pool.ParallelFor(
       0, rows, grain,
       [&](int64_t row_begin, int64_t row_end, int thread_index) {

@@ -97,8 +97,8 @@ Result<CsrMatrix> ReadBinary(const std::string& path) {
   }
 
   std::vector<Offset> ptr(static_cast<size_t>(header.rows) + 1);
-  std::vector<Index> idx(static_cast<size_t>(header.nnz));
-  std::vector<Value> val(static_cast<size_t>(header.nnz));
+  IndexArray idx(static_cast<size_t>(header.nnz));
+  ValueArray val(static_cast<size_t>(header.nnz));
   in.read(reinterpret_cast<char*>(ptr.data()),
           static_cast<std::streamsize>(ptr.size() * sizeof(Offset)));
   in.read(reinterpret_cast<char*>(idx.data()),

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/array_allocator.h"
+
 namespace spnet {
 namespace sparse {
 
@@ -17,6 +19,11 @@ using Offset = int64_t;
 
 /// Numeric value of a nonzero. Edge weights in the paper's workloads.
 using Value = double;
+
+/// A matrix's column indices and values: default-initialized, and reusing
+/// the last freed large block of their type (common/array_allocator.h).
+using IndexArray = Array<Index>;
+using ValueArray = Array<Value>;
 
 }  // namespace sparse
 }  // namespace spnet

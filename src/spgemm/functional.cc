@@ -1,11 +1,11 @@
 #include "spgemm/functional.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/huge_pages.h"
 #include "common/parallel.h"
 #include "sparse/stats.h"
 
@@ -14,9 +14,11 @@ namespace spgemm {
 
 using sparse::CsrMatrix;
 using sparse::Index;
+using sparse::IndexArray;
 using sparse::Offset;
 using sparse::SpanView;
 using sparse::Value;
+using sparse::ValueArray;
 
 namespace {
 
@@ -55,13 +57,14 @@ static_assert(alignof(StampAccumulator) >= 64,
 /// order. A column's first product is stored as `0.0 + p`, the sum into a
 /// zeroed accumulator, so a row of -0.0 products sums to +0.0. The caller
 /// provides room for the row's distinct columns, at most min(row
-/// products, cols), zero-filled with +0.0.
+/// products, cols); what that room holds does not matter.
 ///
 /// The loop is branch-free: on hub rows "new column or repeat?" cannot be
 /// predicted, so every product writes its column and adds into a position
-/// chosen by a mask. A new column's position is the row's next free one,
-/// whose +0.0 fill makes the add `0.0 + p`; a repeat rewrites its own
-/// column.
+/// chosen by a mask. A new column's position is the row's next free one;
+/// the same mask clears the bits loaded from it to +0.0, so the add is
+/// `0.0 + p` and no bit the storage held before reaches the output. A
+/// repeat rewrites its own column and adds into its own sum.
 Offset AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
                      Offset base, StampAccumulator* s, Index* idx,
                      Value* val) {
@@ -85,7 +88,9 @@ Offset AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
       const Offset fresh = (seen - base) >> 63;
       const Offset pos = seen ^ ((seen ^ end) & fresh);
       idx[pos] = c;
-      val[pos] += p;
+      const uint64_t held =
+          std::bit_cast<uint64_t>(val[pos]) & ~static_cast<uint64_t>(fresh);
+      val[pos] = std::bit_cast<Value>(held) + p;
       slots[c] = pos;
       end -= fresh;
     }
@@ -124,34 +129,21 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
 
   if (pool.threads() == 1) {
-    // Serial path: single pass, rows written in place as they complete.
-    // Each row grows the output by its product count, clamped to cols, and
-    // shrinks back to its real length; flops bounds that growth, so the
-    // reserve never reallocates and untouched reserve is not resident.
+    // Serial path: single pass, rows written in place as they complete,
+    // into one allocation of flops(A*B) entries. A row's distinct columns
+    // never outnumber its products, so no row runs past it; pages no row
+    // reaches are never touched.
     StampAccumulator s(cols);
-    const std::vector<int64_t> row_flops = sparse::SpGemmRowFlops(a, b);
-    const int64_t flops =
-        std::accumulate(row_flops.begin(), row_flops.end(), int64_t{0});
-    std::vector<Index> out_idx;
-    std::vector<Value> out_val;
-    out_idx.reserve(static_cast<size_t>(flops));
-    out_val.reserve(static_cast<size_t>(flops));
-    AdviseHugePages(out_idx.data(), out_idx.capacity() * sizeof(Index));
-    AdviseHugePages(out_val.data(), out_val.capacity() * sizeof(Value));
+    const auto flops = static_cast<size_t>(sparse::SpGemmFlops(a, b));
+    IndexArray out_idx(flops);
+    ValueArray out_val(flops);
+    Offset end = 0;
     for (Index r = 0; r < rows; ++r) {
-      const size_t base = out_idx.size();
-      const size_t room = static_cast<size_t>(
-          std::min<int64_t>(row_flops[static_cast<size_t>(r)], cols));
-      out_idx.resize(base + room);
-      out_val.resize(base + room);
-      const size_t end =
-          base + static_cast<size_t>(AccumulateRow(
-                     a, b, r, static_cast<Offset>(base), &s, out_idx.data(),
-                     out_val.data()));
-      out_idx.resize(end);
-      out_val.resize(end);
-      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(end);
+      end += AccumulateRow(a, b, r, end, &s, out_idx.data(), out_val.data());
+      ptr[static_cast<size_t>(r) + 1] = end;
     }
+    out_idx.resize(static_cast<size_t>(end));
+    out_val.resize(static_cast<size_t>(end));
     return CsrMatrix::FromParts(rows, cols, std::move(ptr),
                                 std::move(out_idx), std::move(out_val));
   }
@@ -184,14 +176,8 @@ Result<CsrMatrix> RowProductExpandMerge(const CsrMatrix& a,
     std::fill(s.slots.begin(), s.slots.end(), -1);
   }
 
-  std::vector<Index> out_idx;
-  std::vector<Value> out_val;
-  out_idx.reserve(total);
-  out_val.reserve(total);
-  AdviseHugePages(out_idx.data(), total * sizeof(Index));
-  AdviseHugePages(out_val.data(), total * sizeof(Value));
-  out_idx.resize(total);
-  out_val.resize(total);
+  IndexArray out_idx(total);
+  ValueArray out_val(total);
   SPNET_CHECK_OK(pool.ParallelFor(
       0, rows, grain,
       [&](int64_t row_begin, int64_t row_end, int thread_index) {

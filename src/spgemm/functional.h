@@ -15,11 +15,13 @@ namespace spgemm {
 /// is before the row's start is new to the row. Its first product appends
 /// it and later products add in place. The loop is branch-free, because on
 /// hub rows "new column?" cannot be predicted: each product writes at a
-/// mask-selected position, and a new column adds into the output's +0.0
-/// fill, so the output value storage must be zero-filled first. Rows come
+/// mask-selected position, and a new column adds into the value loaded
+/// there with its bits masked to +0.0, so the output storage is never
+/// filled first and none of its old contents reaches the result. Rows come
 /// out in first-touch order (unordered CSR rows, like the paper's
-/// kernels). The output buffers are advised for huge pages before their
-/// first write. An algorithm whose GPU schedule visits the contraction axis
+/// kernels). The output arrays are sparse::IndexArray/ValueArray, which
+/// reuse the last large block freed and align it for huge pages. An
+/// algorithm whose GPU schedule visits the contraction axis
 /// in another order relabels A's columns and B's rows first; the output
 /// bits are the same for any thread count.
 Result<sparse::CsrMatrix> RowProductExpandMerge(const sparse::CsrMatrix& a,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -8,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/array_allocator.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/block_reorganizer.h"
@@ -332,11 +334,16 @@ TEST(FunctionalTest, LongRowsBetweenEmptyRows) {
   ExpectKernelExactAcrossThreads(a, b);
 }
 
-/// Pins the host kernel's ptr, indices and value bits for A*A at 1 thread
-/// (the serial single pass) and at 4 (the parallel two-pass) on four
-/// families with non-dyadic values: a hub-heavy power law, RMAT, a narrow
-/// quasi-regular band and block-diagonal communities.
-TEST(FunctionalTest, KernelOutputBitsArePinned) {
+/// The kernel pin inputs: four families with non-dyadic values, a
+/// hub-heavy power law, RMAT, a narrow quasi-regular band and
+/// block-diagonal communities, each with the hash of A*A.
+struct KernelPin {
+  const char* input;
+  Result<CsrMatrix> a;
+  uint64_t hash;
+};
+
+std::vector<KernelPin> KernelPins() {
   auto power_law = [] {
     datasets::PowerLawParams p;
     p.rows = 4000;
@@ -370,18 +377,18 @@ TEST(FunctionalTest, KernelOutputBitsArePinned) {
     p.seed = 64;
     return datasets::GenerateBlockDiagonal(p);
   };
-  struct Pin {
-    const char* input;
-    Result<CsrMatrix> a;
-    uint64_t hash;
-  };
-  const Pin pins[] = {
-      {"powerlaw-skew1", power_law(), 4747001641685424634ULL},
-      {"rmat-scale12", rmat(), 2282403758975508685ULL},
-      {"narrow-band", band(), 14696501119157934847ULL},
-      {"block-diagonal", blocks(), 2843891872387646859ULL},
-  };
-  for (const Pin& pin : pins) {
+  std::vector<KernelPin> pins;
+  pins.push_back({"powerlaw-skew1", power_law(), 4747001641685424634ULL});
+  pins.push_back({"rmat-scale12", rmat(), 2282403758975508685ULL});
+  pins.push_back({"narrow-band", band(), 14696501119157934847ULL});
+  pins.push_back({"block-diagonal", blocks(), 2843891872387646859ULL});
+  return pins;
+}
+
+/// Pins the host kernel's ptr, indices and value bits for A*A at 1 thread
+/// (the serial single pass) and at 4 (the parallel two-pass).
+TEST(FunctionalTest, KernelOutputBitsArePinned) {
+  for (const KernelPin& pin : KernelPins()) {
     SCOPED_TRACE(pin.input);
     ASSERT_TRUE(pin.a.ok()) << pin.a.status().ToString();
     const CsrMatrix& a = *pin.a;
@@ -394,6 +401,99 @@ TEST(FunctionalTest, KernelOutputBitsArePinned) {
       EXPECT_EQ(testing_util::OutputHash(*c), pin.hash);
     }
   }
+}
+
+/// Frees an index and a value array of `n` elements each, filled with NaN,
+/// -0.0 and random bit patterns, so that the next large request of each
+/// type is handed that memory. Returns the value array's address.
+const void* LeaveStaleBlocks(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  sparse::IndexArray idx(n);
+  sparse::ValueArray val(n);
+  for (size_t i = 0; i < n; ++i) {
+    idx[i] = static_cast<sparse::Index>(rng.NextU64());
+    const uint64_t bits = i % 3 == 0   ? 0x7ff8000000000000ULL  // NaN
+                          : i % 3 == 1 ? 0x8000000000000000ULL  // -0.0
+                                       : rng.NextU64();
+    val[i] = std::bit_cast<sparse::Value>(bits);
+  }
+  return val.data();
+}
+
+/// Runs A*B at 1 and 4 threads, each time into memory that the last large
+/// arrays left full of stale bits, and checks the output hash. Where the
+/// arrays keep blocks and the value request is large, the output must
+/// land in that stale memory, so the check cannot pass on fresh pages.
+void ExpectStaleMemoryNeverReachesOutput(const CsrMatrix& a,
+                                         const CsrMatrix& b, uint64_t hash) {
+  const auto flops = static_cast<size_t>(sparse::SpGemmFlops(a, b));
+  const size_t n = std::max(flops, kHugePageBytes / sizeof(sparse::Index));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const void* stale =
+        LeaveStaleBlocks(n, 71 + static_cast<uint64_t>(threads));
+    SetGlobalThreadCount(threads);
+    auto c = RowProductExpandMerge(a, b);
+    SetGlobalThreadCount(0);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_EQ(testing_util::OutputHash(*c), hash);
+    const size_t request = c->values().capacity() * sizeof(sparse::Value);
+    if (kArraysKeepBlocks && request >= kHugePageBytes) {
+      EXPECT_EQ(static_cast<const void*>(c->values().data()), stale);
+    }
+  }
+}
+
+TEST(FunctionalTest, StaleMemoryNeverReachesTheOutput) {
+  for (const KernelPin& pin : KernelPins()) {
+    SCOPED_TRACE(pin.input);
+    ASSERT_TRUE(pin.a.ok()) << pin.a.status().ToString();
+    ExpectStaleMemoryNeverReachesOutput(*pin.a, *pin.a, pin.hash);
+  }
+}
+
+/// Every output entry sums only -0.0 products, (-1)(+0) then (+1)(-0), so
+/// every value must come out +0.0, whatever the memory held.
+TEST(FunctionalTest, NegativeZeroProductsSumToPositiveZeroOverStaleMemory) {
+  constexpr sparse::Index kRows = 1000;
+  constexpr sparse::Index kCols = 2000;
+  std::vector<sparse::Offset> a_ptr;
+  sparse::IndexArray a_idx;
+  sparse::ValueArray a_val;
+  for (sparse::Index r = 0; r <= kRows; ++r) a_ptr.push_back(2 * r);
+  for (sparse::Index r = 0; r < kRows; ++r) {
+    a_idx.insert(a_idx.end(), {0, 1});
+    a_val.insert(a_val.end(), {-1.0, 1.0});
+  }
+  sparse::IndexArray b_idx;
+  sparse::ValueArray b_val;
+  for (sparse::Index row = 0; row < 2; ++row) {
+    for (sparse::Index c = 0; c < kCols; ++c) {
+      b_idx.push_back(c);
+      b_val.push_back(row == 0 ? 0.0 : -0.0);
+    }
+  }
+  auto a = CsrMatrix::FromParts(kRows, 2, std::move(a_ptr), std::move(a_idx),
+                                std::move(a_val));
+  auto b = CsrMatrix::FromParts(2, kCols, {0, kCols, 2 * kCols},
+                                std::move(b_idx), std::move(b_val));
+  ASSERT_TRUE(a.ok() && b.ok());
+  // The expected output, built directly: row r holds columns 0..kCols-1
+  // in order, each +0.0.
+  std::vector<sparse::Offset> c_ptr;
+  for (sparse::Index r = 0; r <= kRows; ++r) {
+    c_ptr.push_back(static_cast<sparse::Offset>(r) * kCols);
+  }
+  sparse::IndexArray c_idx;
+  for (sparse::Index r = 0; r < kRows; ++r) {
+    for (sparse::Index c = 0; c < kCols; ++c) c_idx.push_back(c);
+  }
+  auto expected = CsrMatrix::FromParts(
+      kRows, kCols, std::move(c_ptr), std::move(c_idx),
+      sparse::ValueArray(static_cast<size_t>(kRows) * kCols, 0.0));
+  ASSERT_TRUE(expected.ok());
+  ExpectStaleMemoryNeverReachesOutput(*a, *b,
+                                      testing_util::OutputHash(*expected));
 }
 
 TEST(PlanTest, AllAlgorithmsProduceConsistentFlops) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/huge_pages.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -228,27 +227,6 @@ TEST(FlagsTest, FirstUnknownFlagNamesTheFirstUndeclaredFlag) {
   EXPECT_EQ(FirstUnknownFlag(3, with_value, known), "--nnz");
   const char* bare[] = {"prog", "--"};
   EXPECT_EQ(FirstUnknownFlag(2, bare, known), "--");
-}
-
-TEST(HugePagesTest, DegenerateRangesAreNoOps) {
-  AdviseHugePages(nullptr, 0);
-  AdviseHugePages(nullptr, size_t{64} << 20);
-  std::vector<char> small(4096 + 3, 'x');
-  AdviseHugePages(small.data(), 0);
-  AdviseHugePages(small.data() + 3, small.size() - 3);
-  EXPECT_EQ(small, std::vector<char>(4096 + 3, 'x'));
-}
-
-TEST(HugePagesTest, AdvisedBufferKeepsItsContents) {
-  // 8 MiB spans at least three aligned 2 MiB pages wherever it lands.
-  std::vector<uint32_t> buffer(size_t{2} << 20);
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    buffer[i] = static_cast<uint32_t>(i * 2654435761u);
-  }
-  AdviseHugePages(buffer.data() + 1, (buffer.size() - 1) * sizeof(uint32_t));
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    ASSERT_EQ(buffer[i], static_cast<uint32_t>(i * 2654435761u)) << i;
-  }
 }
 
 }  // namespace

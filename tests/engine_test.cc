@@ -63,7 +63,7 @@ TEST(FingerprintTest, StableAcrossIdenticalBuilds) {
 TEST(FingerprintTest, IgnoresValues) {
   const CsrMatrix a = testing_util::SkewedMatrix(64, 32, 7);
   // Same structure, different numerics.
-  std::vector<sparse::Value> doubled(a.values());
+  sparse::ValueArray doubled(a.values());
   for (sparse::Value& v : doubled) v *= 2.0;
   auto b = CsrMatrix::FromParts(a.rows(), a.cols(), a.ptr(), a.indices(),
                                 std::move(doubled));
@@ -205,7 +205,7 @@ TEST(FingerprintTest, DistinguishesNearIdenticalStructures) {
   struct Pair {
     const char* what;
     std::vector<sparse::Offset> ptr_a, ptr_b;
-    std::vector<sparse::Index> indices_a, indices_b;
+    sparse::IndexArray indices_a, indices_b;
   };
   const std::vector<Pair> pairs = {
       {"one moved column index", {0, 2, 3}, {0, 2, 3}, {0, 1, 2}, {0, 3, 2}},

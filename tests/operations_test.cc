@@ -75,8 +75,8 @@ TEST(PermuteTest, RowsKeepInRowOrderAndValues) {
   auto p = PermuteRows(*m, {2, 0, 1});
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ptr(), (std::vector<Offset>{0, 2, 4, 5}));
-  EXPECT_EQ(p->indices(), (std::vector<Index>{2, 3, 3, 1, 0}));
-  EXPECT_EQ(p->values(), (std::vector<Value>{4.0, -0.0, 1.5, -2.0, 3.25}));
+  EXPECT_EQ(p->indices(), (IndexArray{2, 3, 3, 1, 0}));
+  EXPECT_EQ(p->values(), (ValueArray{4.0, -0.0, 1.5, -2.0, 3.25}));
   EXPECT_TRUE(std::signbit(p->values()[1]));
 }
 

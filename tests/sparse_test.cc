@@ -103,12 +103,11 @@ TEST(CsrMatrixTest, FromPartsValidates) {
   const Index cols = 64;
   const size_t n = 1500;
   auto long_row = [&](Index bad_index) {
-    std::vector<Index> indices(n);
+    IndexArray indices(n);
     for (size_t k = 0; k < n; ++k) indices[k] = static_cast<Index>(k % cols);
     indices[n - 3] = bad_index;
     return CsrMatrix::FromParts(1, cols, {0, static_cast<Offset>(n)},
-                                std::move(indices),
-                                std::vector<Value>(n, 1.0));
+                                std::move(indices), ValueArray(n, 1.0));
   };
   auto negative = long_row(-5);
   ASSERT_FALSE(negative.ok());

@@ -368,7 +368,7 @@ TEST(DifferentialTest, AgreementReportsNoDivergence) {
 
 TEST(DifferentialTest, ReportsFirstValueDivergence) {
   const CsrMatrix a = SmallMatrix();
-  std::vector<double> values = a.values();
+  sparse::ValueArray values = a.values();
   ASSERT_GT(values.size(), 10u);
   values[10] += 0.5;
   auto tampered = CsrMatrix::FromParts(a.rows(), a.cols(), a.ptr(),
