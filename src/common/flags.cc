@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace spnet {
@@ -72,6 +73,29 @@ std::string FirstUnknownFlag(int argc, const char* const* argv,
     if (arg.rfind("--", 0) != 0) continue;
     const std::string name = arg.substr(2, arg.find('=') - 2);
     if (known.count(name) == 0) return "--" + name;
+  }
+  return "";
+}
+
+std::string FirstMalformedNumber(const FlagParser& flags,
+                                 const std::set<std::string>& integers,
+                                 const std::set<std::string>& reals) {
+  for (const auto* names : {&integers, &reals}) {
+    for (const std::string& name : *names) {
+      if (!flags.Has(name)) continue;
+      const std::string value = flags.GetString(name, "");
+      const char* text = value.c_str();
+      char* end = nullptr;
+      errno = 0;
+      if (names == &integers) {
+        std::strtoll(text, &end, 10);
+      } else {
+        std::strtod(text, &end);
+      }
+      if (value.empty() || *end != '\0' || errno == ERANGE) {
+        return "--" + name + "=" + value;
+      }
+    }
   }
   return "";
 }

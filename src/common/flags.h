@@ -49,6 +49,16 @@ class FlagParser {
 std::string FirstUnknownFlag(int argc, const char* const* argv,
                              const std::set<std::string>& known);
 
+/// Returns the first flag set in `flags` whose value does not parse to its
+/// end as a number, as `--name=value`, or "" when every one does. Names
+/// in `integers` must be base-10 integers, names in `reals` any strtod
+/// number; a value out of range is malformed too. GetInt and GetDouble
+/// stop at the first bad character (`--dim=5O` reads as 5), so a tool
+/// checks its numeric flags with this before it runs anything.
+std::string FirstMalformedNumber(const FlagParser& flags,
+                                 const std::set<std::string>& integers,
+                                 const std::set<std::string>& reals);
+
 }  // namespace spnet
 
 #endif  // SPNET_COMMON_FLAGS_H_

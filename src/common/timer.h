@@ -2,7 +2,6 @@
 #define SPNET_COMMON_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace spnet {
 
@@ -17,13 +16,6 @@ class Timer {
   /// Elapsed time since construction or last Reset, in seconds.
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  /// Elapsed time in microseconds.
-  int64_t Micros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

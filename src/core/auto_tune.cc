@@ -10,10 +10,22 @@
 namespace spnet {
 namespace core {
 
+namespace {
+
+// Bin populations to aim for, and the clamps on the knobs that reach them
+// (see the header).
+constexpr double kDominatorTargetPerSm = 4.0;
+constexpr double kLimitedRowFraction = 0.02;
+constexpr double kMinAlpha = 4.0;
+constexpr double kMaxAlpha = 256.0;
+constexpr double kMinBeta = 2.0;
+constexpr double kMaxBeta = 64.0;
+
+}  // namespace
+
 Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
-                                   const gpusim::DeviceSpec& device,
-                                   const AutoTuneOptions& options) {
+                                   const gpusim::DeviceSpec& device) {
   if (a.cols() != b.rows()) {
     return Status::InvalidArgument("dimension mismatch in AutoTune");
   }
@@ -31,8 +43,7 @@ Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
   }
   const size_t target = std::min(
       work.size(),
-      static_cast<size_t>(std::max(1.0, options.dominator_target_per_sm *
-                                            device.num_sms)));
+      static_cast<size_t>(std::max(1.0, kDominatorTargetPerSm * device.num_sms)));
   if (!work.empty()) {
     std::nth_element(work.begin(),
                      work.begin() + static_cast<ptrdiff_t>(target - 1),
@@ -41,8 +52,7 @@ Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
         static_cast<double>(work[target - 1]);
     const double mean = static_cast<double>(workload.flops) /
                         static_cast<double>(work.size());
-    config.alpha =
-        std::clamp(threshold / mean, options.min_alpha, options.max_alpha);
+    config.alpha = std::clamp(threshold / mean, kMinAlpha, kMaxAlpha);
   }
 
   // --- beta: limit the heaviest fraction of output rows. --------------------
@@ -55,16 +65,14 @@ Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
     const size_t limited = std::min(
         chat.size() - 1,
         static_cast<size_t>(std::max(
-            1.0, options.limited_row_fraction *
-                     static_cast<double>(chat.size()))));
+            1.0, kLimitedRowFraction * static_cast<double>(chat.size()))));
     std::nth_element(chat.begin(),
                      chat.begin() + static_cast<ptrdiff_t>(limited),
                      chat.end(), std::greater<int64_t>());
     const double threshold = static_cast<double>(chat[limited]);
     const double mean = static_cast<double>(workload.flops) /
                         static_cast<double>(chat.size());
-    config.beta =
-        std::clamp(threshold / mean, options.min_beta, options.max_beta);
+    config.beta = std::clamp(threshold / mean, kMinBeta, kMaxBeta);
   }
   // The clamps above should keep the tuned knobs legal; validating here
   // turns any future clamp regression into an error instead of a silently

@@ -90,7 +90,8 @@ KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
   // pairs (a histogram over the CSR pointer arrays).
   spgemm::AppendBalancedStreamingBlocks(&k, nnz_a + pairs,
                                         /*bytes_per_element=*/6,
-                                        /*ops_per_element=*/1.5);
+                                        /*ops_per_element=*/1.5,
+                                        /*shared_mem_bytes=*/4096);
   return k;
 }
 

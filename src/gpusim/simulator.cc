@@ -334,17 +334,5 @@ Result<KernelStats> Simulator::RunKernel(const KernelDesc& kernel) const {
   return Schedule(kernel);
 }
 
-Result<KernelStats> Simulator::RunPipeline(
-    const std::vector<KernelDesc>& kernels) const {
-  KernelStats total;
-  total.sm_busy_cycles.assign(static_cast<size_t>(device_.num_sms), 0.0);
-  for (const KernelDesc& k : kernels) {
-    SPNET_ASSIGN_OR_RETURN(KernelStats s, RunKernel(k));
-    total.Accumulate(s);
-  }
-  total.seconds = device_.CyclesToSeconds(total.cycles);
-  return total;
-}
-
 }  // namespace gpusim
 }  // namespace spnet

@@ -47,10 +47,6 @@ class Simulator {
   /// Simulates one kernel launch and returns its profile.
   Result<KernelStats> RunKernel(const KernelDesc& kernel) const;
 
-  /// Simulates a sequence of dependent kernel launches (a pipeline);
-  /// the returned stats accumulate all phases.
-  Result<KernelStats> RunPipeline(const std::vector<KernelDesc>& kernels) const;
-
  private:
   struct BlockCost {
     double cycles = 0.0;

@@ -40,12 +40,6 @@ class CooMatrix {
     val_.reserve(static_cast<size_t>(n));
   }
 
-  void Clear() {
-    row_.clear();
-    col_.clear();
-    val_.clear();
-  }
-
   /// Sorts triplets by (row, col) and sums duplicates in place.
   void SortAndCombine();
 

@@ -251,18 +251,6 @@ Status CsrMatrix::Validate() const {
   return Status::Ok();
 }
 
-CooMatrix CsrMatrix::ToCoo() const {
-  CooMatrix coo(rows_, cols_);
-  coo.Reserve(nnz());
-  for (Index r = 0; r < rows_; ++r) {
-    for (Offset k = ptr_[r]; k < ptr_[r + 1]; ++k) {
-      coo.Add(r, indices_[static_cast<size_t>(k)],
-              values_[static_cast<size_t>(k)]);
-    }
-  }
-  return coo;
-}
-
 CscMatrix CscMatrix::FromCsr(const CsrMatrix& a) {
   CscMatrix m;
   m.rows_ = a.rows();

@@ -76,9 +76,6 @@ class CsrMatrix {
   /// Structural + bounds invariants; returns the first violation found.
   Status Validate() const;
 
-  /// Converts back to COO triplets.
-  CooMatrix ToCoo() const;
-
   /// Total bytes of the three arrays (for memory-traffic accounting).
   int64_t ByteSize() const {
     return static_cast<int64_t>(ptr_.size() * sizeof(Offset) +

@@ -14,11 +14,13 @@ namespace sparse {
 
 namespace {
 
-/// Accumulates row r of A*B into `s` (dense accumulator + touched list).
-/// The per-row visit order is fixed by the input structure, so every
-/// thread count produces the same accumulation sequence per row.
-void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
-                   RowScratch* s) {
+/// Accumulates row r of A*B into `s` (dense accumulator + touched list),
+/// in the order the input structure fixes. This and SortTouched stay out
+/// of line: inlined into ReferenceSpGemm's row loop, GCC 12 keeps the
+/// inner loop's operands on the stack; out of line it compiles to the
+/// register-only loop the oracle has always run.
+[[gnu::noinline]] void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b,
+                                     Index r, RowScratch* s) {
   const SpanView arow = a.Row(r);
   for (Offset k = 0; k < arow.size; ++k) {
     const Index j = arow.indices[k];
@@ -38,7 +40,7 @@ void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b, Index r,
 /// 2k-100k columns the scan measured faster once n*log2(n) passes about
 /// cols/2, so dense rows are scanned and sparse rows sorted. Both give
 /// the same ascending list, so the choice never changes an output bit.
-void SortTouched(Index cols, RowScratch* s) {
+[[gnu::noinline]] void SortTouched(Index cols, RowScratch* s) {
   std::vector<Index>& list = s->touched_cols;
   const size_t n = list.size();
   if (2 * n * static_cast<size_t>(std::bit_width(n)) <=
@@ -70,90 +72,29 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
   }
   const Index rows = a.rows();
   const Index cols = b.cols();
-  ThreadPool& pool = GlobalThreadPool();
 
+  // One serial Gustavson loop at every thread count, with no symbolic
+  // pass. The output is reserved once at flops(A*B), an upper bound on
+  // nnz(C), instead of doubling; reserved pages that no row reaches are
+  // never touched, so they cost address space, not memory.
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-
-  if (pool.threads() == 1) {
-    // Serial path: the historical single-pass Gustavson loop, with no
-    // symbolic pass. The output is reserved once at flops(A*B), an upper
-    // bound on nnz(C), instead of doubling; reserved pages that no row
-    // reaches are never touched, so they cost address space, not memory.
-    RowScratch s;
-    s.EnsureCols(cols);
-    const auto bound = static_cast<size_t>(SpGemmFlops(a, b));
-    IndexArray out_idx;
-    ValueArray out_val;
-    out_idx.reserve(bound);
-    out_val.reserve(bound);
-    for (Index r = 0; r < rows; ++r) {
-      AccumulateRow(a, b, r, &s);
-      SortTouched(cols, &s);
-      for (Index c : s.touched_cols) {
-        out_idx.push_back(c);
-        out_val.push_back(s.acc[static_cast<size_t>(c)]);
-      }
-      s.ResetTouched();
-      ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
+  RowScratch s;
+  s.EnsureCols(cols);
+  const auto bound = static_cast<size_t>(SpGemmFlops(a, b));
+  IndexArray out_idx;
+  ValueArray out_val;
+  out_idx.reserve(bound);
+  out_val.reserve(bound);
+  for (Index r = 0; r < rows; ++r) {
+    AccumulateRow(a, b, r, &s);
+    SortTouched(cols, &s);
+    for (Index c : s.touched_cols) {
+      out_idx.push_back(c);
+      out_val.push_back(s.acc[static_cast<size_t>(c)]);
     }
-    return CsrMatrix::FromParts(rows, cols, std::move(ptr),
-                                std::move(out_idx), std::move(out_val));
+    s.ResetTouched();
+    ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
   }
-
-  // Parallel path: deterministic two-pass (size, scan, fill). Each row is
-  // produced entirely by one thread with the same per-row computation as
-  // the serial path, and lands at an offset fixed by the scan, so the
-  // output is bit-identical for every thread count.
-  const int64_t grain = GrainForItems(rows, pool.threads());
-  RowScratchArena arena(pool.threads(), cols);
-
-  // Pass 1: per-row output nnz (symbolic).
-  SPNET_CHECK_OK(pool.ParallelFor(0, rows, grain,
-                   [&](int64_t row_begin, int64_t row_end, int thread_index) {
-                     RowScratch& s = arena.at(thread_index);
-                     for (int64_t r = row_begin; r < row_end; ++r) {
-                       const SpanView arow = a.Row(static_cast<Index>(r));
-                       for (Offset k = 0; k < arow.size; ++k) {
-                         const SpanView brow = b.Row(arow.indices[k]);
-                         for (Offset l = 0; l < brow.size; ++l) {
-                           s.Touch(brow.indices[l]);
-                         }
-                       }
-                       ptr[static_cast<size_t>(r) + 1] =
-                           static_cast<Offset>(s.touched_cols.size());
-                       s.ResetTouched();
-                     }
-                     return Status::Ok();
-                   }));
-
-  // Exclusive scan of the row sizes into row pointers.
-  for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
-    ptr[r + 1] += ptr[r];
-  }
-  const Offset total = ptr[static_cast<size_t>(rows)];
-
-  // Pass 2: numeric fill into the pre-sized output slices.
-  IndexArray out_idx(static_cast<size_t>(total));
-  ValueArray out_val(static_cast<size_t>(total));
-  SPNET_CHECK_OK(pool.ParallelFor(
-      0, rows, grain,
-      [&](int64_t row_begin, int64_t row_end, int thread_index) {
-        RowScratch& s = arena.at(thread_index);
-        for (int64_t r = row_begin; r < row_end; ++r) {
-          AccumulateRow(a, b, static_cast<Index>(r), &s);
-          SortTouched(cols, &s);
-          Offset cursor = ptr[static_cast<size_t>(r)];
-          for (Index c : s.touched_cols) {
-            out_idx[static_cast<size_t>(cursor)] = c;
-            out_val[static_cast<size_t>(cursor)] =
-                s.acc[static_cast<size_t>(c)];
-            ++cursor;
-          }
-          s.ResetTouched();
-        }
-        return Status::Ok();
-      }));
-
   return CsrMatrix::FromParts(rows, cols, std::move(ptr), std::move(out_idx),
                               std::move(out_val));
 }

@@ -17,12 +17,9 @@ namespace sparse {
 /// a measurable tax in the inner loop; each byte is exactly 0 or 1, so the
 /// oracle can add it to an output cursor when it scans a dense row into
 /// column order), and the touched-column list used to reset both in
-/// O(row nnz). One RowScratch is reused across every row a
-/// thread accumulates, so the per-row cost is proportional to the row,
-/// never to the matrix width. Cache-line aligned so the vector headers of
-/// neighbouring workers in a RowScratchArena never share a line: every
-/// Touch writes touched_cols' end pointer.
-struct alignas(64) RowScratch {
+/// O(row nnz). One RowScratch is reused across every row, so the per-row
+/// cost is proportional to the row, never to the matrix width.
+struct RowScratch {
   std::vector<Value> acc;
   std::vector<uint8_t> touched;
   std::vector<Index> touched_cols;
@@ -53,25 +50,6 @@ struct alignas(64) RowScratch {
     }
     touched_cols.clear();
   }
-};
-
-/// A small arena of per-thread RowScratch instances, indexed by the
-/// ParallelFor thread index. Allocating the whole arena up front (instead
-/// of per row, or per chunk) is what kills the allocation churn the
-/// serial code paid via fresh vectors.
-class RowScratchArena {
- public:
-  RowScratchArena(int threads, Index cols)
-      : scratch_(static_cast<size_t>(threads)) {
-    for (RowScratch& s : scratch_) s.EnsureCols(cols);
-  }
-
-  RowScratch& at(int thread_index) {
-    return scratch_[static_cast<size_t>(thread_index)];
-  }
-
- private:
-  std::vector<RowScratch> scratch_;
 };
 
 }  // namespace sparse

@@ -93,27 +93,5 @@ std::vector<int64_t> OuterProductPairWork(const CsrMatrix& a,
   return work;
 }
 
-DegreeHistogram ComputeRowHistogram(const CsrMatrix& m) {
-  DegreeHistogram h;
-  for (Index r = 0; r < m.rows(); ++r) {
-    const Offset d = m.RowNnz(r);
-    if (d == 0) {
-      h.empty_rows++;
-      continue;
-    }
-    int bucket = 0;
-    Offset v = d;
-    while (v > 1) {
-      v >>= 1;
-      ++bucket;
-    }
-    if (static_cast<size_t>(bucket) >= h.buckets.size()) {
-      h.buckets.resize(static_cast<size_t>(bucket) + 1, 0);
-    }
-    h.buckets[static_cast<size_t>(bucket)]++;
-  }
-  return h;
-}
-
 }  // namespace sparse
 }  // namespace spnet

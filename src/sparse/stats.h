@@ -41,15 +41,6 @@ std::vector<int64_t> SpGemmRowFlops(const CsrMatrix& a, const CsrMatrix& b);
 std::vector<int64_t> OuterProductPairWork(const CsrMatrix& a,
                                           const CsrMatrix& b);
 
-/// Histogram of row nnz in power-of-two buckets: bucket k counts rows with
-/// nnz in [2^k, 2^(k+1)); bucket 0 also counts nnz==1, and rows with 0 nnz
-/// are reported separately in `empty_rows`.
-struct DegreeHistogram {
-  std::vector<int64_t> buckets;
-  int64_t empty_rows = 0;
-};
-DegreeHistogram ComputeRowHistogram(const CsrMatrix& m);
-
 }  // namespace sparse
 }  // namespace spnet
 

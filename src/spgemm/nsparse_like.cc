@@ -84,7 +84,8 @@ class NsparseLike : public SpGemmAlgorithm {
     symbolic.phase = gpusim::Phase::kPreprocess;
     AppendBalancedStreamingBlocks(&symbolic, workload.flops / 4 + 1,
                                   /*bytes_per_element=*/4,
-                                  /*ops_per_element=*/1.0);
+                                  /*ops_per_element=*/1.0,
+                                  /*shared_mem_bytes=*/4096);
     plan.kernels.push_back(std::move(symbolic));
 
     plan.host_seconds = HostPreprocessSeconds(0, 0);

@@ -1,6 +1,7 @@
 #include "spgemm/outer_product.h"
 
 #include "spgemm/plan.h"
+#include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
@@ -9,6 +10,10 @@ using gpusim::KernelDesc;
 using gpusim::Phase;
 using sparse::CsrMatrix;
 
+namespace {
+
+/// The plain outer-product expansion kernel: one block per nonzero pair,
+/// no reorganization.
 KernelDesc BuildOuterProductExpansion(const Workload& workload,
                                       int block_size) {
   KernelDesc kernel;
@@ -26,6 +31,8 @@ KernelDesc BuildOuterProductExpansion(const Workload& workload,
   }
   return kernel;
 }
+
+}  // namespace
 
 Result<SpGemmPlan> OuterProductSpGemm::PlanImpl(const CsrMatrix& a,
                                                 const CsrMatrix& b,

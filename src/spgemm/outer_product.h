@@ -2,7 +2,6 @@
 #define SPNET_SPGEMM_OUTER_PRODUCT_H_
 
 #include "spgemm/algorithm.h"
-#include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
@@ -24,11 +23,6 @@ class OuterProductSpGemm : public SpGemmAlgorithm {
                               const gpusim::DeviceSpec& device,
                               ExecContext* ctx) const override;
 };
-
-/// Builds the plain outer-product expansion kernel: one block per nonzero
-/// pair, no reorganization.
-gpusim::KernelDesc BuildOuterProductExpansion(const Workload& workload,
-                                              int block_size);
 
 }  // namespace spgemm
 }  // namespace spnet

@@ -27,7 +27,6 @@ class RowProductSpGemm : public SpGemmAlgorithm {
 /// the library surrogates' structural differences.
 struct RowExpansionOptions {
   const char* label = "row-product-expansion";
-  int block_size = 256;
   /// Scales all memory traffic (two-pass schemes read everything twice).
   double traffic_multiplier = 1.0;
   /// Models uncoalesced per-thread row-buffer writes (>1 = extra

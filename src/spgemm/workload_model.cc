@@ -220,6 +220,8 @@ constexpr int64_t kMergeWarpRowMax = 256;
 // Output rows with at most this many distinct entries keep their dense
 // accumulator in shared memory.
 constexpr int64_t kSharedAccumulatorEntries = 1024;
+// Shared memory of every merge block (accumulator staging tile).
+constexpr int64_t kMergeSharedMemBytes = 4096;
 
 }  // namespace
 
@@ -232,121 +234,51 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
   limited.label = "merge-limited";
   limited.phase = Phase::kMerge;
 
-  const bool limiting = options.limit_row_threshold > 0;
-
-  // Partition rows by size class; real merge kernels batch small rows so
-  // the block count tracks work, not matrix dimension.
+  // Real merge kernels batch small rows so the block count tracks work,
+  // not matrix dimension.
   const RowSizeClasses classes = ClassifyRowSizes(
       workload.row_chat, kMergeThreadRowMax, kMergeWarpRowMax);
-  const std::vector<uint32_t>& tiny_rows = classes.small;
-  const std::vector<uint32_t>& small_rows = classes.mid;
-  const std::vector<uint32_t>& big_rows = classes.large;
-  const int64_t long_min =
-      limiting ? options.limit_row_threshold
-               : std::numeric_limits<int64_t>::max();
-  size_t long_rows = 0;
-  for (const uint32_t r : big_rows) {
-    long_rows += static_cast<size_t>(workload.row_chat[r] > long_min);
-  }
+  // WalkRowBlocks' block count, an upper bound: long rows go to `limited`.
+  const int64_t block_size = options.block_size;
+  normal.blocks.reserve(static_cast<size_t>(
+      CeilDiv(static_cast<int64_t>(classes.small.size()), block_size) +
+      CeilDiv(static_cast<int64_t>(classes.mid.size()), block_size / 32) +
+      static_cast<int64_t>(classes.large.size())));
+  const int64_t long_min = options.limit_row_threshold > 0
+                               ? options.limit_row_threshold
+                               : std::numeric_limits<int64_t>::max();
 
-  const size_t rows_per_block = static_cast<size_t>(options.block_size);
-  const size_t warps_per_block =
-      static_cast<size_t>(options.block_size) / 32;
-  auto batches = [](size_t n, size_t per) { return (n + per - 1) / per; };
-  normal.blocks.reserve(batches(tiny_rows.size(), rows_per_block) +
-                        batches(small_rows.size(), warps_per_block) +
-                        big_rows.size() - long_rows);
-  limited.blocks.reserve(long_rows);
-
-  // Thread-per-row batches.
-  for (size_t begin = 0; begin < tiny_rows.size(); begin += rows_per_block) {
-    const size_t end = std::min(tiny_rows.size(), begin + rows_per_block);
-    ThreadBlockDesc tb;
-    tb.threads = options.block_size;
-    tb.effective_threads = static_cast<int>(end - begin);
-    int64_t total = 0;
+  WalkRowBlocks(workload.row_chat, classes, options.block_size,
+                [&](const RowBlock& block) {
     int64_t out = 0;
-    int64_t crit = 0;
-    int64_t warp_issue = 0;
-    for (size_t w0 = begin; w0 < end; w0 += 32) {
-      const size_t w1 = std::min(end, w0 + 32);
-      int64_t warp_max = 0;
-      for (size_t k = w0; k < w1; ++k) {
-        const int64_t chat = workload.row_chat[tiny_rows[k]];
-        total += chat;
-        out += workload.row_c_est[tiny_rows[k]];
-        warp_max = std::max(warp_max, chat);
-      }
-      warp_issue += warp_max;
-      crit = std::max(crit, warp_max);
-    }
-    tb.crit_ops = crit;
-    tb.warp_issue_ops = warp_issue;
-    tb.useful_lane_ops = total;
-    tb.bytes_read = kElementBytes * total;
-    tb.bytes_written = kElementBytes * out;
-    tb.atomic_ops = total;
-    tb.atomics_in_shared = true;  // tiny accumulators live in shared memory
-    tb.shared_mem_bytes = options.base_shared_mem_bytes;
-    normal.blocks.push_back(tb);
-  }
-
-  // Warp-per-row batches.
-  for (size_t begin = 0; begin < small_rows.size();
-       begin += warps_per_block) {
-    const size_t end = std::min(small_rows.size(), begin + warps_per_block);
+    for (const uint32_t r : block.rows) out += workload.row_c_est[r];
     ThreadBlockDesc tb;
-    tb.threads = static_cast<int>(32 * (end - begin));
-    tb.effective_threads = tb.threads;
-    int64_t total = 0;
-    int64_t out = 0;
-    int64_t crit = 0;
-    int64_t warp_issue = 0;
-    for (size_t k = begin; k < end; ++k) {
-      const int64_t chat = workload.row_chat[small_rows[k]];
-      const int64_t lane_ops = CeilDiv(chat, 32);
-      total += chat;
-      out += workload.row_c_est[small_rows[k]];
-      warp_issue += lane_ops;
-      crit = std::max(crit, lane_ops);
+    tb.threads = block.threads;
+    tb.effective_threads = block.effective_threads;
+    tb.crit_ops = block.crit_ops;
+    tb.warp_issue_ops = block.warp_issue_ops;
+    tb.useful_lane_ops = block.chat;
+    tb.bytes_read = kElementBytes * block.chat;
+    tb.bytes_written = kElementBytes * out;
+    tb.atomic_ops = block.chat;
+    tb.shared_mem_bytes = kMergeSharedMemBytes;
+    if (block.kind != RowBlockKind::kBlockPerRow) {
+      // Thread- and warp-per-row accumulators fit in shared memory.
+      tb.atomics_in_shared = true;
+      normal.blocks.push_back(tb);
+      return;
     }
-    tb.crit_ops = crit;
-    tb.warp_issue_ops = warp_issue;
-    tb.useful_lane_ops = total;
-    tb.bytes_read = kElementBytes * total;
-    tb.bytes_written = kElementBytes * out;
-    tb.atomic_ops = total;
-    tb.atomics_in_shared = true;  // per-warp accumulators fit in shared
-    tb.shared_mem_bytes = options.base_shared_mem_bytes;
-    normal.blocks.push_back(tb);
-  }
-
-  // Block-per-row for the long rows — the B-Limiting targets.
-  for (const uint32_t r : big_rows) {
-    const int64_t chat = workload.row_chat[r];
-    const int64_t out = workload.row_c_est[r];
-    ThreadBlockDesc tb;
-    tb.threads = options.block_size;
-    tb.effective_threads = options.block_size;
-    const int64_t lane_ops = CeilDiv(chat, options.block_size);
-    tb.crit_ops = lane_ops;
-    tb.warp_issue_ops = lane_ops * (options.block_size / 32);
-    tb.useful_lane_ops = chat;
-    tb.bytes_read = kElementBytes * chat;
-    tb.bytes_written = kElementBytes * out;
-    tb.atomic_ops = chat;
     // A wide output row's accumulator no longer fits on chip: its RMWs go
-    // through the L2/DRAM and suffer residency contention.
+    // through the L2/DRAM and suffer residency contention. Long rows are
+    // the B-Limiting targets.
     tb.atomics_in_shared = out <= kSharedAccumulatorEntries;
-    tb.shared_mem_bytes = options.base_shared_mem_bytes;
-
-    if (chat > long_min) {
+    if (block.chat > long_min) {
       tb.shared_mem_bytes += options.extra_shared_mem_bytes;
       limited.blocks.push_back(tb);
     } else {
       normal.blocks.push_back(tb);
     }
-  }
+  });
 
   std::vector<KernelDesc> kernels;
   if (!normal.blocks.empty() || limited.blocks.empty()) {
@@ -389,7 +321,8 @@ ThreadBlockDesc MakePairBlock(const PairBlockParams& p) {
 
 void AppendBalancedStreamingBlocks(KernelDesc* kernel, int64_t total_elements,
                                    int64_t bytes_per_element,
-                                   double ops_per_element) {
+                                   double ops_per_element,
+                                   int64_t shared_mem_bytes) {
   constexpr int64_t kTileElements = 8192;
   if (total_elements <= 0) return;
   const int64_t tiles = CeilDiv(total_elements, kTileElements);
@@ -406,7 +339,7 @@ void AppendBalancedStreamingBlocks(KernelDesc* kernel, int64_t total_elements,
     tb.useful_lane_ops = tb.crit_ops * 256;
     tb.bytes_read = elems * bytes_per_element;
     tb.bytes_written = elems * bytes_per_element;
-    tb.shared_mem_bytes = 4096;
+    tb.shared_mem_bytes = shared_mem_bytes;
     kernel->blocks.push_back(tb);
   }
 }

@@ -1,9 +1,12 @@
 #ifndef SPNET_SPGEMM_WORKLOAD_MODEL_H_
 #define SPNET_SPGEMM_WORKLOAD_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/math_util.h"
 #include "gpusim/kernel_desc.h"
 #include "sparse/csr_matrix.h"
 
@@ -75,12 +78,96 @@ RowSizeClasses ClassifyRowSizes(const std::vector<int64_t>& row_chat,
                                 int64_t small_max, int64_t mid_max,
                                 const std::vector<int64_t>* order = nullptr);
 
+/// How WalkRowBlocks lays out one block of rows.
+enum class RowBlockKind {
+  kThreadPerRow,  ///< up to block_size small rows, one lane each
+  kWarpPerRow,    ///< up to block_size / 32 mid rows, one warp each
+  kBlockPerRow,   ///< one large row across the whole block
+};
+
+/// One block of output rows and its lock-step accounting, in lane ops
+/// (one lane op per intermediate element).
+struct RowBlock {
+  RowBlockKind kind = RowBlockKind::kThreadPerRow;
+  std::span<const uint32_t> rows;  ///< the block's rows, in class order
+  int threads = 0;
+  int effective_threads = 0;
+  int64_t crit_ops = 0;        ///< the slowest warp's lane ops
+  int64_t warp_issue_ops = 0;  ///< summed over the block's warps
+  int64_t chat = 0;            ///< row_chat summed over `rows`
+};
+
+/// The one mapping from row size classes to thread blocks, shared by the
+/// row-product expansion and the merge kernels. Small rows go
+/// thread-per-row, `block_size` rows a block: a lock-step warp waits for
+/// its longest lane. Mid rows go warp-per-row, block_size / 32 rows a
+/// block: a warp's lanes split its row. Each large row gets a whole
+/// block. Calls `visit(const RowBlock&)` once per block in that order;
+/// rows keep their class order. Requires block_size a multiple of 32.
+template <typename Visit>
+void WalkRowBlocks(const std::vector<int64_t>& row_chat,
+                   const RowSizeClasses& classes, int block_size,
+                   Visit&& visit) {
+  const std::span<const uint32_t> small(classes.small);
+  for (size_t begin = 0; begin < small.size();
+       begin += static_cast<size_t>(block_size)) {
+    RowBlock block;
+    block.kind = RowBlockKind::kThreadPerRow;
+    block.rows = small.subspan(
+        begin, std::min<size_t>(static_cast<size_t>(block_size),
+                                small.size() - begin));
+    block.threads = block_size;
+    block.effective_threads = static_cast<int>(block.rows.size());
+    for (size_t w0 = 0; w0 < block.rows.size(); w0 += 32) {
+      const size_t w1 = std::min(block.rows.size(), w0 + 32);
+      int64_t warp_max = 0;
+      for (size_t k = w0; k < w1; ++k) {
+        const int64_t chat = row_chat[block.rows[k]];
+        block.chat += chat;
+        warp_max = std::max(warp_max, chat);
+      }
+      block.warp_issue_ops += warp_max;
+      block.crit_ops = std::max(block.crit_ops, warp_max);
+    }
+    visit(block);
+  }
+
+  const std::span<const uint32_t> mid(classes.mid);
+  const size_t warps = static_cast<size_t>(block_size) / 32;
+  for (size_t begin = 0; begin < mid.size(); begin += warps) {
+    RowBlock block;
+    block.kind = RowBlockKind::kWarpPerRow;
+    block.rows = mid.subspan(begin, std::min(warps, mid.size() - begin));
+    block.threads = static_cast<int>(32 * block.rows.size());
+    block.effective_threads = block.threads;
+    for (const uint32_t r : block.rows) {
+      const int64_t chat = row_chat[r];
+      const int64_t lane_ops = CeilDiv(chat, 32);
+      block.chat += chat;
+      block.warp_issue_ops += lane_ops;
+      block.crit_ops = std::max(block.crit_ops, lane_ops);
+    }
+    visit(block);
+  }
+
+  const std::span<const uint32_t> large(classes.large);
+  for (size_t k = 0; k < large.size(); ++k) {
+    RowBlock block;
+    block.kind = RowBlockKind::kBlockPerRow;
+    block.rows = large.subspan(k, 1);
+    block.threads = block_size;
+    block.effective_threads = block_size;
+    block.chat = row_chat[large[k]];
+    block.crit_ops = CeilDiv(block.chat, block_size);
+    block.warp_issue_ops = block.crit_ops * (block_size / 32);
+    visit(block);
+  }
+}
+
 /// Options controlling merge-kernel construction; B-Limiting raises
 /// `extra_shared_mem_bytes` for the long-row kernel.
 struct MergeOptions {
   int block_size = 256;
-  /// Base shared memory per merge block (accumulator staging tile).
-  int64_t base_shared_mem_bytes = 4096;
   /// Rows whose C-hat population exceeds this get the "limited" kernel;
   /// <= 0 disables the split (single kernel, no limiting).
   int64_t limit_row_threshold = 0;
@@ -113,14 +200,16 @@ gpusim::ThreadBlockDesc MakePairBlock(const PairBlockParams& params);
 /// elements and scanned pairs (calibrated constants documented in the .cc).
 double HostPreprocessSeconds(int64_t scanned_pairs, int64_t copied_elements);
 
-/// Appends perfectly balanced streaming blocks (256 threads, full warps)
-/// that collectively read and write `total_elements * bytes_per_element`,
+/// Appends perfectly balanced streaming blocks (256 threads, full warps,
+/// 8192 elements a block, `shared_mem_bytes` of staging each) that
+/// collectively read and write `total_elements * bytes_per_element`,
 /// `ops_per_element` ops each — the shape of scan/sort/precalculation
 /// passes.
 void AppendBalancedStreamingBlocks(gpusim::KernelDesc* kernel,
                                    int64_t total_elements,
                                    int64_t bytes_per_element,
-                                   double ops_per_element);
+                                   double ops_per_element,
+                                   int64_t shared_mem_bytes);
 
 }  // namespace spgemm
 }  // namespace spnet

@@ -48,11 +48,11 @@ TEST(AutoTuneTest, UniformInputGetsNoDominators) {
             0.05 * static_cast<double>(w.pair_work.size()));
 }
 
+/// The heaviest 2% of nonzero output rows are limited: the tuned beta
+/// limits some rows, and well under a quarter of them.
 TEST(AutoTuneTest, LimitedRowsNearRequestedFraction) {
   const CsrMatrix a = testing_util::SkewedMatrix(1000, 500, 55);
-  AutoTuneOptions options;
-  options.limited_row_fraction = 0.05;
-  auto config = AutoTune(a, a, gpusim::DeviceSpec::TitanXp(), options);
+  auto config = AutoTune(a, a, gpusim::DeviceSpec::TitanXp());
   ASSERT_TRUE(config.ok());
   const spgemm::Workload w = spgemm::BuildWorkload(a, a);
   const Classification c = Classify(w, *config);
@@ -66,19 +66,20 @@ TEST(AutoTuneTest, LimitedRowsNearRequestedFraction) {
   EXPECT_LT(fraction, 0.25);
 }
 
+/// The tuned knobs stay inside alpha in [4, 256] and beta in [2, 64], on
+/// skewed inputs (hubs push the thresholds up) and uniform ones.
 TEST(AutoTuneTest, RespectsClamps) {
-  const CsrMatrix a = testing_util::SkewedMatrix(300, 200, 57);
-  AutoTuneOptions options;
-  options.min_alpha = 10.0;
-  options.max_alpha = 12.0;
-  options.min_beta = 3.0;
-  options.max_beta = 4.0;
-  auto config = AutoTune(a, a, gpusim::DeviceSpec::TitanXp(), options);
-  ASSERT_TRUE(config.ok());
-  EXPECT_GE(config->alpha, 10.0);
-  EXPECT_LE(config->alpha, 12.0);
-  EXPECT_GE(config->beta, 3.0);
-  EXPECT_LE(config->beta, 4.0);
+  const CsrMatrix inputs[] = {testing_util::SkewedMatrix(300, 200, 57),
+                              testing_util::SkewedMatrix(1000, 500, 55),
+                              testing_util::RandomMatrix(500, 500, 0.02, 53)};
+  for (const CsrMatrix& a : inputs) {
+    auto config = AutoTune(a, a, gpusim::DeviceSpec::TitanXp());
+    ASSERT_TRUE(config.ok());
+    EXPECT_GE(config->alpha, 4.0);
+    EXPECT_LE(config->alpha, 256.0);
+    EXPECT_GE(config->beta, 2.0);
+    EXPECT_LE(config->beta, 64.0);
+  }
 }
 
 TEST(AutoTuneTest, EmptyMatrixYieldsDefaults) {

@@ -229,5 +229,27 @@ TEST(FlagsTest, FirstUnknownFlagNamesTheFirstUndeclaredFlag) {
   EXPECT_EQ(FirstUnknownFlag(2, bare, known), "--");
 }
 
+TEST(FlagsTest, FirstMalformedNumberNamesAValueThatDoesNotParseToItsEnd) {
+  const std::set<std::string> integers = {"dim", "nnz", "threads"};
+  const std::set<std::string> reals = {"skew"};
+  auto check = [&](std::vector<const char*> argv) {
+    FlagParser flags;
+    EXPECT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+    return FirstMalformedNumber(flags, integers, reals);
+  };
+  EXPECT_EQ(check({"prog", "--dim", "50", "--skew=0.8", "--out", "x"}), "");
+  EXPECT_EQ(check({"prog", "--nnz=-3", "--skew=1e-2"}), "");
+  // GetInt would read these as 5, 2 and 0.
+  EXPECT_EQ(check({"prog", "--dim", "5O", "--nnz=20"}), "--dim=5O");
+  EXPECT_EQ(check({"prog", "--nnz=2.5"}), "--nnz=2.5");
+  EXPECT_EQ(check({"prog", "--threads="}), "--threads=");
+  EXPECT_EQ(check({"prog", "--threads"}), "--threads=true");
+  EXPECT_EQ(check({"prog", "--skew=0.8x"}), "--skew=0.8x");
+  EXPECT_EQ(check({"prog", "--dim=99999999999999999999"}),
+            "--dim=99999999999999999999");
+  // Flags outside both sets are not numbers.
+  EXPECT_EQ(check({"prog", "--out=5O"}), "");
+}
+
 }  // namespace
 }  // namespace spnet

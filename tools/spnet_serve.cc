@@ -24,8 +24,9 @@
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
 //
-// Any other `--name` is refused with "unknown flag --name" (exit 2) before
-// the daemon starts.
+// Any other `--name` is refused with "unknown flag --name", and a numeric
+// flag whose value is not wholly a number (`--workers 2x`) with "malformed
+// number --workers=2x", both exit 2 before the daemon starts.
 //
 // Shutdown: EOF on stdin or SIGTERM/SIGINT begins a graceful drain — no
 // new requests are admitted, queued and in-flight requests finish and
@@ -98,12 +99,7 @@ gpusim::DeviceSpec DeviceFromFlags(const FlagParser& flags) {
   return gpusim::DeviceSpec::TitanXp();
 }
 
-Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
-  // The retired flag gets its own message instead of "unknown flag".
-  if (flags.Has("reorder")) {
-    return Status::InvalidArgument(
-        "--reorder: the reorder pre-pass was removed");
-  }
+serve::ServeOptions OptionsFromFlags(const FlagParser& flags) {
   serve::ServeOptions options;
   options.workers = static_cast<int>(flags.GetInt("workers", 2));
   options.queue_capacity =
@@ -136,14 +132,12 @@ Result<serve::ServeOptions> OptionsFromFlags(const FlagParser& flags) {
 }
 
 int Run(int argc, char** argv) {
-  // Every flag the daemon reads (see the usage above); --reorder is listed
-  // only so that OptionsFromFlags can refuse it by name.
+  // Every flag the daemon reads (see the usage above).
   const std::string unknown = FirstUnknownFlag(
       argc, argv,
       {"workers", "queue", "plan_cache", "shards", "quota_capacity",
        "quota_refill", "pin", "store_capacity", "scale", "seed", "cache",
-       "deadline_ms", "fallback", "device", "threads", "metrics_out",
-       "reorder"});
+       "deadline_ms", "fallback", "device", "threads", "metrics_out"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "spnet_serve: unknown flag %s\n", unknown.c_str());
     return 2;
@@ -154,15 +148,20 @@ int Run(int argc, char** argv) {
                          "(see the header comment of tools/spnet_serve.cc)\n");
     return 2;
   }
+  const std::string malformed = FirstMalformedNumber(
+      flags,
+      {"workers", "queue", "plan_cache", "shards", "store_capacity", "seed",
+       "threads"},
+      {"quota_capacity", "quota_refill", "deadline_ms", "scale"});
+  if (!malformed.empty()) {
+    std::fprintf(stderr, "spnet_serve: malformed number %s\n",
+                 malformed.c_str());
+    return 2;
+  }
   SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
   InstallSignalHandlers();
 
-  auto options = OptionsFromFlags(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
-    return 2;
-  }
-  serve::Server server(std::move(options).value());
+  serve::Server server(OptionsFromFlags(flags));
   const Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
