@@ -4,8 +4,9 @@
 // search over the model parameters and reports the best setting found
 // (used offline to pick the DeviceSpec defaults; see EXPERIMENTS.md).
 //
-// Flags: --scale (default 0.12), --sweep, --rounds=N, --seed,
-// --json_out=<path> (machine-readable BENCH_calibration.json).
+// Flags: the shared bench flags (bench_util.h; --scale defaults to 0.12
+// here, --device to the Titan Xp the paper's targets come from) plus
+// --sweep, --rounds=N and --random=N (random restarts before the sweep).
 
 #include <cmath>
 #include <cstdio>
@@ -114,8 +115,9 @@ metrics::Table MetricsTable(const Metrics& m) {
   return t;
 }
 
-void Print(const Metrics& m) {
-  std::fputs(MetricsTable(m).ToString().c_str(), stdout);
+void Print(const Metrics& m, bool csv) {
+  const metrics::Table table = MetricsTable(m);
+  std::fputs(csv ? table.ToCsv().c_str() : table.ToString().c_str(), stdout);
 }
 
 struct Knob {
@@ -125,35 +127,28 @@ struct Knob {
 };
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  SPNET_CHECK(flags.Parse(argc, argv).ok());
-  const double scale = flags.GetDouble("scale", 0.12);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const bool sweep = flags.GetBool("sweep", false);
-  const int rounds = static_cast<int>(flags.GetInt("rounds", 2));
+  const bench::BenchOptions options = bench::BenchOptions::FromArgs(
+      argc, argv,
+      {.default_scale = 0.12,
+       .integers = {"rounds", "random"},
+       .others = {"sweep"}});
+  const double scale = options.scale;
+  const uint64_t seed = options.seed;
+  const bool sweep = options.flags.GetBool("sweep", false);
+  const int rounds = static_cast<int>(options.flags.GetInt("rounds", 2));
 
   std::vector<sparse::CsrMatrix> mats;
   for (const char* name : kDatasets) {
-    auto spec = datasets::FindDataset(name);
-    SPNET_CHECK(spec.ok());
-    auto m = datasets::Materialize(*spec, scale, seed);
-    SPNET_CHECK(m.ok());
-    mats.push_back(std::move(m).value());
+    mats.push_back(bench::LoadDataset(name, options));
   }
 
-  // This bench owns its flag parsing (it predates BenchOptions); build an
-  // options record just for the json writer's run provenance.
-  bench::BenchOptions options;
-  options.scale = scale;
-  options.seed = seed;
-  options.json_out = flags.GetString("json_out", "");
   bench::BenchJson json("calibration", "calibration report", options);
 
-  gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
+  gpusim::DeviceSpec device = options.Device();
   Metrics current = Evaluate(mats, device);
-  std::printf("== Calibration report (Titan Xp model, scale %.2f) ==\n",
-              scale);
-  Print(current);
+  std::printf("== Calibration report (%s model, scale %.2f) ==\n",
+              device.name.c_str(), scale);
+  Print(current, options.csv);
   std::printf("loss = %.4f\n", Loss(current));
   json.AddTable("paper_vs_model", MetricsTable(current));
   if (!sweep) {
@@ -188,7 +183,8 @@ int Run(int argc, char** argv) {
   };
 
   // Random restarts explore the landscape before the greedy refinement.
-  const int random_probes = static_cast<int>(flags.GetInt("random", 0));
+  const int random_probes =
+      static_cast<int>(options.flags.GetInt("random", 0));
   double best_loss = Loss(current);
   if (random_probes > 0) {
     Rng rng(seed);
@@ -233,7 +229,7 @@ int Run(int argc, char** argv) {
     std::printf("%s = %g\n", knob.name, device.*(knob.field));
   }
   const Metrics tuned = Evaluate(mats, device);
-  Print(tuned);
+  Print(tuned, options.csv);
   json.AddTable("paper_vs_model_tuned", MetricsTable(tuned));
   json.WriteIfRequested();
   return 0;

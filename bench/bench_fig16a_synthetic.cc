@@ -16,14 +16,10 @@ namespace spnet {
 namespace {
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::BenchOptions::FromArgs(argc, argv);
-  {
-    // These sweeps never materialize C functionally, so the paper-scale
-    // datasets are cheap; default to full size.
-    FlagParser flags;
-    SPNET_CHECK(flags.Parse(argc, argv).ok());
-    if (!flags.Has("scale")) options.scale = 1.0;
-  }
+  // These sweeps never materialize C functionally, so the paper-scale
+  // datasets are cheap; default to full size.
+  const bench::BenchOptions options =
+      bench::BenchOptions::FromArgs(argc, argv, {.default_scale = 1.0});
   const gpusim::DeviceSpec device = options.Device();
   const auto algorithms = core::MakeAllAlgorithms();
 

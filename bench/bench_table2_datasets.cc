@@ -19,14 +19,10 @@ namespace spnet {
 namespace {
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::BenchOptions::FromArgs(argc, argv);
-  {
-    // Lighter default than the other benches: the symbolic pass is the
-    // only expensive part of this binary.
-    FlagParser flags;
-    SPNET_CHECK(flags.Parse(argc, argv).ok());
-    if (!flags.Has("scale")) options.scale = 0.1;
-  }
+  // Lighter default than the other benches: the symbolic pass is the
+  // only expensive part of this binary.
+  const bench::BenchOptions options =
+      bench::BenchOptions::FromArgs(argc, argv, {.default_scale = 0.1});
 
   metrics::Table table({"dataset", "family", "dim", "nnz(A)",
                         "nnz(C) paper", "nnz(C) measured", "ratio paper",

@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +22,15 @@
 
 namespace spnet {
 namespace bench {
+
+/// The flags one bench reads beyond the shared set, and its default
+/// --scale.
+struct BenchFlags {
+  double default_scale = 0.25;
+  std::set<std::string> integers = {};
+  /// Switches and strings.
+  std::set<std::string> others = {};
+};
 
 /// Flags shared by every experiment binary.
 ///
@@ -48,27 +59,52 @@ struct BenchOptions {
   /// When set (--json_out=<path>), BenchJson::WriteIfRequested writes the
   /// machine-readable result file there.
   std::string json_out;
+  /// Every parsed flag, for the bench's own (BenchFlags) flags.
+  FlagParser flags;
 
-  static BenchOptions FromArgs(int argc, const char* const* argv) {
-    FlagParser flags;
-    const Status s = flags.Parse(argc, argv);
-    SPNET_CHECK(s.ok()) << s.ToString();
+  /// Parses the shared flags plus `own`. A flag outside both, a numeric
+  /// flag whose value is not wholly a number and an unknown --device are
+  /// refused: the bench prints the reason and exits 2 before any work.
+  static BenchOptions FromArgs(int argc, const char* const* argv,
+                               const BenchFlags& own = {}) {
+    const std::filesystem::path program =
+        std::filesystem::path(argc > 0 ? argv[0] : "bench").filename();
+    auto refuse = [&program](const std::string& reason) {
+      std::fprintf(stderr, "%s: %s\n", program.string().c_str(),
+                   reason.c_str());
+      std::exit(2);
+    };
+    std::set<std::string> integers = {"seed", "threads"};
+    integers.insert(own.integers.begin(), own.integers.end());
+    std::set<std::string> known = {"device", "csv", "cache", "json_out"};
+    known.insert(own.others.begin(), own.others.end());
+    known.insert(integers.begin(), integers.end());
+    known.insert("scale");
+    const std::string unknown = FirstUnknownFlag(argc, argv, known);
+    if (!unknown.empty()) refuse("unknown flag " + unknown);
+
     BenchOptions o;
-    o.scale = flags.GetDouble("scale", o.scale);
-    o.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    o.device_name = flags.GetString("device", o.device_name);
-    o.csv = flags.GetBool("csv", false);
-    o.threads = static_cast<int>(flags.GetInt("threads", 0));
-    o.cache_dir = flags.GetString("cache", "");
-    o.json_out = flags.GetString("json_out", "");
+    const Status parsed = o.flags.Parse(argc, argv);
+    if (!parsed.ok()) refuse(parsed.message());
+    const std::string malformed =
+        FirstMalformedNumber(o.flags, integers, {"scale"});
+    if (!malformed.empty()) refuse("malformed number " + malformed);
+    o.device_name = o.flags.GetString("device", o.device_name);
+    const Status device = gpusim::DeviceSpec::FromName(o.device_name).status();
+    if (!device.ok()) refuse(device.message());
+    o.scale = o.flags.GetDouble("scale", own.default_scale);
+    o.seed = static_cast<uint64_t>(o.flags.GetInt("seed", 42));
+    o.csv = o.flags.GetBool("csv", false);
+    o.threads = static_cast<int>(o.flags.GetInt("threads", 0));
+    o.cache_dir = o.flags.GetString("cache", "");
+    o.json_out = o.flags.GetString("json_out", "");
     SetGlobalThreadCount(o.threads);
     return o;
   }
 
+  /// The --device preset (FromArgs has refused any other name).
   gpusim::DeviceSpec Device() const {
-    if (device_name == "v100") return gpusim::DeviceSpec::TeslaV100();
-    if (device_name == "2080ti") return gpusim::DeviceSpec::Rtx2080Ti();
-    return gpusim::DeviceSpec::TitanXp();
+    return gpusim::DeviceSpec::FromName(device_name).value();
   }
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "spgemm/algorithm.h"
 #include "spgemm/workload_model.h"
 
 namespace spnet {
@@ -26,9 +27,7 @@ constexpr double kMaxBeta = 64.0;
 Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const gpusim::DeviceSpec& device) {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch in AutoTune");
-  }
+  SPNET_RETURN_IF_ERROR(spgemm::CheckInnerExtents("AutoTune", a, b));
   ReorganizerConfig config;
   const spgemm::Workload workload = spgemm::BuildWorkload(a, b);
   if (workload.flops == 0) {

@@ -1,6 +1,7 @@
 #include "core/block_reorganizer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -81,11 +82,14 @@ ThreadBlockDesc MakeGatheredBlock(const Workload& workload,
 
 /// The device-side pre-process: one pass computing block-wise nnz (pair
 /// work) and row-wise nnz of C-hat, one pass binning the pairs.
-KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
+KernelDesc BuildPreprocessKernel(const Workload& workload) {
   KernelDesc k;
   k.label = "reorganizer-preprocess";
   k.phase = Phase::kPreprocess;
   const int64_t pairs = static_cast<int64_t>(workload.pair_work.size());
+  // Every nonzero of A lies in one column.
+  const int64_t nnz_a = std::accumulate(workload.a_col_nnz.begin(),
+                                        workload.a_col_nnz.end(), int64_t{0});
   // One fused pass: count block-wise and row-wise nnz while binning the
   // pairs (a histogram over the CSR pointer arrays).
   spgemm::AppendBalancedStreamingBlocks(&k, nnz_a + pairs,
@@ -98,42 +102,29 @@ KernelDesc BuildPreprocessKernel(const Workload& workload, int64_t nnz_a) {
 }  // namespace
 
 BlockReorganizerSpGemm::Prepared BlockReorganizerSpGemm::Prepare(
-    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec* device,
+    const Workload& workload, const gpusim::DeviceSpec* device,
     spgemm::ExecContext* ctx) const {
-  Prepared prep;
-  prep.workload = [&] {
-    metrics::ScopedSpan span(spgemm::TraceOf(ctx), "build-workload");
-    return spgemm::BuildWorkload(a, b, ctx);
-  }();
-  prep.classes = Classify(prep.workload, config_, ctx);
-
+  Prepared prep{.workload = workload,
+                .classes = Classify(workload, config_, ctx)};
   if (device != nullptr && config_.enable_splitting &&
       !prep.classes.dominators.empty()) {
-    prep.split = BuildSplitPlan(prep.workload, prep.classes.dominators,
-                                config_, *device, ctx);
+    prep.split = BuildSplitPlan(workload, prep.classes.dominators, config_,
+                                *device, ctx);
   }
   if (config_.enable_gathering && !prep.classes.low_performers.empty()) {
-    prep.gather = BuildGatherPlan(prep.workload, prep.classes.low_performers,
+    prep.gather = BuildGatherPlan(workload, prep.classes.low_performers,
                                   config_, ctx);
   }
   return prep;
 }
 
 Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
-    const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
+    const Workload& workload, const gpusim::DeviceSpec& device,
     spgemm::ExecContext* ctx) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument(
-        "dimension mismatch in Block Reorganizer plan");
-  }
-  const Prepared prep = Prepare(a, b, &device, ctx);
-  const Workload& workload = prep.workload;
-  const Classification& classes = prep.classes;
+  const Prepared prep = Prepare(workload, &device, ctx);
 
   SpGemmPlan plan;
-  plan.flops = workload.flops;
-  plan.output_nnz = workload.output_nnz;
-  plan.kernels.push_back(BuildPreprocessKernel(workload, a.nnz()));
+  plan.kernels.push_back(BuildPreprocessKernel(workload));
 
   // --- Expansion: the dominator kernel, then normal + gathered. -------------
   KernelDesc dominators;
@@ -178,11 +169,9 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
   }
 
   // --- Merge with B-Limiting. ------------------------------------------------
-  const spgemm::MergeOptions merge =
-      MakeLimitedMergeOptions(classes, config_, ctx);
-  for (KernelDesc& k : spgemm::BuildMergeKernels(workload, merge)) {
-    plan.kernels.push_back(std::move(k));
-  }
+  spgemm::AppendMergeKernels(
+      workload, MakeLimitedMergeOptions(prep.classes, config_, ctx),
+      &plan.kernels);
 
   plan.host_seconds = spgemm::HostPreprocessSeconds(
       static_cast<int64_t>(workload.pair_work.size()),
@@ -192,15 +181,12 @@ Result<SpGemmPlan> BlockReorganizerSpGemm::PlanImpl(
 
 Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
     const CsrMatrix& a, const CsrMatrix& b, spgemm::ExecContext* ctx) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument(
-        "dimension mismatch in Block Reorganizer compute");
-  }
   // The prepared product only orders the expansion, and it reads only the
   // pair side. Compute has no device and needs no split plan: a split
   // dominator's fragments are dispatched consecutively, in the order an
   // unsplit walk visits the whole dominators.
-  const Prepared prep = Prepare(a, b, nullptr, ctx);
+  const Workload workload = spgemm::BuildWorkload(a, b, ctx);
+  const Prepared prep = Prepare(workload, nullptr, ctx);
 
   // Each output row receives a pair's products when that pair's block (or
   // its first split fragment: fragments of one column are consecutive and
@@ -226,7 +212,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
     return spgemm::RowProductExpandMerge(ra, rb);
   }();
   if (!c.ok()) return c;
-  spgemm::AddCounter(ctx, "expand.products", prep.workload.flops);
+  spgemm::AddCounter(ctx, "expand.products", workload.flops);
   spgemm::AddCounter(ctx, "merge.output_nnz", c->nnz());
   return c;
 }
@@ -234,11 +220,10 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
     const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
     spgemm::ExecContext* ctx) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch in Analyze");
-  }
+  SPNET_RETURN_IF_ERROR(spgemm::CheckInnerExtents(name(), a, b));
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "analyze:" + name());
-  const Prepared prep = Prepare(a, b, &device, ctx);
+  const Workload workload = spgemm::BuildWorkload(a, b, ctx);
+  const Prepared prep = Prepare(workload, &device, ctx);
   const Classification& classes = prep.classes;
 
   ReorganizerReport report;

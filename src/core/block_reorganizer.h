@@ -48,26 +48,31 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
 
   const ReorganizerConfig& config() const { return config_; }
 
-  /// The immutable product of the pre-process.
+  /// The immutable product of the pre-process. It refers to the workload
+  /// it was prepared from, which must outlive it.
   struct Prepared {
-    spgemm::Workload workload;
+    const spgemm::Workload& workload;
     Classification classes;
     /// Built when splitting is enabled, dominators exist and Prepare was
     /// given a device.
-    std::optional<SplitPlan> split;
+    std::optional<SplitPlan> split = std::nullopt;
     /// Built when gathering is enabled and low performers exist.
-    std::optional<GatherPlan> gather;
+    std::optional<GatherPlan> gather = std::nullopt;
   };
 
-  /// The paper's one pre-process pass, shared by Plan, Analyze and
-  /// Compute: the exact precalculation on the operands as given, the
-  /// bins, and the split and gather plans of non-empty bins. The split
-  /// plan is sized for `device`. Compute passes no device and gets no
-  /// split plan: a dominator's fragments are dispatched consecutively, in
-  /// dominator order, so FirstDispatchOrder is the same without it.
-  Prepared Prepare(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
+  /// The paper's one pre-process pass over the operands' workload, shared
+  /// by Plan, Analyze and Compute: the bins, and the split and gather
+  /// plans of non-empty bins. The split plan is sized for `device`.
+  /// Compute passes no device and gets no split plan: a dominator's
+  /// fragments are dispatched consecutively, in dominator order, so
+  /// FirstDispatchOrder is the same without it.
+  Prepared Prepare(const spgemm::Workload& workload,
                    const gpusim::DeviceSpec* device,
                    spgemm::ExecContext* ctx = nullptr) const;
+  /// A prepared product of a temporary workload would dangle.
+  Prepared Prepare(spgemm::Workload&& workload,
+                   const gpusim::DeviceSpec* device,
+                   spgemm::ExecContext* ctx = nullptr) const = delete;
 
   /// Runs only the pre-process and reports the bin populations.
   Result<ReorganizerReport> Analyze(const sparse::CsrMatrix& a,
@@ -76,8 +81,7 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                     spgemm::ExecContext* ctx = nullptr) const;
 
  protected:
-  Result<spgemm::SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                                      const sparse::CsrMatrix& b,
+  Result<spgemm::SpGemmPlan> PlanImpl(const spgemm::Workload& workload,
                                       const gpusim::DeviceSpec& device,
                                       spgemm::ExecContext* ctx) const override;
 

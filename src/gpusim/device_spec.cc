@@ -63,5 +63,15 @@ DeviceSpec DeviceSpec::Rtx2080Ti() {
   return d;
 }
 
+Result<DeviceSpec> DeviceSpec::FromName(const std::string& name) {
+  if (name == "titanxp") return TitanXp();
+  if (name == "v100") return TeslaV100();
+  if (name == "2080ti") return Rtx2080Ti();
+  std::string message = "unknown device ";
+  message += name;
+  message += " (known: 2080ti, titanxp, v100)";
+  return Status::InvalidArgument(message);
+}
+
 }  // namespace gpusim
 }  // namespace spnet

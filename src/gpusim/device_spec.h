@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
+
 namespace spnet {
 namespace gpusim {
 
@@ -94,6 +96,9 @@ struct DeviceSpec {
   static DeviceSpec TeslaV100();
   /// Preset matching the paper's System 3 GPU (68 SMs, Turing).
   static DeviceSpec Rtx2080Ti();
+  /// The preset a command line names: "titanxp", "v100" or "2080ti".
+  /// Any other name is InvalidArgument listing those three.
+  static Result<DeviceSpec> FromName(const std::string& name);
 
   /// Field-wise equality: two specs are the same device only if every
   /// parameter the timing model reads matches.

@@ -1,6 +1,4 @@
-#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "spgemm/algorithm.h"
@@ -12,9 +10,6 @@ namespace spnet {
 namespace spgemm {
 
 namespace {
-
-using gpusim::KernelDesc;
-using sparse::CsrMatrix;
 
 /// Surrogate for AC-spGEMM (Winter et al., PPoPP'19), discussed in the
 /// paper's related work: a row-product scheme with *thread-level* load
@@ -28,26 +23,14 @@ class AcSpGemmLike : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "AC-spGEMM"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
                               const gpusim::DeviceSpec&,
                               ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in AC-spGEMM plan");
-    }
-    Workload workload = BuildWorkload(a, b);
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
-
     // Chunked execution behaves like processing rows in sorted order with
     // perfectly filled warps: model via the sorted row_order (no
     // intra-warp divergence) at a bookkeeping cost per product.
-    std::vector<int64_t> order(workload.row_chat.size());
-    std::iota(order.begin(), order.end(), int64_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
-      return workload.row_chat[static_cast<size_t>(x)] <
-             workload.row_chat[static_cast<size_t>(y)];
-    });
+    const std::vector<int64_t> order = RowsByChat(workload);
 
     RowExpansionOptions expansion;
     expansion.label = "acspgemm-chunked";
@@ -57,10 +40,7 @@ class AcSpGemmLike : public SpGemmAlgorithm {
     expansion.ops_multiplier = 1.6;        // queue pops, chunk bookkeeping
     plan.kernels.push_back(BuildRowProductExpansion(workload, expansion));
 
-    MergeOptions merge;
-    for (KernelDesc& k : BuildMergeKernels(workload, merge)) {
-      plan.kernels.push_back(std::move(k));
-    }
+    AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
     plan.host_seconds = HostPreprocessSeconds(
         static_cast<int64_t>(workload.row_chat.size()), 0);
     return plan;

@@ -1,5 +1,7 @@
 #include "spgemm/algorithm.h"
 
+#include <string>
+
 #include "gpusim/kernel_desc.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
@@ -17,7 +19,12 @@ Result<SpGemmPlan> SpGemmAlgorithm::Plan(const sparse::CsrMatrix& a,
   // Fault-injection boundary: every algorithm's plan construction funnels
   // through this NVI, so one site covers the whole registry.
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSitePlan));
-  return PlanImpl(a, b, device, ctx);
+  SPNET_RETURN_IF_ERROR(CheckInnerExtents(name(), a, b));
+  const Workload workload = BuildWorkload(a, b, ctx);
+  SPNET_ASSIGN_OR_RETURN(SpGemmPlan plan, PlanImpl(workload, device, ctx));
+  plan.flops = workload.flops;
+  plan.output_nnz = workload.output_nnz;
+  return plan;
 }
 
 Result<sparse::CsrMatrix> SpGemmAlgorithm::Compute(const sparse::CsrMatrix& a,
@@ -26,6 +33,7 @@ Result<sparse::CsrMatrix> SpGemmAlgorithm::Compute(const sparse::CsrMatrix& a,
   metrics::ScopedSpan span(TraceOf(ctx), "compute:" + name());
   ScopedPoolStats pool_stats(ctx);
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteCompute));
+  SPNET_RETURN_IF_ERROR(CheckInnerExtents(name(), a, b));
   return ComputeImpl(a, b, ctx);
 }
 
@@ -33,6 +41,18 @@ Result<sparse::CsrMatrix> SpGemmAlgorithm::ComputeImpl(
     const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
     ExecContext*) const {
   return RowProductExpandMerge(a, b);
+}
+
+Status CheckInnerExtents(const std::string& who, const sparse::CsrMatrix& a,
+                         const sparse::CsrMatrix& b) {
+  if (a.cols() == b.rows()) return Status::Ok();
+  std::string message = who;
+  message += ": A has ";
+  message += std::to_string(a.cols());
+  message += " columns but B has ";
+  message += std::to_string(b.rows());
+  message += " rows";
+  return Status::InvalidArgument(message);
 }
 
 Result<SpGemmMeasurement> Measure(const SpGemmAlgorithm& algorithm,

@@ -10,6 +10,7 @@
 #include "gpusim/simulator.h"
 #include "sparse/csr_matrix.h"
 #include "spgemm/plan.h"
+#include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
@@ -26,10 +27,14 @@ struct ExecContext;
 /// The entry points follow the non-virtual-interface pattern: callers use
 /// the public Plan/Compute, which accept an optional ExecContext for
 /// observability (trace spans around each call, thread-pool counters) and
-/// delegate to the protected virtuals. Implementations override
-/// PlanImpl/ComputeImpl and may record their own pass-level metrics
-/// against the context; a null context must be (and is, via the
-/// null-tolerant helpers in exec_context.h) a cheap no-op.
+/// delegate to the protected virtuals. Both refuse operands whose inner
+/// extents differ, so no implementation checks shapes. Plan also builds
+/// the one Workload of the operands (the paper's precalculation pass),
+/// hands it to PlanImpl and stamps the plan's flops and output nnz from
+/// it. Implementations override PlanImpl/ComputeImpl and may record their
+/// own pass-level metrics against the context; a null context must be
+/// (and is, via the null-tolerant helpers in exec_context.h) a cheap
+/// no-op.
 class SpGemmAlgorithm {
  public:
   virtual ~SpGemmAlgorithm() = default;
@@ -50,8 +55,9 @@ class SpGemmAlgorithm {
                                     ExecContext* ctx = nullptr) const;
 
  protected:
-  virtual Result<SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                                      const sparse::CsrMatrix& b,
+  /// Builds the kernels and host seconds of the plan from the operands'
+  /// workload; Plan sets flops and output_nnz afterwards.
+  virtual Result<SpGemmPlan> PlanImpl(const Workload& workload,
                                       const gpusim::DeviceSpec& device,
                                       ExecContext* ctx) const = 0;
 
@@ -64,6 +70,11 @@ class SpGemmAlgorithm {
                                                 const sparse::CsrMatrix& b,
                                                 ExecContext* ctx) const;
 };
+
+/// Ok when A's columns match B's rows; otherwise InvalidArgument naming
+/// `who` and both extents. Plan and Compute run it for every algorithm.
+Status CheckInnerExtents(const std::string& who, const sparse::CsrMatrix& a,
+                         const sparse::CsrMatrix& b);
 
 /// Simulates `algorithm` on `device` and returns the timing profile. With
 /// a context, records a "measure:<name>" span (planning nested inside, the

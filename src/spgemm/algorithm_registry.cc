@@ -5,29 +5,16 @@ namespace spgemm {
 
 Status AlgorithmRegistry::Register(const std::string& name, Factory factory) {
   MutexLock lock(&mu_);
-  if (factories_.count(name) != 0 || aliases_.count(name) != 0) {
+  if (factories_.count(name) != 0) {
     return Status::AlreadyExists("algorithm already registered: " + name);
   }
   factories_[name] = std::move(factory);
   return Status::Ok();
 }
 
-Status AlgorithmRegistry::RegisterAlias(const std::string& alias,
-                                        const std::string& target) {
-  MutexLock lock(&mu_);
-  if (factories_.count(alias) != 0 || aliases_.count(alias) != 0) {
-    return Status::AlreadyExists("algorithm already registered: " + alias);
-  }
-  if (factories_.count(target) == 0) {
-    return Status::NotFound("alias target not registered: " + target);
-  }
-  aliases_[alias] = target;
-  return Status::Ok();
-}
-
 bool AlgorithmRegistry::Contains(const std::string& name) const {
   MutexLock lock(&mu_);
-  return factories_.count(name) != 0 || aliases_.count(name) != 0;
+  return factories_.count(name) != 0;
 }
 
 Result<std::unique_ptr<SpGemmAlgorithm>> AlgorithmRegistry::Create(
@@ -37,10 +24,7 @@ Result<std::unique_ptr<SpGemmAlgorithm>> AlgorithmRegistry::Create(
   Factory factory;
   {
     MutexLock lock(&mu_);
-    auto alias_it = aliases_.find(name);
-    const std::string& canonical =
-        alias_it == aliases_.end() ? name : alias_it->second;
-    auto it = factories_.find(canonical);
+    auto it = factories_.find(name);
     if (it == factories_.end()) {
       return Status::NotFound("unknown algorithm: " + name +
                               " (known: " + NamesLineLocked() + ")");
@@ -96,8 +80,6 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
     add("mkl", MakeMklLike);
     add("acspgemm", MakeAcSpGemmLike);
     add("nsparse", MakeNsparseLike);
-    (void)r->RegisterAlias("row", "row-product");
-    (void)r->RegisterAlias("outer", "outer-product");
     return r;
   }();
   return *registry;

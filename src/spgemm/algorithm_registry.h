@@ -20,9 +20,8 @@ namespace spgemm {
 /// return Result so config-validating constructors (the Block
 /// Reorganizer) can refuse to build.
 ///
-/// Canonical names are the CLI spellings ("row-product", "cusparse",
-/// "reorganizer", ...); aliases ("row", "outer") resolve to a canonical
-/// entry but do not appear in Names().
+/// Names are the CLI spellings ("row-product", "cusparse",
+/// "reorganizer", ...), one per algorithm.
 ///
 /// Fully thread-safe: registration and queries share one mutex. This
 /// matters because registration is NOT confined to startup — every
@@ -35,12 +34,8 @@ class AlgorithmRegistry {
  public:
   using Factory = std::function<Result<std::unique_ptr<SpGemmAlgorithm>>()>;
 
-  /// Registers a factory; AlreadyExists if the name (canonical or alias)
-  /// is taken.
+  /// Registers a factory; AlreadyExists if the name is taken.
   Status Register(const std::string& name, Factory factory);
-
-  /// Registers an alternate spelling for an existing canonical name.
-  Status RegisterAlias(const std::string& alias, const std::string& target);
 
   bool Contains(const std::string& name) const;
 
@@ -48,7 +43,7 @@ class AlgorithmRegistry {
   Result<std::unique_ptr<SpGemmAlgorithm>> Create(
       const std::string& name) const;
 
-  /// Canonical names in sorted order (aliases excluded) — help text.
+  /// Names in sorted order — help text.
   std::vector<std::string> Names() const;
 
   /// One sorted "a, b, c" string for error messages and --help.
@@ -67,7 +62,6 @@ class AlgorithmRegistry {
 
   mutable Mutex mu_;
   std::map<std::string, Factory> factories_ GUARDED_BY(mu_);
-  std::map<std::string, std::string> aliases_ GUARDED_BY(mu_);
 };
 
 }  // namespace spgemm

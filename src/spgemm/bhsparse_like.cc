@@ -1,6 +1,4 @@
-#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "spgemm/algorithm.h"
@@ -12,9 +10,6 @@ namespace spnet {
 namespace spgemm {
 
 namespace {
-
-using gpusim::KernelDesc;
-using sparse::CsrMatrix;
 
 /// Surrogate for bhSPARSE (Liu & Vinter, IPDPS'14): a row-product scheme
 /// that bins output rows by their upper-bound work so each bin runs a
@@ -28,25 +23,13 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "bhSPARSE"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
                               const gpusim::DeviceSpec&,
                               ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in bhSPARSE plan");
-    }
-    Workload workload = BuildWorkload(a, b);
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
-
     // Bin rows by work: sorting by C-hat population puts similar rows in
     // the same warp, which is exactly what per-bin kernels achieve.
-    std::vector<int64_t> order(workload.row_chat.size());
-    std::iota(order.begin(), order.end(), int64_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
-      return workload.row_chat[static_cast<size_t>(x)] <
-             workload.row_chat[static_cast<size_t>(y)];
-    });
+    const std::vector<int64_t> order = RowsByChat(workload);
 
     // Overflow rows (beyond the largest bin) pay the global-memory merge
     // path: their traffic is re-streamed once more. Model by inflating
@@ -77,10 +60,7 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
     overflow_opts.write_scatter_factor = 1.5;
     plan.kernels.push_back(BuildRowProductExpansion(overflow, overflow_opts));
 
-    MergeOptions merge;
-    for (KernelDesc& k : BuildMergeKernels(workload, merge)) {
-      plan.kernels.push_back(std::move(k));
-    }
+    AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
 
     // Host-side binning scan over the rows.
     plan.host_seconds = HostPreprocessSeconds(

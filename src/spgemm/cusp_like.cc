@@ -12,7 +12,6 @@ namespace {
 
 using gpusim::KernelDesc;
 using gpusim::Phase;
-using sparse::CsrMatrix;
 
 // Radix-sort passes over the intermediate element list (8-bit digits over
 // a (row, col) key wider than 32 bits).
@@ -31,17 +30,10 @@ class CuspLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "CUSP"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
                               const gpusim::DeviceSpec&,
                               ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in CUSP plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
-
     // Expansion into the global list (coalesced appends).
     RowExpansionOptions expand;
     expand.label = "cusp-expand";

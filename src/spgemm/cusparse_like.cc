@@ -13,7 +13,6 @@ namespace spgemm {
 namespace {
 
 using gpusim::KernelDesc;
-using sparse::CsrMatrix;
 
 /// Surrogate for NVIDIA cuSPARSE csrgemm: a two-phase row-product — a
 /// symbolic pass computes the output structure, then a numeric pass
@@ -25,17 +24,10 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "cuSPARSE"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
                               const gpusim::DeviceSpec&,
                               ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in cuSPARSE plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
-
     // Symbolic pass: indices only (roughly 1/3 of the element payload),
     // tiny writes (per-row counters).
     RowExpansionOptions symbolic;

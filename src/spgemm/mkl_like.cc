@@ -10,7 +10,6 @@ namespace spgemm {
 
 namespace {
 
-using sparse::CsrMatrix;
 
 // System 1 host of Table I: Xeon E5-2640v4, 10 cores / 20 threads.
 constexpr double kCores = 10.0;
@@ -29,17 +28,10 @@ class MklLikeSpGemm : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "MKL"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
                               const gpusim::DeviceSpec&,
                               ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in MKL plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
-
     // Compute roofline: one multiply-accumulate per intermediate product
     // across the cores (the symbolic pass rides the caches warmed here).
     const double compute_seconds =

@@ -13,7 +13,6 @@ namespace {
 
 using gpusim::KernelDesc;
 using gpusim::ThreadBlockDesc;
-using sparse::CsrMatrix;
 
 // Rows whose output fits a shared-memory hash table (entries).
 constexpr int64_t kSharedHashEntries = 4096;
@@ -29,17 +28,10 @@ class NsparseLike : public SpGemmAlgorithm {
  public:
   std::string name() const override { return "nsparse-hash"; }
 
-  Result<SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
                               const gpusim::DeviceSpec&,
                               ExecContext*) const override {
-    if (a.cols() != b.rows()) {
-      return Status::InvalidArgument("dimension mismatch in nsparse plan");
-    }
-    const Workload workload = BuildWorkload(a, b);
     SpGemmPlan plan;
-    plan.flops = workload.flops;
-    plan.output_nnz = workload.output_nnz;
-
     // Fused expansion+merge: build per-row blocks directly. Shared-hash
     // rows write only the final output; global-hash rows pay RMW traffic
     // per product.

@@ -1,5 +1,7 @@
-#include "spgemm/outer_product.h"
+#include <memory>
+#include <string>
 
+#include "spgemm/algorithm.h"
 #include "spgemm/plan.h"
 #include "spgemm/workload_model.h"
 
@@ -8,7 +10,6 @@ namespace spgemm {
 
 using gpusim::KernelDesc;
 using gpusim::Phase;
-using sparse::CsrMatrix;
 
 namespace {
 
@@ -32,33 +33,35 @@ KernelDesc BuildOuterProductExpansion(const Workload& workload,
   return kernel;
 }
 
+/// The outer-product (column-row product) baseline the Block Reorganizer
+/// builds on: pair i = (column i of A) x (row i of B) forms one thread
+/// block, so every thread in a block does identical work (perfect
+/// thread-level balance) — but block-level workloads vary wildly on
+/// power-law data, creating the overloaded/underloaded block problem the
+/// paper analyzes in Section III. Pairs are dispatched in index order, so
+/// the host Compute is the base row product with no relabel.
+class OuterProductSpGemm : public SpGemmAlgorithm {
+ public:
+  std::string name() const override { return "outer-product"; }
+
+ protected:
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
+                              const gpusim::DeviceSpec&,
+                              ExecContext*) const override {
+    SpGemmPlan plan;
+    plan.kernels.push_back(BuildOuterProductExpansion(workload, 256));
+    AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
+    // Outer product needs the row-wise C-hat prefix sums (relocation
+    // cursors) before expansion. The plan emits no kernel for that scan
+    // and charges only host_seconds over the pairs; whether it becomes a
+    // device kernel is ROADMAP item 2, Step B.
+    plan.host_seconds = HostPreprocessSeconds(
+        static_cast<int64_t>(workload.pair_work.size()), 0);
+    return plan;
+  }
+};
+
 }  // namespace
-
-Result<SpGemmPlan> OuterProductSpGemm::PlanImpl(const CsrMatrix& a,
-                                                const CsrMatrix& b,
-                                                const gpusim::DeviceSpec&,
-                                                ExecContext*) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch in outer-product plan");
-  }
-  const Workload workload = BuildWorkload(a, b);
-
-  SpGemmPlan plan;
-  plan.flops = workload.flops;
-  plan.output_nnz = workload.output_nnz;
-  plan.kernels.push_back(BuildOuterProductExpansion(workload, 256));
-  MergeOptions merge;
-  for (KernelDesc& k : BuildMergeKernels(workload, merge)) {
-    plan.kernels.push_back(std::move(k));
-  }
-  // Outer product needs the row-wise C-hat prefix sums (relocation
-  // cursors) before expansion. The plan emits no kernel for that scan and
-  // charges only host_seconds over the pairs; whether it becomes a device
-  // kernel is ROADMAP item 2, Step B.
-  plan.host_seconds =
-      HostPreprocessSeconds(static_cast<int64_t>(workload.pair_work.size()), 0);
-  return plan;
-}
 
 std::unique_ptr<SpGemmAlgorithm> MakeOuterProduct() {
   return std::make_unique<OuterProductSpGemm>();

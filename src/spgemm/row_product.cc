@@ -1,7 +1,11 @@
 #include "spgemm/row_product.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
+#include <string>
 
+#include "spgemm/algorithm.h"
 #include "spgemm/plan.h"
 
 namespace spnet {
@@ -10,7 +14,6 @@ namespace spgemm {
 using gpusim::KernelDesc;
 using gpusim::Phase;
 using gpusim::ThreadBlockDesc;
-using sparse::CsrMatrix;
 
 namespace {
 
@@ -80,34 +83,47 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
   return kernel;
 }
 
-Result<SpGemmPlan> RowProductSpGemm::PlanImpl(const CsrMatrix& a,
-                                              const CsrMatrix& b,
-                                              const gpusim::DeviceSpec&,
-                                              ExecContext*) const {
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch in row-product plan");
-  }
-  const Workload workload = BuildWorkload(a, b);
-
-  SpGemmPlan plan;
-  plan.flops = workload.flops;
-  plan.output_nnz = workload.output_nnz;
-  RowExpansionOptions options;
-  // Per product, the thread-per-row inner loop issues the whole gather /
-  // multiply / cursor-store sequence from one lane, roughly three times
-  // the outer-product scheme's per-product instruction stream (which
-  // amortizes the column element across a full warp).
-  options.ops_multiplier = 3.0;
-  plan.kernels.push_back(BuildRowProductExpansion(workload, options));
-
-  MergeOptions merge;
-  for (gpusim::KernelDesc& k : BuildMergeKernels(workload, merge)) {
-    plan.kernels.push_back(std::move(k));
-  }
-  // No preprocessing beyond the kernel launches themselves.
-  plan.host_seconds = HostPreprocessSeconds(0, 0);
-  return plan;
+std::vector<int64_t> RowsByChat(const Workload& workload) {
+  std::vector<int64_t> order(workload.row_chat.size());
+  std::iota(order.begin(), order.end(), int64_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
+    return workload.row_chat[static_cast<size_t>(x)] <
+           workload.row_chat[static_cast<size_t>(y)];
+  });
+  return order;
 }
+
+namespace {
+
+/// The paper's main baseline: row-product expansion (one thread per output
+/// row, thread t expands row t's partial products) followed by the
+/// Gustavson dense-accumulator merge. Thread-level load imbalance inside a
+/// warp is this scheme's weakness on power-law data: a warp's lanes run in
+/// lock-step, so every lane waits for the hub row.
+class RowProductSpGemm : public SpGemmAlgorithm {
+ public:
+  std::string name() const override { return "row-product"; }
+
+ protected:
+  Result<SpGemmPlan> PlanImpl(const Workload& workload,
+                              const gpusim::DeviceSpec&,
+                              ExecContext*) const override {
+    SpGemmPlan plan;
+    RowExpansionOptions options;
+    // Per product, the thread-per-row inner loop issues the whole gather /
+    // multiply / cursor-store sequence from one lane, roughly three times
+    // the outer-product scheme's per-product instruction stream (which
+    // amortizes the column element across a full warp).
+    options.ops_multiplier = 3.0;
+    plan.kernels.push_back(BuildRowProductExpansion(workload, options));
+    AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
+    // No preprocessing beyond the kernel launches themselves.
+    plan.host_seconds = HostPreprocessSeconds(0, 0);
+    return plan;
+  }
+};
+
+}  // namespace
 
 std::unique_ptr<SpGemmAlgorithm> MakeRowProduct() {
   return std::make_unique<RowProductSpGemm>();

@@ -1,27 +1,14 @@
 #ifndef SPNET_SPGEMM_ROW_PRODUCT_H_
 #define SPNET_SPGEMM_ROW_PRODUCT_H_
 
-#include "spgemm/algorithm.h"
+#include <cstdint>
+#include <vector>
+
+#include "gpusim/kernel_desc.h"
 #include "spgemm/workload_model.h"
 
 namespace spnet {
 namespace spgemm {
-
-/// The paper's main baseline: row-product expansion (one thread per output
-/// row, thread t expands row t's partial products) followed by the
-/// Gustavson dense-accumulator merge. Thread-level load imbalance inside a
-/// warp is this scheme's weakness on power-law data: a warp's lanes run in
-/// lock-step, so every lane waits for the hub row.
-class RowProductSpGemm : public SpGemmAlgorithm {
- public:
-  std::string name() const override { return "row-product"; }
-
- protected:
-  Result<SpGemmPlan> PlanImpl(const sparse::CsrMatrix& a,
-                              const sparse::CsrMatrix& b,
-                              const gpusim::DeviceSpec& device,
-                              ExecContext* ctx) const override;
-};
 
 /// Knobs for the row-product expansion kernel builder, used to express
 /// the library surrogates' structural differences.
@@ -44,6 +31,10 @@ struct RowExpansionOptions {
 /// Builds the row-product expansion kernel over `workload`.
 gpusim::KernelDesc BuildRowProductExpansion(const Workload& workload,
                                             const RowExpansionOptions& options);
+
+/// The output rows in ascending row_chat order, ties in row order: the
+/// row_order of schemes that put rows of similar work in one warp.
+std::vector<int64_t> RowsByChat(const Workload& workload);
 
 }  // namespace spgemm
 }  // namespace spnet

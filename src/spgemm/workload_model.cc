@@ -103,6 +103,7 @@ void FillPairWork(Workload* w) {
 
 Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
                        ExecContext* ctx) {
+  metrics::ScopedSpan span(TraceOf(ctx), "build-workload");
   Workload w;
   ThreadPool& pool = GlobalThreadPool();
   const int threads = pool.threads();
@@ -225,8 +226,8 @@ constexpr int64_t kMergeSharedMemBytes = 4096;
 
 }  // namespace
 
-std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
-                                          const MergeOptions& options) {
+void AppendMergeKernels(const Workload& workload, const MergeOptions& options,
+                        std::vector<KernelDesc>* kernels) {
   KernelDesc normal;
   normal.label = "merge";
   normal.phase = Phase::kMerge;
@@ -280,14 +281,12 @@ std::vector<KernelDesc> BuildMergeKernels(const Workload& workload,
     }
   });
 
-  std::vector<KernelDesc> kernels;
   if (!normal.blocks.empty() || limited.blocks.empty()) {
-    kernels.push_back(std::move(normal));
+    kernels->push_back(std::move(normal));
   }
   if (!limited.blocks.empty()) {
-    kernels.push_back(std::move(limited));
+    kernels->push_back(std::move(limited));
   }
-  return kernels;
 }
 
 ThreadBlockDesc MakePairBlock(const PairBlockParams& p) {

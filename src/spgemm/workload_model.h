@@ -38,7 +38,8 @@ struct Workload {
   int64_t saturated = 0;
 };
 
-/// Builds the workload view. O(nnz(A) + dims). The output-row nnz is
+/// Builds the workload view inside a `build-workload` span on `ctx`.
+/// O(nnz(A) + dims). The output-row nnz is
 /// EstimateMergedRowNnz of each row's C-hat population; it only shapes
 /// merge timing, never functional results. Products and sums that would
 /// overflow int64 saturate and bump the workload's `saturated` count plus
@@ -176,11 +177,11 @@ struct MergeOptions {
   int64_t extra_shared_mem_bytes = 0;
 };
 
-/// Builds the merge-phase kernels from per-row intermediate populations.
-/// Returns one kernel when limiting is disabled, otherwise a non-limited
-/// kernel plus a limited kernel for long rows.
-std::vector<gpusim::KernelDesc> BuildMergeKernels(const Workload& workload,
-                                                  const MergeOptions& options);
+/// Builds the merge-phase kernels from per-row intermediate populations
+/// and appends them to `kernels`: one kernel when limiting is disabled,
+/// otherwise a non-limited kernel plus a limited kernel for long rows.
+void AppendMergeKernels(const Workload& workload, const MergeOptions& options,
+                        std::vector<gpusim::KernelDesc>* kernels);
 
 /// Describes one outer-product expansion block (one column/row pair or a
 /// fragment of one after B-Splitting).

@@ -11,6 +11,7 @@
 #include "core/block_reorganizer.h"
 #include "gpusim/device_spec.h"
 #include "sparse/reference_spgemm.h"
+#include "spgemm/algorithm.h"
 
 namespace spnet {
 namespace verify {
@@ -333,37 +334,46 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
   SPNET_RETURN_IF_ERROR(config.Validate());
   SPNET_RETURN_IF_ERROR(a.Validate());
   SPNET_RETURN_IF_ERROR(b.Validate());
-  if (a.cols() != b.rows()) {
-    return Status::InvalidArgument("dimension mismatch in invariant check");
-  }
+  const core::BlockReorganizerSpGemm reorganizer(config);
+  SPNET_RETURN_IF_ERROR(spgemm::CheckInnerExtents(reorganizer.name(), a, b));
 
-  const Workload workload = spgemm::BuildWorkload(a, b);
-  const Classification classes = core::Classify(workload, config);
-  SPNET_RETURN_IF_ERROR(CheckClassification(workload, classes));
-
+  // The prepared product Plan dispatches, checked against the rules.
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
-  if (config.enable_splitting) {
-    const SplitPlan split =
-        core::BuildSplitPlan(workload, classes.dominators, config, device);
-    SPNET_RETURN_IF_ERROR(CheckSplitPlan(workload, classes.dominators, split));
+  const Workload workload = spgemm::BuildWorkload(a, b);
+  const core::BlockReorganizerSpGemm::Prepared prep =
+      reorganizer.Prepare(workload, &device);
+  const Classification& classes = prep.classes;
+  SPNET_RETURN_IF_ERROR(CheckClassification(workload, classes));
+  const bool splits = config.enable_splitting && !classes.dominators.empty();
+  if (prep.split.has_value() != splits) {
+    return Violation(splits ? "dominators left unsplit"
+                            : "split plan built with splitting off or no "
+                              "dominators");
   }
-  if (config.enable_gathering) {
-    const GatherPlan gather =
-        core::BuildGatherPlan(workload, classes.low_performers, config);
+  if (prep.split) {
+    SPNET_RETURN_IF_ERROR(
+        CheckSplitPlan(workload, classes.dominators, *prep.split));
+  }
+  const bool gathers =
+      config.enable_gathering && !classes.low_performers.empty();
+  if (prep.gather.has_value() != gathers) {
+    return Violation(gathers ? "low performers left ungathered"
+                             : "gather plan built with gathering off or no "
+                               "low performers");
+  }
+  if (prep.gather) {
     SPNET_RETURN_IF_ERROR(CheckGatherPlan(workload, classes.low_performers,
-                                          gather, config.block_size));
+                                          *prep.gather, config.block_size));
   }
-  const spgemm::MergeOptions merge =
-      core::MakeLimitedMergeOptions(classes, config);
-  SPNET_RETURN_IF_ERROR(CheckLimitedMergeOptions(classes, config, merge));
+  SPNET_RETURN_IF_ERROR(CheckLimitedMergeOptions(
+      classes, config, core::MakeLimitedMergeOptions(classes, config)));
 
-  SPNET_ASSIGN_OR_RETURN(std::unique_ptr<spgemm::SpGemmAlgorithm> algorithm,
-                         core::MakeBlockReorganizer(config));
-  SPNET_ASSIGN_OR_RETURN(spgemm::SpGemmPlan plan,
-                         algorithm->Plan(a, b, device));
+  SPNET_ASSIGN_OR_RETURN(const spgemm::SpGemmPlan plan,
+                         reorganizer.Plan(a, b, device));
   SPNET_RETURN_IF_ERROR(CheckPlanStructure(plan, workload.flops));
 
-  SPNET_ASSIGN_OR_RETURN(const sparse::CsrMatrix got, algorithm->Compute(a, b));
+  SPNET_ASSIGN_OR_RETURN(const sparse::CsrMatrix got,
+                         reorganizer.Compute(a, b));
   SPNET_RETURN_IF_ERROR(got.Validate());
   SPNET_ASSIGN_OR_RETURN(const sparse::CsrMatrix expected,
                          sparse::ReferenceSpGemm(a, b));

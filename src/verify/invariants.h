@@ -64,10 +64,12 @@ namespace verify {
 [[nodiscard]] Status CheckPlanStructure(const spgemm::SpGemmPlan& plan,
                           int64_t expected_flops);
 
-/// Runs the full invariant suite for one configuration on one A*B:
-/// classification, split/gather/limiting plans (as enabled), the built
-/// SpGemmPlan, and finally Compute whose CSR output must Validate() and
-/// match the reference oracle.
+/// Runs the full invariant suite for one configuration on one A*B: the
+/// classification, split and gather plans of the reorganizer's Prepare
+/// (the ones Plan dispatches; each present exactly when its technique is
+/// enabled and its bin is non-empty), the limiting merge options, the
+/// built SpGemmPlan, and finally Compute whose CSR output must Validate()
+/// and match the reference oracle.
 [[nodiscard]] Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const core::ReorganizerConfig& config);

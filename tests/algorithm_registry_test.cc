@@ -1,4 +1,4 @@
-// Tests for the central algorithm registry: baseline seeding, aliasing,
+// Tests for the central algorithm registry: baseline seeding,
 // duplicate and unknown names, the core registrations layered on top, and
 // the ReorganizerConfig validation that gates algorithm construction.
 
@@ -30,15 +30,6 @@ TEST(AlgorithmRegistryTest, GlobalSeedsBaselines) {
     ASSERT_TRUE(algorithm.ok()) << name;
     ASSERT_NE(*algorithm, nullptr) << name;
   }
-}
-
-TEST(AlgorithmRegistryTest, AliasesResolveToSameAlgorithm) {
-  auto& registry = spgemm::AlgorithmRegistry::Global();
-  auto by_alias = registry.Create("row");
-  auto by_name = registry.Create("row-product");
-  ASSERT_TRUE(by_alias.ok());
-  ASSERT_TRUE(by_name.ok());
-  EXPECT_EQ((*by_alias)->name(), (*by_name)->name());
 }
 
 TEST(AlgorithmRegistryTest, UnknownNameIsNotFoundAndListsChoices) {

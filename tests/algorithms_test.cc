@@ -17,7 +17,9 @@
 #include "datasets/generators.h"
 #include "spgemm/algorithm.h"
 #include "spgemm/algorithm_registry.h"
+#include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
+#include "spgemm/workload_model.h"
 #include "sparse/reference_spgemm.h"
 #include "sparse/stats.h"
 #include "tests/test_util.h"
@@ -140,13 +142,50 @@ TEST(FunctionalTest, RowAndOuterAgreeOnEmptyMatrix) {
   EXPECT_EQ(outer->nnz(), 0);
 }
 
+/// Every registered name: eight baselines, the reorganizer and its three
+/// ablation variants.
+std::vector<std::unique_ptr<SpGemmAlgorithm>> EveryRegisteredAlgorithm() {
+  core::RegisterCoreAlgorithms();
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  std::vector<std::unique_ptr<SpGemmAlgorithm>> algorithms;
+  for (const std::string& name : registry.Names()) {
+    auto created = registry.Create(name);
+    EXPECT_TRUE(created.ok()) << name;
+    if (created.ok()) algorithms.push_back(std::move(created).value());
+  }
+  EXPECT_EQ(algorithms.size(), 12u);
+  return algorithms;
+}
+
 TEST(FunctionalTest, DimensionMismatchRejectedEverywhere) {
   const CsrMatrix a = testing_util::RandomMatrix(10, 12, 0.3, 1);
   const CsrMatrix b = testing_util::RandomMatrix(10, 12, 0.3, 2);
-  for (const auto& alg : core::MakeAllAlgorithms()) {
-    EXPECT_FALSE(alg->Compute(a, b).ok()) << alg->name();
-    EXPECT_FALSE(alg->Plan(a, b, gpusim::DeviceSpec::TitanXp()).ok())
+  for (const auto& alg : EveryRegisteredAlgorithm()) {
+    EXPECT_EQ(alg->Compute(a, b).status().code(),
+              StatusCode::kInvalidArgument)
         << alg->name();
+    EXPECT_EQ(alg->Plan(a, b, gpusim::DeviceSpec::TitanXp()).status().code(),
+              StatusCode::kInvalidArgument)
+        << alg->name();
+  }
+}
+
+/// Plan builds the operands' workload once, inside one `build-workload`
+/// span, whichever algorithm plans, and stamps the plan's totals from it.
+TEST(FunctionalTest, TracedPlanBuildsOneWorkloadEverywhere) {
+  const CsrMatrix a = testing_util::SkewedMatrix(200, 120, 4);
+  const Workload workload = BuildWorkload(a, a);
+  for (const auto& alg : EveryRegisteredAlgorithm()) {
+    ExecContext ctx;
+    auto plan = alg->Plan(a, a, gpusim::DeviceSpec::TitanXp(), &ctx);
+    ASSERT_TRUE(plan.ok()) << alg->name();
+    int spans = 0;
+    for (const auto& span : ctx.trace.spans()) {
+      spans += span.name == "build-workload" ? 1 : 0;
+    }
+    EXPECT_EQ(spans, 1) << alg->name();
+    EXPECT_EQ(plan->flops, workload.flops) << alg->name();
+    EXPECT_EQ(plan->output_nnz, workload.output_nnz) << alg->name();
   }
 }
 

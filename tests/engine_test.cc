@@ -20,6 +20,7 @@
 #include "spgemm/algorithm.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/workload_model.h"
 #include "tests/test_util.h"
 #include "verify/fault_injection.h"
 
@@ -885,7 +886,8 @@ TEST(BatchRunnerTest, ConcurrentRunsAnswerLikeASerialRun) {
   EXPECT_EQ(shared.plan_cache().size(), serial.plan_cache().size());
 }
 
-/// The row product with a Plan that first sleeps kPlanMs.
+/// Computes as the row product; its Plan sleeps kPlanMs, then plans only
+/// the merge kernels.
 class SlowPlanner : public spgemm::SpGemmAlgorithm {
  public:
   static constexpr char kName[] = "slow-planning-row-product";
@@ -894,13 +896,13 @@ class SlowPlanner : public spgemm::SpGemmAlgorithm {
   std::string name() const override { return kName; }
 
  protected:
-  Result<spgemm::SpGemmPlan> PlanImpl(const CsrMatrix& a, const CsrMatrix& b,
-                                      const gpusim::DeviceSpec& device,
-                                      spgemm::ExecContext* ctx) const override {
+  Result<spgemm::SpGemmPlan> PlanImpl(const spgemm::Workload& workload,
+                                      const gpusim::DeviceSpec&,
+                                      spgemm::ExecContext*) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(kPlanMs));
-    auto inner = spgemm::AlgorithmRegistry::Global().Create("row-product");
-    if (!inner.ok()) return inner.status();
-    return (*inner)->Plan(a, b, device, ctx);
+    spgemm::SpGemmPlan plan;
+    spgemm::AppendMergeKernels(workload, {}, &plan.kernels);
+    return plan;
   }
 };
 

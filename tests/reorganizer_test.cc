@@ -18,6 +18,7 @@
 #include "sparse/stats.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
+#include "spgemm/workload_model.h"
 #include "tests/test_util.h"
 
 namespace spnet {
@@ -713,9 +714,8 @@ TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
     for (size_t in = 0; in < std::size(inputs); ++in) {
       SCOPED_TRACE(std::string(name) + " on input " + std::to_string(in));
       const CsrMatrix& a = inputs[in];
-      const BlockReorganizerSpGemm::Prepared prep =
-          alg->Prepare(a, a, &device);
-      const spgemm::Workload& w = prep.workload;
+      const spgemm::Workload w = spgemm::BuildWorkload(a, a);
+      const BlockReorganizerSpGemm::Prepared prep = alg->Prepare(w, &device);
 
       std::map<std::string, std::vector<int64_t>> walked;
       std::vector<Index> first_seen;
@@ -768,7 +768,7 @@ TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
       unsplit.split.reset();
       EXPECT_EQ(FirstDispatchOrder(unsplit), order);
       const BlockReorganizerSpGemm::Prepared deviceless =
-          alg->Prepare(a, a, nullptr);
+          alg->Prepare(w, nullptr);
       EXPECT_FALSE(deviceless.split.has_value());
       EXPECT_EQ(FirstDispatchOrder(deviceless), order);
     }

@@ -241,7 +241,8 @@ TEST(WalkRowBlocksTest, AccountsEachLayoutInOrder) {
 TEST(MergeKernelsTest, BlocksCoverAllWork) {
   const CsrMatrix a = testing_util::SkewedMatrix(300, 150, 11);
   const Workload w = BuildWorkload(a, a);
-  const auto kernels = BuildMergeKernels(w, MergeOptions{});
+  std::vector<gpusim::KernelDesc> kernels;
+  AppendMergeKernels(w, MergeOptions{}, &kernels);
   ASSERT_EQ(kernels.size(), 1u);
   int64_t covered = 0;
   for (const auto& tb : kernels[0].blocks) covered += tb.useful_lane_ops;
@@ -255,7 +256,8 @@ TEST(MergeKernelsTest, LimitingSplitsLongRows) {
   MergeOptions options;
   options.limit_row_threshold = 400;
   options.extra_shared_mem_bytes = 4 * 6144;
-  const auto kernels = BuildMergeKernels(w, options);
+  std::vector<gpusim::KernelDesc> kernels;
+  AppendMergeKernels(w, options, &kernels);
   ASSERT_EQ(kernels.size(), 2u);
   EXPECT_EQ(kernels[1].label, "merge-limited");
   EXPECT_FALSE(kernels[1].blocks.empty());
@@ -284,7 +286,8 @@ TEST(MergeKernelsTest, SmallRowsBatchIntoFewBlocks) {
   auto a = CsrMatrix::FromCoo(coo);
   ASSERT_TRUE(a.ok());
   const Workload w = BuildWorkload(*a, *a);
-  const auto kernels = BuildMergeKernels(w, MergeOptions{});
+  std::vector<gpusim::KernelDesc> kernels;
+  AppendMergeKernels(w, MergeOptions{}, &kernels);
   ASSERT_EQ(kernels.size(), 1u);
   EXPECT_LT(kernels[0].blocks.size(), 500u);
 }
@@ -299,7 +302,8 @@ TEST(MergeKernelsTest, WideOutputRowsUseGlobalAtomics) {
   auto a = CsrMatrix::FromCoo(coo);
   ASSERT_TRUE(a.ok());
   const Workload w = BuildWorkload(*a, *a);
-  const auto kernels = BuildMergeKernels(w, MergeOptions{});
+  std::vector<gpusim::KernelDesc> kernels;
+  AppendMergeKernels(w, MergeOptions{}, &kernels);
   bool found_global = false;
   bool found_shared = false;
   for (const auto& k : kernels) {

@@ -32,7 +32,8 @@
 // accepts --threads=<n> to size the host thread pool (default: hardware
 // concurrency). A flag the command does not read is refused with
 // "unknown flag --name", and a numeric flag whose value is not wholly a
-// number (`--dim 5O`) with "malformed number --dim=5O", both exit 2
+// number (`--dim 5O`) with "malformed number --dim=5O", and a --device
+// other than titanxp, v100 or 2080ti with "unknown device", all exit 2
 // before any work. Algorithm names come from spgemm::AlgorithmRegistry;
 // pass a bogus --algorithm to have the error list them.
 //
@@ -104,13 +105,6 @@ Status Store(const CsrMatrix& m, const std::string& path) {
                             : sparse::WriteMatrixMarket(m, path);
 }
 
-gpusim::DeviceSpec DeviceFromFlags(const FlagParser& flags) {
-  const std::string name = flags.GetString("device", "titanxp");
-  if (name == "v100") return gpusim::DeviceSpec::TeslaV100();
-  if (name == "2080ti") return gpusim::DeviceSpec::Rtx2080Ti();
-  return gpusim::DeviceSpec::TitanXp();
-}
-
 Result<std::unique_ptr<spgemm::SpGemmAlgorithm>> AlgorithmFromFlags(
     const FlagParser& flags, const CsrMatrix& a, const CsrMatrix& b,
     const gpusim::DeviceSpec& device) {
@@ -157,7 +151,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-int CmdMultiply(const FlagParser& flags) {
+int CmdMultiply(const FlagParser& flags, const gpusim::DeviceSpec& device) {
   spgemm::ExecContext ctx;
   const int load_span = ctx.trace.Begin("load");
   auto a = Load(flags.GetString("a", ""));
@@ -166,7 +160,6 @@ int CmdMultiply(const FlagParser& flags) {
                                        : Result<CsrMatrix>(*a);
   if (!b.ok()) return Fail(b.status());
   ctx.trace.End(load_span);
-  const gpusim::DeviceSpec device = DeviceFromFlags(flags);
   auto algorithm = AlgorithmFromFlags(flags, *a, *b, device);
   if (!algorithm.ok()) return Fail(algorithm.status());
 
@@ -192,7 +185,7 @@ int CmdMultiply(const FlagParser& flags) {
   return 0;
 }
 
-int CmdProfile(const FlagParser& flags) {
+int CmdProfile(const FlagParser& flags, const gpusim::DeviceSpec& device) {
   spgemm::ExecContext ctx;
   const int load_span = ctx.trace.Begin("load");
   auto a = Load(flags.GetString("a", ""));
@@ -201,7 +194,6 @@ int CmdProfile(const FlagParser& flags) {
                                        : Result<CsrMatrix>(*a);
   if (!b.ok()) return Fail(b.status());
   ctx.trace.End(load_span);
-  const gpusim::DeviceSpec device = DeviceFromFlags(flags);
 
   metrics::Table table({"algorithm", "total ms", "expansion ms", "merge ms",
                         "GFLOPS", "stall %", "LBI"});
@@ -242,7 +234,7 @@ int CmdProfile(const FlagParser& flags) {
   return 0;
 }
 
-int CmdClassify(const FlagParser& flags) {
+int CmdClassify(const FlagParser& flags, const gpusim::DeviceSpec& device) {
   auto a = Load(flags.GetString("a", ""));
   if (!a.ok()) return Fail(a.status());
   Result<CsrMatrix> b = flags.Has("b") ? Load(flags.GetString("b", ""))
@@ -257,7 +249,7 @@ int CmdClassify(const FlagParser& flags) {
 
   spgemm::ExecContext ctx;
   core::BlockReorganizerSpGemm reorganizer;
-  auto report = reorganizer.Analyze(*a, *b, DeviceFromFlags(flags), &ctx);
+  auto report = reorganizer.Analyze(*a, *b, device, &ctx);
   if (!report.ok()) return Fail(report.status());
   std::printf("pairs: %lld total | %lld dominators | %lld low performers | "
               "%lld normal\n",
@@ -275,7 +267,7 @@ int CmdClassify(const FlagParser& flags) {
   return 0;
 }
 
-int CmdBatch(const FlagParser& flags) {
+int CmdBatch(const FlagParser& flags, const gpusim::DeviceSpec& device) {
   const std::string manifest = flags.GetString("manifest", "");
   if (manifest.empty()) {
     return Fail(Status::InvalidArgument("missing --manifest"));
@@ -300,7 +292,7 @@ int CmdBatch(const FlagParser& flags) {
       std::max<int64_t>(0, flags.GetInt("plan_cache", 64)));
   options.fallback_algorithm =
       flags.GetString("fallback", options.fallback_algorithm);
-  options.device = DeviceFromFlags(flags);
+  options.device = device;
   options.reorganizer_config.alpha =
       flags.GetDouble("alpha", options.reorganizer_config.alpha);
   options.reorganizer_config.beta =
@@ -552,13 +544,20 @@ int Run(int argc, char** argv) {
                  malformed.c_str());
     return 2;
   }
+  const Result<gpusim::DeviceSpec> device =
+      gpusim::DeviceSpec::FromName(flags.GetString("device", "titanxp"));
+  if (!device.ok()) {
+    std::fprintf(stderr, "spnet_cli: %s\n",
+                 device.status().message().c_str());
+    return 2;
+  }
   // Host threads for the functional stack (0 = hardware concurrency);
   // every command funnels through the same expansion/merge engines.
   SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
-  if (command == "multiply") return CmdMultiply(flags);
-  if (command == "profile") return CmdProfile(flags);
-  if (command == "classify") return CmdClassify(flags);
-  if (command == "batch") return CmdBatch(flags);
+  if (command == "multiply") return CmdMultiply(flags, *device);
+  if (command == "profile") return CmdProfile(flags, *device);
+  if (command == "classify") return CmdClassify(flags, *device);
+  if (command == "batch") return CmdBatch(flags, *device);
   if (command == "verify") return CmdVerify(flags);
   if (command == "convert") return CmdConvert(flags);
   if (command == "generate") return CmdGenerate(flags);

@@ -24,9 +24,10 @@
 //               [--device titanxp|v100|2080ti] [--threads N]
 //               [--metrics_out stats.json]
 //
-// Any other `--name` is refused with "unknown flag --name", and a numeric
+// Any other `--name` is refused with "unknown flag --name", a numeric
 // flag whose value is not wholly a number (`--workers 2x`) with "malformed
-// number --workers=2x", both exit 2 before the daemon starts.
+// number --workers=2x", and any other --device with "unknown device", all
+// exit 2 before the daemon starts.
 //
 // Shutdown: EOF on stdin or SIGTERM/SIGINT begins a graceful drain — no
 // new requests are admitted, queued and in-flight requests finish and
@@ -92,14 +93,8 @@ class ResponseWriter {
   Mutex mu_;
 };
 
-gpusim::DeviceSpec DeviceFromFlags(const FlagParser& flags) {
-  const std::string name = flags.GetString("device", "titanxp");
-  if (name == "v100") return gpusim::DeviceSpec::TeslaV100();
-  if (name == "2080ti") return gpusim::DeviceSpec::Rtx2080Ti();
-  return gpusim::DeviceSpec::TitanXp();
-}
-
-serve::ServeOptions OptionsFromFlags(const FlagParser& flags) {
+serve::ServeOptions OptionsFromFlags(const FlagParser& flags,
+                                     const gpusim::DeviceSpec& device) {
   serve::ServeOptions options;
   options.workers = static_cast<int>(flags.GetInt("workers", 2));
   options.queue_capacity =
@@ -113,7 +108,7 @@ serve::ServeOptions OptionsFromFlags(const FlagParser& flags) {
   options.engine.fallback_algorithm =
       flags.GetString("fallback", options.engine.fallback_algorithm);
   options.engine.default_deadline_ms = flags.GetDouble("deadline_ms", 0.0);
-  options.engine.device = DeviceFromFlags(flags);
+  options.engine.device = device;
   options.store.capacity = static_cast<size_t>(
       std::max<int64_t>(0, flags.GetInt("store_capacity", 8)));
   options.store.load.scale = flags.GetDouble("scale", options.store.load.scale);
@@ -158,10 +153,17 @@ int Run(int argc, char** argv) {
                  malformed.c_str());
     return 2;
   }
+  const Result<gpusim::DeviceSpec> device =
+      gpusim::DeviceSpec::FromName(flags.GetString("device", "titanxp"));
+  if (!device.ok()) {
+    std::fprintf(stderr, "spnet_serve: %s\n",
+                 device.status().message().c_str());
+    return 2;
+  }
   SetGlobalThreadCount(static_cast<int>(flags.GetInt("threads", 0)));
   InstallSignalHandlers();
 
-  serve::Server server(OptionsFromFlags(flags));
+  serve::Server server(OptionsFromFlags(flags, *device));
   const Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
