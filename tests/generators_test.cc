@@ -253,6 +253,10 @@ TEST(QuasiRegularTest, Deterministic) {
 /// unweighted power-law, a rectangular one, a tiny hub-heavy one whose top
 /// rows exhaust their sampling attempts and take the dense-row fallback,
 /// and quasi-regular rows that stop short of their degree at the band edge.
+/// The column sampler's cases stress its guide table: a uniform CDF (every
+/// bucket edge is a CDF value), a skew at which rank 0 spans most buckets,
+/// very wide and very narrow shapes, a single column, and a weighted
+/// hub-heavy square.
 TEST(GeneratorsTest, OutputBitsArePinned) {
   auto power_law = [](sparse::Index rows, sparse::Index cols, int64_t nnz,
                       double row_skew, double col_skew, bool weighted) {
@@ -294,6 +298,18 @@ TEST(GeneratorsTest, OutputBitsArePinned) {
        17527053300841039468ULL},
       {"powerlaw-hub-fallback", power_law(64, 64, 1500, 1.2, 2.0, true),
        10246315572301366142ULL},
+      {"powerlaw-uniform-columns",
+       power_law(2000, 2000, 20000, 0.8, 0.0, true), 10331698124499535579ULL},
+      {"powerlaw-rank0-heavy", power_law(2000, 2000, 20000, 0.8, 1.6, false),
+       15471471010281997150ULL},
+      {"powerlaw-wide", power_law(3000, 20000, 30000, 0.8, 0.8, true),
+       7112973731562957232ULL},
+      {"powerlaw-narrow", power_law(20000, 64, 60000, 0.8, 0.8, false),
+       17865073448577296652ULL},
+      {"powerlaw-one-column", power_law(50, 1, 30, 0.8, 0.8, true),
+       16561169407176368407ULL},
+      {"powerlaw-weighted-hubs", power_law(500, 500, 20000, 1.2, 1.5, true),
+       7629398989190918434ULL},
       {"quasi-regular", quasi_regular(3000, 30000, 0.02, 0.25),
        5520101886445167034ULL},
       {"quasi-regular-short-rows", quasi_regular(200, 3400, 0.0, 0.0),

@@ -182,14 +182,49 @@ std::pair<CsrMatrix, CsrMatrix> CancellingOperands() {
   return {std::move(a).value(), std::move(b).value()};
 }
 
+/// Operands whose product rows touch anywhere from one to all 1001
+/// columns of C, so the oracle orders rows on both sides of its sort/scan
+/// crossover. 1001 is not a multiple of 64: the last word of a row's
+/// column bitset is only partly used, and B's row 11 holds only its top
+/// column. B's row j (j <= 10) holds every 2^j-th column; row 12 holds
+/// columns 960..1000. A's row r takes B's row r % 13 alone (r < 13), with
+/// row 11 (r < 26), or with the next row negated (r < 39); row 39 is empty.
+std::pair<CsrMatrix, CsrMatrix> GradedOperands() {
+  constexpr Index kCols = 1001;
+  constexpr Index kBRows = 13;
+  CooMatrix ca(40, kBRows), cb(kBRows, kCols);
+  for (Index j = 0; j <= 10; ++j) {
+    for (Index c = 0; c < kCols; c += Index{1} << j) {
+      cb.Add(j, c, 0.5 + j + c / 1024.0);
+    }
+  }
+  cb.Add(11, kCols - 1, 3.25);
+  for (Index c = 960; c < kCols; ++c) cb.Add(12, c, 1.0 / (c - 950));
+  for (Index r = 0; r < 39; ++r) {
+    const Index j = r % kBRows;
+    ca.Add(r, j, 1.0 + r / 64.0);
+    if (r >= 26) {
+      ca.Add(r, (j + 1) % kBRows, -1.0);
+    } else if (r >= 13 && j != 11) {
+      ca.Add(r, 11, 0.75);
+    }
+  }
+  auto a = CsrMatrix::FromCoo(ca);
+  auto b = CsrMatrix::FromCoo(cb);
+  SPNET_CHECK(a.ok() && b.ok());
+  return {std::move(a).value(), std::move(b).value()};
+}
+
 /// Pins every bit of the oracle's output at 1 and 4 pool threads (it runs
 /// the same serial loop at both). The skewed product has hub rows that touch
 /// most of C's columns and tail rows that touch a handful; the random one
-/// has empty rows; the cancelling one keeps exact zeros.
+/// has empty rows; the cancelling one keeps exact zeros; the graded one
+/// has rows of every density and rows that touch C's last column.
 TEST(ReferenceSpGemmTest, OutputBitsArePinned) {
   const CsrMatrix skewed = testing_util::SkewedMatrix(600, 500, 7);
   const CsrMatrix sparse_rows = testing_util::RandomMatrix(300, 300, 0.004, 5);
   const auto [cancel_a, cancel_b] = CancellingOperands();
+  const auto [graded_a, graded_b] = GradedOperands();
   struct Pin {
     const char* name;
     const CsrMatrix& a;
@@ -200,6 +235,7 @@ TEST(ReferenceSpGemmTest, OutputBitsArePinned) {
       {"skewed", skewed, skewed, 8323349849015304431ULL},
       {"empty-rows", sparse_rows, sparse_rows, 9835578435690253474ULL},
       {"cancelling", cancel_a, cancel_b, 863302957928289398ULL},
+      {"graded", graded_a, graded_b, 7512089796500616939ULL},
   };
   for (const Pin& pin : pins) {
     for (int threads : {1, 4}) {
