@@ -18,7 +18,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   const bench::BenchOptions options =
-      bench::BenchOptions::FromArgs(argc, argv);
+      bench::BenchOptions::FromArgs(argc, argv, {.reads_device = false});
   const gpusim::DeviceSpec devices[] = {gpusim::DeviceSpec::TitanXp(),
                                         gpusim::DeviceSpec::TeslaV100(),
                                         gpusim::DeviceSpec::Rtx2080Ti()};

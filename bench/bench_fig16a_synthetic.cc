@@ -18,8 +18,8 @@ namespace {
 int Run(int argc, char** argv) {
   // These sweeps never materialize C functionally, so the paper-scale
   // datasets are cheap; default to full size.
-  const bench::BenchOptions options =
-      bench::BenchOptions::FromArgs(argc, argv, {.default_scale = 1.0});
+  const bench::BenchOptions options = bench::BenchOptions::FromArgs(
+      argc, argv, {.default_scale = 1.0, .reads_cache = false});
   const gpusim::DeviceSpec device = options.Device();
   const auto algorithms = core::MakeAllAlgorithms();
 

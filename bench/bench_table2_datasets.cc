@@ -21,8 +21,9 @@ namespace {
 int Run(int argc, char** argv) {
   // Lighter default than the other benches: the symbolic pass is the
   // only expensive part of this binary.
-  const bench::BenchOptions options =
-      bench::BenchOptions::FromArgs(argc, argv, {.default_scale = 0.1});
+  const bench::BenchOptions options = bench::BenchOptions::FromArgs(
+      argc, argv,
+      {.default_scale = 0.1, .reads_device = false, .reads_cache = false});
 
   metrics::Table table({"dataset", "family", "dim", "nnz(A)",
                         "nnz(C) paper", "nnz(C) measured", "ratio paper",

@@ -23,22 +23,29 @@
 namespace spnet {
 namespace bench {
 
-/// The flags one bench reads beyond the shared set, and its default
-/// --scale.
+/// The flags one bench reads beyond the shared set, the shared flags it
+/// does not read, and its default --scale.
 struct BenchFlags {
   double default_scale = 0.25;
+  /// Whether the bench reads the shared --device and --cache. A bench that
+  /// simulates one fixed set of devices, or generates its inputs without
+  /// the Table II cache, refuses the flag like an unknown one.
+  bool reads_device = true;
+  bool reads_cache = true;
   std::set<std::string> integers = {};
   /// Switches and strings.
   std::set<std::string> others = {};
 };
 
-/// Flags shared by every experiment binary.
+/// Flags shared by the experiment binaries (BenchFlags says whether one
+/// reads --device and --cache).
 ///
 ///   --scale=<f>    linear dataset scale, 1.0 = paper dimensions
 ///                  (default 0.25 keeps the full suite minutes-fast on one
 ///                  core; EXPERIMENTS.md records both scales)
 ///   --device=<s>   titanxp | v100 | 2080ti
 ///   --seed=<n>     generator seed
+///   --cache=<dir>  keep generated Table II datasets there as .spnb files
 ///   --csv          emit CSV instead of aligned tables
 ///   --threads=<n>  host threads for the functional expansion/merge stack
 ///                  (default: hardware concurrency; 1 = historical serial
@@ -62,9 +69,10 @@ struct BenchOptions {
   /// Every parsed flag, for the bench's own (BenchFlags) flags.
   FlagParser flags;
 
-  /// Parses the shared flags plus `own`. A flag outside both, a numeric
-  /// flag whose value is not wholly a number and an unknown --device are
-  /// refused: the bench prints the reason and exits 2 before any work.
+  /// Parses the shared flags `own` reads plus its own. Any other flag, a
+  /// numeric flag whose value is not wholly a number and an unknown
+  /// --device are refused: the bench prints the reason and exits 2 before
+  /// any work.
   static BenchOptions FromArgs(int argc, const char* const* argv,
                                const BenchFlags& own = {}) {
     const std::filesystem::path program =
@@ -76,7 +84,9 @@ struct BenchOptions {
     };
     std::set<std::string> integers = {"seed", "threads"};
     integers.insert(own.integers.begin(), own.integers.end());
-    std::set<std::string> known = {"device", "csv", "cache", "json_out"};
+    std::set<std::string> known = {"csv", "json_out"};
+    if (own.reads_device) known.insert("device");
+    if (own.reads_cache) known.insert("cache");
     known.insert(own.others.begin(), own.others.end());
     known.insert(integers.begin(), integers.end());
     known.insert("scale");

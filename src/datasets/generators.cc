@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "datasets/guided_cdf.h"
 
 namespace spnet {
 namespace datasets {
@@ -155,6 +156,7 @@ Result<CsrMatrix> GeneratePowerLaw(const PowerLawParams& p) {
     csum += std::pow(static_cast<double>(j) + 1.0, -p.col_skew);
     col_cdf[static_cast<size_t>(j)] = csum;
   }
+  const GuidedCdf col_popularity(std::move(col_cdf));
   // Mapping from popularity rank to physical column. With align_hubs the
   // row-rank permutation is reused so node i's row degree and column
   // popularity share the same rank — hub nodes are hubs on both sides.
@@ -198,10 +200,7 @@ Result<CsrMatrix> GeneratePowerLaw(const PowerLawParams& p) {
     while (emitted < d && attempts < max_attempts) {
       ++attempts;
       const double u = rng.NextDouble() * csum;
-      const auto it =
-          std::lower_bound(col_cdf.begin(), col_cdf.end(), u);
-      Index col_rank =
-          static_cast<Index>(std::distance(col_cdf.begin(), it));
+      Index col_rank = col_popularity.LowerBound(u);
       if (col_rank >= p.cols) col_rank = p.cols - 1;
       const Index c = col_of_rank[static_cast<size_t>(col_rank)];
       if (stamp[static_cast<size_t>(c)] == r) continue;

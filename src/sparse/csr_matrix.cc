@@ -261,25 +261,27 @@ CscMatrix CscMatrix::FromCsr(const CsrMatrix& a) {
 
 bool CsrApproxEqual(const CsrMatrix& a, const CsrMatrix& b, double tol) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  RowScratch s;
-  s.EnsureCols(a.cols());
+  RowScratch s(a.cols());
   // Adds `sign` times a row into the accumulator (duplicates tolerated).
-  auto accumulate = [&s](const SpanView& row, Value sign) {
+  size_t n = 0;
+  auto accumulate = [&s, &n](const SpanView& row, Value sign) {
     for (Offset k = 0; k < row.size; ++k) {
       const Index c = row.indices[k];
-      s.Touch(c);
+      n = s.Touch(c, n);
       s.acc[static_cast<size_t>(c)] += sign * row.values[k];
     }
   };
   for (Index r = 0; r < a.rows(); ++r) {
     // Row r of a minus row r of b must be ~0 at every touched position.
+    n = 0;
     accumulate(a.Row(r), 1.0);
     accumulate(b.Row(r), -1.0);
     bool row_ok = true;
-    for (Index c : s.touched_cols) {
+    for (size_t k = 0; k < n; ++k) {
+      const Index c = s.touched_cols[k];
       if (std::fabs(s.acc[static_cast<size_t>(c)]) > tol) row_ok = false;
+      s.Clear(c);
     }
-    s.ResetTouched();
     if (!row_ok) return false;
   }
   return true;

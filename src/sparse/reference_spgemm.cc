@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -15,12 +16,13 @@ namespace sparse {
 namespace {
 
 /// Accumulates row r of A*B into `s` (dense accumulator + touched list),
-/// in the order the input structure fixes. This and SortTouched stay out
-/// of line: inlined into ReferenceSpGemm's row loop, GCC 12 keeps the
-/// inner loop's operands on the stack; out of line it compiles to the
-/// register-only loop the oracle has always run.
-[[gnu::noinline]] void AccumulateRow(const CsrMatrix& a, const CsrMatrix& b,
-                                     Index r, RowScratch* s) {
+/// in the order the input structure fixes, and returns how many distinct
+/// columns it touched. This and EmitRow stay out of line: inlined into
+/// ReferenceSpGemm's row loop, GCC 12 keeps the inner loop's operands on
+/// the stack; out of line it compiles to a register-only loop.
+[[gnu::noinline]] size_t AccumulateRow(const CsrMatrix& a, const CsrMatrix& b,
+                                       Index r, RowScratch* s) {
+  size_t n = 0;
   const SpanView arow = a.Row(r);
   for (Offset k = 0; k < arow.size; ++k) {
     const Index j = arow.indices[k];
@@ -28,37 +30,45 @@ namespace {
     const SpanView brow = b.Row(j);
     for (Offset l = 0; l < brow.size; ++l) {
       const Index c = brow.indices[l];
-      s->Touch(c);
+      n = s->Touch(c, n);
       s->acc[static_cast<size_t>(c)] += av * brow.values[l];
     }
   }
+  return n;
 }
 
-/// Puts the row's touched columns in ascending order, in place. A row that
-/// touched n of the `cols` columns is either sorted, O(n log n), or
-/// rebuilt by one branch-free scan of the touched bitmap, O(cols). On
-/// 2k-100k columns the scan measured faster once n*log2(n) passes about
-/// cols/2, so dense rows are scanned and sparse rows sorted. Both give
-/// the same ascending list, so the choice never changes an output bit.
-[[gnu::noinline]] void SortTouched(Index cols, RowScratch* s) {
-  std::vector<Index>& list = s->touched_cols;
-  const size_t n = list.size();
-  if (2 * n * static_cast<size_t>(std::bit_width(n)) <=
+/// Writes the row's `n` touched columns and their sums to `idx`/`val` in
+/// ascending column order, and clears them from `s`. A row is either
+/// sorted, O(n log n), or read back from the touched bitset's words with
+/// countr_zero, O(cols/64 + n). On 1k-100k columns the scan measured
+/// faster once n*log2(n) passed about cols/64, so rows past that are
+/// scanned and sparser rows sorted. Both give the same ascending order, so
+/// the choice never changes an output bit.
+[[gnu::noinline]] void EmitRow(Index cols, size_t n, RowScratch* s,
+                               Index* idx, Value* val) {
+  if (64 * n * static_cast<size_t>(std::bit_width(n)) <=
       static_cast<size_t>(cols)) {
-    std::sort(list.begin(), list.end());
+    Index* list = s->touched_cols.data();
+    std::sort(list, list + n);
+    for (size_t k = 0; k < n; ++k) {
+      const Index c = list[k];
+      idx[k] = c;
+      val[k] = s->acc[static_cast<size_t>(c)];
+      s->Clear(c);
+    }
     return;
   }
-  // Column c is written to slot k, and k moves on only past a touched
-  // column, so each slot ends up holding its touched column. The extra
-  // element takes the writes after the last touched column.
-  list.push_back(0);
-  Index* out = list.data();
-  size_t k = 0;
-  for (Index c = 0; c < cols; ++c) {
-    out[k] = c;
-    k += s->touched[static_cast<size_t>(c)];
+  Value* acc = s->acc.data();
+  for (size_t w = 0; w < s->touched.size(); ++w) {
+    const auto base = static_cast<Index>(w * 64);
+    for (uint64_t word = std::exchange(s->touched[w], 0); word != 0;
+         word &= word - 1) {
+      const Index c = base + std::countr_zero(word);
+      *idx++ = c;
+      *val++ = acc[c];
+      acc[c] = 0.0;
+    }
   }
-  list.pop_back();
 }
 
 }  // namespace
@@ -75,25 +85,23 @@ Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b) {
 
   // One serial Gustavson loop at every thread count, with no symbolic
   // pass. The output is reserved once at flops(A*B), an upper bound on
-  // nnz(C), instead of doubling; reserved pages that no row reaches are
-  // never touched, so they cost address space, not memory.
+  // nnz(C), instead of doubling, and grows by each row's size before the
+  // row is written; reserved pages that no row reaches are never touched,
+  // so they cost address space, not memory.
   std::vector<Offset> ptr(static_cast<size_t>(rows) + 1, 0);
-  RowScratch s;
-  s.EnsureCols(cols);
+  RowScratch s(cols);
   const auto bound = static_cast<size_t>(SpGemmFlops(a, b));
   IndexArray out_idx;
   ValueArray out_val;
   out_idx.reserve(bound);
   out_val.reserve(bound);
   for (Index r = 0; r < rows; ++r) {
-    AccumulateRow(a, b, r, &s);
-    SortTouched(cols, &s);
-    for (Index c : s.touched_cols) {
-      out_idx.push_back(c);
-      out_val.push_back(s.acc[static_cast<size_t>(c)]);
-    }
-    s.ResetTouched();
-    ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out_idx.size());
+    const size_t n = AccumulateRow(a, b, r, &s);
+    const size_t begin = out_idx.size();
+    out_idx.resize(begin + n);
+    out_val.resize(begin + n);
+    EmitRow(cols, n, &s, out_idx.data() + begin, out_val.data() + begin);
+    ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(begin + n);
   }
   return CsrMatrix::FromParts(rows, cols, std::move(ptr), std::move(out_idx),
                               std::move(out_val));

@@ -7,14 +7,15 @@
 namespace spnet {
 namespace sparse {
 
-/// Reference Gustavson spGEMM (dense accumulator with a sparse touched-set
-/// reset): one serial loop at every thread count. Output rows come out
+/// Reference Gustavson spGEMM (dense accumulator, one-bit-per-column
+/// touched set, and a touched list that each row's emit walks to clear
+/// both): one serial loop at every thread count. Output rows come out
 /// sorted by column: a sparse row sorts its touched list, a row dense
-/// enough that it is cheaper scans the touched bitmap instead. This is the
-/// correctness oracle every GPU-model algorithm in this repository is
-/// validated against, so it shares no code with the host kernel it checks
-/// (it includes nothing from src/spgemm and keeps its own RowScratch), and
-/// none of the kernel's size/scan/fill structure either.
+/// enough that it is cheaper scans the touched set's words instead. This
+/// is the correctness oracle every GPU-model algorithm in this repository
+/// is validated against, so it shares no code with the host kernel it
+/// checks (it includes nothing from src/spgemm and keeps its own
+/// RowScratch), and none of the kernel's size/scan/fill structure either.
 Result<CsrMatrix> ReferenceSpGemm(const CsrMatrix& a, const CsrMatrix& b);
 
 /// Exact nnz(C) of A*B, computed with a symbolic Gustavson pass (no

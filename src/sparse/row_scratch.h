@@ -12,44 +12,40 @@ namespace sparse {
 /// Dense-accumulator scratch for the reference Gustavson (ReferenceSpGemm)
 /// and CsrApproxEqual. The host SpGEMM kernel keeps its own accumulator, so
 /// the oracle stays independent of the code it checks. It holds a value
-/// accumulator, a byte-per-column touched bitmap (uint8_t, not
-/// std::vector<bool> — the packed-bit specialization's read-modify-write is
-/// a measurable tax in the inner loop; each byte is exactly 0 or 1, so the
-/// oracle can add it to an output cursor when it scans a dense row into
-/// column order), and the touched-column list used to reset both in
-/// O(row nnz). One RowScratch is reused across every row, so the per-row
-/// cost is proportional to the row, never to the matrix width.
+/// accumulator, a one-bit-per-column touched set, and the list of the
+/// current row's touched columns in first-touch order. Touching is
+/// branch-free: every column is written at the list's cursor, and the
+/// cursor moves on only when the column's bit was clear, so the list has
+/// one spare slot for the write after a row's last new column. A caller
+/// walks the list once per row and clears each listed column (Clear), so
+/// one RowScratch serves every row at a cost proportional to the row.
 struct RowScratch {
+  explicit RowScratch(Index cols)
+      : acc(static_cast<size_t>(cols), 0.0),
+        touched((static_cast<size_t>(cols) + 63) / 64, 0),
+        touched_cols(static_cast<size_t>(cols) + 1) {}
+
+  /// Lists column `c` at cursor `n` and returns the cursor, advanced past
+  /// it only if this is the row's first touch of `c`.
+  size_t Touch(Index c, size_t n) {
+    touched_cols[n] = c;
+    uint64_t& word = touched[static_cast<size_t>(c) / 64];
+    const uint64_t bit = uint64_t{1} << (static_cast<unsigned>(c) % 64);
+    n += (word & bit) == 0;
+    word |= bit;
+    return n;
+  }
+
+  /// Clears listed column `c`: its accumulator and its whole bitset word,
+  /// which holds only columns listed in the same row.
+  void Clear(Index c) {
+    acc[static_cast<size_t>(c)] = 0.0;
+    touched[static_cast<size_t>(c) / 64] = 0;
+  }
+
   std::vector<Value> acc;
-  std::vector<uint8_t> touched;
+  std::vector<uint64_t> touched;
   std::vector<Index> touched_cols;
-
-  /// Grows the dense arrays to cover `cols` columns. Newly added slots are
-  /// zero/cleared; existing contents are preserved (they are clean between
-  /// rows by construction).
-  void EnsureCols(Index cols) {
-    if (acc.size() < static_cast<size_t>(cols)) {
-      acc.resize(static_cast<size_t>(cols), 0.0);
-      touched.resize(static_cast<size_t>(cols), 0);
-    }
-  }
-
-  /// Marks column `c` touched in the current row, listing it on first touch.
-  void Touch(Index c) {
-    if (!touched[static_cast<size_t>(c)]) {
-      touched[static_cast<size_t>(c)] = 1;
-      touched_cols.push_back(c);
-    }
-  }
-
-  /// Resets the touched state after a row, in O(touched columns).
-  void ResetTouched() {
-    for (Index c : touched_cols) {
-      acc[static_cast<size_t>(c)] = 0.0;
-      touched[static_cast<size_t>(c)] = 0;
-    }
-    touched_cols.clear();
-  }
 };
 
 }  // namespace sparse

@@ -38,7 +38,8 @@ class AcSpGemmLike : public SpGemmAlgorithm {
     expansion.write_scatter_factor = 1.2;  // chunk-local staging
     expansion.traffic_multiplier = 1.25;   // chunk headers + linked lists
     expansion.ops_multiplier = 1.6;        // queue pops, chunk bookkeeping
-    plan.kernels.push_back(BuildRowProductExpansion(workload, expansion));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, workload.row_chat, expansion));
 
     AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
     plan.host_seconds = HostPreprocessSeconds(

@@ -32,17 +32,17 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
     const std::vector<int64_t> order = RowsByChat(workload);
 
     // Overflow rows (beyond the largest bin) pay the global-memory merge
-    // path: their traffic is re-streamed once more. Model by inflating
-    // their C-hat contribution in a copied workload used for the overflow
-    // kernel, and excluding them from the binned kernel.
+    // path: their traffic is re-streamed once more. Model by giving the
+    // overflow kernel only their C-hat work, at a higher traffic
+    // multiplier, and the binned kernel only the other rows'.
     constexpr int64_t kOverflowThreshold = 4096;
-    Workload binned = workload;
-    Workload overflow = workload;
+    std::vector<int64_t> binned = workload.row_chat;
+    std::vector<int64_t> overflow = workload.row_chat;
     for (size_t r = 0; r < workload.row_chat.size(); ++r) {
       if (workload.row_chat[r] > kOverflowThreshold) {
-        binned.row_chat[r] = 0;
+        binned[r] = 0;
       } else {
-        overflow.row_chat[r] = 0;
+        overflow[r] = 0;
       }
     }
 
@@ -51,14 +51,16 @@ class BhsparseLikeSpGemm : public SpGemmAlgorithm {
     binned_opts.row_order = &order;
     binned_opts.traffic_multiplier = 1.8;    // progress/bin bookkeeping
     binned_opts.write_scatter_factor = 1.5;  // bin-local staging helps
-    plan.kernels.push_back(BuildRowProductExpansion(binned, binned_opts));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, binned, binned_opts));
 
     RowExpansionOptions overflow_opts;
     overflow_opts.label = "bhsparse-overflow";
     overflow_opts.row_order = &order;        // overflow bin is also sorted
     overflow_opts.traffic_multiplier = 2.2;  // global-memory re-stream
     overflow_opts.write_scatter_factor = 1.5;
-    plan.kernels.push_back(BuildRowProductExpansion(overflow, overflow_opts));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, overflow, overflow_opts));
 
     AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
 

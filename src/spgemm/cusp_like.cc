@@ -38,7 +38,8 @@ class CuspLikeSpGemm : public SpGemmAlgorithm {
     RowExpansionOptions expand;
     expand.label = "cusp-expand";
     expand.write_scatter_factor = 1.0;
-    plan.kernels.push_back(BuildRowProductExpansion(workload, expand));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, workload.row_chat, expand));
 
     // Sort: kSortPasses streaming passes over (key, value) pairs.
     KernelDesc sort;

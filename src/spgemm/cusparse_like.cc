@@ -34,7 +34,8 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
     symbolic.label = "cusparse-symbolic";
     symbolic.traffic_multiplier = 0.4;
     symbolic.write_scatter_factor = 0.1;
-    plan.kernels.push_back(BuildRowProductExpansion(workload, symbolic));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, workload.row_chat, symbolic));
 
     // Numeric pass: full traffic plus a log-factor on every accumulation
     // (sorted insertion into the output row).
@@ -48,7 +49,8 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
     numeric.traffic_multiplier = 2.0;
     numeric.write_scatter_factor = 3.0;
     numeric.ops_multiplier = 1.0 + 2.5 * std::log2(2.0 + mean_chat);
-    plan.kernels.push_back(BuildRowProductExpansion(workload, numeric));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, workload.row_chat, numeric));
 
     // The sorted accumulation replaces a separate merge kernel; only the
     // final output write-out remains.

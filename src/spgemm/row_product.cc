@@ -26,6 +26,7 @@ constexpr int kBlockSize = 256;
 }  // namespace
 
 KernelDesc BuildRowProductExpansion(const Workload& workload,
+                                    const std::vector<int64_t>& row_chat,
                                     const RowExpansionOptions& options) {
   KernelDesc kernel;
   kernel.label = options.label;
@@ -47,10 +48,9 @@ KernelDesc BuildRowProductExpansion(const Workload& workload,
                                 options.ops_multiplier);
   };
 
-  const RowSizeClasses classes =
-      ClassifyRowSizes(workload.row_chat, kBlockRowThreshold,
-                       kBlockRowThreshold, options.row_order);
-  WalkRowBlocks(workload.row_chat, classes, kBlockSize,
+  const RowSizeClasses classes = ClassifyRowSizes(
+      row_chat, kBlockRowThreshold, kBlockRowThreshold, options.row_order);
+  WalkRowBlocks(row_chat, classes, kBlockSize,
                 [&](const RowBlock& block) {
     ThreadBlockDesc tb;
     tb.threads = block.threads;
@@ -115,7 +115,8 @@ class RowProductSpGemm : public SpGemmAlgorithm {
     // the outer-product scheme's per-product instruction stream (which
     // amortizes the column element across a full warp).
     options.ops_multiplier = 3.0;
-    plan.kernels.push_back(BuildRowProductExpansion(workload, options));
+    plan.kernels.push_back(
+        BuildRowProductExpansion(workload, workload.row_chat, options));
     AppendMergeKernels(workload, MergeOptions{}, &plan.kernels);
     // No preprocessing beyond the kernel launches themselves.
     plan.host_seconds = HostPreprocessSeconds(0, 0);

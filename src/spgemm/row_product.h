@@ -28,9 +28,13 @@ struct RowExpansionOptions {
   const std::vector<int64_t>* row_order = nullptr;
 };
 
-/// Builds the row-product expansion kernel over `workload`.
-gpusim::KernelDesc BuildRowProductExpansion(const Workload& workload,
-                                            const RowExpansionOptions& options);
+/// Builds the row-product expansion kernel over `workload`'s flops and B
+/// rows, walking the per-row C-hat work `row_chat` (usually
+/// workload.row_chat; a scheme that splits rows between kernels passes
+/// each kernel's share, zero elsewhere).
+gpusim::KernelDesc BuildRowProductExpansion(
+    const Workload& workload, const std::vector<int64_t>& row_chat,
+    const RowExpansionOptions& options);
 
 /// The output rows in ascending row_chat order, ties in row order: the
 /// row_order of schemes that put rows of similar work in one warp.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include "datasets/generators.h"
+#include "datasets/guided_cdf.h"
 #include "sparse/stats.h"
 #include "tests/test_util.h"
 
@@ -246,6 +250,70 @@ TEST(QuasiRegularTest, Deterministic) {
   auto b = GenerateQuasiRegular(p);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(CsrApproxEqual(*a, *b, 0.0));
+}
+
+/// The Zipf CDF GeneratePowerLaw samples columns from.
+std::vector<double> ZipfCdf(sparse::Index n, double skew) {
+  std::vector<double> cdf;
+  double sum = 0.0;
+  for (sparse::Index j = 0; j < n; ++j) {
+    sum += std::pow(static_cast<double>(j) + 1.0, -skew);
+    cdf.push_back(sum);
+  }
+  return cdf;
+}
+
+/// An n-value CDF ending at `total` whose values sit on, and one ulp
+/// either side of, its bucket edges up to about total/3. The widths are not
+/// exact in binary, so a draw's quotient can land one bucket off: at
+/// (1.0, 301) some draw one ulp below an edge gets the bucket above it, and
+/// at (6.839128625283065, 8502) some draw one ulp above an edge gets the
+/// bucket below it, each next to a CDF value that then decides the answer.
+std::vector<double> EdgeHuggingCdf(double total, size_t n) {
+  const double width = total / static_cast<double>(n);
+  std::vector<double> cdf;
+  for (int k = 1; cdf.size() + 3 < n; ++k) {
+    const double edge = static_cast<double>(k) * width;
+    cdf.push_back(std::nextafter(edge, 0.0));
+    cdf.push_back(edge);
+    cdf.push_back(std::nextafter(edge, total));
+  }
+  while (cdf.size() + 1 < n) cdf.push_back((cdf.back() + total) / 2);
+  cdf.push_back(total);
+  return cdf;
+}
+
+/// LowerBound returns std::lower_bound's index at 0, at every bucket edge
+/// and CDF value and one ulp either side of each, and at and past the
+/// total, on uniform, skewed, single-rank and edge-hugging CDFs.
+TEST(GuidedCdfTest, LowerBoundMatchesStdLowerBound) {
+  const std::vector<double> cdfs[] = {
+      ZipfCdf(3000, 0.0), ZipfCdf(20000, 0.8), ZipfCdf(2000, 1.6),
+      ZipfCdf(1, 0.8),    ZipfCdf(64, 2.0),
+      EdgeHuggingCdf(1.0, 301), EdgeHuggingCdf(6.839128625283065, 8502),
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& values : cdfs) {
+    SCOPED_TRACE(testing_util::Numbered("cdf size ", values.size()));
+    const GuidedCdf cdf(values);
+    const auto n = static_cast<sparse::Index>(values.size());
+    std::vector<double> points = {0.0, cdf.total(),
+                                  std::nextafter(cdf.total(), kInf)};
+    auto add_with_neighbours = [&points](double u) {
+      points.push_back(std::nextafter(u, -kInf));
+      points.push_back(u);
+      points.push_back(std::nextafter(u, kInf));
+    };
+    for (sparse::Index k = 1; k < n; ++k) {
+      add_with_neighbours(static_cast<double>(k) * (cdf.total() / n));
+    }
+    for (double v : values) add_with_neighbours(v);
+    for (double u : points) {
+      const auto expected = static_cast<sparse::Index>(
+          std::lower_bound(values.begin(), values.end(), u) - values.begin());
+      ASSERT_EQ(cdf.LowerBound(u), expected) << "u = " << u;
+    }
+  }
 }
 
 /// Pins every bit (ptr, indices, value bits) the power-law and

@@ -215,16 +215,43 @@ std::pair<CsrMatrix, CsrMatrix> GradedOperands() {
   return {std::move(a).value(), std::move(b).value()};
 }
 
+/// The same product as `a` * `b` with the inner dimension reversed: A's
+/// column j and B's row j move to k-1-j. Row by row, B's rows are then
+/// accumulated in the opposite order, so a row's first-touch order is not
+/// its column order, on both sides of the oracle's sort/scan crossover.
+std::pair<CsrMatrix, CsrMatrix> ReverseInner(const CsrMatrix& a,
+                                             const CsrMatrix& b) {
+  const Index k = a.cols();
+  CooMatrix ca(a.rows(), k), cb(k, b.cols());
+  for (Index r = 0; r < a.rows(); ++r) {
+    const SpanView row = a.Row(r);
+    for (Offset p = 0; p < row.size; ++p) {
+      ca.Add(r, k - 1 - row.indices[p], row.values[p]);
+    }
+  }
+  for (Index j = 0; j < k; ++j) {
+    const SpanView row = b.Row(j);
+    for (Offset p = 0; p < row.size; ++p) {
+      cb.Add(k - 1 - j, row.indices[p], row.values[p]);
+    }
+  }
+  auto ra = CsrMatrix::FromCoo(ca);
+  auto rb = CsrMatrix::FromCoo(cb);
+  SPNET_CHECK(ra.ok() && rb.ok());
+  return {std::move(ra).value(), std::move(rb).value()};
+}
+
 /// Pins every bit of the oracle's output at 1 and 4 pool threads (it runs
 /// the same serial loop at both). The skewed product has hub rows that touch
 /// most of C's columns and tail rows that touch a handful; the random one
-/// has empty rows; the cancelling one keeps exact zeros; the graded one
-/// has rows of every density and rows that touch C's last column.
+/// has empty rows; the cancelling one keeps exact zeros; the graded ones
+/// have rows of every density and rows that touch C's last column.
 TEST(ReferenceSpGemmTest, OutputBitsArePinned) {
   const CsrMatrix skewed = testing_util::SkewedMatrix(600, 500, 7);
   const CsrMatrix sparse_rows = testing_util::RandomMatrix(300, 300, 0.004, 5);
   const auto [cancel_a, cancel_b] = CancellingOperands();
   const auto [graded_a, graded_b] = GradedOperands();
+  const auto [reversed_a, reversed_b] = ReverseInner(graded_a, graded_b);
   struct Pin {
     const char* name;
     const CsrMatrix& a;
@@ -236,6 +263,7 @@ TEST(ReferenceSpGemmTest, OutputBitsArePinned) {
       {"empty-rows", sparse_rows, sparse_rows, 9835578435690253474ULL},
       {"cancelling", cancel_a, cancel_b, 863302957928289398ULL},
       {"graded", graded_a, graded_b, 7512089796500616939ULL},
+      {"graded-reversed", reversed_a, reversed_b, 7512089796500616939ULL},
   };
   for (const Pin& pin : pins) {
     for (int threads : {1, 4}) {

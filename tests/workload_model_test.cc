@@ -322,7 +322,8 @@ TEST(MergeKernelsTest, WideOutputRowsUseGlobalAtomics) {
 TEST(RowExpansionTest, CoversAllWorkOnceEach) {
   const CsrMatrix a = testing_util::SkewedMatrix(400, 300, 17);
   const Workload w = BuildWorkload(a, a);
-  const auto kernel = BuildRowProductExpansion(w, RowExpansionOptions{});
+  const auto kernel =
+      BuildRowProductExpansion(w, w.row_chat, RowExpansionOptions{});
   int64_t covered = 0;
   for (const auto& tb : kernel.blocks) covered += tb.useful_lane_ops;
   EXPECT_EQ(covered, w.flops);
@@ -334,8 +335,8 @@ TEST(RowExpansionTest, OpsMultiplierScalesIssue) {
   RowExpansionOptions base;
   RowExpansionOptions doubled;
   doubled.ops_multiplier = 2.0;
-  const auto k1 = BuildRowProductExpansion(w, base);
-  const auto k2 = BuildRowProductExpansion(w, doubled);
+  const auto k1 = BuildRowProductExpansion(w, w.row_chat, base);
+  const auto k2 = BuildRowProductExpansion(w, w.row_chat, doubled);
   ASSERT_EQ(k1.blocks.size(), k2.blocks.size());
   for (size_t i = 0; i < k1.blocks.size(); ++i) {
     EXPECT_EQ(2 * k1.blocks[i].warp_issue_ops, k2.blocks[i].warp_issue_ops);
@@ -353,8 +354,9 @@ TEST(RowExpansionTest, RowOrderPermutesAssignment) {
   });
   RowExpansionOptions opts;
   opts.row_order = &order;
-  const auto sorted_kernel = BuildRowProductExpansion(w, opts);
-  const auto plain_kernel = BuildRowProductExpansion(w, RowExpansionOptions{});
+  const auto sorted_kernel = BuildRowProductExpansion(w, w.row_chat, opts);
+  const auto plain_kernel =
+      BuildRowProductExpansion(w, w.row_chat, RowExpansionOptions{});
   int64_t sorted_work = 0, plain_work = 0;
   int64_t sorted_issue = 0, plain_issue = 0;
   for (const auto& tb : sorted_kernel.blocks) {
