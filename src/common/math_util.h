@@ -3,33 +3,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 
 namespace spnet {
-
-/// a + b saturated to INT64_MAX / INT64_MIN instead of wrapping. When the
-/// result saturates, `*saturated` (if non-null) is set to true; it is never
-/// cleared, so one flag can audit a whole accumulation chain.
-inline int64_t SatAddI64(int64_t a, int64_t b, bool* saturated = nullptr) {
-  int64_t out;
-  if (__builtin_add_overflow(a, b, &out)) {
-    if (saturated != nullptr) *saturated = true;
-    return b > 0 ? std::numeric_limits<int64_t>::max()
-                 : std::numeric_limits<int64_t>::min();
-  }
-  return out;
-}
-
-/// a * b saturated instead of wrapping, same flag contract as SatAddI64.
-inline int64_t SatMulI64(int64_t a, int64_t b, bool* saturated = nullptr) {
-  int64_t out;
-  if (__builtin_mul_overflow(a, b, &out)) {
-    if (saturated != nullptr) *saturated = true;
-    return (a > 0) == (b > 0) ? std::numeric_limits<int64_t>::max()
-                              : std::numeric_limits<int64_t>::min();
-  }
-  return out;
-}
 
 /// ceil(a / b) for positive integers.
 constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }

@@ -27,7 +27,7 @@ constexpr double kMaxBeta = 64.0;
 Result<ReorganizerConfig> AutoTune(const sparse::CsrMatrix& a,
                                    const sparse::CsrMatrix& b,
                                    const gpusim::DeviceSpec& device) {
-  SPNET_RETURN_IF_ERROR(spgemm::CheckInnerExtents("AutoTune", a, b));
+  SPNET_RETURN_IF_ERROR(spgemm::CheckOperands("AutoTune", a, b));
   ReorganizerConfig config;
   const spgemm::Workload workload = spgemm::BuildWorkload(a, b);
   if (workload.flops == 0) {

@@ -9,7 +9,6 @@
 
 #include "common/math_util.h"
 #include "core/b_limiting.h"
-#include "sparse/operations.h"
 #include "spgemm/algorithm_registry.h"
 #include "spgemm/exec_context.h"
 #include "spgemm/functional.h"
@@ -190,18 +189,40 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
 
   // Each output row receives a pair's products when that pair's block (or
   // its first split fragment: fragments of one column are consecutive and
-  // cover disjoint rows) is dispatched. Ranking pairs by first dispatch
-  // position and relabelling the contraction axis by that rank makes the
-  // row kernel visit every row's pairs in that order, so the sums are the
-  // ones the GPU merge computes. Pairs no bin holds have no products; they
-  // go last, in index order, to complete the permutation.
-  CsrMatrix ra;
-  CsrMatrix rb;
+  // cover disjoint rows) is dispatched. A copy of A whose rows list their
+  // entries by the first dispatch rank of their column makes the row
+  // kernel visit every row's pairs in that order, so the sums are the ones
+  // the GPU merge computes. Walking A's columns (the rows of A^T) in rank
+  // order and appending each entry to its row builds that copy; the
+  // entries keep A's column labels, so B is used as it is. Pairs no bin
+  // holds have no products; FirstDispatchOrder lists them last.
+  CsrMatrix ordered_a;
   {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "relabel");
-    const std::vector<Index> order = FirstDispatchOrder(prep);
-    SPNET_ASSIGN_OR_RETURN(ra, sparse::PermuteCols(a, order));
-    SPNET_ASSIGN_OR_RETURN(rb, sparse::PermuteRows(b, order));
+    const CsrMatrix at = a.Transpose();
+    std::vector<sparse::Offset> cursor(a.ptr().begin(), a.ptr().end() - 1);
+    sparse::IndexArray indices(static_cast<size_t>(a.nnz()));
+    sparse::ValueArray values(static_cast<size_t>(a.nnz()));
+    for (const Index col : FirstDispatchOrder(prep)) {
+      const sparse::SpanView entries = at.Row(col);
+      for (sparse::Offset k = 0; k < entries.size; ++k) {
+        const auto row = static_cast<size_t>(entries.indices[k]);
+        const auto slot = static_cast<size_t>(cursor[row]++);
+        indices[slot] = col;
+        values[slot] = entries.values[k];
+      }
+    }
+    for (size_t r = 0; r < cursor.size(); ++r) {
+      if (cursor[r] != a.ptr()[r + 1]) {
+        std::string message = "dispatch order leaves row ";
+        message += std::to_string(r);
+        message += " of A incomplete";
+        return Status::Internal(message);
+      }
+    }
+    SPNET_ASSIGN_OR_RETURN(
+        ordered_a, CsrMatrix::FromParts(a.rows(), a.cols(), a.ptr(),
+                                        std::move(indices), std::move(values)));
   }
 
   // The output is the largest allocation left on the host path; a fault
@@ -209,7 +230,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteChatAlloc));
   Result<CsrMatrix> c = [&] {
     metrics::ScopedSpan span(spgemm::TraceOf(ctx), "expand");
-    return spgemm::RowProductExpandMerge(ra, rb);
+    return spgemm::RowProductExpandMerge(ordered_a, b);
   }();
   if (!c.ok()) return c;
   spgemm::AddCounter(ctx, "expand.products", workload.flops);
@@ -220,7 +241,7 @@ Result<CsrMatrix> BlockReorganizerSpGemm::ComputeImpl(
 Result<ReorganizerReport> BlockReorganizerSpGemm::Analyze(
     const CsrMatrix& a, const CsrMatrix& b, const gpusim::DeviceSpec& device,
     spgemm::ExecContext* ctx) const {
-  SPNET_RETURN_IF_ERROR(spgemm::CheckInnerExtents(name(), a, b));
+  SPNET_RETURN_IF_ERROR(spgemm::CheckOperands(name(), a, b));
   metrics::ScopedSpan span(spgemm::TraceOf(ctx), "analyze:" + name());
   const Workload workload = spgemm::BuildWorkload(a, b, ctx);
   const Prepared prep = Prepare(workload, &device, ctx);

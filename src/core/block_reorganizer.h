@@ -86,10 +86,12 @@ class BlockReorganizerSpGemm : public spgemm::SpGemmAlgorithm {
                                       spgemm::ExecContext* ctx) const override;
 
   /// Host execution in the prepared dispatch order: pairs are ranked by
-  /// their first dispatch position, A's columns and B's rows are relabelled
-  /// by that rank, and the shared row kernel runs on the result. Each
-  /// output row then sums its products in the order the GPU blocks
-  /// produce them, so the output bits are those of the dispatch order.
+  /// their first dispatch position, each row of a copy of A lists its
+  /// entries in that rank order (keeping A's column labels), and the
+  /// shared row kernel multiplies the copy with B. Each output row then
+  /// sums its products in the order the GPU blocks produce them, so the
+  /// output bits are those of the dispatch order. Internal if the order
+  /// leaves a row of the copy incomplete.
   Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
                                         const sparse::CsrMatrix& b,
                                         spgemm::ExecContext* ctx) const override;
@@ -172,7 +174,7 @@ void WalkExpansion(const BlockReorganizerSpGemm::Prepared& prep,
 
 /// Every pair ranked by its first appearance in WalkExpansion, then the
 /// zero-work pairs no bin holds, in index order: a permutation of
-/// [0, pairs). Compute relabels the contraction axis by it.
+/// [0, pairs). Compute orders each row of A by it.
 std::vector<sparse::Index> FirstDispatchOrder(
     const BlockReorganizerSpGemm::Prepared& prep);
 

@@ -310,102 +310,6 @@ void CheckIncludeIostream(RuleContext* ctx, const std::vector<Token>& tokens) {
   }
 }
 
-// --- rule: unsafe-planner-arithmetic ---------------------------------------
-
-/// The int64 workload quantities whose sums/products feed buffer sizing and
-/// tier classification. PR 7's sweep showed these wrap in practice on
-/// hub-heavy inputs, so raw arithmetic on them is a latent correctness bug:
-/// every combination must go through SatAddI64/SatMulI64.
-const std::set<std::string>& AuditedPlannerQuantities() {
-  static const std::set<std::string> kNames = {"pair_work", "flops",
-                                               "output_nnz", "row_chat"};
-  return kNames;
-}
-
-/// True when `code[i]` sits in binary-operator position: the previous
-/// token can terminate an expression. Rules out unary `*`/`+` (derefs,
-/// pointer declarators after keywords, leading signs).
-bool InBinaryContext(const std::vector<Token>& code, size_t i) {
-  if (i == 0) return false;
-  const Token& prev = code[i - 1];
-  if (prev.kind == TokenKind::kIdentifier) return true;
-  if (prev.kind == TokenKind::kNumber) return true;
-  return IsPunct(prev, "]") || IsPunct(prev, ")");
-}
-
-/// Audited name of the operand ending at `code[i]` (the token just before
-/// the operator), or empty: walks back over one balanced `[...]`
-/// subscript, then expects an audited identifier. A `)` bails — the
-/// interesting expression is inside a call/cast whose result type is the
-/// callee's business (`static_cast<double>(flops) * x` is fine).
-std::string LeftAuditedOperand(const std::vector<Token>& code, size_t i) {
-  size_t j = i;
-  if (IsPunct(code[j], "]")) {
-    int depth = 0;
-    while (true) {
-      if (IsPunct(code[j], "]")) ++depth;
-      if (IsPunct(code[j], "[") && --depth == 0) break;
-      if (j == 0) return "";
-      --j;
-    }
-    if (j == 0) return "";
-    --j;
-  }
-  if (code[j].kind == TokenKind::kIdentifier &&
-      AuditedPlannerQuantities().count(code[j].text) > 0) {
-    return code[j].text;
-  }
-  return "";
-}
-
-/// Audited name of the operand starting at `code[i]` (just after the
-/// operator), or empty: follows the member chain `a.b->c::d` and tests the
-/// LAST identifier, so `workload.row_chat` is audited but `row_chat.size()`
-/// chains ending elsewhere are not.
-std::string RightAuditedOperand(const std::vector<Token>& code, size_t i) {
-  if (i >= code.size() || code[i].kind != TokenKind::kIdentifier) return "";
-  size_t last = i;
-  size_t j = i + 1;
-  while (j + 1 < code.size() && code[j].kind == TokenKind::kPunct &&
-         (code[j].text == "." || code[j].text == "->" ||
-          code[j].text == "::") &&
-         code[j + 1].kind == TokenKind::kIdentifier) {
-    last = j + 1;
-    j += 2;
-  }
-  // A call chain (`.size()`, `.begin()`) is not the quantity itself.
-  if (j < code.size() && IsPunct(code[j], "(")) return "";
-  if (AuditedPlannerQuantities().count(code[last].text) > 0) {
-    return code[last].text;
-  }
-  return "";
-}
-
-void CheckUnsafePlannerArithmetic(RuleContext* ctx) {
-  std::string normalized = ctx->path();
-  std::replace(normalized.begin(), normalized.end(), '\\', '/');
-  const bool in_scope = normalized.find("src/spgemm") != std::string::npos ||
-                        normalized.find("src/core") != std::string::npos;
-  if (!in_scope) return;
-  const std::vector<Token>& code = ctx->code();
-  for (size_t i = 0; i < code.size(); ++i) {
-    if (code[i].kind != TokenKind::kPunct) continue;
-    const std::string& op = code[i].text;
-    const bool compound = op == "+=" || op == "*=";
-    if (op != "+" && op != "*" && !compound) continue;
-    if (!InBinaryContext(code, i)) continue;
-    std::string name = LeftAuditedOperand(code, i - 1);
-    if (name.empty()) name = RightAuditedOperand(code, i + 1);
-    if (name.empty()) continue;
-    const bool add = op == "+" || op == "+=";
-    ctx->Emit("unsafe-planner-arithmetic", code[i].line,
-              "raw '" + op + "' on audited planner quantity '" + name +
-                  "'; use " + (add ? "SatAddI64" : "SatMulI64") +
-                  " from common/math_util.h so overflow saturates instead of "
-                  "wrapping");
-  }
-}
-
 // --- rule: lock-discipline --------------------------------------------------
 
 /// std components that bypass the annotated lock vocabulary. spnet::Mutex /
@@ -517,9 +421,6 @@ const std::vector<RuleInfo>& Rules() {
       {"relaxed-atomic",
        "memory_order_relaxed only in audited fast-path files"},
       {"include-iostream", "headers must not include <iostream>"},
-      {"unsafe-planner-arithmetic",
-       "planner int64 quantities (pair_work/flops/output_nnz/row_chat) must "
-       "combine via SatAddI64/SatMulI64 in src/spgemm and src/core"},
       {"lock-discipline",
        "std lock primitives only inside common/mutex.h; Mutex members need "
        "a GUARDED_BY in the class body"},
@@ -540,7 +441,6 @@ std::vector<Diagnostic> LintSource(const std::string& path,
   CheckGlobalMutableState(&ctx);
   CheckRelaxedAtomic(&ctx);
   CheckIncludeIostream(&ctx, tokens);
-  CheckUnsafePlannerArithmetic(&ctx);
   CheckLockDiscipline(&ctx);
   return ctx.TakeDiagnostics();
 }

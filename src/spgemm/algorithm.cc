@@ -1,5 +1,6 @@
 #include "spgemm/algorithm.h"
 
+#include <algorithm>
 #include <string>
 
 #include "gpusim/kernel_desc.h"
@@ -19,7 +20,7 @@ Result<SpGemmPlan> SpGemmAlgorithm::Plan(const sparse::CsrMatrix& a,
   // Fault-injection boundary: every algorithm's plan construction funnels
   // through this NVI, so one site covers the whole registry.
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSitePlan));
-  SPNET_RETURN_IF_ERROR(CheckInnerExtents(name(), a, b));
+  SPNET_RETURN_IF_ERROR(CheckOperands(name(), a, b));
   const Workload workload = BuildWorkload(a, b, ctx);
   SPNET_ASSIGN_OR_RETURN(SpGemmPlan plan, PlanImpl(workload, device, ctx));
   plan.flops = workload.flops;
@@ -33,7 +34,7 @@ Result<sparse::CsrMatrix> SpGemmAlgorithm::Compute(const sparse::CsrMatrix& a,
   metrics::ScopedSpan span(TraceOf(ctx), "compute:" + name());
   ScopedPoolStats pool_stats(ctx);
   SPNET_RETURN_IF_ERROR(verify::MaybeInjectFault(verify::kSiteCompute));
-  SPNET_RETURN_IF_ERROR(CheckInnerExtents(name(), a, b));
+  SPNET_RETURN_IF_ERROR(CheckOperands(name(), a, b));
   return ComputeImpl(a, b, ctx);
 }
 
@@ -43,16 +44,38 @@ Result<sparse::CsrMatrix> SpGemmAlgorithm::ComputeImpl(
   return RowProductExpandMerge(a, b);
 }
 
-Status CheckInnerExtents(const std::string& who, const sparse::CsrMatrix& a,
-                         const sparse::CsrMatrix& b) {
-  if (a.cols() == b.rows()) return Status::Ok();
+Status CheckProductBound(const std::string& who, int64_t nnz_a,
+                         int64_t max_b_row_nnz) {
+  if (static_cast<__int128>(nnz_a) * max_b_row_nnz <= kMaxProducts) {
+    return Status::Ok();
+  }
   std::string message = who;
-  message += ": A has ";
-  message += std::to_string(a.cols());
-  message += " columns but B has ";
-  message += std::to_string(b.rows());
-  message += " rows";
+  message += ": nnz(A) = ";
+  message += std::to_string(nnz_a);
+  message += " times max nnz(B row) = ";
+  message += std::to_string(max_b_row_nnz);
+  message += " exceeds the bound of ";
+  message += std::to_string(kMaxProducts);
+  message += " products";
   return Status::InvalidArgument(message);
+}
+
+Status CheckOperands(const std::string& who, const sparse::CsrMatrix& a,
+                     const sparse::CsrMatrix& b) {
+  if (a.cols() != b.rows()) {
+    std::string message = who;
+    message += ": A has ";
+    message += std::to_string(a.cols());
+    message += " columns but B has ";
+    message += std::to_string(b.rows());
+    message += " rows";
+    return Status::InvalidArgument(message);
+  }
+  sparse::Offset max_b_row_nnz = 0;
+  for (sparse::Index r = 0; r < b.rows(); ++r) {
+    max_b_row_nnz = std::max(max_b_row_nnz, b.RowNnz(r));
+  }
+  return CheckProductBound(who, a.nnz(), max_b_row_nnz);
 }
 
 Result<SpGemmMeasurement> Measure(const SpGemmAlgorithm& algorithm,

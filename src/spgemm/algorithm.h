@@ -21,14 +21,15 @@ struct ExecContext;
 /// C = A*B on the host, and (2) emit the workload plan its GPU execution
 /// would dispatch, for the SIMT timing model. Every Compute runs the one
 /// host row kernel (RowProductExpandMerge); the Block Reorganizer first
-/// relabels the contraction axis into its dispatch order, so its sums are
+/// reorders each row of A into its dispatch order, so its sums are
 /// accumulated in the order the GPU merge would add them.
 ///
 /// The entry points follow the non-virtual-interface pattern: callers use
 /// the public Plan/Compute, which accept an optional ExecContext for
 /// observability (trace spans around each call, thread-pool counters) and
 /// delegate to the protected virtuals. Both refuse operands whose inner
-/// extents differ, so no implementation checks shapes. Plan also builds
+/// extents differ or whose product count could overflow (CheckOperands),
+/// so no implementation checks shapes or overflow. Plan also builds
 /// the one Workload of the operands (the paper's precalculation pass),
 /// hands it to PlanImpl and stamps the plan's flops and output nnz from
 /// it. Implementations override PlanImpl/ComputeImpl and may record their
@@ -64,17 +65,46 @@ class SpGemmAlgorithm {
   /// Defaults to RowProductExpandMerge. Most baselines differ from the
   /// row product only in how the GPU schedules the work, which their
   /// PlanImpl models, not in the product they compute. The Block
-  /// Reorganizer overrides it only to relabel the contraction axis into
-  /// its dispatch order before running the same kernel.
+  /// Reorganizer overrides it only to reorder A's rows into its dispatch
+  /// order before running the same kernel.
   virtual Result<sparse::CsrMatrix> ComputeImpl(const sparse::CsrMatrix& a,
                                                 const sparse::CsrMatrix& b,
                                                 ExecContext* ctx) const;
 };
 
-/// Ok when A's columns match B's rows; otherwise InvalidArgument naming
-/// `who` and both extents. Plan and Compute run it for every algorithm.
-Status CheckInnerExtents(const std::string& who, const sparse::CsrMatrix& a,
-                         const sparse::CsrMatrix& b);
+/// The largest U = nnz(A) * max nnz(B row) an operand pair may have. U
+/// bounds every count a plan derives from the operands: each pair work,
+/// row_chat and output_nnz, and flops = sum_i a_col_nnz[i] * b_row_nnz[i]
+/// <= nnz(A) * max nnz(B row). The constant leaves room below 2^63 for the
+/// largest factor per product that any planner, kernel builder or the
+/// simulator applies on top:
+///  - issued lane slots (crit_ops * threads, summed over blocks): a
+///    256-thread block of one row per lane charges its longest row to all
+///    256 lanes, and cuSPARSE-like runs a symbolic pass (ops x 1) and a
+///    numeric pass (ops x (1 + 2.5 log2(2 + mean chat)) <= 118.5 at
+///    U = 2^47) over every row, so 256 * 119.5 < 2^15 slots per product;
+///    its write-out adds 256 lanes per 8192 outputs;
+///  - bytes: a per-lane cold read of 32 bytes plus 3 of A and 18 scattered
+///    written, times bhSPARSE's traffic multiplier 2.2, or CUSP's expansion
+///    and five sort passes of 40 bytes: under 2^9 bytes per product.
+/// So every such total stays below 2^47 * 2^15 = 2^62. The bound refuses,
+/// for example, 2^31 nonzeros in A against a B row longer than 65,536, or
+/// 10^8 nonzeros against a B row longer than about 1.4 million.
+inline constexpr int64_t kMaxProducts = int64_t{1} << 47;
+
+/// Ok when nnz_a * max_b_row_nnz <= kMaxProducts (computed in 128 bits, so
+/// no pair of int64 counts overflows it); otherwise InvalidArgument naming
+/// `who` and both counts.
+Status CheckProductBound(const std::string& who, int64_t nnz_a,
+                         int64_t max_b_row_nnz);
+
+/// The one operand check. Ok when A's columns match B's rows (otherwise
+/// InvalidArgument naming `who` and both extents) and the pair passes
+/// CheckProductBound, with B's longest row read from its row pointers in
+/// O(rows). Plan and Compute run it for every algorithm; Analyze, AutoTune
+/// and VerifyReorganizerInvariants run it before their BuildWorkload.
+Status CheckOperands(const std::string& who, const sparse::CsrMatrix& a,
+                     const sparse::CsrMatrix& b);
 
 /// Simulates `algorithm` on `device` and returns the timing profile. With
 /// a context, records a "measure:<name>" span (planning nested inside, the

@@ -1,7 +1,6 @@
 #include <cmath>
 #include <memory>
 
-#include "common/math_util.h"
 #include "spgemm/algorithm.h"
 #include "spgemm/plan.h"
 #include "spgemm/row_product.h"
@@ -60,7 +59,7 @@ class CusparseLikeSpGemm : public SpGemmAlgorithm {
     gpusim::ThreadBlockDesc tb;
     tb.threads = 256;
     tb.effective_threads = 256;
-    const int64_t out_bytes = SatMulI64(kElementBytes, workload.output_nnz);
+    const int64_t out_bytes = kElementBytes * workload.output_nnz;
     tb.crit_ops = std::max<int64_t>(1, workload.output_nnz / 8192);
     tb.warp_issue_ops = 8 * tb.crit_ops;
     tb.useful_lane_ops = tb.crit_ops * 256;

@@ -51,7 +51,7 @@ static_assert(alignof(StampAccumulator) >= 64,
 
 /// Accumulates row r of A*B into the output arrays `idx`/`val` from
 /// position `base` on and returns the row's length: A's row entries in
-/// column order, each times B's row in column order, summed per output
+/// storage order, each times B's row in storage order, summed per output
 /// column in that order. This order fixes the output bits, so every pass
 /// and every thread count uses it. Columns are listed in first-touch
 /// order. A column's first product is stored as `0.0 + p`, the sum into a

@@ -9,7 +9,7 @@ namespace spgemm {
 
 /// The host kernel every algorithm's Compute runs: Gustavson's row
 /// product, with expansion and merge fused. Each output row accumulates
-/// A's row entries in column order, each times B's row in column order,
+/// A's row entries in storage order, each times B's row in storage order,
 /// straight into the output row: a slot per column holds the output
 /// position where the column was last accumulated, so a column whose slot
 /// is before the row's start is new to the row. Its first product appends
@@ -21,9 +21,9 @@ namespace spgemm {
 /// out in first-touch order (unordered CSR rows, like the paper's
 /// kernels). The output arrays are sparse::IndexArray/ValueArray, which
 /// reuse the last large block freed and align it for huge pages. An
-/// algorithm whose GPU schedule visits the contraction axis
-/// in another order relabels A's columns and B's rows first; the output
-/// bits are the same for any thread count.
+/// algorithm whose GPU schedule visits the contraction axis in another
+/// order passes a copy of A whose rows list their entries in that order;
+/// the output bits are the same for any thread count.
 Result<sparse::CsrMatrix> RowProductExpandMerge(const sparse::CsrMatrix& a,
                                                 const sparse::CsrMatrix& b);
 

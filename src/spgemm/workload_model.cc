@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "common/math_util.h"
@@ -19,27 +20,6 @@ using sparse::CsrMatrix;
 using sparse::Index;
 using sparse::Offset;
 using sparse::SpanView;
-
-namespace {
-
-/// Chunk partial for the saturating reductions: the accumulated value plus
-/// how many accumulations saturated inside the chunk.
-struct SatPartial {
-  int64_t value = 0;
-  int64_t saturations = 0;
-};
-
-/// Products and totals saturate instead of wrapping: adversarial nnz
-/// vectors (or a saturated upstream value) must degrade to a clamped
-/// lower bound plus a counter, never to a negative workload.
-SatPartial CombineSat(SatPartial acc, SatPartial p) {
-  bool sat = false;
-  acc.value = SatAddI64(acc.value, p.value, &sat);
-  acc.saturations += p.saturations + (sat ? 1 : 0);
-  return acc;
-}
-
-}  // namespace
 
 int64_t EstimateMergedRowNnz(int64_t chat, int64_t cols) {
   // A 0-column B would divide by zero (NaN rows), so it short-circuits.
@@ -71,32 +51,23 @@ void FillBRowNnz(const CsrMatrix& b, Workload* w) {
                    }));
 }
 
-/// Sets pair_work (0 past B's height) and flops from a_col_nnz and
-/// b_row_nnz, adding their saturations to `w->saturated`.
+/// Sets pair_work and flops from a_col_nnz and b_row_nnz.
 void FillPairWork(Workload* w) {
   ThreadPool& pool = GlobalThreadPool();
   const int64_t pairs = static_cast<int64_t>(w->a_col_nnz.size());
-  const int64_t rows_b = static_cast<int64_t>(w->b_row_nnz.size());
   w->pair_work.assign(static_cast<size_t>(pairs), 0);
-  const SatPartial flops_total = pool.ParallelReduce(
-      0, pairs, GrainForItems(pairs, pool.threads()), SatPartial{},
+  w->flops = pool.ParallelReduce(
+      0, pairs, GrainForItems(pairs, pool.threads()), int64_t{0},
       [&](int64_t begin, int64_t end, int) {
-        SatPartial p;
-        bool sat = false;
+        int64_t sum = 0;
         for (int64_t i = begin; i < end; ++i) {
           const size_t ii = static_cast<size_t>(i);
-          const int64_t brow = i < rows_b ? w->b_row_nnz[ii] : 0;
-          bool pair_sat = false;
-          w->pair_work[ii] = SatMulI64(w->a_col_nnz[ii], brow, &pair_sat);
-          if (pair_sat) ++p.saturations;
-          p.value = SatAddI64(p.value, w->pair_work[ii], &sat);
+          w->pair_work[ii] = w->a_col_nnz[ii] * w->b_row_nnz[ii];
+          sum += w->pair_work[ii];
         }
-        if (sat) ++p.saturations;
-        return p;
+        return sum;
       },
-      CombineSat);
-  w->flops = flops_total.value;
-  w->saturated += flops_total.saturations;
+      std::plus<int64_t>());
 }
 
 }  // namespace
@@ -150,34 +121,24 @@ Workload BuildWorkload(const CsrMatrix& a, const CsrMatrix& b,
   // estimate. Each row is independent; only the int64 total crosses rows.
   w.row_chat.assign(static_cast<size_t>(a.rows()), 0);
   w.row_c_est.assign(static_cast<size_t>(a.rows()), 0);
-  const SatPartial out_total = pool.ParallelReduce(
-      0, a.rows(), GrainForItems(a.rows(), threads), SatPartial{},
+  w.output_nnz = pool.ParallelReduce(
+      0, a.rows(), GrainForItems(a.rows(), threads), int64_t{0},
       [&](int64_t begin, int64_t end, int) {
-        SatPartial p;
-        bool out_sat = false;
+        int64_t sum = 0;
         for (int64_t r = begin; r < end; ++r) {
           const SpanView row = a.Row(static_cast<Index>(r));
           int64_t f = 0;
-          bool sat = false;
           for (Offset k = 0; k < row.size; ++k) {
-            const Index j = row.indices[k];
-            if (j < b.rows()) {
-              f = SatAddI64(f, w.b_row_nnz[static_cast<size_t>(j)], &sat);
-            }
+            f += w.b_row_nnz[static_cast<size_t>(row.indices[k])];
           }
-          if (sat) ++p.saturations;
           const int64_t est = EstimateMergedRowNnz(f, b.cols());
           w.row_chat[static_cast<size_t>(r)] = f;
           w.row_c_est[static_cast<size_t>(r)] = est;
-          p.value = SatAddI64(p.value, est, &out_sat);
+          sum += est;
         }
-        if (out_sat) ++p.saturations;
-        return p;
+        return sum;
       },
-      CombineSat);
-  w.output_nnz = out_total.value;
-  w.saturated += out_total.saturations;
-  if (w.saturated > 0) AddCounter(ctx, "workload.saturated", w.saturated);
+      std::plus<int64_t>());
   return w;
 }
 

@@ -32,18 +32,15 @@ struct Workload {
   std::vector<int64_t> row_c_est;
   int64_t flops = 0;       ///< total multiplies == nnz(C-hat)
   int64_t output_nnz = 0;  ///< sum of row_c_est
-  /// Count of accumulations that saturated instead of wrapping (adversarial
-  /// nnz products overflowing int64). Zero for every realistic matrix;
-  /// non-zero values mean pair_work/row_chat/flops are lower bounds.
-  int64_t saturated = 0;
 };
 
 /// Builds the workload view inside a `build-workload` span on `ctx`.
 /// O(nnz(A) + dims). The output-row nnz is
 /// EstimateMergedRowNnz of each row's C-hat population; it only shapes
-/// merge timing, never functional results. Products and sums that would
-/// overflow int64 saturate and bump the workload's `saturated` count plus
-/// the `workload.saturated` counter on `ctx`.
+/// merge timing, never functional results. Requires operands that pass
+/// CheckOperands (algorithm.h): A's columns match B's rows, and
+/// nnz(A) * max nnz(B row) <= kMaxProducts, which bounds every pair work,
+/// row_chat, flops and output_nnz, so the plain int64 sums cannot wrap.
 Workload BuildWorkload(const sparse::CsrMatrix& a, const sparse::CsrMatrix& b,
                        ExecContext* ctx = nullptr);
 

@@ -335,7 +335,7 @@ Status VerifyReorganizerInvariants(const sparse::CsrMatrix& a,
   SPNET_RETURN_IF_ERROR(a.Validate());
   SPNET_RETURN_IF_ERROR(b.Validate());
   const core::BlockReorganizerSpGemm reorganizer(config);
-  SPNET_RETURN_IF_ERROR(spgemm::CheckInnerExtents(reorganizer.name(), a, b));
+  SPNET_RETURN_IF_ERROR(spgemm::CheckOperands(reorganizer.name(), a, b));
 
   // The prepared product Plan dispatches, checked against the rules.
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();

@@ -12,6 +12,7 @@
 #include "common/array_allocator.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/auto_tune.h"
 #include "core/block_reorganizer.h"
 #include "core/suite.h"
 #include "datasets/generators.h"
@@ -23,6 +24,7 @@
 #include "sparse/reference_spgemm.h"
 #include "sparse/stats.h"
 #include "tests/test_util.h"
+#include "verify/invariants.h"
 
 namespace spnet {
 namespace spgemm {
@@ -168,6 +170,57 @@ TEST(FunctionalTest, DimensionMismatchRejectedEverywhere) {
               StatusCode::kInvalidArgument)
         << alg->name();
   }
+}
+
+/// The product bound as a pure function of nnz(A) and B's longest row:
+/// no operand near the bound fits in memory, so it is tested on the
+/// counts. Both sides of kMaxProducts = 2^47, and a pair whose product is
+/// far past int64, which the check must refuse without overflowing.
+TEST(OperandCheckTest, ProductBoundRefusesPastMaxProducts) {
+  EXPECT_TRUE(CheckProductBound("alg", 0, 0).ok());
+  EXPECT_TRUE(CheckProductBound("alg", 0, int64_t{1} << 62).ok());
+  EXPECT_TRUE(CheckProductBound("alg", int64_t{1} << 62, 0).ok());
+  EXPECT_TRUE(CheckProductBound("alg", kMaxProducts, 1).ok());
+  EXPECT_TRUE(
+      CheckProductBound("alg", int64_t{1} << 24, int64_t{1} << 23).ok());
+
+  // 2^47 + 1 = 3 * 46912496118443.
+  const Status over = CheckProductBound("alg", 3, 46912496118443);
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(over.message(),
+            "alg: nnz(A) = 3 times max nnz(B row) = 46912496118443 exceeds "
+            "the bound of 140737488355328 products");
+  EXPECT_EQ(CheckProductBound("alg", kMaxProducts + 1, 1).code(),
+            StatusCode::kInvalidArgument);
+
+  const Status huge =
+      CheckProductBound("alg", int64_t{1} << 62, (int64_t{1} << 31) - 1);
+  EXPECT_EQ(huge.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(huge.message(),
+            "alg: nnz(A) = 4611686018427387904 times max nnz(B row) = "
+            "2147483647 exceeds the bound of 140737488355328 products");
+}
+
+/// Plan, Compute, Analyze, AutoTune and VerifyReorganizerInvariants run
+/// the one operand check before any work. An operand past the product
+/// bound is too large to build here, so mismatched extents, the check's
+/// other half, show each entry point's refusal with the check's message.
+TEST(OperandCheckTest, EveryEntryPointRunsTheOperandCheck) {
+  const CsrMatrix a = testing_util::RandomMatrix(10, 12, 0.3, 1);
+  const CsrMatrix b = testing_util::RandomMatrix(10, 12, 0.3, 2);
+  const gpusim::DeviceSpec device = gpusim::DeviceSpec::TitanXp();
+  const core::BlockReorganizerSpGemm reorganizer;
+  auto refused = [](const Status& status, const std::string& who) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << who;
+    std::string expected = who;
+    expected += ": A has 12 columns but B has 10 rows";
+    EXPECT_EQ(status.message(), expected);
+  };
+  refused(reorganizer.Plan(a, b, device).status(), reorganizer.name());
+  refused(reorganizer.Compute(a, b).status(), reorganizer.name());
+  refused(reorganizer.Analyze(a, b, device).status(), reorganizer.name());
+  refused(core::AutoTune(a, b, device).status(), "AutoTune");
+  refused(verify::VerifyReorganizerInvariants(a, b, {}), reorganizer.name());
 }
 
 /// Plan builds the operands' workload once, inside one `build-workload`

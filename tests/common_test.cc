@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -141,49 +140,6 @@ TEST(MathUtilTest, Pow2Helpers) {
   EXPECT_EQ(Log2Floor(2), 1);
   EXPECT_EQ(Log2Floor(31), 4);
   EXPECT_EQ(Log2Floor(32), 5);
-}
-
-TEST(MathUtilTest, SatAddSaturatesInsteadOfWrapping) {
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  EXPECT_EQ(SatAddI64(2, 3), 5);
-  EXPECT_EQ(SatAddI64(kMax, 1), kMax);
-  EXPECT_EQ(SatAddI64(kMax, kMax), kMax);
-  EXPECT_EQ(SatAddI64(kMin, -1), kMin);
-  EXPECT_EQ(SatAddI64(kMin, kMin), kMin);
-  EXPECT_EQ(SatAddI64(kMax, kMin), -1);  // exact, no saturation
-
-  bool saturated = false;
-  EXPECT_EQ(SatAddI64(1, 2, &saturated), 3);
-  EXPECT_FALSE(saturated);
-  EXPECT_EQ(SatAddI64(kMax, 1, &saturated), kMax);
-  EXPECT_TRUE(saturated);
-  // The flag is sticky: later exact operations must not clear it, so one
-  // flag can audit a whole accumulation chain.
-  EXPECT_EQ(SatAddI64(1, 1, &saturated), 2);
-  EXPECT_TRUE(saturated);
-}
-
-TEST(MathUtilTest, SatMulSaturatesWithSignAwareLimits) {
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  EXPECT_EQ(SatMulI64(6, 7), 42);
-  EXPECT_EQ(SatMulI64(0, kMax), 0);
-  // Adversarial pair_work shapes: one enormous column times one enormous
-  // row must clamp to kMax, not wrap to a small or negative product.
-  EXPECT_EQ(SatMulI64(int64_t{1} << 40, int64_t{1} << 40), kMax);
-  EXPECT_EQ(SatMulI64(kMax, 2), kMax);
-  EXPECT_EQ(SatMulI64(kMax, -2), kMin);
-  EXPECT_EQ(SatMulI64(-(int64_t{1} << 40), int64_t{1} << 40), kMin);
-  EXPECT_EQ(SatMulI64(-(int64_t{1} << 40), -(int64_t{1} << 40)), kMax);
-
-  bool saturated = false;
-  EXPECT_EQ(SatMulI64(1 << 20, 1 << 10, &saturated), int64_t{1} << 30);
-  EXPECT_FALSE(saturated);
-  EXPECT_EQ(SatMulI64(kMax, kMax, &saturated), kMax);
-  EXPECT_TRUE(saturated);
-  EXPECT_EQ(SatMulI64(2, 2, &saturated), 4);
-  EXPECT_TRUE(saturated);  // sticky, same contract as SatAddI64
 }
 
 TEST(FlagsTest, ParsesKeyValueForms) {

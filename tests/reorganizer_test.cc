@@ -672,8 +672,8 @@ int CountSpans(const spgemm::ExecContext& ctx, const std::string& name) {
   return n;
 }
 
-/// Plan and Compute each build exactly one workload. Compute relabels the
-/// contraction axis once and runs one fused kernel: a `relabel` span, an
+/// Plan and Compute each build exactly one workload. Compute orders A's
+/// rows by dispatch once and runs one fused kernel: a `relabel` span, an
 /// `expand` span and no separate `merge` span, with the product and output
 /// counters still exact.
 TEST(ReorganizerTest, ComputeTracesRelabelAndFusedExpand) {
@@ -697,7 +697,7 @@ TEST(ReorganizerTest, ComputeTracesRelabelAndFusedExpand) {
 /// WalkExpansion is the one dispatch order that Plan and Compute read. Per
 /// kernel and in order, its blocks are Plan's expansion blocks one to one.
 /// The pairs' first appearances in it open FirstDispatchOrder, which
-/// Compute relabels by: every pair once, nonzero-work pairs first.
+/// Compute orders A's rows by: every pair once, nonzero-work pairs first.
 TEST(ReorganizerTest, DispatchWalkMatchesPlanAndCompute) {
   const CsrMatrix inputs[] = {PowerLaw(3), PowerLaw(8),
                               testing_util::RandomMatrix(300, 300, 0.004, 5)};
